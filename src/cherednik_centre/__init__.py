@@ -48,6 +48,7 @@ from .errors import (
     EllOutOfRange,
     EmptyPartition,
     InexactDivision,
+    InhomogeneousRelation,
     LengthMismatch,
     NegativeDegreeGenerator,
     NegativePart,
@@ -55,6 +56,7 @@ from .errors import (
     NonIntegral,
     NonSquare,
     NotWeaklyDecreasing,
+    OracleTruncated,
     PadTooShort,
     RowOutOfRange,
     UnparsableLabel,

@@ -80,8 +80,29 @@ def _reprefix(presentation: GradedPresentation, prefix: str) -> GradedPresentati
     return GradedPresentation(presentation.generators, presentation.relations, meta)
 
 
-def block(label: Label, ell: int, simplified: bool = False) -> Block:
-    """One block of the centre; ``label`` must fit the group (see module doc)."""
+WreathParts = dict[MultiPartition, tuple[GradedPresentation, int]]
+
+
+def _wreath_part(q: MultiPartition, ell: int, simplified: bool, parts: WreathParts):
+    """``(plus part, oracle dimension)`` of a wreath label, computed once per
+    ``parts``: a label is needed as ``q`` and again as the minus part of the
+    block of ``star(q)`` (for ``ell = 2`` that is the same block)."""
+    found = parts.get(q)
+    if found is None:
+        raw = wreath_presentation(q, ell)
+        found = (simplify(raw) if simplified else raw, presentation_dimension(raw))
+        parts[q] = found
+    return found
+
+
+def block(
+    label: Label, ell: int, simplified: bool = False, *, parts: WreathParts | None = None
+) -> Block:
+    """One block of the centre; ``label`` must fit the group (see module doc).
+
+    ``parts`` shares the per-label wreath computations between the blocks of
+    one centre; by default this block's own computations are not kept.
+    """
     if ell == 1:
         lam: Partition = label  # type: ignore[assignment]
         plus_raw = direct_presentation(lam)
@@ -92,14 +113,12 @@ def block(label: Label, ell: int, simplified: bool = False) -> Block:
     q: MultiPartition = label  # type: ignore[assignment]
     if len(q) != ell:
         raise LengthMismatch((q, ell))
+    if parts is None:
+        parts = {}
     star = star_involution(q)
-    plus_raw = wreath_presentation(q, ell)
-    minus_raw = wreath_presentation(star, ell)
-    plus = simplify(plus_raw) if simplified else plus_raw
-    minus_pos = simplify(minus_raw) if simplified else minus_raw
+    plus, dim_plus = _wreath_part(q, ell, simplified, parts)
+    minus_pos, dim_minus = _wreath_part(star, ell, simplified, parts)
     minus = _reprefix(negate_grading(minus_pos), "g")
-    dim_plus = presentation_dimension(plus_raw)
-    dim_minus = presentation_dimension(minus_raw)
     return Block(label, plus, minus, dim_plus * dim_minus, star_label=star)
 
 
@@ -113,7 +132,8 @@ def centre_presentation(n: int, ell: int, simplified: bool = False) -> CentrePre
         labels: list[Label] = list(partitions_of(n))
     else:
         labels = list(multipartitions_of(n, ell))
-    blocks = tuple(block(label, ell, simplified) for label in labels)
+    parts: WreathParts = {}
+    blocks = tuple(block(label, ell, simplified, parts=parts) for label in labels)
     return CentrePresentation(n, ell, blocks, sum(b.dimension for b in blocks))
 
 

@@ -8,7 +8,9 @@ json`` emits canonical JSON: sorted keys, two-space indent, coefficients as
 exact-rational strings — parsing and re-serializing is byte-identical.
 
 Partition arguments are comma-separated parts (``3,2``), the empty partition
-is ``-``, and multipartitions join components with ``|`` (``3,2|1,1|2``).
+is ``-``, and multipartitions join components with ``|`` (``3,2|1,1|2``).  A
+label whose first component is empty (``-|5``) is read as a label, not as an
+option.
 Commands taking ``--ell`` greater than 1 read their positional label as an
 ell-component multipartition (the quotient label of the block).
 """
@@ -408,14 +410,34 @@ def _cmd_selftest(args) -> tuple[int, str, dict]:
 # parser assembly
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-|...`` (a multipartition with an empty first component) as a
+    positional; no option starts with ``-|``.  Subparsers inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith("-|"):
+            return None
+        return super()._parse_optional(arg_string)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     common.add_argument("--out", help="write output atomically to this file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cherednik-centre",
         description=(
             "Exact presentations (generators, graded relations, Hilbert series) "
@@ -474,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser(
         "selftest", parents=[common], help="run the oracle-equivalence suites"
     )
-    p_self.add_argument("n_max", type=int, nargs="?", default=5)
+    p_self.add_argument("n_max", type=_positive_int, nargs="?", default=5)
     p_self.add_argument("--deep", action="store_true", help="larger bounds (minutes)")
 
     return parser
@@ -524,3 +546,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

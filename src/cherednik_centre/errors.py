@@ -55,6 +55,15 @@ class NegativeDegreeGenerator(DomainError):
     """Graded dimension counting needs strictly positive generator degrees."""
 
 
+class InhomogeneousRelation(DomainError):
+    """Graded dimension counting needs every relation to be homogeneous."""
+
+
+class OracleTruncated(DomainError):
+    """A graded dimension above the complete-intersection bound is non-zero,
+    so the default degree cutoff would truncate the series."""
+
+
 class NonIntegral(DomainError):
     """A quantity that must be an integer is not."""
 

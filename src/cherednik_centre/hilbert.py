@@ -11,25 +11,37 @@ Two independent routes:
   span of ``{m * r : r relation of degree s, m monomial of degree d - s}``.
 
 The oracle makes no use of the formulas, so agreement between the two is a
-real check.  Rank computation is fraction-free (denominators cleared, then
-Bareiss elimination over the integers); there is no floating point and no
+real check.  Rank computation is exact sparse row reduction over the
+rationals: each Macaulay row is a ``{column: Fraction}`` dict, reduced
+against the stored pivot rows (one per leading column, scaled to leading
+coefficient 1) until it vanishes or opens a new pivot; the rank is the number
+of pivots.  There is no floating point, no modular arithmetic and no
 tolerance anywhere.
 
 There is no closed wreath-case formula here; wreath series are defined
 operationally by the oracle.  The default degree cutoff is the
 complete-intersection bound ``sum(relation degrees) - sum(generator
-degrees)`` plus two slack degrees, which callers are expected to see vanish.
+degrees)`` plus two slack degrees; the oracle raises
+:class:`~cherednik_centre.errors.OracleTruncated` unless both slack degrees
+vanish, so a truncated series is never returned as a complete one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InexactDivision, NegativeDegreeGenerator, NonIntegral
+from .errors import (
+    InexactDivision,
+    InhomogeneousRelation,
+    NegativeDegreeGenerator,
+    NonIntegral,
+    OracleTruncated,
+)
 from .partitions import Partition, cells, hook_length, weight
-from .polyring import GenSym, MPoly, mul, weighted_degree
+from .polyring import INHOMOGENEOUS, GenSym, mul, weighted_degree
 from .presentation import GradedPresentation
 
 
@@ -125,35 +137,35 @@ def dimension_hook_formula(lam: Partition) -> int:
 # the presentation oracle
 
 
-def _integer_rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank: clear denominators per row, then Bareiss elimination."""
-    mat: list[list[int]] = []
-    for row in rows:
-        if all(x == 0 for x in row):
-            continue
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        mat.append([int(x * lcm) for x in row])
-    if not mat:
-        return 0
-    n_rows, n_cols = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for r in range(rank + 1, n_rows):
-            for c in range(col + 1, n_cols):
-                mat[r][c] = (mat[r][c] * mat[rank][col] - mat[r][col] * mat[rank][c]) // prev
-            mat[r][col] = 0
-        prev = mat[rank][col]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+def _sparse_rank(rows: Iterable[dict[int, Fraction]]) -> int:
+    """Exact rank of sparse rational rows ``{column: coefficient}``.
+
+    Incremental echelon form: each row is reduced against the stored pivot
+    row of its lowest column until it is empty or its lowest column has no
+    pivot yet; it then becomes that column's pivot, scaled to leading
+    coefficient 1.  A pivot is stored without its leading 1, which every
+    reduction cancels exactly.  Input rows are not modified.
+    """
+    pivots: dict[int, list[tuple[int, Fraction]]] = {}
+    for source in rows:
+        row = dict(source)
+        while row:
+            col = min(row)
+            factor = row.pop(col)
+            tail = pivots.get(col)
+            if tail is None:
+                pivots[col] = [(c, v / factor) for c, v in row.items()]
+                break
+            for c, v in tail:
+                if c in row:
+                    value = row[c] - factor * v
+                    if value:
+                        row[c] = value
+                    else:
+                        del row[c]
+                else:
+                    row[c] = -factor * v
+    return len(pivots)
 
 
 def _monomials_by_degree(
@@ -189,8 +201,9 @@ def graded_dimensions_from_presentation(
     """Dimension of each graded piece of the quotient ring, degrees 0..max.
 
     ``max_degree`` defaults to the complete-intersection bound plus two
-    slack degrees (see module docstring).  Positive generator degrees are
-    required (apply to positive-orientation presentations only).
+    slack degrees, which must vanish (see module docstring).  Positive
+    generator degrees and homogeneous relations are required (apply to
+    positive-orientation presentations only).
     """
     symbols = [g for g, _ in presentation.generators]
     degrees = [d for _, d in presentation.generators]
@@ -198,24 +211,28 @@ def graded_dimensions_from_presentation(
         raise NegativeDegreeGenerator(tuple(presentation.generators))
     relations = [r for r in presentation.relations if r]
     relation_degrees = [weighted_degree(r) for r in relations]
-    if max_degree is None:
+    if INHOMOGENEOUS in relation_degrees:
+        raise InhomogeneousRelation(relations[relation_degrees.index(INHOMOGENEOUS)])
+    default_cutoff = max_degree is None
+    if default_cutoff:
         max_degree = max(0, sum(relation_degrees) - sum(degrees)) + 2
     monomials = _monomials_by_degree(symbols, degrees, max_degree)
     dims = []
     for d in range(max_degree + 1):
         basis = monomials[d]
         index = {key: pos for pos, key in enumerate(basis)}
-        rows: list[list[Fraction]] = []
-        for rel, s in zip(relations, relation_degrees):
-            if s > d:
-                continue
-            for mono_key in monomials[d - s]:
-                product = mul({(0, mono_key): Fraction(1)}, rel)
-                row = [Fraction(0)] * len(basis)
-                for (_ue, gens), c in product.items():
-                    row[index[gens]] = c
-                rows.append(row)
-        dims.append(len(basis) - _integer_rank(rows))
+        rows = (
+            {
+                index[gens]: c
+                for (_ue, gens), c in mul({(0, mono_key): Fraction(1)}, rel).items()
+            }
+            for rel, s in zip(relations, relation_degrees)
+            if s <= d
+            for mono_key in monomials[d - s]
+        )
+        dims.append(len(basis) - _sparse_rank(rows))
+    if default_cutoff and any(dims[-2:]):
+        raise OracleTruncated(tuple(dims))
     return make_series(dims)
 
 

@@ -72,6 +72,32 @@ def test_total_dimension_is_the_group_order(n, ell):
     assert centre_dimension(n, ell) == ell**n * math.factorial(n)
 
 
+def test_wreath_centre_of_weight_five():
+    """Group order 2^5 * 5! for G(2,1,5); its largest blocks have parts of
+    dimension 20."""
+    assert centre_dimension(5, 2) == 2**5 * 120
+
+
+@pytest.mark.parametrize("n,ell", [(3, 2), (2, 3)])
+def test_centre_runs_the_oracle_once_per_label(monkeypatch, n, ell):
+    """Each label is needed as a plus part and as the minus part of its star
+    partner's block; one centre computes it once."""
+    from cherednik_centre import centre
+
+    seen = []
+    oracle = centre.presentation_dimension
+
+    def counting(presentation):
+        seen.append(presentation.meta.source)
+        return oracle(presentation)
+
+    monkeypatch.setattr(centre, "presentation_dimension", counting)
+    cp = centre_presentation(n, ell)
+    assert sorted(seen) == sorted(multipartitions_of(n, ell))
+    for b in cp.blocks:
+        assert b == block(b.label, ell)
+
+
 @pytest.mark.parametrize("n", range(0, 7))
 def test_symmetric_group_blocks(n):
     cp = centre_presentation(n, 1)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +237,48 @@ def test_selftest_json_document(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert all(suite["ok"] for suite in doc["suites"])
+
+
+@pytest.mark.parametrize("n_max", ["0", "-2"])
+def test_selftest_rejects_bounds_below_one(capsys, n_max):
+    """A bound below 1 would check nothing and still report success."""
+    status, out, err = _run(capsys, "selftest", n_max)
+    assert status == 2
+    assert out == ""
+    assert "n_max" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hilbert", "-|5", "--ell", "2"),
+        ("hilbert", "--ell", "2", "-|5"),
+        ("presentation", "-|2", "--ell", "2", "--format", "json"),
+        ("hilbert", "-|-|2", "--ell", "3"),
+    ],
+)
+def test_label_with_an_empty_first_component_is_positional(capsys, argv):
+    label = next(arg for arg in argv if arg.startswith("-|"))
+    options = [arg for arg in argv[1:] if arg != label]
+    expected = _run(capsys, argv[0], *options, "--", label)
+    assert expected[0] == 0
+    assert _run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("module", ["cherednik_centre", "cherednik_centre.cli"])
+def test_module_entry_points(capsys, module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-m", module, "centre", "3", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    status, out, _ = _run(capsys, "centre", "3", "--format", "json")
+    assert (completed.returncode, completed.stdout, completed.stderr) == (status, out, "")
 
 
 def test_version_flag(capsys):

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from cherednik_centre import (
     GenSym,
+    GradedPresentation,
     InexactDivision,
+    InhomogeneousRelation,
     NegativeDegreeGenerator,
+    OracleTruncated,
+    PresentationMeta,
     dimension_hook_formula,
     direct_presentation,
     format_series,
@@ -21,12 +26,12 @@ from cherednik_centre import (
     multipartitions_of,
     negate_grading,
     partitions_of,
+    presentation_dimension,
     transpose,
     weight,
     wreath_presentation,
 )
-from cherednik_centre.hilbert import HilbertSeries, _integer_rank
-from fractions import Fraction
+from cherednik_centre.hilbert import HilbertSeries, _sparse_rank
 
 from conftest import partitions_up_to
 
@@ -115,16 +120,105 @@ def test_explicit_max_degree_extends_with_zeros():
     assert graded_dimensions_from_presentation(p, max_degree=7).coefficients == (1,)
 
 
+def _bareiss_rank(rows: list[list[Fraction]]) -> int:
+    """Reference rank: dense fraction-free Bareiss elimination (denominators
+    cleared per row, then exact integer elimination)."""
+    mat: list[list[int]] = []
+    for row in rows:
+        if all(x == 0 for x in row):
+            continue
+        lcm = 1
+        for x in row:
+            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+        mat.append([int(x * lcm) for x in row])
+    if not mat:
+        return 0
+    n_rows, n_cols = len(mat), len(mat[0])
+    rank = 0
+    prev = 1
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, n_rows) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(rank + 1, n_rows):
+            for c in range(col + 1, n_cols):
+                mat[r][c] = (mat[r][c] * mat[rank][col] - mat[r][col] * mat[rank][c]) // prev
+            mat[r][col] = 0
+        prev = mat[rank][col]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def _sparse(rows: list[list[Fraction]]) -> list[dict[int, Fraction]]:
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
 def test_integer_rank():
-    assert _integer_rank([]) == 0
-    assert _integer_rank([[Fraction(0), Fraction(0)]]) == 0
+    assert _sparse_rank([]) == 0
+    assert _sparse_rank(_sparse([[Fraction(0), Fraction(0)]])) == 0
     rows = [
         [Fraction(1, 2), Fraction(1, 3)],
         [Fraction(3), Fraction(2)],
         [Fraction(1), Fraction(1)],
     ]
-    assert _integer_rank(rows) == 2
-    assert _integer_rank([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]]) == 1
+    assert _sparse_rank(_sparse(rows)) == 2
+    assert _sparse_rank(_sparse([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]])) == 1
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Small rational matrices with zero rows, repeated rows and rows that
+    are combinations of two others."""
+    n_cols = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), max_size=7))
+    scalars = st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 7)])
+    if rows:
+        for _ in range(draw(st.integers(0, 3))):
+            first, second = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(scalars), draw(st.sampled_from([Fraction(0), Fraction(1, 2)]))
+            rows.append([a * x + b * y for x, y in zip(first, second)])
+    rows += [[Fraction(0)] * n_cols] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+@given(_rational_matrices())
+def test_sparse_rank_matches_dense_bareiss(rows):
+    sparse = _sparse(rows)
+    sparse.extend(sparse[:2])  # the same row objects again
+    snapshot = [dict(row) for row in sparse]
+    assert _sparse_rank(sparse) == _bareiss_rank(rows)
+    assert sparse == snapshot
+
+
+def _presentation(generators, relations) -> GradedPresentation:
+    meta = PresentationMeta(source=(), ell=1, orientation=1)
+    return GradedPresentation(tuple(generators), tuple(relations), meta)
+
+
+def test_oracle_rejects_an_infinite_quotient():
+    """One generator and no relations: every degree is non-zero, so the
+    default cutoff would truncate the series."""
+    x = GenSym(1, 1)
+    with pytest.raises(OracleTruncated):
+        graded_dimensions_from_presentation(_presentation([(x, 1)], []))
+    # an explicit cutoff asks for the truncation and gets it
+    assert graded_dimensions_from_presentation(
+        _presentation([(x, 1)], []), max_degree=3
+    ).coefficients == (1, 1, 1, 1)
+
+
+def test_oracle_rejects_inhomogeneous_relations():
+    x = GenSym(1, 1)
+    relation = {(0, ((x, 1),)): Fraction(1), (0, ((x, 2),)): Fraction(1)}  # x + x^2
+    with pytest.raises(InhomogeneousRelation):
+        graded_dimensions_from_presentation(_presentation([(x, 1)], [relation]))
 
 
 def test_series_division_is_checked():
@@ -151,6 +245,14 @@ def test_wreath_series_support_is_divisible_by_ell(q, ell):
     for d, c in enumerate(series.coefficients):
         if c:
             assert d % ell == 0, (q, ell, series)
+
+
+@pytest.mark.parametrize("label", ["2,1|2", "2,1|1,1", "2|2,1", "1,1|2,1"])
+def test_dimension_20_wreath_labels(label):
+    """The four largest ell = 2, n = 5 blocks: each of the two parts has
+    dimension 20, the G(2,1,5)-irreducible dimension of its label."""
+    q = tuple(tuple(int(p) for p in part.split(",")) for part in label.split("|"))
+    assert presentation_dimension(wreath_presentation(q, 2)) == 20
 
 
 def test_wreath_dimension_survey_is_recorded_not_asserted(capsys):
