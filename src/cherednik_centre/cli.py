@@ -503,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    ("partition", "info"): _cmd_partition_info,
     "presentation": _cmd_presentation,
     "wronskian": _cmd_wronskian,
     "hilbert": _cmd_hilbert,

@@ -11,12 +11,15 @@ Two independent routes:
   span of ``{m * r : r relation of degree s, m monomial of degree d - s}``.
 
 The oracle makes no use of the formulas, so agreement between the two is a
-real check.  Rank computation is exact sparse row reduction over the
-rationals: each Macaulay row is a ``{column: Fraction}`` dict, reduced
-against the stored pivot rows (one per leading column, scaled to leading
-coefficient 1) until it vanishes or opens a new pivot; the rank is the number
-of pivots.  There is no floating point, no modular arithmetic and no
-tolerance anywhere.
+real check.  Rank computation is exact and fraction-free: each relation is
+scaled once to a primitive integer multiple (lcm of its denominators, then
+divided by the gcd of the numerators), which spans the same rows.  A
+monomial is its exponent vector packed into one int, so a Macaulay row
+``m * r`` is ``r`` shifted by ``m``: a ``{column: int}`` dict.  Each row is
+reduced against the stored pivot rows (one per lowest column, each divided
+by its content) by integer cross-multiplication until it vanishes or opens a
+new pivot; the rank is the number of pivots.  There is no floating point, no
+modular arithmetic and no tolerance anywhere.
 
 There is no closed wreath-case formula here; wreath series are defined
 operationally by the oracle.  The default degree cutoff is the
@@ -31,7 +34,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     InexactDivision,
@@ -41,7 +43,7 @@ from .errors import (
     OracleTruncated,
 )
 from .partitions import Partition, cells, hook_length, weight
-from .polyring import INHOMOGENEOUS, GenSym, mul, weighted_degree
+from .polyring import INHOMOGENEOUS, GenSym, MPoly, weighted_degree
 from .presentation import GradedPresentation
 
 
@@ -137,25 +139,36 @@ def dimension_hook_formula(lam: Partition) -> int:
 # the presentation oracle
 
 
-def _sparse_rank(rows: Iterable[dict[int, Fraction]]) -> int:
-    """Exact rank of sparse rational rows ``{column: coefficient}``.
+def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Exact rank of sparse integer rows ``{column: coefficient}``.
 
-    Incremental echelon form: each row is reduced against the stored pivot
-    row of its lowest column until it is empty or its lowest column has no
-    pivot yet; it then becomes that column's pivot, scaled to leading
-    coefficient 1.  A pivot is stored without its leading 1, which every
-    reduction cancels exactly.  Input rows are not modified.
+    Fraction-free incremental echelon form: each row is reduced against the
+    stored pivot row of its lowest column, by cross-multiplication with the
+    two leading coefficients over their gcd, until it is empty or its lowest
+    column has no pivot yet; it then becomes that column's pivot, divided by
+    its content.  A pivot is stored as its leading coefficient and its tail;
+    every reduction cancels the leading entry exactly.  Input rows are not
+    modified.
     """
-    pivots: dict[int, list[tuple[int, Fraction]]] = {}
+    pivots: dict[int, tuple[int, list[tuple[int, int]]]] = {}
     for source in rows:
         row = dict(source)
         while row:
             col = min(row)
-            factor = row.pop(col)
-            tail = pivots.get(col)
-            if tail is None:
-                pivots[col] = [(c, v / factor) for c, v in row.items()]
+            pivot = pivots.get(col)
+            if pivot is None:
+                content = math.gcd(*row.values())
+                lead = row.pop(col) // content
+                pivots[col] = (lead, [(c, v // content) for c, v in row.items()])
                 break
+            lead, tail = pivot
+            factor = row.pop(col)
+            g = math.gcd(lead, factor)
+            # row := (lead * row - factor * pivot) / g, leading entry dropped
+            lead, factor = lead // g, factor // g
+            if lead != 1:
+                for c in row:
+                    row[c] *= lead
             for c, v in tail:
                 if c in row:
                     value = row[c] - factor * v
@@ -168,31 +181,51 @@ def _sparse_rank(rows: Iterable[dict[int, Fraction]]) -> int:
     return len(pivots)
 
 
-def _monomials_by_degree(
-    symbols: list[GenSym], degrees: list[int], max_degree: int
-) -> list[list[tuple]]:
-    """For each d <= max_degree, the list of generator-monomial keys of degree d.
+def _monomial_codes(
+    degrees: list[int], max_degree: int
+) -> tuple[list[int], list[list[int]]]:
+    """Monomials in the generators as exponent vectors packed into one int.
 
-    Keys are polyring gen-vectors: sorted ``((GenSym, exp), ...)`` tuples.
+    Generator ``k`` gets the mixed-radix place value ``places[k]``, with
+    digit range ``0 .. max_degree // degrees[k]``; no exponent of a monomial
+    of degree <= ``max_degree`` leaves its digit, so multiplying two such
+    monomials is adding their codes.  Generator 0 is the most significant
+    digit, so codes ascend in lexicographic order of the exponent vectors.
+    Returns ``places`` and, for each ``d <= max_degree``, the ascending codes
+    of degree ``d``.
     """
-    table: list[list[tuple]] = [[] for _ in range(max_degree + 1)]
+    places = [0] * len(degrees)
+    place = 1
+    for k in range(len(degrees) - 1, -1, -1):
+        places[k] = place
+        place *= max_degree // degrees[k] + 1
+    table: list[list[int]] = [[] for _ in range(max_degree + 1)]
 
-    def grow(idx: int, degree: int, chosen: list[tuple[GenSym, int]]) -> None:
-        if idx == len(symbols):
-            table[degree].append(tuple(sorted(chosen)))
+    def grow(k: int, degree: int, code: int) -> None:
+        if k == len(degrees):
+            table[degree].append(code)
             return
-        step = degrees[idx]
-        exponent = 0
-        while degree + exponent * step <= max_degree:
-            grow(
-                idx + 1,
-                degree + exponent * step,
-                chosen + ([(symbols[idx], exponent)] if exponent else []),
-            )
-            exponent += 1
+        step, place = degrees[k], places[k]
+        while degree <= max_degree:
+            grow(k + 1, degree, code)
+            degree += step
+            code += place
 
-    grow(0, 0, [])
-    return table
+    grow(0, 0, 0)
+    return places, table
+
+
+def _integer_terms(relation: MPoly, place_of: dict[GenSym, int]) -> list[tuple[int, int]]:
+    """``relation`` as ``(code, coefficient)`` pairs, scaled by the lcm of its
+    denominators and divided by the gcd of the numerators: a primitive
+    integer multiple, which spans the same rows."""
+    denominator = math.lcm(*(c.denominator for c in relation.values()))
+    terms = [
+        (sum(place_of[s] * e for s, e in gens), int(c * denominator))
+        for (_ue, gens), c in relation.items()
+    ]
+    content = math.gcd(*(c for _, c in terms))
+    return [(code, c // content) for code, c in terms]
 
 
 def graded_dimensions_from_presentation(
@@ -216,21 +249,18 @@ def graded_dimensions_from_presentation(
     default_cutoff = max_degree is None
     if default_cutoff:
         max_degree = max(0, sum(relation_degrees) - sum(degrees)) + 2
-    monomials = _monomials_by_degree(symbols, degrees, max_degree)
+    places, monomials = _monomial_codes(degrees, max_degree)
+    place_of = dict(zip(symbols, places))
+    integer_relations = [_integer_terms(r, place_of) for r in relations]
     dims = []
     for d in range(max_degree + 1):
-        basis = monomials[d]
-        index = {key: pos for pos, key in enumerate(basis)}
         rows = (
-            {
-                index[gens]: c
-                for (_ue, gens), c in mul({(0, mono_key): Fraction(1)}, rel).items()
-            }
-            for rel, s in zip(relations, relation_degrees)
+            {shift + code: c for code, c in terms}
+            for terms, s in zip(integer_relations, relation_degrees)
             if s <= d
-            for mono_key in monomials[d - s]
+            for shift in monomials[d - s]
         )
-        dims.append(len(basis) - _sparse_rank(rows))
+        dims.append(len(monomials[d]) - _sparse_rank(rows))
     if default_cutoff and any(dims[-2:]):
         raise OracleTruncated(tuple(dims))
     return make_series(dims)

@@ -19,9 +19,12 @@ coefficients with the Wronskian determinant's row/column convention, so the
 oracle comparison in the test-suite is exact equality, term by term.
 
 The wreath variant for an ``ell``-multipartition ``q`` works on
-``lam = from_quotient(q, ell)``: it keeps only the generators whose hook is
-divisible by ``ell`` and the relations of degree ``ell, 2*ell, ...``, with
-monomials containing a killed generator dropped.
+``lam = from_quotient(q, ell)``: its generators are the cells whose hook is
+divisible by ``ell``, and its relations, of degree ``ell, 2*ell, ...``, sum
+over the transversals made of those cells only.  The enumeration walks just
+those cells; it never builds the full presentation of ``lam``.  Both
+variants share one enumerator, which keeps the beta-set exponents in place
+and multiplies the Vandermonde product as a Python int along the path.
 
 ``simplify`` performs the standard elimination of generators that occur
 linearly, giving a reduced presentation with monic relations.
@@ -29,20 +32,27 @@ linearly, giving a reduced presentation with monic relations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Union
 
 from .abacus import MultiPartition, from_quotient
-from .errors import CellOutOfDiagram, EllOutOfRange, LengthMismatch
-from .partitions import Cell, Partition, beta_set, cells, hook_length, weight
+from .errors import (
+    CellOutOfDiagram,
+    EllOutOfRange,
+    InhomogeneousRelation,
+    LengthMismatch,
+)
+from .partitions import Cell, Partition, beta_set, hook_length, transpose, weight
 from .polyring import (
+    INHOMOGENEOUS,
     GenSym,
+    GenVec,
     MPoly,
     Monomial,
     add,
     format_poly,
-    monomial,
     mul,
     scale,
     term_sort_key,
@@ -81,32 +91,75 @@ class TransversalMonomial:
     degree: int
 
 
-def transversal_monomials(lam: Partition) -> Iterator[TransversalMonomial]:
-    """All transversal monomials of degree <= weight(lam), empty one included."""
-    n = weight(lam)
-    row_cells = [
-        [(j, hook_length(lam, (i, j))) for j in range(1, lam[i - 1] + 1)]
-        for i in range(1, len(lam) + 1)
-    ]
+def _hook_rows(lam: Partition, ell: int) -> list[list[tuple[int, int, GenSym]]]:
+    """Per row, the ``(column, hook, generator)`` of each cell whose hook
+    ``ell`` divides, left to right."""
+    conjugate = transpose(lam)
+    rows = []
+    for i, part in enumerate(lam, start=1):
+        row = []
+        for j in range(1, part + 1):
+            h = part - j + conjugate[j - 1] - i + 1
+            if h % ell == 0:
+                row.append((j, h, GenSym(i, h)))
+        rows.append(row)
+    return rows
 
-    def grow(
-        row_idx: int, chosen: tuple[Cell, ...], used_cols: frozenset[int], degree: int
-    ) -> Iterator[TransversalMonomial]:
-        if row_idx == len(row_cells):
-            yield TransversalMonomial(chosen, degree)
+
+def _transversals(
+    lam: Partition, ell: int = 1
+) -> Iterator[tuple[tuple[Cell, ...], GenVec, int, int]]:
+    """Every transversal of ``lam`` of degree <= weight(lam) whose hooks ``ell``
+    divides, the empty one included, in depth-first order over the rows (row
+    skipped first, then its cells left to right).
+
+    Yields ``(cells, gen-vector, degree, product)`` with ``product`` the
+    Vandermonde product of the module docstring as a Python int.  Exponents
+    are updated in place along the path, and the product is built row by row:
+    choosing exponent ``e`` for row ``r`` multiplies in ``e_a - e`` for each
+    earlier row ``a`` and ``e - p`` for each padding row's fixed exponent
+    ``p`` (``0 .. n - len(lam) - 1``).
+    """
+    n = weight(lam)
+    # per row: skip it, or take one cell (column bit, hook, cell, gen factor)
+    options = [
+        [(0, 0, (), ())]
+        + [(1 << j, h, ((i, j),), ((sym, 1),)) for j, h, sym in row]
+        for i, row in enumerate(_hook_rows(lam, ell), start=1)
+    ]
+    beta = beta_set(lam, n)
+    exponents = list(beta[: len(lam)])
+    padding = n - len(lam)
+    # the padding rows among themselves: prod over k < padding of k!
+    constant = math.prod(math.factorial(k) for k in range(padding))
+    against_padding: dict[int, int] = {}
+
+    def grow(r, used, degree, product, chosen, gens):
+        if r == len(options):
+            yield chosen, gens, degree, product
             return
-        yield from grow(row_idx + 1, chosen, used_cols, degree)
-        for j, h in row_cells[row_idx]:
-            if j in used_cols or degree + h > n:
+        for bit, h, cell, gen in options[r]:
+            if used & bit or degree + h > n:
                 continue
+            e = beta[r] - h
+            factor = against_padding.get(e)
+            if factor is None:
+                factor = math.prod(e - p for p in range(padding))
+                against_padding[e] = factor
+            for a in range(r):
+                factor *= exponents[a] - e
+            exponents[r] = e
             yield from grow(
-                row_idx + 1,
-                chosen + ((row_idx + 1, j),),
-                used_cols | {j},
-                degree + h,
+                r + 1, used | bit, degree + h, product * factor, chosen + cell, gens + gen
             )
 
-    yield from grow(0, (), frozenset(), 0)
+    return grow(0, 0, 0, constant, (), ())
+
+
+def transversal_monomials(lam: Partition) -> Iterator[TransversalMonomial]:
+    """All transversal monomials of degree <= weight(lam), empty one included."""
+    for chosen, _gens, degree, _product in _transversals(lam):
+        yield TransversalMonomial(chosen, degree)
 
 
 def vandermonde_coefficient(lam: Partition, m: TransversalMonomial) -> Fraction:
@@ -124,29 +177,23 @@ def vandermonde_coefficient(lam: Partition, m: TransversalMonomial) -> Fraction:
     return Fraction(product)
 
 
-def _generators_for(lam: Partition) -> tuple[tuple[GenSym, int], ...]:
-    return tuple(
-        (GenSym(i, hook_length(lam, (i, j))), hook_length(lam, (i, j)))
-        for i, j in cells(lam)
-    )
+def _presentation(lam: Partition, ell: int, source: Label) -> GradedPresentation:
+    """Generators: the cells whose hook ``ell`` divides; relations: degrees
+    ``ell, 2*ell, ..., weight(lam)``, each term stored once as it is found."""
+    n = weight(lam)
+    orientation_sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    by_degree: dict[int, MPoly] = {s: {} for s in range(ell, n + 1, ell)}
+    for _cells, gens, degree, product in _transversals(lam, ell):
+        if degree and product:
+            by_degree[degree][(0, gens)] = Fraction(orientation_sign * product)
+    generators = tuple((sym, h) for row in _hook_rows(lam, ell) for _j, h, sym in row)
+    meta = PresentationMeta(source=source, ell=ell, orientation=1)
+    return GradedPresentation(generators, tuple(by_degree.values()), meta)
 
 
 def direct_presentation(lam: Partition) -> GradedPresentation:
     """The combinatorial presentation of A(lam)+ (relations r_1 ... r_n)."""
-    n = weight(lam)
-    orientation_sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    by_degree: dict[int, MPoly] = {s: {} for s in range(1, n + 1)}
-    for m in transversal_monomials(lam):
-        if m.degree == 0:
-            continue
-        coeff = orientation_sign * vandermonde_coefficient(lam, m)
-        if not coeff:
-            continue
-        factors = {GenSym(i, hook_length(lam, (i, j))): 1 for i, j in m.cells}
-        by_degree[m.degree] = add(by_degree[m.degree], monomial(0, factors, coeff))
-    relations = tuple(by_degree[s] for s in range(1, n + 1))
-    meta = PresentationMeta(source=lam, ell=1, orientation=1)
-    return GradedPresentation(_generators_for(lam), relations, meta)
+    return _presentation(lam, 1, lam)
 
 
 def wreath_presentation(q: MultiPartition, ell: int) -> GradedPresentation:
@@ -155,24 +202,7 @@ def wreath_presentation(q: MultiPartition, ell: int) -> GradedPresentation:
         raise EllOutOfRange(ell)
     if len(q) != ell:
         raise LengthMismatch((q, ell))
-    lam = from_quotient(q, ell)
-    base = direct_presentation(lam)
-    kept = tuple(gd for gd in base.generators if gd[0].degree % ell == 0)
-    kept_symbols = {g for g, _ in kept}
-
-    def strip(p: MPoly) -> MPoly:
-        return {
-            mono: c
-            for mono, c in p.items()
-            if all(s in kept_symbols for s, _ in mono[1])
-        }
-
-    relations = tuple(
-        strip(base.relations[s - 1])
-        for s in range(ell, weight(lam) + 1, ell)
-    )
-    meta = PresentationMeta(source=q, ell=ell, orientation=1)
-    return GradedPresentation(kept, relations, meta)
+    return _presentation(from_quotient(q, ell), ell, q)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +261,10 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     """
     generators = list(presentation.generators)
     relations = [r for r in presentation.relations if r]
-    relations.sort(key=lambda r: weighted_degree(r))
+    degrees = [weighted_degree(r) for r in relations]
+    if INHOMOGENEOUS in degrees:
+        raise InhomogeneousRelation(relations[degrees.index(INHOMOGENEOUS)])
+    relations = [r for _, r in sorted(zip(degrees, relations), key=lambda dr: dr[0])]
     while True:
         victim = None
         for idx, rel in enumerate(relations):

@@ -27,6 +27,7 @@ from cherednik_centre import (
     negate_grading,
     partitions_of,
     presentation_dimension,
+    simplify,
     transpose,
     weight,
     wreath_presentation,
@@ -83,7 +84,7 @@ def test_transpose_has_the_same_series(n):
 # --- the rank oracle ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", range(0, 7))
+@pytest.mark.parametrize("n", range(0, 8))
 def test_oracle_agrees_with_the_formula(n):
     for lam in partitions_of(n):
         p = direct_presentation(lam)
@@ -152,20 +153,27 @@ def _bareiss_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def _sparse(rows: list[list[Fraction]]) -> list[dict[int, Fraction]]:
-    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+def _integer_rows(rows: list[list[Fraction]]) -> list[dict[int, int]]:
+    """Sparse integer rows: each row scaled by the lcm of its denominators,
+    as the oracle scales each relation."""
+    out = []
+    for row in rows:
+        lcm = math.lcm(*(Fraction(x).denominator for x in row))
+        out.append({c: int(x * lcm) for c, x in enumerate(row) if x})
+    return out
 
 
 def test_integer_rank():
     assert _sparse_rank([]) == 0
-    assert _sparse_rank(_sparse([[Fraction(0), Fraction(0)]])) == 0
-    rows = [
-        [Fraction(1, 2), Fraction(1, 3)],
-        [Fraction(3), Fraction(2)],
-        [Fraction(1), Fraction(1)],
-    ]
-    assert _sparse_rank(_sparse(rows)) == 2
-    assert _sparse_rank(_sparse([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]])) == 1
+    assert _sparse_rank(_integer_rows([[0, 0]])) == 0
+    # the first row is (1/2, 1/3) scaled by 6
+    assert _sparse_rank(_integer_rows([[3, 2], [3, 2], [1, 1]])) == 2
+    assert _sparse_rank(_integer_rows([[2, 4], [1, 2]])) == 1
+    # leading coefficients 2 and 3: cross-multiplication, not division
+    assert _sparse_rank(_integer_rows([[2, 3, 1], [3, 5, 0], [1, 2, -1]])) == 2
+    # a pivot with content 2 is stored primitive; the rows stay dependent
+    assert _sparse_rank(_integer_rows([[4, 6], [6, 9], [2, 3]])) == 1
+    assert _integer_rows([[Fraction(1, 2), Fraction(1, 3)]]) == [{0: 3, 1: 2}]
 
 
 @st.composite
@@ -190,7 +198,7 @@ def _rational_matrices(draw):
 
 @given(_rational_matrices())
 def test_sparse_rank_matches_dense_bareiss(rows):
-    sparse = _sparse(rows)
+    sparse = _integer_rows(rows)
     sparse.extend(sparse[:2])  # the same row objects again
     snapshot = [dict(row) for row in sparse]
     assert _sparse_rank(sparse) == _bareiss_rank(rows)
@@ -253,6 +261,22 @@ def test_dimension_20_wreath_labels(label):
     dimension 20, the G(2,1,5)-irreducible dimension of its label."""
     q = tuple(tuple(int(p) for p in part.split(",")) for part in label.split("|"))
     assert presentation_dimension(wreath_presentation(q, 2)) == 20
+
+
+def test_oracle_agrees_on_simplified_wreath_presentations():
+    """Simplified relations carry non-integer Fractions, which the oracle
+    scales to integer rows; raw and simplified give the same series."""
+    fractional = 0
+    for q, ell in _wreath_cases(10):
+        raw = wreath_presentation(q, ell)
+        simplified = simplify(raw)
+        fractional += any(
+            c.denominator != 1 for rel in simplified.relations for c in rel.values()
+        )
+        assert graded_dimensions_from_presentation(
+            simplified
+        ) == graded_dimensions_from_presentation(raw), (q, ell)
+    assert fractional > 0
 
 
 def test_wreath_dimension_survey_is_recorded_not_asserted(capsys):

@@ -12,6 +12,7 @@ from cherednik_centre import (
     CellOutOfDiagram,
     EllOutOfRange,
     GenSym,
+    InhomogeneousRelation,
     LengthMismatch,
     cells,
     direct_presentation,
@@ -145,6 +146,24 @@ def test_relation_monomials_are_exactly_the_transversal_ones(n):
         assert seen == expected, lam
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_term_is_the_vandermonde_coefficient(n):
+    """Each relation term is ``orientation * vandermonde_coefficient`` of its
+    transversal, computed pair by pair over the whole padded beta-set."""
+    orientation = -1 if (n * (n - 1) // 2) % 2 else 1
+    for lam in partitions_of(n):
+        p = direct_presentation(lam)
+        for m in transversal_monomials(lam):
+            if m.degree == 0:
+                continue
+            key = (
+                0,
+                tuple((GenSym(i, hook_length(lam, (i, j))), 1) for i, j in m.cells),
+            )
+            expected = orientation * vandermonde_coefficient(lam, m)
+            assert p.relations[m.degree - 1].get(key, 0) == expected, (lam, m)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_every_generator_has_a_linear_term_in_its_degree(n):
     for lam in partitions_of(n):
@@ -211,6 +230,40 @@ def _wreath_cases(total_max):
                 yield q, ell
 
 
+def _wreath_by_stripping(q, ell) -> GradedPresentation:
+    """Reference route: the full direct presentation of ``from_quotient(q,
+    ell)``, then drop the generators whose hook ``ell`` does not divide, the
+    terms that use them, and the relations of degree not divisible by ell."""
+    lam = from_quotient(q, ell)
+    base = direct_presentation(lam)
+    kept = tuple(gd for gd in base.generators if gd[0].degree % ell == 0)
+    kept_symbols = {g for g, _ in kept}
+    relations = tuple(
+        {
+            mono: c
+            for mono, c in base.relations[s - 1].items()
+            if all(g in kept_symbols for g, _ in mono[1])
+        }
+        for s in range(ell, weight(lam) + 1, ell)
+    )
+    return GradedPresentation(kept, relations, PresentationMeta(q, ell, 1))
+
+
+def test_wreath_equals_the_stripped_direct_presentation():
+    cases = [
+        (q, ell)
+        for ell in range(2, 5)
+        for n in range(1, 12 // ell + 1)
+        for q in multipartitions_of(n, ell)
+    ]
+    assert len(cases) == 281
+    for q, ell in cases:
+        ours, reference = wreath_presentation(q, ell), _wreath_by_stripping(q, ell)
+        assert ours.generators == reference.generators, (q, ell)
+        assert ours.relations == reference.relations, (q, ell)
+        assert ours.meta == reference.meta
+
+
 @pytest.mark.parametrize("q,ell", list(_wreath_cases(8)))
 def test_wreath_degrees_and_support(q, ell):
     """Kept generators have hook degree divisible by ℓ; relations live in
@@ -268,6 +321,21 @@ def test_simplify_preserves_wreath_dimensions(q, ell):
     assert graded_dimensions_from_presentation(
         p
     ) == graded_dimensions_from_presentation(s)
+
+
+def test_simplify_rejects_an_inhomogeneous_relation():
+    """``f1,1 + f1,1^2`` next to ``f2,1^2``: a DomainError, not a TypeError
+    from sorting by degree."""
+    x, y = GenSym(1, 1), GenSym(2, 1)
+    inhomogeneous = {(0, ((x, 1),)): Fraction(1), (0, ((x, 2),)): Fraction(1)}
+    square = {(0, ((y, 2),)): Fraction(1)}
+    p = GradedPresentation(
+        ((x, 1), (y, 1)), (inhomogeneous, square), PresentationMeta((), 1, 1)
+    )
+    with pytest.raises(InhomogeneousRelation):
+        simplify(p)
+    with pytest.raises(InhomogeneousRelation):
+        simplify(GradedPresentation(p.generators, (square, inhomogeneous), p.meta))
 
 
 def test_simplified_relations_are_monic():
