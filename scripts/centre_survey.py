@@ -9,18 +9,7 @@ from __future__ import annotations
 
 import argparse
 
-from cherednik_centre import (
-    centre_presentation,
-    format_multipartition,
-    format_partition,
-    quotient_ring_text,
-)
-
-
-def _label_text(label) -> str:
-    if label and isinstance(label[0], tuple):
-        return format_multipartition(label)
-    return format_partition(label)
+from cherednik_centre import centre_presentation, format_label, quotient_ring_text
 
 
 def main() -> None:
@@ -41,10 +30,10 @@ def main() -> None:
                 continue
             result = centre_presentation(n, ell, simplified=True)
             print(f"\n=== n={n}, ell={ell}: total dimension {result.total_dimension}")
-            width = max(len(_label_text(b.label)) for b in result.blocks)
+            width = max(len(format_label(b.label)) for b in result.blocks)
             for b in result.blocks:
                 print(
-                    f"  {_label_text(b.label):<{width}}  dim {b.dimension:>4}  "
+                    f"  {format_label(b.label):<{width}}  dim {b.dimension:>4}  "
                     f"plus {quotient_ring_text(b.plus_part)}"
                 )
 

@@ -16,7 +16,8 @@ The package computes, with exact rational arithmetic throughout:
 
 The two computation routes (Wronskian determinant vs. direct combinatorics;
 closed formulas vs. rank oracle) are deliberately independent and are
-compared coefficient-by-coefficient in the test-suite and ``selftest``.
+compared coefficient-by-coefficient by the suites in ``checks``, which the
+acceptance tests and ``selftest`` both run.
 """
 
 __version__ = "0.1.0"
@@ -70,6 +71,7 @@ from .hilbert import (
     hilbert_series_formula,
     make_series,
     presentation_dimension,
+    wreath_dimension_formula,
 )
 from .partitions import (
     Partition,
@@ -111,6 +113,7 @@ from .presentation import (
     PresentationMeta,
     TransversalMonomial,
     direct_presentation,
+    format_label,
     negate_grading,
     presentation_document,
     quotient_ring_text,

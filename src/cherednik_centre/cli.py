@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import tempfile
-from typing import Callable
 
 from . import __version__
 from .abacus import (
@@ -32,10 +31,9 @@ from .abacus import (
     from_quotient,
     parse_multipartition,
 )
-from .centre import CentrePresentation, centre_presentation, multipartitions_of
+from .centre import CentrePresentation, centre_presentation
 from .errors import DomainError, EllOutOfRange, LengthMismatch
 from .hilbert import (
-    dimension_hook_formula,
     format_series,
     graded_dimensions_from_presentation,
     hilbert_series_formula,
@@ -46,19 +44,21 @@ from .partitions import (
     format_partition,
     hook_length,
     parse_partition,
-    partitions_of,
     transpose,
     weight,
 )
-from .polyring import format_poly, term_sort_key, weighted_degree
+from .polyring import format_poly, named_terms
 from .presentation import (
     direct_presentation,
+    format_label,
+    label_document,
     presentation_document,
+    presentation_text,
     quotient_ring_text,
     simplify,
     wreath_presentation,
 )
-from .wronski import wronski_relations, wronskian, wronskian_recursive, schubert_basis
+from .wronski import schubert_basis, wronskian
 
 ASSUMPTION = "generic c / smooth Calogero-Moser"
 
@@ -93,31 +93,6 @@ def _parse_label(text: str, ell: int):
     if len(label) != ell:
         raise LengthMismatch((label, ell))
     return label
-
-
-def _label_doc(label):
-    if label and isinstance(label[0], tuple):
-        return [list(component) for component in label]
-    return list(label)
-
-
-def _label_text(label) -> str:
-    if label and isinstance(label[0], tuple):
-        return format_multipartition(label)
-    return format_partition(label)
-
-
-def _poly_terms_doc(poly, prefix: str = "f") -> list[dict]:
-    terms = []
-    for mono in sorted(poly, key=term_sort_key):
-        u_exp, gens = mono
-        names: list[str] = []
-        for symbol, exponent in gens:
-            names.extend([f"{prefix}{symbol.row},{symbol.degree}"] * exponent)
-        terms.append(
-            {"coefficient": str(poly[mono]), "monomial": names, "u_power": u_exp}
-        )
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +135,7 @@ def _cmd_abacus(args) -> tuple[str, dict]:
         lam = from_quotient(quotient, ell)
         text = f"partition: {format_partition(lam)}"
         doc = {
-            "quotient": _label_doc(quotient),
+            "quotient": label_document(quotient),
             "ell": ell,
             "partition": list(lam),
         }
@@ -178,48 +153,31 @@ def _cmd_abacus(args) -> tuple[str, dict]:
     doc = {
         "partition": list(lam),
         "ell": ell,
-        "quotient": _label_doc(quotient),
+        "quotient": label_document(quotient),
         "core": list(core),
     }
     return text, doc
 
 
-def _build_presentation(label, ell: int, simplified: bool):
-    if ell == 1:
-        built = direct_presentation(label)
-    else:
-        built = wreath_presentation(label, ell)
-    return simplify(built) if simplified else built
-
-
-def _presentation_text(built) -> str:
-    if built.meta.simplified:
-        return quotient_ring_text(built)
-    prefix = built.meta.prefix
-    gens = ", ".join(
-        f"{prefix}{g.row},{g.degree} (degree {d})" for g, d in built.generators
-    )
-    lines = [f"generators: {gens or '-'}"]
-    for rel in built.relations:
-        if rel:
-            degree = weighted_degree(rel)
-            lines.append(f"r_{degree} = {format_poly(rel, prefix)}")
-    return "\n".join(lines)
-
-
 def _cmd_presentation(args) -> tuple[str, dict]:
     label = _parse_label(args.label, args.ell)
-    built = _build_presentation(label, args.ell, args.simplified)
-    return _presentation_text(built), presentation_document(built)
+    if args.ell == 1:
+        built = direct_presentation(label)
+    else:
+        built = wreath_presentation(label, args.ell)
+    if args.simplified:
+        built = simplify(built)
+    return presentation_text(built), presentation_document(built)
 
 
 def _cmd_wronskian(args) -> tuple[str, dict]:
     lam = parse_partition(args.partition)
     wr = wronskian(schubert_basis(lam))
-    doc = {
-        "partition": list(lam),
-        "wronskian": _poly_terms_doc(wr),
-    }
+    terms = [
+        {"coefficient": str(wr[mono]), "monomial": names, "u_power": mono[0]}
+        for mono, names in named_terms(wr)
+    ]
+    doc = {"partition": list(lam), "wronskian": terms}
     return format_poly(wr), doc
 
 
@@ -233,7 +191,7 @@ def _cmd_hilbert(args) -> tuple[str, dict]:
         )
     text = f"series: {format_series(series)}\ndimension: {series.dimension()}"
     doc = {
-        "label": _label_doc(label),
+        "label": label_document(label),
         "ell": args.ell,
         "coefficients": list(series.coefficients),
         "series": format_series(series),
@@ -246,13 +204,13 @@ def _centre_document(result: CentrePresentation) -> dict:
     blocks = []
     for blk in result.blocks:
         entry = {
-            "label": _label_doc(blk.label),
+            "label": label_document(blk.label),
             "plus": presentation_document(blk.plus_part),
             "minus": presentation_document(blk.minus_part),
             "dimension": blk.dimension,
         }
         if blk.star_label is not None:
-            entry["star_label"] = _label_doc(blk.star_label)
+            entry["star_label"] = label_document(blk.star_label)
         blocks.append(entry)
     return {
         "group": {"n": result.n, "ell": result.ell},
@@ -268,7 +226,7 @@ def _cmd_centre(args) -> tuple[str, dict]:
         f"centre for n={result.n}, ell={result.ell} (assumption: {ASSUMPTION})"
     ]
     for blk in result.blocks:
-        lines.append(f"block {_label_text(blk.label)}: dimension {blk.dimension}")
+        lines.append(f"block {format_label(blk.label)}: dimension {blk.dimension}")
         if args.simplified:
             lines.append(f"  plus:  {quotient_ring_text(blk.plus_part)}")
             lines.append(f"  minus: {quotient_ring_text(blk.minus_part)}")
@@ -280,123 +238,32 @@ def _cmd_centre(args) -> tuple[str, dict]:
 # selftest
 
 
-def _suite_oracle_equivalence(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        for lam in partitions_of(n):
-            oracle = wronski_relations(lam)
-            built = direct_presentation(lam)
-            if tuple(oracle.relations) != tuple(built.relations):
-                return f"relation mismatch at {lam}"
-    return None
-
-
-def _suite_abacus(n_max: int) -> str | None:
-    from .abacus import abacus_from_partition, partition_from_abacus, has_trivial_core
-
-    for ell in range(1, 5):
-        for n in range(0, n_max + 1):
-            for lam in partitions_of(n):
-                if partition_from_abacus(abacus_from_partition(lam, ell)) != lam:
-                    return f"roundtrip failed at {lam}, ell={ell}"
-            labels = list(multipartitions_of(n, ell))
-            seen = set()
-            for q in labels:
-                lam = from_quotient(q, ell)
-                if weight(lam) != n * ell or not has_trivial_core(lam, ell):
-                    return f"from_quotient broken at {q}, ell={ell}"
-                if ell_quotient(lam, ell) != q:
-                    return f"quotient inverse broken at {q}, ell={ell}"
-                seen.add(lam)
-            trivial = [
-                lam for lam in partitions_of(n * ell) if has_trivial_core(lam, ell)
-            ]
-            if sorted(seen) != sorted(trivial):
-                return f"bijection image mismatch at n={n}, ell={ell}"
-    return None
-
-
-def _suite_hilbert(n_max: int) -> str | None:
-    for n in range(0, n_max + 1):
-        for lam in partitions_of(n):
-            series = hilbert_series_formula(lam)
-            oracle = graded_dimensions_from_presentation(direct_presentation(lam))
-            if series != oracle:
-                return f"series mismatch at {lam}"
-            if series.dimension() != dimension_hook_formula(lam):
-                return f"dimension mismatch at {lam}"
-    return None
-
-
-def _suite_recursive_wronskian(n_max: int) -> str | None:
-    from .polyring import scale, u_power
-
-    for n in range(1, n_max + 1):
-        for lam in partitions_of(n):
-            beta = beta_set(lam, n)
-            monomials = [u_power(d) for d in beta]
-            det_route = wronskian(_monomial_basis(monomials))
-            sign = -1 if (n * (n - 1) // 2) % 2 else 1
-            rec_route = wronskian_recursive(list(reversed(monomials)))
-            if det_route != scale(rec_route, sign):
-                return f"recursive oracle mismatch at {lam}"
-    return None
-
-
-def _monomial_basis(polys):
-    from .wronski import SchubertBasis
-
-    return SchubertBasis((), tuple(polys))
-
-
-def _suite_wreath(total_max: int) -> str | None:
-    for ell in range(2, 5):
-        n_max = total_max // ell
-        for n in range(0, n_max + 1):
-            for q in multipartitions_of(n, ell):
-                built = wreath_presentation(q, ell)
-                for _, degree in built.generators:
-                    if degree % ell:
-                        return f"generator degree not divisible at {q}"
-                series = graded_dimensions_from_presentation(built)
-                for d, c in enumerate(series.coefficients):
-                    if c and d % ell:
-                        return f"support violation at {q}, degree {d}"
-                reduced = simplify(built)
-                if graded_dimensions_from_presentation(
-                    reduced, max_degree=series.degree() + 2
-                ) != series:
-                    return f"simplify changed dimensions at {q}"
-    return None
-
-
 def _cmd_selftest(args) -> tuple[int, str, dict]:
+    # imported here, so that loading the CLI does not load the checks
+    from . import checks
+
     n_max = args.n_max
-    suites: list[tuple[str, Callable[[], str | None]]] = [
-        (
-            f"direct/wronskian relation agreement (n <= {max(n_max, 6) if args.deep else n_max})",
-            lambda: _suite_oracle_equivalence(max(n_max, 6) if args.deep else n_max),
-        ),
+    relation_max = max(n_max, 6) if args.deep else n_max
+    suites = [
+        (f"direct/wronskian relation agreement (n <= {relation_max})",
+         checks.direct_equals_wronskian, relation_max),
         ("abacus roundtrip and quotient bijection (n <= 5, ell <= 4)",
-         lambda: _suite_abacus(5)),
-        (
-            f"hilbert formula/oracle/hook-dimension agreement (n <= {n_max})",
-            lambda: _suite_hilbert(n_max),
-        ),
+         checks.abacus_bijection, 5),
+        (f"hilbert formula/oracle/hook-dimension agreement (n <= {n_max})",
+         checks.hilbert_formula_equals_oracle, n_max),
     ]
     if args.deep:
-        suites.append(
+        suites += [
             ("recursive-wronskian determinant cross-check (n <= 6)",
-             lambda: _suite_recursive_wronskian(6))
-        )
-        suites.append(
+             checks.recursive_wronskian, 6),
             ("wreath support divisibility and simplify invariance (n*ell <= 8)",
-             lambda: _suite_wreath(8))
-        )
+             checks.wreath_support, 8),
+        ]
     lines = []
     entries = []
     failed = False
-    for name, runner in suites:
-        detail = runner()
+    for name, suite, bound in suites:
+        detail = suite(bound)
         ok = detail is None
         failed = failed or not ok
         lines.append(f"{'ok  ' if ok else 'FAIL'} {name}" + ("" if ok else f": {detail}"))
@@ -497,7 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
         "selftest", parents=[common], help="run the oracle-equivalence suites"
     )
     p_self.add_argument("n_max", type=_positive_int, nargs="?", default=5)
-    p_self.add_argument("--deep", action="store_true", help="larger bounds (minutes)")
+    p_self.add_argument(
+        "--deep",
+        action="store_true",
+        help="larger bounds, plus the recursive-Wronskian and wreath suites (under a second)",
+    )
 
     return parser
 

@@ -21,12 +21,17 @@ by its content) by integer cross-multiplication until it vanishes or opens a
 new pivot; the rank is the number of pivots.  There is no floating point, no
 modular arithmetic and no tolerance anywhere.
 
-There is no closed wreath-case formula here; wreath series are defined
-operationally by the oracle.  The default degree cutoff is the
-complete-intersection bound ``sum(relation degrees) - sum(generator
-degrees)`` plus two slack degrees; the oracle raises
-:class:`~cherednik_centre.errors.OracleTruncated` unless both slack degrees
-vanish, so a truncated series is never returned as a complete one.
+Wreath series are defined by the oracle.  Their value at q = 1 has a closed
+form, :func:`wreath_dimension_formula` (``n! / prod hooks`` over every
+component of the label, Gordon 2003, smooth case); the tests check it
+against the oracle for every label with ``2 <= ell`` and ``n*ell <= 8``,
+and block assembly still takes the oracle's dimension.
+
+The default degree cutoff is the complete-intersection bound
+``sum(relation degrees) - sum(generator degrees)`` plus two slack degrees;
+the oracle raises :class:`~cherednik_centre.errors.OracleTruncated` unless
+both slack degrees vanish, so a truncated series is never returned as a
+complete one.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .errors import (
     NonIntegral,
     OracleTruncated,
 )
+from .abacus import MultiPartition
 from .partitions import Partition, cells, hook_length, weight
 from .polyring import INHOMOGENEOUS, GenSym, MPoly, weighted_degree
 from .presentation import GradedPresentation
@@ -133,6 +139,14 @@ def dimension_hook_formula(lam: Partition) -> int:
     if factorial % product:
         raise NonIntegral((lam, factorial, product))
     return factorial // product
+
+
+def wreath_dimension_formula(q: MultiPartition) -> int:
+    """``n! / prod hooks`` over the cells of all components of ``q``: the
+    multinomial of the component sizes times their hook dimensions."""
+    sizes = [weight(component) for component in q]
+    multinomial = math.factorial(sum(sizes)) // math.prod(map(math.factorial, sizes))
+    return multinomial * math.prod(map(dimension_hook_formula, q))
 
 
 # ---------------------------------------------------------------------------

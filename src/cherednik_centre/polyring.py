@@ -20,8 +20,9 @@ graded lexicographic with ``u`` greatest, then generators compared by
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InexactDivision, NonSquare, ZeroPolynomial
 
@@ -244,11 +245,31 @@ def format_coefficient(c: Fraction) -> str:
     return str(c)
 
 
+@functools.lru_cache(maxsize=4096)
+def generator_name(symbol: GenSym, prefix: str = "f") -> str:
+    """The printed name of a generator, e.g. ``f2,1`` for ``GenSym(2, 1)``.
+
+    Cached, because output repeats the same few names many times; a weight-n
+    presentation has fewer than n^2 generators, and the bound caps the cache
+    in a long-running process."""
+    return f"{prefix}{symbol.row},{symbol.degree}"
+
+
+def named_terms(p: MPoly, prefix: str = "f") -> Iterator[tuple[Monomial, list[str]]]:
+    """The monomials of ``p`` in canonical order, each with the names of its
+    generators repeated by exponent."""
+    for mono in sorted(p, key=term_sort_key):
+        names: list[str] = []
+        for s, e in mono[1]:
+            names.extend([generator_name(s, prefix)] * e)
+        yield mono, names
+
+
 def _format_factors(mono: Monomial, prefix: str) -> str:
     ue, gens = mono
     pieces = []
     for s, e in gens:
-        name = f"{prefix}{s.row},{s.degree}"
+        name = generator_name(s, prefix)
         pieces.append(name if e == 1 else f"{name}^{e}")
     if ue:
         pieces.append("u" if ue == 1 else f"u^{ue}")

@@ -37,14 +37,22 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .abacus import MultiPartition, from_quotient
+from .abacus import MultiPartition, format_multipartition, from_quotient
 from .errors import (
     CellOutOfDiagram,
     EllOutOfRange,
     InhomogeneousRelation,
     LengthMismatch,
 )
-from .partitions import Cell, Partition, beta_set, hook_length, transpose, weight
+from .partitions import (
+    Cell,
+    Partition,
+    beta_set,
+    format_partition,
+    hook_length,
+    transpose,
+    weight,
+)
 from .polyring import (
     INHOMOGENEOUS,
     GenSym,
@@ -53,13 +61,33 @@ from .polyring import (
     Monomial,
     add,
     format_poly,
+    generator_name,
     mul,
+    named_terms,
     scale,
     term_sort_key,
     weighted_degree,
 )
 
 Label = Union[Partition, MultiPartition]
+
+
+def _is_multipartition(label: Label) -> bool:
+    return bool(label) and isinstance(label[0], tuple)
+
+
+def label_document(label: Label) -> list:
+    """JSON form of a label: the parts, or one list of parts per component."""
+    if _is_multipartition(label):
+        return [list(component) for component in label]
+    return list(label)
+
+
+def format_label(label: Label) -> str:
+    """Text form of a label: ``3,2``, or components joined by ``|``."""
+    if _is_multipartition(label):
+        return format_multipartition(label)
+    return format_partition(label)
 
 
 @dataclass(frozen=True)
@@ -302,9 +330,7 @@ def negate_grading(presentation: GradedPresentation) -> GradedPresentation:
 def quotient_ring_text(presentation: GradedPresentation) -> str:
     """One-line quotient-ring form, e.g. ``C[f1,1] / (f1,1^5)``."""
     prefix = presentation.meta.prefix
-    names = ", ".join(
-        f"{prefix}{g.row},{g.degree}" for g, _ in presentation.generators
-    )
+    names = ", ".join(generator_name(g, prefix) for g, _ in presentation.generators)
     rels = ", ".join(format_poly(r, prefix) for r in presentation.relations if r)
     if not names:
         return "C"
@@ -313,37 +339,41 @@ def quotient_ring_text(presentation: GradedPresentation) -> str:
     return f"C[{names}] / ({rels})"
 
 
+def presentation_text(presentation: GradedPresentation) -> str:
+    """The quotient-ring form if simplified; otherwise the generators with
+    their degrees, then one ``r_<degree> = ...`` line per non-zero relation."""
+    if presentation.meta.simplified:
+        return quotient_ring_text(presentation)
+    prefix = presentation.meta.prefix
+    gens = ", ".join(
+        f"{generator_name(g, prefix)} (degree {d})" for g, d in presentation.generators
+    )
+    lines = [f"generators: {gens or '-'}"]
+    for rel in presentation.relations:
+        if rel:
+            lines.append(f"r_{weighted_degree(rel)} = {format_poly(rel, prefix)}")
+    return "\n".join(lines)
+
+
 def presentation_document(presentation: GradedPresentation) -> dict:
     """JSON-ready document: generators, relations, metadata."""
     prefix = presentation.meta.prefix
     generators = [
-        {
-            "name": f"{prefix}{g.row},{g.degree}",
-            "row": g.row,
-            "hook": g.degree,
-            "degree": d,
-        }
+        {"name": generator_name(g, prefix), "row": g.row, "hook": g.degree, "degree": d}
         for g, d in presentation.generators
     ]
-    relations = []
-    for rel in presentation.relations:
-        terms = []
-        for mono in sorted(rel, key=term_sort_key):
-            names: list[str] = []
-            for s, e in mono[1]:
-                names.extend([f"{prefix}{s.row},{s.degree}"] * e)
-            terms.append({"coefficient": str(rel[mono]), "monomial": names})
-        relations.append(terms)
-    label = presentation.meta.source
-    if label and isinstance(label[0], tuple):
-        label_doc = [list(component) for component in label]
-    else:
-        label_doc = list(label)
+    relations = [
+        [
+            {"coefficient": str(rel[mono]), "monomial": names}
+            for mono, names in named_terms(rel, prefix)
+        ]
+        for rel in presentation.relations
+    ]
     return {
         "generators": generators,
         "relations": relations,
         "metadata": {
-            "partition": label_doc,
+            "partition": label_document(presentation.meta.source),
             "ell": presentation.meta.ell,
             "orientation": presentation.meta.orientation,
             "simplified": presentation.meta.simplified,

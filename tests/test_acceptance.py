@@ -18,23 +18,20 @@ from cherednik_centre import (
     GenSym,
     beta_set,
     centre_presentation,
+    checks,
     dimension_hook_formula,
     direct_presentation,
     ell_core,
     ell_quotient,
     from_quotient,
-    graded_dimensions_from_presentation,
-    has_trivial_core,
     hilbert_series_formula,
     hook_length,
-    multipartitions_of,
     partitions_of,
     quotient_ring_text,
     row_hook_set,
     simplify,
     transpose,
     transversal_monomials,
-    weight,
     weighted_degree,
     wreath_presentation,
     wronski_relations,
@@ -93,16 +90,9 @@ def test_criterion_1_worked_example_coefficients():
 
 def test_criterion_2_direct_construction_equals_wronskian_oracle():
     with _criterion(2, "direct = Wronskian coefficient-by-coefficient, n <= 6", 120.0):
-        checked = 0
-        for n in range(0, 7):
-            for lam in partitions_of(n):
-                direct = direct_presentation(lam)
-                oracle = wronski_relations(lam)
-                assert len(direct.relations) == len(oracle.relations)
-                for ours, theirs in zip(direct.relations, oracle.relations):
-                    assert ours == theirs, lam
-                checked += 1
-        assert checked == 30
+        # the suite covers the 30 partitions of n <= 6, the empty one included
+        assert sum(1 for n in range(0, 7) for _ in partitions_of(n)) == 30
+        assert checks.direct_equals_wronskian(6) is None
 
 
 def test_criterion_3_simplified_canonical_forms():
@@ -124,35 +114,13 @@ def test_criterion_4_abacus_pins_and_bijection():
         assert ell_quotient((4, 2, 2), 3) == ((1, 1), (), ())
         assert from_quotient(((3, 2), (1, 1), (2,)), 3) == (8, 5, 5, 5, 4)
         assert from_quotient(((1, 1), (), (1,)), 3) == (2, 2, 2, 2, 1)
-        for ell in range(1, 5):
-            for n in range(0, 6):
-                labels = list(multipartitions_of(n, ell))
-                images = []
-                for q in labels:
-                    lam = from_quotient(q, ell)
-                    assert weight(lam) == n * ell
-                    assert has_trivial_core(lam, ell)
-                    assert ell_quotient(lam, ell) == q
-                    images.append(lam)
-                trivial = [
-                    lam
-                    for lam in partitions_of(n * ell)
-                    if has_trivial_core(lam, ell)
-                ]
-                assert sorted(images) == sorted(trivial)
+        assert checks.abacus_bijection(5, ell_max=4) is None
 
 
 def test_criterion_5_hilbert_series_suite():
     with _criterion(5, "Hilbert formula/oracle/hook-dimension agreement", 120.0):
         assert hilbert_series_formula((3, 1)).coefficients == (1, 1, 1)
-        for n in range(0, 7):
-            for lam in partitions_of(n):
-                series = hilbert_series_formula(lam)
-                oracle = graded_dimensions_from_presentation(
-                    direct_presentation(lam)
-                )
-                assert series == oracle, lam
-                assert series.dimension() == dimension_hook_formula(lam), lam
+        assert checks.hilbert_formula_equals_oracle(6) is None
         for n in range(0, 9):
             assert sum(
                 dimension_hook_formula(lam) ** 2 for lam in partitions_of(n)
@@ -233,18 +201,6 @@ def test_criterion_7_property_suites():
                     }
                     assert linear == {g for g in symbols if g.degree == s}
 
-        # wreath support divisibility for all labels with n*ell <= 8
-        for ell in range(2, 9):
-            for n in range(1, 8 // ell + 1):
-                for q in multipartitions_of(n, ell):
-                    built = wreath_presentation(q, ell)
-                    assert all(d % ell == 0 for _, d in built.generators)
-                    for k, rel in enumerate(built.relations, start=1):
-                        if rel:
-                            assert weighted_degree(rel) == k * ell
-                    series = graded_dimensions_from_presentation(built)
-                    assert all(
-                        c == 0
-                        for d, c in enumerate(series.coefficients)
-                        if d % ell
-                    )
+        # wreath degrees and support for all labels with n*ell <= 8
+        # (2 <= ell <= 8), and simplify invariance
+        assert checks.wreath_support(8) is None

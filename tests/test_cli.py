@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from cherednik_centre import checks, make_series, scale
 from cherednik_centre.cli import run
 
 
@@ -237,6 +239,87 @@ def test_selftest_json_document(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert all(suite["ok"] for suite in doc["suites"])
+
+
+_DEEP_SUITES = (
+    "direct/wronskian relation agreement (n <= 6)",
+    "abacus roundtrip and quotient bijection (n <= 5, ell <= 4)",
+    "hilbert formula/oracle/hook-dimension agreement (n <= 3)",
+    "recursive-wronskian determinant cross-check (n <= 6)",
+    "wreath support divisibility and simplify invariance (n*ell <= 8)",
+)
+
+
+def test_selftest_deep_passes(capsys):
+    status, out, _ = _run(capsys, "selftest", "3", "--deep")
+    assert status == 0
+    assert out.splitlines() == [f"ok   {name}" for name in _DEEP_SUITES] + [
+        "selftest: all suites passed"
+    ]
+    status, out, _ = _run(capsys, "selftest", "3", "--deep", "--format", "json")
+    assert status == 0
+    assert json.loads(out) == {
+        "passed": True,
+        "suites": [{"name": name, "ok": True, "detail": ""} for name in _DEEP_SUITES],
+    }
+
+
+def _drop_last_relation(real):
+    def broken(lam):
+        result = real(lam)
+        return dataclasses.replace(result, relations=result.relations[:-1])
+
+    return broken
+
+
+def _reverse_components(real):
+    return lambda lam, ell: real(lam, ell)[::-1]
+
+
+def _append_coefficient(real):
+    return lambda p, **kw: make_series(real(p, **kw).coefficients + (1,))
+
+
+def _double(real):
+    return lambda polys: scale(real(polys), 2)
+
+
+def _drop_relations(real):
+    return lambda p: dataclasses.replace(real(p), relations=())
+
+
+@pytest.mark.parametrize(
+    "suite, route, breaker, detail",
+    [
+        (0, "wronski_relations", _drop_last_relation, "relation mismatch at (1,)"),
+        (1, "ell_quotient", _reverse_components,
+         "quotient inverse broken at ((1,), ()), ell=2"),
+        (2, "graded_dimensions_from_presentation", _append_coefficient,
+         "series mismatch at ()"),
+        (3, "wronskian_recursive", _double, "recursive oracle mismatch at (1,)"),
+        (4, "simplify", _drop_relations, "simplify changed dimensions at "),
+    ],
+    ids=["direct", "abacus", "hilbert", "recursive", "wreath"],
+)
+def test_selftest_reports_a_broken_second_route(
+    capsys, monkeypatch, suite, route, breaker, detail
+):
+    """Break the route each suite checks against: the suite must fail, so
+    none of them passes vacuously."""
+    monkeypatch.setattr(checks, route, breaker(getattr(checks, route)))
+    name = _DEEP_SUITES[suite]
+    status, out, _ = _run(capsys, "selftest", "3", "--deep")
+    assert status == 1
+    lines = out.splitlines()
+    assert lines[suite].startswith(f"FAIL {name}: {detail}")
+    assert lines[-1] == "selftest: FAILURES"
+    status, out, _ = _run(capsys, "selftest", "3", "--deep", "--format", "json")
+    assert status == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    entry = doc["suites"][suite]
+    assert entry["name"] == name and entry["ok"] is False
+    assert entry["detail"].startswith(detail)
 
 
 @pytest.mark.parametrize("n_max", ["0", "-2"])

@@ -1,0 +1,39 @@
+"""Smoke test: every script under ``scripts/`` runs at small bounds."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script, args, head",
+    [
+        ("walkthrough_3_2.py", ["3,2"], "partition (3, 2), weight 5\n"),
+        ("centre_survey.py", ["--n-max", "3", "--ell-max", "2"],
+         "\n=== n=1, ell=1: total dimension 1\n"),
+        ("wreath_dimension_survey.py", ["--budget", "6"],
+         "ell label             oracle  hook-formula agree\n"),
+    ],
+    ids=["walkthrough", "centre-survey", "wreath-survey"],
+)
+def test_script_runs(script, args, head):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.startswith(head)
