@@ -37,11 +37,11 @@ def direct_equals_wronskian(n_max: int) -> str | None:
     return None
 
 
-def abacus_bijection(n_max: int, ell_max: int = 4) -> str | None:
+def abacus_bijection(n_max: int) -> str | None:
     """Abacus round trip on the partitions of n <= n_max, and ``from_quotient``
     a bijection from the ell-multipartitions of n onto the partitions of
-    n*ell with trivial ell-core, inverted by ``ell_quotient``."""
-    for ell in range(1, ell_max + 1):
+    n*ell with trivial ell-core, inverted by ``ell_quotient``; ell <= 4."""
+    for ell in range(1, 5):
         for n in range(0, n_max + 1):
             for lam in partitions_of(n):
                 if partition_from_abacus(abacus_from_partition(lam, ell)) != lam:

@@ -20,7 +20,6 @@ graded lexicographic with ``u`` greatest, then generators compared by
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -245,13 +244,8 @@ def format_coefficient(c: Fraction) -> str:
     return str(c)
 
 
-@functools.lru_cache(maxsize=4096)
 def generator_name(symbol: GenSym, prefix: str = "f") -> str:
-    """The printed name of a generator, e.g. ``f2,1`` for ``GenSym(2, 1)``.
-
-    Cached, because output repeats the same few names many times; a weight-n
-    presentation has fewer than n^2 generators, and the bound caps the cache
-    in a long-running process."""
+    """The printed name of a generator, e.g. ``f2,1`` for ``GenSym(2, 1)``."""
     return f"{prefix}{symbol.row},{symbol.degree}"
 
 
