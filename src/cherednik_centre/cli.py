@@ -18,10 +18,13 @@ ell-component multipartition (the quotient label of the block).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__
 from .abacus import (
@@ -96,10 +99,18 @@ def _parse_label(text: str, ell: int):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (text, json_document)
+# subcommand handlers: each computes its result and returns an ``_Output``
+# whose renderers run only when ``run`` picks one for ``--format``
 
 
-def _cmd_partition_info(args) -> tuple[str, dict]:
+@dataclass(frozen=True)
+class _Output:
+    text: Callable[[], str]
+    document: Callable[[], dict]
+    status: int = 0
+
+
+def _cmd_partition_info(args) -> _Output:
     lam = parse_partition(args.partition)
     n = weight(lam)
     hooks = [
@@ -107,59 +118,61 @@ def _cmd_partition_info(args) -> tuple[str, dict]:
         for i in range(1, len(lam) + 1)
     ]
     beta = list(beta_set(lam, n)) if n else []
-    lines = [
-        f"partition: {format_partition(lam)}",
-        f"weight: {n}",
-        f"length: {len(lam)}",
-        f"transpose: {format_partition(transpose(lam))}",
-        "hooks: " + ("; ".join(" ".join(str(h) for h in row) for row in hooks) or "-"),
-        f"first column hooks: {','.join(str(d) for d in first_column_hooks(lam)) or '-'}",
-        f"beta-set (n={n}): {','.join(str(d) for d in beta) or '-'}",
-    ]
-    doc = {
-        "partition": list(lam),
-        "weight": n,
-        "length": len(lam),
-        "transpose": list(transpose(lam)),
-        "hooks": hooks,
-        "first_column_hooks": list(first_column_hooks(lam)),
-        "beta_set": beta,
-    }
-    return "\n".join(lines), doc
+
+    def text() -> str:
+        return "\n".join([
+            f"partition: {format_partition(lam)}",
+            f"weight: {n}",
+            f"length: {len(lam)}",
+            f"transpose: {format_partition(transpose(lam))}",
+            "hooks: " + ("; ".join(" ".join(str(h) for h in row) for row in hooks) or "-"),
+            f"first column hooks: {','.join(str(d) for d in first_column_hooks(lam)) or '-'}",
+            f"beta-set (n={n}): {','.join(str(d) for d in beta) or '-'}",
+        ])
+
+    def document() -> dict:
+        return {
+            "partition": list(lam),
+            "weight": n,
+            "length": len(lam),
+            "transpose": list(transpose(lam)),
+            "hooks": hooks,
+            "first_column_hooks": list(first_column_hooks(lam)),
+            "beta_set": beta,
+        }
+
+    return _Output(text, document)
 
 
-def _cmd_abacus(args) -> tuple[str, dict]:
+def _cmd_abacus(args) -> _Output:
     ell = args.ell
     if args.action == "compose":
         quotient = parse_multipartition(args.argument)
         lam = from_quotient(quotient, ell)
-        text = f"partition: {format_partition(lam)}"
-        doc = {
-            "quotient": label_document(quotient),
-            "ell": ell,
-            "partition": list(lam),
-        }
-        return text, doc
+        return _Output(
+            lambda: f"partition: {format_partition(lam)}",
+            lambda: {"quotient": label_document(quotient), "ell": ell, "partition": list(lam)},
+        )
     lam = parse_partition(args.argument)
     core = ell_core(lam, ell)
     if args.action == "core":
-        return f"core: {format_partition(core)}", {
+        return _Output(
+            lambda: f"core: {format_partition(core)}",
+            lambda: {"partition": list(lam), "ell": ell, "core": list(core)},
+        )
+    quotient = ell_quotient(lam, ell)
+    return _Output(
+        lambda: f"quotient: {format_multipartition(quotient)}\ncore: {format_partition(core)}",
+        lambda: {
             "partition": list(lam),
             "ell": ell,
+            "quotient": label_document(quotient),
             "core": list(core),
-        }
-    quotient = ell_quotient(lam, ell)
-    text = f"quotient: {format_multipartition(quotient)}\ncore: {format_partition(core)}"
-    doc = {
-        "partition": list(lam),
-        "ell": ell,
-        "quotient": label_document(quotient),
-        "core": list(core),
-    }
-    return text, doc
+        },
+    )
 
 
-def _cmd_presentation(args) -> tuple[str, dict]:
+def _cmd_presentation(args) -> _Output:
     label = _parse_label(args.label, args.ell)
     if args.ell == 1:
         built = direct_presentation(label)
@@ -167,21 +180,24 @@ def _cmd_presentation(args) -> tuple[str, dict]:
         built = wreath_presentation(label, args.ell)
     if args.simplified:
         built = simplify(built)
-    return presentation_text(built), presentation_document(built)
+    return _Output(lambda: presentation_text(built), lambda: presentation_document(built))
 
 
-def _cmd_wronskian(args) -> tuple[str, dict]:
+def _cmd_wronskian(args) -> _Output:
     lam = parse_partition(args.partition)
     wr = wronskian(schubert_basis(lam))
-    terms = [
-        {"coefficient": str(wr[mono]), "monomial": names, "u_power": mono[0]}
-        for mono, names in named_terms(wr)
-    ]
-    doc = {"partition": list(lam), "wronskian": terms}
-    return format_poly(wr), doc
+
+    def document() -> dict:
+        terms = [
+            {"coefficient": str(wr[mono]), "monomial": names, "u_power": mono[0]}
+            for mono, names in named_terms(wr)
+        ]
+        return {"partition": list(lam), "wronskian": terms}
+
+    return _Output(lambda: format_poly(wr), document)
 
 
-def _cmd_hilbert(args) -> tuple[str, dict]:
+def _cmd_hilbert(args) -> _Output:
     label = _parse_label(args.label, args.ell)
     if args.ell == 1:
         series = hilbert_series_formula(label)
@@ -189,15 +205,29 @@ def _cmd_hilbert(args) -> tuple[str, dict]:
         series = graded_dimensions_from_presentation(
             wreath_presentation(label, args.ell)
         )
-    text = f"series: {format_series(series)}\ndimension: {series.dimension()}"
-    doc = {
-        "label": label_document(label),
-        "ell": args.ell,
-        "coefficients": list(series.coefficients),
-        "series": format_series(series),
-        "dimension": series.dimension(),
-    }
-    return text, doc
+    return _Output(
+        lambda: f"series: {format_series(series)}\ndimension: {series.dimension()}",
+        lambda: {
+            "label": label_document(label),
+            "ell": args.ell,
+            "coefficients": list(series.coefficients),
+            "series": format_series(series),
+            "dimension": series.dimension(),
+        },
+    )
+
+
+def _centre_text(result: CentrePresentation, simplified: bool) -> str:
+    lines = [
+        f"centre for n={result.n}, ell={result.ell} (assumption: {ASSUMPTION})"
+    ]
+    for blk in result.blocks:
+        lines.append(f"block {format_label(blk.label)}: dimension {blk.dimension}")
+        if simplified:
+            lines.append(f"  plus:  {quotient_ring_text(blk.plus_part)}")
+            lines.append(f"  minus: {quotient_ring_text(blk.minus_part)}")
+    lines.append(f"total dimension: {result.total_dimension}")
+    return "\n".join(lines)
 
 
 def _centre_document(result: CentrePresentation) -> dict:
@@ -220,25 +250,18 @@ def _centre_document(result: CentrePresentation) -> dict:
     }
 
 
-def _cmd_centre(args) -> tuple[str, dict]:
+def _cmd_centre(args) -> _Output:
     result = centre_presentation(args.n, args.ell, args.simplified)
-    lines = [
-        f"centre for n={result.n}, ell={result.ell} (assumption: {ASSUMPTION})"
-    ]
-    for blk in result.blocks:
-        lines.append(f"block {format_label(blk.label)}: dimension {blk.dimension}")
-        if args.simplified:
-            lines.append(f"  plus:  {quotient_ring_text(blk.plus_part)}")
-            lines.append(f"  minus: {quotient_ring_text(blk.minus_part)}")
-    lines.append(f"total dimension: {result.total_dimension}")
-    return "\n".join(lines), _centre_document(result)
+    return _Output(
+        lambda: _centre_text(result, args.simplified), lambda: _centre_document(result)
+    )
 
 
 # ---------------------------------------------------------------------------
 # selftest
 
 
-def _cmd_selftest(args) -> tuple[int, str, dict]:
+def _cmd_selftest(args) -> _Output:
     # imported here, so that loading the CLI does not load the checks
     from . import checks
 
@@ -259,18 +282,26 @@ def _cmd_selftest(args) -> tuple[int, str, dict]:
             ("wreath support divisibility and simplify invariance (n*ell <= 8)",
              checks.wreath_support, 8),
         ]
-    lines = []
-    entries = []
-    failed = False
-    for name, suite, bound in suites:
-        detail = suite(bound)
-        ok = detail is None
-        failed = failed or not ok
-        lines.append(f"{'ok  ' if ok else 'FAIL'} {name}" + ("" if ok else f": {detail}"))
-        entries.append({"name": name, "ok": ok, "detail": detail or ""})
-    lines.append("selftest: " + ("all suites passed" if not failed else "FAILURES"))
-    doc = {"passed": not failed, "suites": entries}
-    return (1 if failed else 0), "\n".join(lines), doc
+    # (name, failure detail or None) per suite
+    results = [(name, suite(bound)) for name, suite, bound in suites]
+    passed = all(detail is None for _, detail in results)
+
+    def text() -> str:
+        lines = [
+            f"ok   {name}" if detail is None else f"FAIL {name}: {detail}"
+            for name, detail in results
+        ]
+        lines.append("selftest: " + ("all suites passed" if passed else "FAILURES"))
+        return "\n".join(lines)
+
+    def document() -> dict:
+        entries = [
+            {"name": name, "ok": detail is None, "detail": detail or ""}
+            for name, detail in results
+        ]
+        return {"passed": passed, "suites": entries}
+
+    return _Output(text, document, 0 if passed else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -373,35 +404,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built once per process: parsing leaves no
+    state in it."""
+    return build_parser()
+
+
 _HANDLERS = {
+    "partition": _cmd_partition_info,
+    "abacus": _cmd_abacus,
     "presentation": _cmd_presentation,
     "wronskian": _cmd_wronskian,
     "hilbert": _cmd_hilbert,
     "centre": _cmd_centre,
+    "selftest": _cmd_selftest,
 }
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exit_request:
         code = exit_request.code
         return int(code) if code else 0
-    status = 0
     try:
-        if args.command == "selftest":
-            status, text, doc = _cmd_selftest(args)
-        elif args.command == "partition":
-            text, doc = _cmd_partition_info(args)
-        elif args.command == "abacus":
-            text, doc = _cmd_abacus(args)
+        result = _HANDLERS[args.command](args)
+        if args.format == "json":
+            output = render_json(result.document())
         else:
-            text, doc = _HANDLERS[args.command](args)
+            output = result.text() + "\n"
     except DomainError as err:
         print(type(err).__name__, file=sys.stderr)
         return 1
-    output = render_json(doc) if args.format == "json" else text + "\n"
     try:
         if args.out:
             _write_atomic(args.out, output)
@@ -411,7 +446,7 @@ def run(argv: list[str]) -> int:
         target = args.out or "<stdout>"
         print(f"error: cannot write {target}: {err.strerror or err}", file=sys.stderr)
         return 1
-    return status
+    return result.status
 
 
 def main() -> None:

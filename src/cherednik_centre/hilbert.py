@@ -49,7 +49,7 @@ from .errors import (
 )
 from .abacus import MultiPartition
 from .partitions import Partition, cells, hook_length, weight
-from .polyring import INHOMOGENEOUS, GenSym, MPoly, weighted_degree
+from .polyring import INHOMOGENEOUS, GenSym, MPoly, primitive_part, weighted_degree
 from .presentation import GradedPresentation
 
 
@@ -230,16 +230,12 @@ def _monomial_codes(
 
 
 def _integer_terms(relation: MPoly, place_of: dict[GenSym, int]) -> list[tuple[int, int]]:
-    """``relation`` as ``(code, coefficient)`` pairs, scaled by the lcm of its
-    denominators and divided by the gcd of the numerators: a primitive
-    integer multiple, which spans the same rows."""
-    denominator = math.lcm(*(c.denominator for c in relation.values()))
-    terms = [
-        (sum(place_of[s] * e for s, e in gens), int(c * denominator))
-        for (_ue, gens), c in relation.items()
+    """``relation``'s primitive integer multiple, which spans the same rows,
+    as ``(code, coefficient)`` pairs."""
+    return [
+        (sum(place_of[s] * e for s, e in gens), c)
+        for (_ue, gens), c in primitive_part(relation).items()
     ]
-    content = math.gcd(*(c for _, c in terms))
-    return [(code, c // content) for code, c in terms]
 
 
 def graded_dimensions_from_presentation(

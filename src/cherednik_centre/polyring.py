@@ -8,7 +8,9 @@ monomials to non-zero coefficients, where a monomial is
 
 with the generator factors sorted by symbol and all exponents positive.  The
 zero polynomial is the empty dict.  Treat polynomials as immutable values:
-every operation returns a fresh dict.
+every operation returns a fresh dict.  ``primitive_part`` gives the integer
+multiple (an ``IntPoly``, same monomials, coefficients with gcd 1) that the
+fraction-free routines, ``simplify`` and the rank oracle, work on.
 
 Grading: ``deg u = 1`` and ``deg f_{i,j} = j``; a polynomial all of whose
 monomials share the same weighted degree is homogeneous.
@@ -20,6 +22,7 @@ graded lexicographic with ``u`` greatest, then generators compared by
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -36,6 +39,7 @@ class GenSym(NamedTuple):
 GenVec = tuple[tuple[GenSym, int], ...]
 Monomial = tuple[int, GenVec]
 MPoly = dict[Monomial, Fraction]
+IntPoly = dict[Monomial, int]
 
 ONE_MONO: Monomial = (0, ())
 
@@ -103,7 +107,20 @@ def scale(p: MPoly, value) -> MPoly:
     return {mono: c * value for mono, c in p.items()}
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+def primitive_part(p: MPoly) -> IntPoly:
+    """The primitive integer multiple of a non-zero ``p``: its coefficients
+    times the lcm of their denominators, over the gcd of the products.  Same
+    monomials in the same order, same signs."""
+    denominator = math.lcm(*(c.denominator for c in p.values()))
+    out = {mono: c.numerator * (denominator // c.denominator) for mono, c in p.items()}
+    content = math.gcd(*out.values())
+    if content == 1:
+        return out
+    return {mono: c // content for mono, c in out.items()}
+
+
+def monomial_product(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two monomials, generator factors sorted."""
     if not b[1]:
         return (a[0] + b[0], a[1])
     if not a[1]:
@@ -118,7 +135,7 @@ def mul(p: MPoly, q: MPoly) -> MPoly:
     out: MPoly = {}
     for ma, ca in p.items():
         for mb, cb in q.items():
-            mono = _mono_mul(ma, mb)
+            mono = monomial_product(ma, mb)
             s = out.get(mono, Fraction(0)) + ca * cb
             if s:
                 out[mono] = s

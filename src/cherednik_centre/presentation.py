@@ -27,7 +27,10 @@ variants share one enumerator, which keeps the beta-set exponents in place
 and multiplies the Vandermonde product as a Python int along the path.
 
 ``simplify`` performs the standard elimination of generators that occur
-linearly, giving a reduced presentation with monic relations.
+linearly, giving a reduced presentation with monic relations.  It is
+fraction-free: the eliminations run on primitive integer multiples of the
+relations, and only the final monic normalization divides, so the result is
+exact.
 """
 
 from __future__ import annotations
@@ -55,16 +58,17 @@ from .partitions import (
 )
 from .polyring import (
     INHOMOGENEOUS,
+    ONE_MONO,
     GenSym,
     GenVec,
+    IntPoly,
     MPoly,
     Monomial,
-    add,
     format_poly,
     generator_name,
-    mul,
+    monomial_product,
     named_terms,
-    scale,
+    primitive_part,
     term_sort_key,
     weighted_degree,
 )
@@ -241,40 +245,58 @@ def _linear_monomial(g: GenSym) -> Monomial:
     return (0, ((g, 1),))
 
 
-def _eliminable(relation: MPoly) -> list[GenSym]:
-    out = []
-    for (ue, gens), _ in relation.items():
-        if ue or len(gens) != 1 or gens[0][1] != 1:
-            continue
-        g = gens[0][0]
-        alone = all(
-            g not in (s for s, _ in other[1])
-            for other in relation
-            if other != (ue, gens)
-        )
-        if alone:
-            out.append(g)
-    return out
+def _eliminable(relation: dict) -> list[GenSym]:
+    """The generators with a scalar linear term that occur in no other
+    monomial of ``relation``."""
+    occurrences: dict[GenSym, int] = {}
+    for _ue, gens in relation:
+        for s, _e in gens:
+            occurrences[s] = occurrences.get(s, 0) + 1
+    return [
+        g for g, k in occurrences.items() if k == 1 and _linear_monomial(g) in relation
+    ]
 
 
-def _substitute(p: MPoly, g: GenSym, value: MPoly) -> MPoly:
-    out: MPoly = {}
+def _add_term(p: IntPoly, mono: Monomial, c: int) -> None:
+    total = p.get(mono, 0) + c
+    if total:
+        p[mono] = total
+    else:
+        p.pop(mono, None)
+
+
+def _eliminate(p: IntPoly, g: GenSym, lead: int, powers: list[IntPoly]) -> IntPoly:
+    """The primitive part of ``lead^E * p(g = -rest / lead)``, where ``E`` is
+    the largest exponent of ``g`` in ``p`` and ``powers[e]`` is ``(-rest)^e``
+    (extended here as needed); ``p`` itself if ``g`` does not occur in it."""
+    top = max((e for _ue, gens in p for s, e in gens if s == g), default=0)
+    if not top:
+        return p
+    while len(powers) <= top:
+        power: IntPoly = {}
+        for ma, ca in powers[-1].items():
+            for mb, cb in powers[1].items():
+                _add_term(power, monomial_product(ma, mb), ca * cb)
+        powers.append(power)
+    out: IntPoly = {}
     for (ue, gens), c in p.items():
-        exponent = dict(gens).get(g, 0)
+        exponent = next((e for s, e in gens if s == g), 0)
         if not exponent:
-            out = add(out, {(ue, gens): c})
+            _add_term(out, (ue, gens), c * lead**top)
             continue
-        rest = tuple((s, e) for s, e in gens if s != g)
-        term: MPoly = {(ue, rest): c}
-        for _ in range(exponent):
-            term = mul(term, value)
-        out = add(out, term)
-    return out
+        base = (ue, tuple((s, e) for s, e in gens if s != g))
+        factor = c * lead ** (top - exponent)
+        for mono, v in powers[exponent].items():
+            _add_term(out, monomial_product(base, mono), factor * v)
+    if not out:
+        return out
+    content = math.gcd(*out.values())
+    return {mono: v // content for mono, v in out.items()}
 
 
-def _monic(p: MPoly) -> MPoly:
-    leading = min(p, key=term_sort_key)
-    return scale(p, 1 / p[leading])
+def _monic(p: IntPoly) -> MPoly:
+    lead = p[min(p, key=term_sort_key)]
+    return {mono: Fraction(c, lead) for mono, c in p.items()}
 
 
 def simplify(presentation: GradedPresentation) -> GradedPresentation:
@@ -286,13 +308,24 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     ``(row, hook)``, substitute everywhere, drop the generator and the spent
     relation, restart.  Output relations are normalized monic; identically
     zero relations are dropped.
+
+    The elimination is fraction-free and exact: each relation is kept as its
+    primitive integer multiple, and eliminating ``g`` from ``lead*g + rest``
+    replaces each relation ``p`` by the primitive part of
+    ``lead^E * p(g = -rest/lead)``, ``E`` the largest exponent of ``g`` in
+    ``p``.  Each relation is a non-zero rational multiple of the one that
+    substituting with rational coefficients gives, with the same monomials,
+    so the choice of generators and the monic result are the same; only the
+    final normalization makes fractions.  The input is not modified.
     """
     generators = list(presentation.generators)
     relations = [r for r in presentation.relations if r]
     degrees = [weighted_degree(r) for r in relations]
     if INHOMOGENEOUS in degrees:
         raise InhomogeneousRelation(relations[degrees.index(INHOMOGENEOUS)])
-    relations = [r for _, r in sorted(zip(degrees, relations), key=lambda dr: dr[0])]
+    relations = [
+        primitive_part(r) for _, r in sorted(zip(degrees, relations), key=lambda dr: dr[0])
+    ]
     while True:
         victim = None
         for idx, rel in enumerate(relations):
@@ -304,12 +337,11 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
             break
         idx, g = victim
         rel = relations.pop(idx)
-        coeff = rel[_linear_monomial(g)]
-        rest = dict(rel)
-        del rest[_linear_monomial(g)]
-        value = scale(rest, Fraction(-1) / coeff)
+        linear = _linear_monomial(g)
+        negated_rest = {mono: -c for mono, c in rel.items() if mono != linear}
+        powers = [{ONE_MONO: 1}, negated_rest]
         generators = [gd for gd in generators if gd[0] != g]
-        relations = [q for q in (_substitute(p, g, value) for p in relations) if q]
+        relations = [q for q in (_eliminate(p, g, rel[linear], powers) for p in relations) if q]
     meta = replace(presentation.meta, simplified=True)
     return GradedPresentation(
         tuple(generators), tuple(_monic(r) for r in relations), meta

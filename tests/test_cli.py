@@ -2,17 +2,35 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cherednik_centre import checks, make_series, scale
+from cherednik_centre import (
+    checks,
+    cli,
+    format_multipartition,
+    format_partition,
+    make_series,
+    multipartitions_of,
+    parse_partition,
+    partitions_of,
+    scale,
+    weight,
+)
 from cherednik_centre.cli import run
+
+GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
 
 
 def _run(capsys, *argv):
@@ -375,3 +393,134 @@ def test_version_flag(capsys):
     captured = capsys.readouterr()
     assert status == 0
     assert captured.out.strip()
+
+
+# --- outputs pinned by the benchmark goldens ----------------------------------
+
+
+def test_presentation_outputs_match_the_benchmark_goldens(capsys):
+    """Every ``presentation`` job of weight 9 and one wreath centre, run in one
+    process, hash to the sha256 goldens the benchmark checks its jobs with."""
+    goldens = json.loads(GOLDENS.read_text())
+    centre = "cli centre --ell 2 --simplified --format json -- 4"
+    subset = {
+        key: digest
+        for key, digest in goldens.items()
+        if key.startswith("cli presentation ")
+        and weight(parse_partition(key.rsplit(" ", 1)[1])) == 9
+    }
+    subset[centre] = goldens[centre]
+    assert len(subset) == 3 * 30 + 1
+    for key, digest in subset.items():
+        status, out, err = _run(capsys, *key.split(" ")[1:])
+        assert (status, err) == (0, ""), key
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, key
+
+
+# --- one parser per process ---------------------------------------------------
+
+
+def _captured(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run(list(argv))
+    return status, out.getvalue(), err.getvalue()
+
+
+def _mixed_argvs(tmp_path) -> list[list[str]]:
+    return [
+        ["presentation", "3,2", "--simplified"],
+        ["presentation", "3,2", "--raw", "--simplified"],
+        ["presentation", "-|2", "--ell", "2", "--format", "json"],
+        ["--version"],
+        ["hilbert", "-|5", "--ell", "2"],
+        ["selftest", "0"],
+        ["abacus", "core", "4,2,2"],
+        ["centre", "2", "--ell", "2", "--simplified"],
+        ["partition", "info", "3,2", "--format", "json", "--out", str(tmp_path / "a.json")],
+        ["no-such-command"],
+        ["presentation", "3,x"],
+        ["wronskian", "2,1", "--out", str(tmp_path / "b.txt")],
+        ["abacus", "quotient", "4,2,2", "--ell", "3", "--format", "json"],
+        [],
+        ["hilbert", "3,1", "--format", "json"],
+    ]
+
+
+def _run_recording_files(argv, tmp_path):
+    status, out, err = _captured(argv)
+    written = {}
+    for path in sorted(tmp_path.iterdir()):
+        written[path.name] = path.read_text()
+        path.unlink()
+    return status, out, err, written
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):
+    argvs = _mixed_argvs(tmp_path)
+    cli._parser.cache_clear()
+    shared = {}
+    for order in (argvs, argvs[::-1]):
+        for argv in order:
+            shared.setdefault(" ".join(argv), []).append(_run_recording_files(argv, tmp_path))
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    statuses = set()
+    for argv in argvs:
+        fresh = _run_recording_files(argv, tmp_path)
+        assert shared[" ".join(argv)] == [fresh, fresh], argv
+        statuses.add(fresh[0])
+    assert statuses == {0, 1, 2}
+
+
+# --- robustness on random labels ----------------------------------------------
+
+
+def _small_digits(text: str) -> bool:
+    return sum(int(digits) for digits in re.findall(r"[0-9]+", text)) <= 4
+
+
+_VALID_LABELS = [format_partition(lam) for n in range(5) for lam in partitions_of(n)] + [
+    format_multipartition(q) for ell in (2, 3) for n in range(4) for q in multipartitions_of(n, ell)
+]
+# valid labels of weight <= 4, and any short text whose numbers sum to at most
+# 4 (so no call enumerates a large diagram)
+_LABELS = st.one_of(
+    st.sampled_from(_VALID_LABELS),
+    st.text(alphabet="0123,|- x", max_size=7).filter(_small_digits),
+)
+_INTEGERS = st.sampled_from(["-1", "0", "1", "2", "3", "x", ""])
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A subcommand with its options, then its one positional (``--`` first,
+    or not)."""
+    label, ell = draw(_LABELS), draw(_INTEGERS)
+    command = draw(st.sampled_from(
+        ["partition", "abacus", "presentation", "wronskian", "hilbert", "centre", "selftest"]
+    ))
+    if command == "partition":
+        head = ["partition", "info"]
+    elif command == "abacus":
+        head = ["abacus", draw(st.sampled_from(["core", "quotient", "compose"])), "--ell", ell]
+    elif command in ("presentation", "hilbert", "centre"):
+        head = [command, "--ell", ell]
+    else:
+        head = [command]
+    if command == "centre":
+        label = draw(st.one_of(_INTEGERS, _LABELS))
+    elif command == "selftest":
+        label = draw(st.sampled_from(["-1", "0", "1", "2", "x"]))
+    if command in ("presentation", "centre") and draw(st.booleans()):
+        head.append("--simplified")
+    head += ["--format", draw(st.sampled_from(["text", "json"]))]
+    return head + (["--"] if draw(st.booleans()) else []) + [label]
+
+
+@settings(max_examples=150)
+@given(_argvs())
+def test_every_subcommand_exits_cleanly_on_random_labels(argv):
+    status, _out, err = _captured(argv)
+    assert status in (0, 1, 2), argv
+    assert "Traceback" not in err, argv

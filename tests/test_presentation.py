@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, strategies as st
 
 from cherednik_centre import (
     CellOutOfDiagram,
@@ -32,6 +34,7 @@ from cherednik_centre import (
     wreath_presentation,
     wronski_relations,
 )
+from cherednik_centre.polyring import INHOMOGENEOUS, add, mul, scale, term_sort_key
 from cherednik_centre.presentation import GradedPresentation, PresentationMeta
 
 from conftest import partitions_up_to
@@ -336,6 +339,127 @@ def test_simplify_rejects_an_inhomogeneous_relation():
         simplify(p)
     with pytest.raises(InhomogeneousRelation):
         simplify(GradedPresentation(p.generators, (square, inhomogeneous), p.meta))
+
+
+# --- the Fraction simplifier, kept as the reference -----------------------------
+
+
+def _reference_simplify(presentation: GradedPresentation) -> GradedPresentation:
+    """The rational-arithmetic reference for ``simplify``: every relation in
+    ``Fraction`` arithmetic, ``g`` replaced by ``-rest / coefficient`` with
+    ``polyring.add`` and ``mul``, and each linear term checked against every
+    other monomial of its relation."""
+
+    def linear(g):
+        return (0, ((g, 1),))
+
+    def eliminable(relation):
+        out = []
+        for (ue, gens), _ in relation.items():
+            if ue or len(gens) != 1 or gens[0][1] != 1:
+                continue
+            g = gens[0][0]
+            if all(
+                g not in (s for s, _ in other[1])
+                for other in relation
+                if other != (ue, gens)
+            ):
+                out.append(g)
+        return out
+
+    def substitute(p, g, value):
+        out = {}
+        for (ue, gens), c in p.items():
+            exponent = dict(gens).get(g, 0)
+            if not exponent:
+                out = add(out, {(ue, gens): c})
+                continue
+            term = {(ue, tuple((s, e) for s, e in gens if s != g)): c}
+            for _ in range(exponent):
+                term = mul(term, value)
+            out = add(out, term)
+        return out
+
+    generators = list(presentation.generators)
+    relations = [r for r in presentation.relations if r]
+    degrees = [weighted_degree(r) for r in relations]
+    if INHOMOGENEOUS in degrees:
+        raise InhomogeneousRelation(relations[degrees.index(INHOMOGENEOUS)])
+    relations = [r for _, r in sorted(zip(degrees, relations), key=lambda dr: dr[0])]
+    while True:
+        victim = next(
+            ((idx, max(found)) for idx, rel in enumerate(relations) if (found := eliminable(rel))),
+            None,
+        )
+        if victim is None:
+            break
+        idx, g = victim
+        rel = relations.pop(idx)
+        rest = {mono: c for mono, c in rel.items() if mono != linear(g)}
+        value = scale(rest, Fraction(-1) / rel[linear(g)])
+        generators = [gd for gd in generators if gd[0] != g]
+        relations = [q for q in (substitute(p, g, value) for p in relations) if q]
+    monic = tuple(scale(r, 1 / r[min(r, key=term_sort_key)]) for r in relations)
+    meta = replace(presentation.meta, simplified=True)
+    return GradedPresentation(tuple(generators), monic, meta)
+
+
+_SYMBOLS = (GenSym(1, 1), GenSym(2, 1), GenSym(3, 1), GenSym(1, 2), GenSym(2, 2), GenSym(1, 3))
+
+
+def _monomials_of_degree(symbols, degree, with_u):
+    """Every monomial of weighted ``degree`` in ``symbols`` (and ``u``)."""
+    out = []
+    for exponents in itertools.product(range(degree + 1), repeat=len(symbols) + 1):
+        ue, gen_exponents = exponents[0], exponents[1:]
+        if ue and not with_u:
+            continue
+        if ue + sum(s.degree * e for s, e in zip(symbols, gen_exponents)) == degree:
+            out.append((ue, tuple((s, e) for s, e in zip(symbols, gen_exponents) if e)))
+    return out
+
+
+@st.composite
+def _homogeneous_presentations(draw):
+    symbols = sorted(draw(st.sets(st.sampled_from(_SYMBOLS), min_size=1, max_size=4)))
+    with_u = draw(st.booleans())
+    coefficient = st.builds(
+        Fraction,
+        st.integers(-12, 12).filter(bool),
+        st.integers(1, 6),
+    )
+    relations = []
+    for degree in draw(st.lists(st.integers(1, 4), max_size=5)):
+        monomials = _monomials_of_degree(symbols, degree, with_u)
+        if not monomials:
+            continue
+        chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=6, unique=True))
+        relations.append({mono: draw(coefficient) for mono in chosen})
+    if draw(st.booleans()):
+        relations.insert(draw(st.integers(0, len(relations))), {})
+    assume(any(c.denominator > 1 for rel in relations for c in rel.values()))
+    generators = tuple((s, s.degree) for s in symbols)
+    return GradedPresentation(generators, tuple(relations), PresentationMeta((), 1, 1))
+
+
+@given(_homogeneous_presentations())
+def test_simplify_equals_the_fraction_reference(p):
+    before = copy.deepcopy(p)
+    ours, reference = simplify(p), _reference_simplify(p)
+    assert ours.generators == reference.generators
+    assert ours.relations == reference.relations
+    assert ours.meta == reference.meta
+    assert p == before
+
+
+def test_simplify_equals_the_fraction_reference_on_every_block():
+    """All partitions of n <= 10 and all wreath labels with n*ell <= 10."""
+    built = [direct_presentation(lam) for n in range(11) for lam in partitions_of(n)]
+    built += [wreath_presentation(q, ell) for q, ell in _wreath_cases(10)]
+    assert len(built) == 139 + 190
+    for p in built:
+        ours, reference = simplify(p), _reference_simplify(p)
+        assert ours == reference, p.meta.source
 
 
 def test_simplified_relations_are_monic():
