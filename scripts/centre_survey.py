@@ -20,7 +20,7 @@ def main() -> None:
         "--budget",
         type=int,
         default=8,
-        help="skip groups with n*ell above this (oracle cost grows quickly)",
+        help="skip groups with n*ell above this (presentation cost grows quickly)",
     )
     args = parser.parse_args()
 

@@ -1,44 +1,48 @@
 #!/usr/bin/env python3
-"""Tabulate wreath block dimensions: rank oracle against the hook formula.
+"""Tabulate wreath block series: rank oracle against the closed formula.
 
 For each ell-multipartition q of n with 2 <= ell and n*ell <= budget, prints
-the oracle dimension of the block presentation next to
-``n! / prod hooks`` over the cells of all components of q (Gordon 2003,
-smooth case).  The two agree on every label up to n*ell <= 8, which
-``tests/test_hilbert.py`` asserts.
+the oracle dimension of the block presentation next to the value at q = 1
+of the closed series ``prod (1 - q^{ell i}) / prod (1 - q^{ell h})`` over
+the cells of all components of q (Gordon 2003, smooth case), and whether the
+two whole series agree.  Exits 1 if any label disagrees.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
 from cherednik_centre import (
     format_multipartition,
+    graded_dimensions_from_presentation,
+    hilbert_series_formula,
     multipartitions_of,
-    presentation_dimension,
-    wreath_dimension_formula,
     wreath_presentation,
 )
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--budget", type=int, default=8, help="largest n*ell to survey"
     )
     args = parser.parse_args()
 
+    disagreements = 0
     print(f"{'ell':>3} {'label':<16} {'oracle':>7} {'hook-formula':>13} agree")
     for ell in range(2, args.budget + 1):
         for n in range(1, args.budget // ell + 1):
             for q in multipartitions_of(n, ell):
-                dim = presentation_dimension(wreath_presentation(q, ell))
-                formula = wreath_dimension_formula(q)
+                oracle = graded_dimensions_from_presentation(wreath_presentation(q, ell))
+                formula = hilbert_series_formula(q, ell)
+                disagreements += oracle != formula
                 print(
-                    f"{ell:>3} {format_multipartition(q):<16} {dim:>7} "
-                    f"{formula:>13} {'yes' if dim == formula else 'NO'}"
+                    f"{ell:>3} {format_multipartition(q):<16} {oracle.dimension():>7} "
+                    f"{formula.dimension():>13} {'yes' if oracle == formula else 'NO'}"
                 )
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

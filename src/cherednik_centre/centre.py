@@ -3,11 +3,13 @@
 For the symmetric group on ``n`` letters the labels are the partitions of
 ``n``; for the wreath product with the cyclic group of order ``ell`` they are
 the ``ell``-multipartitions of ``n``.  Each block is a tensor product
-``A- (x) A+`` represented structurally as a pair of graded presentations:
-
-* symmetric case: the minus part is the plus part with negated grading;
-* wreath case: the minus part is the negated presentation of the *star*
-  label ``(q_1, q_ell, ..., q_2)``.
+``A- (x) A+`` represented structurally as a pair of graded presentations.
+The minus part is the plus part of the *star* label with negated grading:
+the star of a multipartition is ``(q_1, q_ell, ..., q_2)``, and a partition
+is its own star, so in the symmetric case the minus part is the plus part
+negated.  The block dimension is ``d(label) * d(star)``, both read off the
+label by the hook formula of :mod:`~cherednik_centre.hilbert`; no
+presentation is ranked to find it.
 
 The deformation parameter never appears: the presentations are valid for
 generic parameter (smooth Calogero–Moser space) and carry no dependence on
@@ -23,9 +25,9 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .abacus import MultiPartition, star_involution
-from .errors import EllOutOfRange, LengthMismatch, NegativeWeight
-from .hilbert import dimension_hook_formula, presentation_dimension
-from .partitions import Partition, partitions_of
+from .errors import EllOutOfRange, NegativeWeight
+from .hilbert import dimension_hook_formula
+from .partitions import partitions_of
 from .presentation import (
     GradedPresentation,
     Label,
@@ -80,46 +82,42 @@ def _reprefix(presentation: GradedPresentation, prefix: str) -> GradedPresentati
     return GradedPresentation(presentation.generators, presentation.relations, meta)
 
 
-WreathParts = dict[MultiPartition, tuple[GradedPresentation, int]]
-
-
-def _wreath_part(q: MultiPartition, ell: int, simplified: bool, parts: WreathParts):
-    """``(plus part, oracle dimension)`` of a wreath label, computed once per
-    ``parts``: a label is needed as ``q`` and again as the minus part of the
-    block of ``star(q)`` (for ``ell = 2`` that is the same block)."""
-    found = parts.get(q)
+def _plus_part(
+    label: Label, ell: int, simplified: bool, parts: dict[Label, GradedPresentation]
+) -> GradedPresentation:
+    """The plus part of ``label``, built once per ``parts``: a label is
+    needed as a plus part and again as the minus part of its star partner's
+    block (its own block when the label is its own star)."""
+    found = parts.get(label)
     if found is None:
-        raw = wreath_presentation(q, ell)
-        found = (simplify(raw) if simplified else raw, presentation_dimension(raw))
-        parts[q] = found
+        if ell == 1:
+            raw = direct_presentation(label)  # type: ignore[arg-type]
+        else:
+            raw = wreath_presentation(label, ell)  # type: ignore[arg-type]
+        found = parts[label] = simplify(raw) if simplified else raw
     return found
 
 
-def block(
-    label: Label, ell: int, simplified: bool = False, *, parts: WreathParts | None = None
+def _block(
+    label: Label, ell: int, simplified: bool, parts: dict[Label, GradedPresentation]
 ) -> Block:
-    """One block of the centre; ``label`` must fit the group (see module doc).
+    # the dimension comes first: it rejects a label that does not fit ``ell``
+    dim_plus = dimension_hook_formula(label, ell)
+    star = label if ell == 1 else star_involution(label)  # type: ignore[arg-type]
+    plus = _plus_part(label, ell, simplified, parts)
+    minus = _reprefix(negate_grading(_plus_part(star, ell, simplified, parts)), "g")
+    return Block(
+        label,
+        plus,
+        minus,
+        dim_plus * dimension_hook_formula(star, ell),
+        star_label=None if ell == 1 else star,  # type: ignore[arg-type]
+    )
 
-    ``parts`` shares the per-label wreath computations between the blocks of
-    one centre; by default this block's own computations are not kept.
-    """
-    if ell == 1:
-        lam: Partition = label  # type: ignore[assignment]
-        plus_raw = direct_presentation(lam)
-        plus = simplify(plus_raw) if simplified else plus_raw
-        minus = _reprefix(negate_grading(plus), "g")
-        dim_plus = dimension_hook_formula(lam)
-        return Block(label, plus, minus, dim_plus * dim_plus)
-    q: MultiPartition = label  # type: ignore[assignment]
-    if len(q) != ell:
-        raise LengthMismatch((q, ell))
-    if parts is None:
-        parts = {}
-    star = star_involution(q)
-    plus, dim_plus = _wreath_part(q, ell, simplified, parts)
-    minus_pos, dim_minus = _wreath_part(star, ell, simplified, parts)
-    minus = _reprefix(negate_grading(minus_pos), "g")
-    return Block(label, plus, minus, dim_plus * dim_minus, star_label=star)
+
+def block(label: Label, ell: int, simplified: bool = False) -> Block:
+    """One block of the centre; ``label`` must fit the group (see module doc)."""
+    return _block(label, ell, simplified, {})
 
 
 def centre_presentation(n: int, ell: int, simplified: bool = False) -> CentrePresentation:
@@ -132,8 +130,8 @@ def centre_presentation(n: int, ell: int, simplified: bool = False) -> CentrePre
         labels: list[Label] = list(partitions_of(n))
     else:
         labels = list(multipartitions_of(n, ell))
-    parts: WreathParts = {}
-    blocks = tuple(block(label, ell, simplified, parts=parts) for label in labels)
+    parts: dict[Label, GradedPresentation] = {}
+    blocks = tuple(_block(label, ell, simplified, parts) for label in labels)
     return CentrePresentation(n, ell, blocks, sum(b.dimension for b in blocks))
 
 

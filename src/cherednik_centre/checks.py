@@ -91,9 +91,9 @@ def recursive_wronskian(n_max: int) -> str | None:
 
 def wreath_support(total_max: int) -> str | None:
     """For every label with 2 <= ell and n*ell <= total_max: generator
-    degrees divisible by ell, the k-th relation of degree k*ell, series
-    supported in degrees divisible by ell, and ``simplify`` leaving the
-    oracle series unchanged."""
+    degrees divisible by ell, the k-th relation of degree k*ell, the closed
+    series formula equal to the oracle series, series supported in degrees
+    divisible by ell, and ``simplify`` leaving the oracle series unchanged."""
     for ell in range(2, total_max + 1):
         for n in range(0, total_max // ell + 1):
             for q in multipartitions_of(n, ell):
@@ -105,6 +105,8 @@ def wreath_support(total_max: int) -> str | None:
                     if rel and weighted_degree(rel) != k * ell:
                         return f"relation {k} not of degree {k * ell} at {q}"
                 series = graded_dimensions_from_presentation(built)
+                if hilbert_series_formula(q, ell) != series:
+                    return f"series formula mismatch at {q}"
                 for d, c in enumerate(series.coefficients):
                     if c and d % ell:
                         return f"support violation at {q}, degree {d}"

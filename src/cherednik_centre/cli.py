@@ -36,11 +36,7 @@ from .abacus import (
 )
 from .centre import CentrePresentation, centre_presentation
 from .errors import DomainError, EllOutOfRange, LengthMismatch
-from .hilbert import (
-    format_series,
-    graded_dimensions_from_presentation,
-    hilbert_series_formula,
-)
+from .hilbert import format_series, hilbert_series_formula
 from .partitions import (
     beta_set,
     first_column_hooks,
@@ -199,12 +195,7 @@ def _cmd_wronskian(args) -> _Output:
 
 def _cmd_hilbert(args) -> _Output:
     label = _parse_label(args.label, args.ell)
-    if args.ell == 1:
-        series = hilbert_series_formula(label)
-    else:
-        series = graded_dimensions_from_presentation(
-            wreath_presentation(label, args.ell)
-        )
+    series = hilbert_series_formula(label, args.ell)
     return _Output(
         lambda: f"series: {format_series(series)}\ndimension: {series.dimension()}",
         lambda: {

@@ -2,13 +2,28 @@
 
 Two independent routes:
 
-* closed formulas on the partition — the series
-  ``prod_{i=1..n} (1 - q^i) / prod_cells (1 - q^{h(i,j)})`` (an exact
-  polynomial quotient) and the dimension ``n! / prod hooks``;
+* closed formulas on the block label, the production route for both kinds
+  of group.  For an ``ell``-multipartition of ``n`` (a partition is the
+  one-component label of ``ell = 1``) the series is
+  ``prod_{i=1..n} (1 - q^{ell i}) / prod_{components, cells} (1 - q^{ell h})``
+  (an exact polynomial quotient) and the dimension is its value at q = 1,
+  ``n! / prod hooks`` over the cells of every component;
 
-* a linear-algebra oracle on a presentation — in each degree ``d`` count the
-  monomials in the generators and subtract the exact rational rank of the
-  span of ``{m * r : r relation of degree s, m monomial of degree d - s}``.
+* a linear-algebra oracle on a presentation, kept as the checker — in each
+  degree ``d`` count the monomials in the generators and subtract the exact
+  rational rank of the span of
+  ``{m * r : r relation of degree s, m monomial of degree d - s}``.
+
+Why the closed form holds: a block presentation has one generator of
+degree ``ell h`` per cell of the components (``h`` its hook) and ``n``
+non-zero relations, of degrees ``ell, 2 ell, ..., n ell``.  When its
+quotient is finite the relations form a regular sequence, and the series is
+the complete-intersection product above (Stanley 1978, *Hilbert functions of
+graded algebras*).  For generic parameter the block is the fibre of smooth
+Calogero–Moser space (Gordon 2003), which the paper's theorem presents from
+the label alone.  The oracle verifies the formula coefficient by coefficient
+on every partition of ``n <= 7`` and on every wreath label with
+``2 <= ell`` and ``n * ell <= 10`` (the tests and ``checks``).
 
 The oracle makes no use of the formulas, so agreement between the two is a
 real check.  Rank computation is exact and fraction-free: each relation is
@@ -20,12 +35,6 @@ reduced against the stored pivot rows (one per lowest column, each divided
 by its content) by integer cross-multiplication until it vanishes or opens a
 new pivot; the rank is the number of pivots.  There is no floating point, no
 modular arithmetic and no tolerance anywhere.
-
-Wreath series are defined by the oracle.  Their value at q = 1 has a closed
-form, :func:`wreath_dimension_formula` (``n! / prod hooks`` over every
-component of the label, Gordon 2003, smooth case); the tests check it
-against the oracle for every label with ``2 <= ell`` and ``n*ell <= 8``,
-and block assembly still takes the oracle's dimension.
 
 The default degree cutoff is the complete-intersection bound
 ``sum(relation degrees) - sum(generator degrees)`` plus two slack degrees;
@@ -41,16 +50,17 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (
+    EllOutOfRange,
     InexactDivision,
     InhomogeneousRelation,
+    LengthMismatch,
     NegativeDegreeGenerator,
     NonIntegral,
     OracleTruncated,
 )
-from .abacus import MultiPartition
 from .partitions import Partition, cells, hook_length, weight
 from .polyring import INHOMOGENEOUS, GenSym, MPoly, primitive_part, weighted_degree
-from .presentation import GradedPresentation
+from .presentation import GradedPresentation, Label
 
 
 @dataclass(frozen=True)
@@ -116,37 +126,48 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def hilbert_series_formula(lam: Partition) -> HilbertSeries:
-    """``prod (1 - q^i) / prod_cells (1 - q^h)``; the division is exact."""
-    n = weight(lam)
+def _components(label: Label, ell: int) -> tuple[Partition, ...]:
+    """A block label as its components: a partition is the one component of
+    an ``ell = 1`` label."""
+    if ell < 1:
+        raise EllOutOfRange(ell)
+    if ell == 1:
+        return (label,)  # type: ignore[return-value]
+    if len(label) != ell:
+        raise LengthMismatch((label, ell))
+    return label  # type: ignore[return-value]
+
+
+def _one_minus_q_to(k: int) -> list[int]:
+    return [1] + [0] * (k - 1) + [-1]
+
+
+def hilbert_series_formula(label: Label, ell: int = 1) -> HilbertSeries:
+    """``prod_{i=1..n} (1 - q^{ell i}) / prod_{components, cells} (1 - q^{ell h})``;
+    the division is exact."""
+    components = _components(label, ell)
     num = [1]
-    for i in range(1, n + 1):
-        num = _poly_mul_dense(num, [1] + [0] * (i - 1) + [-1])
+    for i in range(1, sum(map(weight, components)) + 1):
+        num = _poly_mul_dense(num, _one_minus_q_to(ell * i))
     den = [1]
-    for cell in cells(lam):
-        h = hook_length(lam, cell)
-        den = _poly_mul_dense(den, [1] + [0] * (h - 1) + [-1])
+    for component in components:
+        for cell in cells(component):
+            den = _poly_mul_dense(den, _one_minus_q_to(ell * hook_length(component, cell)))
     return make_series(_poly_div_exact(num, den))
 
 
-def dimension_hook_formula(lam: Partition) -> int:
-    """``n! / prod hooks`` with integrality enforced."""
-    n = weight(lam)
+def dimension_hook_formula(label: Label, ell: int = 1) -> int:
+    """``n! / prod hooks`` over the cells of every component, with
+    integrality enforced: the series formula at q = 1."""
+    components = _components(label, ell)
     product = 1
-    for cell in cells(lam):
-        product *= hook_length(lam, cell)
-    factorial = math.factorial(n)
+    for component in components:
+        for cell in cells(component):
+            product *= hook_length(component, cell)
+    factorial = math.factorial(sum(map(weight, components)))
     if factorial % product:
-        raise NonIntegral((lam, factorial, product))
+        raise NonIntegral((label, factorial, product))
     return factorial // product
-
-
-def wreath_dimension_formula(q: MultiPartition) -> int:
-    """``n! / prod hooks`` over the cells of all components of ``q``: the
-    multinomial of the component sizes times their hook dimensions."""
-    sizes = [weight(component) for component in q]
-    multinomial = math.factorial(sum(sizes)) // math.prod(map(math.factorial, sizes))
-    return multinomial * math.prod(map(dimension_hook_formula, q))
 
 
 # ---------------------------------------------------------------------------

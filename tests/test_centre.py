@@ -67,7 +67,7 @@ def test_symmetric_group_centre_dimension_is_factorial(n):
 def test_total_dimension_is_the_group_order(n, ell):
     """Blocks are labelled by the irreducibles of the wreath product and each
     contributes dim(q)·dim(q*) = dim(q)², so the total must be the group
-    order ℓⁿ·n! — a cross-check of the rank oracle against pure group
+    order ℓⁿ·n! — a cross-check of the hook formula against pure group
     theory."""
     assert centre_dimension(n, ell) == ell**n * math.factorial(n)
 
@@ -81,21 +81,35 @@ def test_wreath_centre_of_weight_five():
 @pytest.mark.parametrize("n,ell", [(3, 2), (2, 3)])
 def test_centre_runs_the_oracle_once_per_label(monkeypatch, n, ell):
     """Each label is needed as a plus part and as the minus part of its star
-    partner's block; one centre computes it once."""
-    from cherednik_centre import centre
+    partner's block; one centre builds it once.  Dimensions come from the
+    hook formula, so assembling the centre never runs the rank oracle."""
+    from cherednik_centre import centre, hilbert
 
     seen = []
-    oracle = centre.presentation_dimension
+    build = centre.wreath_presentation
 
-    def counting(presentation):
-        seen.append(presentation.meta.source)
-        return oracle(presentation)
+    def counting(q, ell):
+        seen.append(q)
+        return build(q, ell)
 
-    monkeypatch.setattr(centre, "presentation_dimension", counting)
+    def forbidden(rows):
+        raise AssertionError("centre_presentation ran the rank oracle")
+
+    monkeypatch.setattr(centre, "wreath_presentation", counting)
+    # every oracle call ranks its rows here, however the oracle was imported
+    monkeypatch.setattr(hilbert, "_sparse_rank", forbidden)
     cp = centre_presentation(n, ell)
     assert sorted(seen) == sorted(multipartitions_of(n, ell))
+    monkeypatch.undo()
     for b in cp.blocks:
         assert b == block(b.label, ell)
+
+
+def test_centre_of_weight_eight_is_in_reach():
+    """G(2,1,8): 185 blocks, each dimension read off its label."""
+    cp = centre_presentation(8, 2, simplified=True)
+    assert len(cp.blocks) == 185
+    assert cp.total_dimension == 2**8 * math.factorial(8)
 
 
 @pytest.mark.parametrize("n", range(0, 7))

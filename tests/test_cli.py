@@ -295,7 +295,7 @@ def _reverse_components(real):
 
 
 def _append_coefficient(real):
-    return lambda p, **kw: make_series(real(p, **kw).coefficients + (1,))
+    return lambda *args, **kw: make_series(real(*args, **kw).coefficients + (1,))
 
 
 def _double(real):
@@ -316,8 +316,10 @@ def _drop_relations(real):
          "series mismatch at ()"),
         (3, "wronskian_recursive", _double, "recursive oracle mismatch at (1,)"),
         (4, "simplify", _drop_relations, "simplify changed dimensions at "),
+        (4, "hilbert_series_formula", _append_coefficient,
+         "series formula mismatch at ((), ())"),
     ],
-    ids=["direct", "abacus", "hilbert", "recursive", "wreath"],
+    ids=["direct", "abacus", "hilbert", "recursive", "wreath", "wreath-formula"],
 )
 def test_selftest_reports_a_broken_second_route(
     capsys, monkeypatch, suite, route, breaker, detail

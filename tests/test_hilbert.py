@@ -13,6 +13,7 @@ from cherednik_centre import (
     GradedPresentation,
     InexactDivision,
     InhomogeneousRelation,
+    LengthMismatch,
     NegativeDegreeGenerator,
     OracleTruncated,
     PresentationMeta,
@@ -30,7 +31,6 @@ from cherednik_centre import (
     simplify,
     transpose,
     weight,
-    wreath_dimension_formula,
     wreath_presentation,
 )
 from cherednik_centre.hilbert import HilbertSeries, _sparse_rank
@@ -262,11 +262,34 @@ def test_dimension_20_wreath_labels(label):
     dimension 20, the G(2,1,5)-irreducible dimension of its label."""
     q = tuple(tuple(int(p) for p in part.split(",")) for part in label.split("|"))
     assert presentation_dimension(wreath_presentation(q, 2)) == 20
+    assert dimension_hook_formula(q, 2) == 20
+
+
+def test_wreath_formula_pins():
+    """The ell = 1 formula is the one-component case; a wreath label's
+    series lives in degrees divisible by ell."""
+    assert hilbert_series_formula((3, 2), 1) == hilbert_series_formula((3, 2))
+    assert hilbert_series_formula(((1,), (1,)), 2).coefficients == (1, 0, 1)
+    assert hilbert_series_formula(((1, 1), (), (1,)), 3).coefficients == (
+        1, 0, 0, 1, 0, 0, 1,
+    )
+    assert hilbert_series_formula(((), ()), 2).coefficients == (1,)
+    assert dimension_hook_formula(((2, 1), (2,)), 2) == 20
+    assert dimension_hook_formula(((1,), (1,), (1,)), 3) == 6
+
+
+@pytest.mark.parametrize("label,ell", [(((1,),), 2), (((1,), (), ()), 2), (((1,),), 3)])
+def test_formulas_reject_a_label_that_does_not_fit_ell(label, ell):
+    with pytest.raises(LengthMismatch):
+        hilbert_series_formula(label, ell)
+    with pytest.raises(LengthMismatch):
+        dimension_hook_formula(label, ell)
 
 
 def test_oracle_agrees_on_simplified_wreath_presentations():
     """Simplified relations carry non-integer Fractions, which the oracle
-    scales to integer rows; raw and simplified give the same series."""
+    scales to integer rows; raw and simplified give the same series, and it
+    is the closed formula read off the multipartition."""
     fractional = 0
     for q, ell in _wreath_cases(10):
         raw = wreath_presentation(q, ell)
@@ -274,9 +297,9 @@ def test_oracle_agrees_on_simplified_wreath_presentations():
         fractional += any(
             c.denominator != 1 for rel in simplified.relations for c in rel.values()
         )
-        assert graded_dimensions_from_presentation(
-            simplified
-        ) == graded_dimensions_from_presentation(raw), (q, ell)
+        series = graded_dimensions_from_presentation(raw)
+        assert hilbert_series_formula(q, ell) == series, (q, ell)
+        assert graded_dimensions_from_presentation(simplified) == series, (q, ell)
     assert fractional > 0
 
 
@@ -286,13 +309,14 @@ def test_wreath_dimension_survey_is_recorded_not_asserted(capsys):
     leaves out the multinomial factor, so it misses the oracle exactly on
     the labels with two or more non-empty components (24 of the 93).  The
     second route for the wreath block dimensions, ``n! / prod hooks`` over
-    all components, equals the oracle on all 93 labels."""
+    all components (``dimension_hook_formula(q, ell)``), equals the oracle on
+    all 93 labels."""
     misses = 0
     cases = list(_wreath_cases(8))
     assert len(cases) == 93
     for q, ell in cases:
         dim = presentation_dimension(wreath_presentation(q, ell))
-        assert dim == wreath_dimension_formula(q), (q, ell)
+        assert dim == dimension_hook_formula(q, ell), (q, ell)
         hook_product = math.prod(dimension_hook_formula(component) for component in q)
         print(f"ell={ell} q={q}: oracle={dim} component-hook-product={hook_product}")
         assert (dim != hook_product) == (sum(1 for c in q if c) >= 2), (q, ell)
