@@ -98,12 +98,27 @@ def _plus_part(
     return found
 
 
+def _labels(n: int, ell: int) -> list[Label]:
+    """The block labels of the centre in label order (see module doc)."""
+    if ell < 1:
+        raise EllOutOfRange(ell)
+    if n < 0:
+        raise NegativeWeight(n)
+    if ell == 1:
+        return list(partitions_of(n))
+    return list(multipartitions_of(n, ell))
+
+
+def _star(label: Label, ell: int) -> Label:
+    return label if ell == 1 else star_involution(label)  # type: ignore[arg-type]
+
+
 def _block(
     label: Label, ell: int, simplified: bool, parts: dict[Label, GradedPresentation]
 ) -> Block:
     # the dimension comes first: it rejects a label that does not fit ``ell``
     dim_plus = dimension_hook_formula(label, ell)
-    star = label if ell == 1 else star_involution(label)  # type: ignore[arg-type]
+    star = _star(label, ell)
     plus = _plus_part(label, ell, simplified, parts)
     minus = _reprefix(negate_grading(_plus_part(star, ell, simplified, parts)), "g")
     return Block(
@@ -122,18 +137,15 @@ def block(label: Label, ell: int, simplified: bool = False) -> Block:
 
 def centre_presentation(n: int, ell: int, simplified: bool = False) -> CentrePresentation:
     """All blocks in label order plus the total dimension."""
-    if ell < 1:
-        raise EllOutOfRange(ell)
-    if n < 0:
-        raise NegativeWeight(n)
-    if ell == 1:
-        labels: list[Label] = list(partitions_of(n))
-    else:
-        labels = list(multipartitions_of(n, ell))
     parts: dict[Label, GradedPresentation] = {}
-    blocks = tuple(_block(label, ell, simplified, parts) for label in labels)
+    blocks = tuple(_block(label, ell, simplified, parts) for label in _labels(n, ell))
     return CentrePresentation(n, ell, blocks, sum(b.dimension for b in blocks))
 
 
 def centre_dimension(n: int, ell: int) -> int:
-    return centre_presentation(n, ell).total_dimension
+    """The total dimension of ``centre_presentation(n, ell)``, summed over the
+    labels by the hook formula without building any presentation."""
+    return sum(
+        dimension_hook_formula(label, ell) * dimension_hook_formula(_star(label, ell), ell)
+        for label in _labels(n, ell)
+    )

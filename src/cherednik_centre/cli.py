@@ -257,7 +257,7 @@ def _cmd_selftest(args) -> _Output:
     from . import checks
 
     n_max = args.n_max
-    relation_max = max(n_max, 6) if args.deep else n_max
+    relation_max = max(n_max, 11) if args.deep else n_max
     suites = [
         (f"direct/wronskian relation agreement (n <= {relation_max})",
          checks.direct_equals_wronskian, relation_max),
@@ -268,9 +268,10 @@ def _cmd_selftest(args) -> _Output:
     ]
     if args.deep:
         suites += [
-            ("recursive-wronskian determinant cross-check (n <= 6)",
-             checks.recursive_wronskian, 6),
-            ("wreath support divisibility and simplify invariance (n*ell <= 8)",
+            ("recursive-wronskian determinant cross-check (n <= 9)",
+             checks.recursive_wronskian, 9),
+            ("wreath degrees, series formula/oracle agreement, support and "
+             "simplify invariance (n*ell <= 8)",
              checks.wreath_support, 8),
         ]
     # (name, failure detail or None) per suite

@@ -11,6 +11,8 @@ zero polynomial is the empty dict.  Treat polynomials as immutable values:
 every operation returns a fresh dict.  ``primitive_part`` gives the integer
 multiple (an ``IntPoly``, same monomials, coefficients with gcd 1) that the
 fraction-free routines, ``simplify`` and the rank oracle, work on.
+``determinant`` works on its own packed form, one int per monomial and per
+coefficient, and decodes its result back to canonical keys.
 
 Grading: ``deg u = 1`` and ``deg f_{i,j} = j``; a polynomial all of whose
 monomials share the same weighted degree is homogeneous.
@@ -219,33 +221,91 @@ def divide_exact(p: MPoly, divisor: MPoly) -> MPoly:
 def determinant(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
     """Exact determinant of a square matrix of polynomials.
 
-    Laplace expansion along rows, memoized over the set of unused columns
-    (``2^n * n`` polynomial multiplications); entries here are sparse, and
-    sizes up to ``n = 10`` are fine.  The empty matrix has determinant 1.
+    Laplace expansion from the bottom row up.  Level ``k`` maps the column
+    bitmask of each non-zero minor on the last ``k`` rows to that minor, and
+    level ``k + 1`` is built from it by expanding along the new top row; zero
+    minors are never stored.  The work is one term product per pair of terms
+    in a stored minor and a non-zero entry of the new row outside its
+    columns: a dense matrix still needs ``2^(n-1) * n`` polynomial products,
+    but a sparse one such as a Schubert-cell Wronskian needs far fewer,
+    because most of its minors vanish.
+
+    During the sweep a monomial is one int in mixed radix, one digit for
+    ``u`` and one per generator, each digit wide enough for the sum over rows
+    of the row's largest exponent, so adding codes multiplies monomials
+    without a carry.  Coefficients are ints: each row is scaled once by the
+    lcm of its denominators, and the product of those scales is divided out
+    at the end.  The empty matrix has determinant 1.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NonSquare(tuple(len(row) for row in matrix))
-    memo: dict[tuple[int, ...], MPoly] = {}
+    symbols = sorted(
+        {s for row in matrix for entry in row for _, gens in entry for s, _ in gens}
+    )
+    slot = {s: i for i, s in enumerate(symbols, start=1)}
+    # digit 0 is the u exponent, digit i the exponent of symbols[i - 1]
+    digit_max = [0] * (len(symbols) + 1)
+    for row in matrix:
+        row_max = [0] * len(digit_max)
+        for entry in row:
+            for ue, gens in entry:
+                row_max[0] = max(row_max[0], ue)
+                for s, e in gens:
+                    row_max[slot[s]] = max(row_max[slot[s]], e)
+        digit_max = [a + b for a, b in zip(digit_max, row_max)]
+    place = [1]
+    for top in digit_max[:-1]:
+        place.append(place[-1] * (top + 1))
 
-    def expand(cols_left: tuple[int, ...]) -> MPoly:
-        if not cols_left:
-            return const(1)
-        cached = memo.get(cols_left)
-        if cached is not None:
-            return cached
-        row = n - len(cols_left)
-        acc: MPoly = {}
-        for idx, col in enumerate(cols_left):
-            entry = matrix[row][col]
-            if not entry:
-                continue
-            term = mul(entry, expand(cols_left[:idx] + cols_left[idx + 1 :]))
-            acc = add(acc, term if idx % 2 == 0 else neg(term))
-        memo[cols_left] = acc
-        return acc
+    denominator = 1
+    packed_rows = []  # per row: (column bit, [(code, int coefficient)])
+    for row in matrix:
+        row_scale = math.lcm(*(c.denominator for entry in row for c in entry.values()))
+        denominator *= row_scale
+        packed = []
+        for col, entry in enumerate(row):
+            if entry:
+                terms = [
+                    (
+                        ue + sum(place[slot[s]] * e for s, e in gens),
+                        c.numerator * (row_scale // c.denominator),
+                    )
+                    for (ue, gens), c in entry.items()
+                ]
+                packed.append((1 << col, terms))
+        packed_rows.append(packed)
 
-    return expand(tuple(range(n)))
+    level: dict[int, dict[int, int]] = {0: {0: 1}}
+    for packed in reversed(packed_rows):
+        expanded: dict[int, dict[int, int]] = {}
+        for used, minor in level.items():
+            for bit, terms in packed:
+                if used & bit:
+                    continue
+                target = expanded.setdefault(used | bit, {})
+                odd = (used & (bit - 1)).bit_count() & 1
+                for code, coeff in terms:
+                    if odd:
+                        coeff = -coeff
+                    for m, c in minor.items():
+                        key = code + m
+                        target[key] = target.get(key, 0) + coeff * c
+        level = {}
+        for used, minor in expanded.items():
+            minor = {code: c for code, c in minor.items() if c}
+            if minor:
+                level[used] = minor
+
+    out: MPoly = {}
+    for code, c in level.get((1 << n) - 1, {}).items():
+        factors = []
+        for i, s in enumerate(symbols, start=1):
+            e = code // place[i] % (digit_max[i] + 1)
+            if e:
+                factors.append((s, e))
+        out[(code % (digit_max[0] + 1), tuple(factors))] = Fraction(c, denominator)
+    return out
 
 
 # ---------------------------------------------------------------------------

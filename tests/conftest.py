@@ -1,7 +1,7 @@
 """Shared strategies and hypothesis configuration.
 
-Exact-arithmetic determinants get slow in high degree, so the default
-deadline is disabled; individual tests bound their own input sizes instead.
+The exact rank oracle gets slow in high degree, so the default deadline is
+disabled; individual tests bound their own input sizes instead.
 """
 
 from __future__ import annotations

@@ -54,6 +54,14 @@ def test_centre_dimension_pins():
     assert centre_dimension(1, 2) == 2
 
 
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_centre_dimension_is_the_sum_of_block_dimensions(ell):
+    """Summed off the labels, the total equals the assembled centre's, for
+    every n*ell <= 8."""
+    for n in range(0, 8 // ell + 1):
+        assert centre_dimension(n, ell) == centre_presentation(n, ell).total_dimension
+
+
 @pytest.mark.parametrize("n", range(0, 6))
 def test_symmetric_group_centre_dimension_is_factorial(n):
     """Block dimensions are squares of hook dimensions, so the total is n!."""

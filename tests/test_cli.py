@@ -260,11 +260,12 @@ def test_selftest_json_document(capsys):
 
 
 _DEEP_SUITES = (
-    "direct/wronskian relation agreement (n <= 6)",
+    "direct/wronskian relation agreement (n <= 11)",
     "abacus roundtrip and quotient bijection (n <= 5, ell <= 4)",
     "hilbert formula/oracle/hook-dimension agreement (n <= 3)",
-    "recursive-wronskian determinant cross-check (n <= 6)",
-    "wreath support divisibility and simplify invariance (n*ell <= 8)",
+    "recursive-wronskian determinant cross-check (n <= 9)",
+    "wreath degrees, series formula/oracle agreement, support and simplify "
+    "invariance (n*ell <= 8)",
 )
 
 

@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 
 from cherednik_centre import (
     GenSym,
+    partitions_of,
+    schubert_basis,
     INHOMOGENEOUS,
     InexactDivision,
     NonSquare,
@@ -173,6 +175,104 @@ def _det_by_permutations(matrix):
             term = mul(term, matrix[row][perm[row]])
         acc = add(acc, term)
     return acc
+
+
+def _det_by_laplace_memo(matrix):
+    """The former production determinant: Laplace expansion along rows from
+    the top, memoized over the tuple of unused columns (``2^n * n``
+    polynomial multiplications on ``Fraction`` coefficients)."""
+    n = len(matrix)
+    memo = {}
+
+    def expand(cols_left):
+        if not cols_left:
+            return const(1)
+        cached = memo.get(cols_left)
+        if cached is not None:
+            return cached
+        row = n - len(cols_left)
+        acc = {}
+        for idx, col in enumerate(cols_left):
+            entry = matrix[row][col]
+            if not entry:
+                continue
+            term = mul(entry, expand(cols_left[:idx] + cols_left[idx + 1 :]))
+            acc = add(acc, term if idx % 2 == 0 else neg(term))
+        memo[cols_left] = acc
+        return acc
+
+    return expand(tuple(range(n)))
+
+
+def _assert_canonical(p):
+    """The canonical ``MPoly`` invariants: ``Fraction`` coefficients, none
+    zero; non-negative ``u`` exponents; generator factors strictly sorted by
+    symbol, each with a positive exponent."""
+    for (ue, gens), c in p.items():
+        assert type(c) is Fraction and c != 0
+        assert type(ue) is int and ue >= 0
+        assert all(type(s) is GenSym and e > 0 for s, e in gens)
+        symbols = [s for s, _ in gens]
+        assert symbols == sorted(set(symbols))
+
+
+def _wronski_matrix(lam):
+    rows = [list(schubert_basis(lam).polys)]
+    for _ in range(len(rows[0]) - 1):
+        rows.append([d_du(p) for p in rows[-1]])
+    return rows
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_determinant_matches_laplace_memo_on_schubert_wronskians(n):
+    for lam in partitions_of(n):
+        matrix = _wronski_matrix(lam)
+        det = determinant(matrix)
+        assert det == _det_by_laplace_memo(matrix), lam
+        _assert_canonical(det)
+
+
+_big_symbols = st.sampled_from([F11, F12, F21, F22, GenSym(3, 1), GenSym(3, 4)])
+_proper_fractions = st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 7)
+).filter(lambda f: f.denominator > 1)
+
+
+@st.composite
+def _entries(draw):
+    """A polynomial of up to three terms, or zero: non-integer coefficients,
+    ``u`` exponents up to 4 and generator exponents up to 3."""
+    p = {}
+    for _ in range(draw(st.integers(0, 3))):
+        factors = {}
+        for _ in range(draw(st.integers(0, 2))):
+            s = draw(_big_symbols)
+            factors[s] = factors.get(s, 0) + draw(st.integers(1, 3))
+        mono = (draw(st.integers(0, 4)), tuple(sorted(factors.items())))
+        p[mono] = p.get(mono, Fraction(0)) + draw(_proper_fractions)
+    return {k: c for k, c in p.items() if c}
+
+
+@given(st.integers(1, 5), st.data())
+def test_determinant_matches_laplace_memo_on_sparse_fraction_matrices(n, data):
+    matrix = [[data.draw(_entries()) for _ in range(n)] for _ in range(n)]
+    det = determinant(matrix)
+    assert det == _det_by_laplace_memo(matrix)
+    _assert_canonical(det)
+    zero_row = data.draw(st.integers(0, n - 1))
+    matrix[zero_row] = [{} for _ in range(n)]
+    assert determinant(matrix) == {}
+
+
+def test_determinant_of_high_exponents_does_not_carry():
+    """Exponents that fill every digit of the packed monomial: the product
+    of the diagonal has ``u^7 * f1,1^5`` and must not spill into the next
+    digit."""
+    a = monomial(3, {F11: 2}, Fraction(1, 2))
+    b = monomial(4, {F11: 3}, Fraction(2, 3))
+    matrix = [[a, {}], [const(5), b]]
+    assert determinant(matrix) == monomial(7, {F11: 5}, Fraction(1, 3))
+    _assert_canonical(determinant(matrix))
 
 
 @given(st.integers(1, 4), st.data())

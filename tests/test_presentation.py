@@ -120,7 +120,7 @@ def test_generators_follow_the_diagram():
     assert not p.meta.simplified
 
 
-@pytest.mark.parametrize("n", range(0, 6))
+@pytest.mark.parametrize("n", range(0, 10))
 def test_direct_equals_wronskian_route(n):
     for lam in partitions_of(n):
         direct = direct_presentation(lam)
