@@ -52,7 +52,8 @@ class InexactDivision(DomainError):
 
 
 class NegativeDegreeGenerator(DomainError):
-    """Graded dimension counting needs strictly positive generator degrees."""
+    """Graded dimension counting, and ``simplify``'s packed monomials, need
+    strictly positive generator degrees."""
 
 
 class InhomogeneousRelation(DomainError):

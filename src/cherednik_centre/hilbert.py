@@ -39,8 +39,13 @@ modular arithmetic and no tolerance anywhere.
 The default degree cutoff is the complete-intersection bound
 ``sum(relation degrees) - sum(generator degrees)`` plus two slack degrees;
 the oracle raises :class:`~cherednik_centre.errors.OracleTruncated` unless
-both slack degrees vanish, so a truncated series is never returned as a
-complete one.
+both slack degrees vanish.  That check is a heuristic, not a proof of
+finiteness: when a generator has degree above 2, two vanishing degrees do
+not show that every higher degree vanishes.  Generators ``x`` (degree 1)
+and ``y`` (degree 5) with relations ``x`` and ``x^5`` present C[y], which is
+infinite, yet the oracle returns the series ``1`` and raises nothing.  A
+sound check needs degrees up to the bound plus the largest generator degree
+to vanish.
 """
 
 from __future__ import annotations
@@ -59,7 +64,14 @@ from .errors import (
     OracleTruncated,
 )
 from .partitions import Partition, cells, hook_length, weight
-from .polyring import INHOMOGENEOUS, GenSym, MPoly, primitive_part, weighted_degree
+from .polyring import (
+    INHOMOGENEOUS,
+    GenSym,
+    MPoly,
+    primitive_part,
+    radix_places,
+    weighted_degree,
+)
 from .presentation import GradedPresentation, Label
 
 
@@ -221,19 +233,14 @@ def _monomial_codes(
 ) -> tuple[list[int], list[list[int]]]:
     """Monomials in the generators as exponent vectors packed into one int.
 
-    Generator ``k`` gets the mixed-radix place value ``places[k]``, with
-    digit range ``0 .. max_degree // degrees[k]``; no exponent of a monomial
-    of degree <= ``max_degree`` leaves its digit, so multiplying two such
-    monomials is adding their codes.  Generator 0 is the most significant
-    digit, so codes ascend in lexicographic order of the exponent vectors.
-    Returns ``places`` and, for each ``d <= max_degree``, the ascending codes
-    of degree ``d``.
+    Generator ``k`` gets the place value ``places[k]`` of
+    :func:`~cherednik_centre.polyring.radix_places`, so multiplying two
+    monomials whose degrees sum to at most ``max_degree`` is adding their
+    codes, and generator 0 is the most significant digit.  Returns
+    ``places`` and, for each ``d <= max_degree``, the ascending codes of
+    degree ``d``.
     """
-    places = [0] * len(degrees)
-    place = 1
-    for k in range(len(degrees) - 1, -1, -1):
-        places[k] = place
-        place *= max_degree // degrees[k] + 1
+    places, _bases = radix_places(degrees, max_degree)
     table: list[list[int]] = [[] for _ in range(max_degree + 1)]
 
     def grow(k: int, degree: int, code: int) -> None:
@@ -265,7 +272,9 @@ def graded_dimensions_from_presentation(
     """Dimension of each graded piece of the quotient ring, degrees 0..max.
 
     ``max_degree`` defaults to the complete-intersection bound plus two
-    slack degrees, which must vanish (see module docstring).  Positive
+    slack degrees, which must vanish; that check can miss an infinite
+    quotient, so a truncated series may be returned as a complete one (see
+    module docstring).  Positive
     generator degrees and homogeneous relations are required (apply to
     positive-orientation presentations only).
     """

@@ -11,8 +11,12 @@ zero polynomial is the empty dict.  Treat polynomials as immutable values:
 every operation returns a fresh dict.  ``primitive_part`` gives the integer
 multiple (an ``IntPoly``, same monomials, coefficients with gcd 1) that the
 fraction-free routines, ``simplify`` and the rank oracle, work on.
-``determinant`` works on its own packed form, one int per monomial and per
-coefficient, and decodes its result back to canonical keys.
+
+The hot loops pack each monomial into one int in mixed radix, so that
+multiplying monomials is adding ints, and keep each coefficient as an int.
+``simplify`` and the rank oracle size the digits by weighted degree
+(:func:`radix_places`); ``determinant`` sizes its own by the exponents of
+its rows.  Each decodes its result back to canonical keys.
 
 Grading: ``deg u = 1`` and ``deg f_{i,j} = j``; a polynomial all of whose
 monomials share the same weighted degree is homogeneous.
@@ -153,6 +157,25 @@ def d_du(p: MPoly) -> MPoly:
         if ue:
             out[(ue - 1, gens)] = c * ue
     return out
+
+
+def radix_places(weights: Sequence[int], max_degree: int) -> tuple[list[int], list[int]]:
+    """Mixed-radix place values and bases for packing monomials of weighted
+    degree at most ``max_degree`` into one int.
+
+    Digit ``k`` holds the exponent of a variable of weight ``weights[k]``
+    (every weight at least 1), so it ranges over
+    ``0 .. max_degree // weights[k]`` and its base is one more.  No such
+    monomial, and no product of two whose degrees sum to at most
+    ``max_degree``, leaves a digit, so multiplying is adding codes.  Digit 0
+    is the most significant, so codes ascend in lexicographic order of the
+    exponent vectors.  Returns ``(places, bases)``.
+    """
+    bases = [max_degree // w + 1 for w in weights]
+    places = [1] * len(weights)
+    for k in range(len(weights) - 2, -1, -1):
+        places[k] = places[k + 1] * bases[k + 1]
+    return places, bases
 
 
 def monomial_degree(mono: Monomial) -> int:

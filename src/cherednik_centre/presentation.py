@@ -30,7 +30,11 @@ and multiplies the Vandermonde product as a Python int along the path.
 linearly, giving a reduced presentation with monic relations.  It is
 fraction-free: the eliminations run on primitive integer multiples of the
 relations, and only the final monic normalization divides, so the result is
-exact.
+exact.  Inside the elimination loop a monomial is one int in mixed radix and
+a coefficient one int: every relation is homogeneous of degree at most the
+largest relation degree ``D`` and every symbol weighs at least 1, so a digit
+of width ``D // weight + 1`` never carries and multiplying monomials is
+adding their codes.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .errors import (
     EllOutOfRange,
     InhomogeneousRelation,
     LengthMismatch,
+    NegativeDegreeGenerator,
 )
 from .partitions import (
     Cell,
@@ -58,7 +63,6 @@ from .partitions import (
 )
 from .polyring import (
     INHOMOGENEOUS,
-    ONE_MONO,
     GenSym,
     GenVec,
     IntPoly,
@@ -66,9 +70,9 @@ from .polyring import (
     Monomial,
     format_poly,
     generator_name,
-    monomial_product,
     named_terms,
     primitive_part,
+    radix_places,
     term_sort_key,
     weighted_degree,
 )
@@ -241,57 +245,61 @@ def wreath_presentation(q: MultiPartition, ell: int) -> GradedPresentation:
 # simplification
 
 
-def _linear_monomial(g: GenSym) -> Monomial:
-    return (0, ((g, 1),))
+# A relation inside ``simplify``: packed monomial code -> int coefficient.
+PackedPoly = dict[int, int]
 
 
-def _eliminable(relation: dict) -> list[GenSym]:
-    """The generators with a scalar linear term that occur in no other
-    monomial of ``relation``."""
-    occurrences: dict[GenSym, int] = {}
-    for _ue, gens in relation:
-        for s, _e in gens:
-            occurrences[s] = occurrences.get(s, 0) + 1
-    return [
-        g for g, k in occurrences.items() if k == 1 and _linear_monomial(g) in relation
-    ]
+def _occurs_only_linearly(p: PackedPoly, place: int, base: int) -> bool:
+    """Whether ``p`` has the scalar linear term of the generator at ``place``
+    (digit base ``base``) and no other monomial containing that generator."""
+    return place in p and sum(1 for code in p if code // place % base) == 1
 
 
-def _add_term(p: IntPoly, mono: Monomial, c: int) -> None:
-    total = p.get(mono, 0) + c
-    if total:
-        p[mono] = total
-    else:
-        p.pop(mono, None)
-
-
-def _eliminate(p: IntPoly, g: GenSym, lead: int, powers: list[IntPoly]) -> IntPoly:
-    """The primitive part of ``lead^E * p(g = -rest / lead)``, where ``E`` is
-    the largest exponent of ``g`` in ``p`` and ``powers[e]`` is ``(-rest)^e``
-    (extended here as needed); ``p`` itself if ``g`` does not occur in it."""
-    top = max((e for _ue, gens in p for s, e in gens if s == g), default=0)
+def _eliminate(
+    p: PackedPoly, place: int, base: int, lead: int, powers: list[PackedPoly]
+) -> PackedPoly:
+    """The primitive part of ``lead^E * p(g = -rest / lead)``, where ``g`` is
+    the generator at ``place``, ``E`` is its largest exponent in ``p`` and
+    ``powers[e]`` is ``(-rest)^e`` (extended here as needed); ``p`` itself if
+    ``g`` does not occur in it."""
+    exponents = [code // place % base for code in p]
+    top = max(exponents)
     if not top:
         return p
     while len(powers) <= top:
-        power: IntPoly = {}
+        power: PackedPoly = {}
         for ma, ca in powers[-1].items():
             for mb, cb in powers[1].items():
-                _add_term(power, monomial_product(ma, mb), ca * cb)
-        powers.append(power)
-    out: IntPoly = {}
-    for (ue, gens), c in p.items():
-        exponent = next((e for s, e in gens if s == g), 0)
-        if not exponent:
-            _add_term(out, (ue, gens), c * lead**top)
+                power[ma + mb] = power.get(ma + mb, 0) + ca * cb
+        powers.append({code: c for code, c in power.items() if c})
+    scales = [lead ** (top - e) for e in range(top + 1)]
+    out: PackedPoly = {}
+    for (code, c), e in zip(p.items(), exponents):
+        if not e:
+            out[code] = out.get(code, 0) + c * scales[0]
             continue
-        base = (ue, tuple((s, e) for s, e in gens if s != g))
-        factor = c * lead ** (top - exponent)
-        for mono, v in powers[exponent].items():
-            _add_term(out, monomial_product(base, mono), factor * v)
-    if not out:
-        return out
+        rest = code - e * place
+        factor = c * scales[e]
+        for mono, v in powers[e].items():
+            out[rest + mono] = out.get(rest + mono, 0) + factor * v
+    out = {code: c for code, c in out.items() if c}
     content = math.gcd(*out.values())
-    return {mono: v // content for mono, v in out.items()}
+    if content <= 1:
+        return out
+    return {code: c // content for code, c in out.items()}
+
+
+def _decode(code: int, u_place: int, places: list[tuple[GenSym, int]]) -> Monomial:
+    """The canonical monomial of ``code``, whose only non-zero digits are the
+    ``u`` digit (the most significant) and those of ``places``, given as
+    ``(symbol, place)`` in descending order of place."""
+    ue, code = divmod(code, u_place)
+    gens = []
+    for s, place in places:
+        if code >= place:
+            e, code = divmod(code, place)
+            gens.append((s, e))
+    return ue, tuple(gens)
 
 
 def _monic(p: IntPoly) -> MPoly:
@@ -317,35 +325,70 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     substituting with rational coefficients gives, with the same monomials,
     so the choice of generators and the monic result are the same; only the
     final normalization makes fractions.  The input is not modified.
+
+    Inside the loop a monomial is one int in mixed radix
+    (:func:`~cherednik_centre.polyring.radix_places`): one digit for ``u``
+    (weight 1) and one per symbol of the relations, in sorted order, the
+    digit of a symbol of weight ``w`` ranging over ``0 .. D // w`` for ``D``
+    the largest relation degree.  Substitution keeps every relation
+    homogeneous of its degree, at most ``D``, and each ``(-rest)^e`` it uses
+    has degree ``e * w`` at most that of the relation, so no exponent
+    outgrows its digit and multiplying monomials is adding codes.  That
+    needs every weight to be at least 1: a symbol of degree below 1 raises
+    :class:`~cherednik_centre.errors.NegativeDegreeGenerator`.  Codes are
+    decoded to canonical monomials once, before the monic normalization.
     """
     generators = list(presentation.generators)
     relations = [r for r in presentation.relations if r]
     degrees = [weighted_degree(r) for r in relations]
     if INHOMOGENEOUS in degrees:
         raise InhomogeneousRelation(relations[degrees.index(INHOMOGENEOUS)])
+    symbols = sorted({s for r in relations for _ue, gens in r for s, _e in gens})
+    weightless = tuple(s for s in symbols if s.degree < 1)
+    if weightless:
+        raise NegativeDegreeGenerator(weightless)
+    top_degree = max(degrees, default=0)
+    # digit 0 is the u exponent, digit k the exponent of symbols[k - 1]
+    (u_place, *places), (_, *bases) = radix_places(
+        [1] + [s.degree for s in symbols], top_degree
+    )
+    digits = dict(zip(symbols, zip(places, bases)))
     relations = [
-        primitive_part(r) for _, r in sorted(zip(degrees, relations), key=lambda dr: dr[0])
+        {
+            ue * u_place + sum(digits[s][0] * e for s, e in gens): c
+            for (ue, gens), c in primitive_part(r).items()
+        }
+        for _, r in sorted(zip(degrees, relations), key=lambda dr: dr[0])
     ]
+    alive = symbols
     while True:
-        victim = None
-        for idx, rel in enumerate(relations):
-            candidates = _eliminable(rel)
-            if candidates:
-                victim = (idx, max(candidates))
-                break
+        victim = next(
+            (
+                (idx, g)
+                for idx, rel in enumerate(relations)
+                for g in reversed(alive)
+                if _occurs_only_linearly(rel, *digits[g])
+            ),
+            None,
+        )
         if victim is None:
             break
         idx, g = victim
+        place, base = digits[g]
         rel = relations.pop(idx)
-        linear = _linear_monomial(g)
-        negated_rest = {mono: -c for mono, c in rel.items() if mono != linear}
-        powers = [{ONE_MONO: 1}, negated_rest]
+        negated_rest = {code: -c for code, c in rel.items() if code != place}
+        powers = [{0: 1}, negated_rest]
         generators = [gd for gd in generators if gd[0] != g]
-        relations = [q for q in (_eliminate(p, g, rel[linear], powers) for p in relations) if q]
+        alive = [s for s in alive if s != g]
+        relations = [
+            q for q in (_eliminate(p, place, base, rel[place], powers) for p in relations) if q
+        ]
+    alive_places = [(s, digits[s][0]) for s in alive]
+    canonical = [
+        {_decode(code, u_place, alive_places): c for code, c in r.items()} for r in relations
+    ]
     meta = replace(presentation.meta, simplified=True)
-    return GradedPresentation(
-        tuple(generators), tuple(_monic(r) for r in relations), meta
-    )
+    return GradedPresentation(tuple(generators), tuple(_monic(r) for r in canonical), meta)
 
 
 def negate_grading(presentation: GradedPresentation) -> GradedPresentation:

@@ -39,7 +39,6 @@ from .partitions import Partition, beta_set, row_hook_set, weight
 from .polyring import (
     GenSym,
     MPoly,
-    coefficient_of_u,
     const,
     constant_value,
     d_du,
@@ -91,16 +90,19 @@ def wronskian(basis: SchubertBasis) -> MPoly:
 
 
 def wronski_relations(lam: Partition) -> WronskiRelations:
-    """Extract the leading coefficient and ``r_1 ... r_n`` for ``lam``.
+    """Extract the leading coefficient and ``r_1 ... r_n`` for ``lam``, in
+    one pass over the Wronskian's terms, split by ``u``-exponent.
 
     The empty partition yields leading 1 and no relations (base field).
     """
     n = weight(lam)
     if n == 0:
         return WronskiRelations(Fraction(1), ())
-    wr = wronskian(schubert_basis(lam))
-    leading = constant_value(coefficient_of_u(wr, n))
-    relations = tuple(coefficient_of_u(wr, n - s) for s in range(1, n + 1))
+    by_u_exponent: dict[int, MPoly] = {}
+    for (ue, gens), c in wronskian(schubert_basis(lam)).items():
+        by_u_exponent.setdefault(ue, {})[(0, gens)] = c
+    leading = constant_value(by_u_exponent.get(n, {}))
+    relations = tuple(by_u_exponent.get(n - s, {}) for s in range(1, n + 1))
     return WronskiRelations(leading, relations)
 
 

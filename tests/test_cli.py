@@ -401,19 +401,28 @@ def test_version_flag(capsys):
 # --- outputs pinned by the benchmark goldens ----------------------------------
 
 
+def _golden_weight(key: str) -> int:
+    return weight(parse_partition(key.rsplit(" ", 1)[1]))
+
+
 def test_presentation_outputs_match_the_benchmark_goldens(capsys):
-    """Every ``presentation`` job of weight 9 and one wreath centre, run in one
-    process, hash to the sha256 goldens the benchmark checks its jobs with."""
+    """Every ``presentation`` job of weight 9, every ``presentation
+    --simplified`` job of weight 12 (the widest digits and deepest
+    eliminations of ``simplify``) and one wreath centre, run in one process,
+    hash to the sha256 goldens the benchmark checks its jobs with."""
     goldens = json.loads(GOLDENS.read_text())
     centre = "cli centre --ell 2 --simplified --format json -- 4"
     subset = {
         key: digest
         for key, digest in goldens.items()
         if key.startswith("cli presentation ")
-        and weight(parse_partition(key.rsplit(" ", 1)[1])) == 9
+        and (
+            _golden_weight(key) == 9
+            or (key.startswith("cli presentation --simplified ") and _golden_weight(key) == 12)
+        )
     }
     subset[centre] = goldens[centre]
-    assert len(subset) == 3 * 30 + 1
+    assert len(subset) == 3 * 30 + 2 * 77 + 1
     for key, digest in subset.items():
         status, out, err = _run(capsys, *key.split(" ")[1:])
         assert (status, err) == (0, ""), key

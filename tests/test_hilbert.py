@@ -223,6 +223,21 @@ def test_oracle_rejects_an_infinite_quotient():
     ).coefficients == (1, 1, 1, 1)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the two slack degrees are not a proof: C[x, y] / (x, x^5) with deg y = 5 "
+    "is C[y], infinite, yet degrees 1 and 2 vanish and the series 1 is returned",
+)
+def test_oracle_rejects_an_infinite_quotient_past_the_slack_degrees():
+    """Generators x (degree 1) and y (degree 5), relations ``x`` and ``x^5``:
+    the quotient is C[y], so the default cutoff must raise.  Checking degrees
+    up to the bound plus the largest generator degree would catch it."""
+    x, y = GenSym(1, 1), GenSym(1, 5)
+    relations = [{(0, ((x, 1),)): Fraction(1)}, {(0, ((x, 5),)): Fraction(1)}]
+    with pytest.raises(OracleTruncated):
+        graded_dimensions_from_presentation(_presentation([(x, 1), (y, 5)], relations))
+
+
 def test_oracle_rejects_inhomogeneous_relations():
     x = GenSym(1, 1)
     relation = {(0, ((x, 1),)): Fraction(1), (0, ((x, 2),)): Fraction(1)}  # x + x^2

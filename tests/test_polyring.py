@@ -33,7 +33,7 @@ from cherednik_centre import (
     u_power,
     weighted_degree,
 )
-from cherednik_centre.polyring import ONE_MONO, term_sort_key
+from cherednik_centre.polyring import ONE_MONO, radix_places, term_sort_key
 
 F11 = GenSym(1, 1)
 F12 = GenSym(1, 2)
@@ -115,6 +115,32 @@ def test_degree_of_product_adds_for_homogeneous_inputs(p, q):
     prod = mul(p, q)
     if prod:
         assert weighted_degree(prod) == dp + dq
+
+
+def test_radix_places_pins():
+    """Weights 1, 2, 3 up to degree 6: bases 7, 4, 3, digit 0 most significant."""
+    assert radix_places([1, 2, 3], 6) == ([12, 3, 1], [7, 4, 3])
+    assert radix_places([], 6) == ([], [])
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(0, 9), st.data())
+def test_radix_codes_add_without_carrying(weights, max_degree, data):
+    """Two exponent vectors whose weighted degrees sum to at most the bound
+    encode to codes whose sum encodes their sum, digit by digit."""
+    places, bases = radix_places(weights, max_degree)
+
+    def vector(budget):
+        out = []
+        for w in weights:
+            e = data.draw(st.integers(0, budget // w))
+            out.append(e)
+            budget -= e * w
+        return out
+
+    a = vector(max_degree)
+    b = vector(max_degree - sum(e * w for e, w in zip(a, weights)))
+    code = sum(p * x for p, x in zip(places, a)) + sum(p * y for p, y in zip(places, b))
+    assert [code // p % base for p, base in zip(places, bases)] == [x + y for x, y in zip(a, b)]
 
 
 def test_coefficient_of_u():

@@ -16,6 +16,7 @@ from cherednik_centre import (
     GenSym,
     InhomogeneousRelation,
     LengthMismatch,
+    NegativeDegreeGenerator,
     cells,
     direct_presentation,
     from_quotient,
@@ -301,9 +302,8 @@ def test_simplify_wreath_examples():
 
 
 def _has_eliminable_generator(p: GradedPresentation) -> bool:
-    from cherednik_centre.presentation import _eliminable
-
-    return any(_eliminable(rel) for rel in p.relations)
+    """Independent of ``simplify``: the linear-term test of the reference."""
+    return any(_reference_eliminable(rel) for rel in p.relations)
 
 
 @given(partitions_up_to(5))
@@ -341,7 +341,37 @@ def test_simplify_rejects_an_inhomogeneous_relation():
         simplify(GradedPresentation(p.generators, (square, inhomogeneous), p.meta))
 
 
+@pytest.mark.parametrize("weight_of_x", [0, -1])
+def test_simplify_rejects_a_symbol_of_weight_below_one(weight_of_x):
+    """The packed codes bound each exponent by the relation degree over the
+    symbol's weight, which needs every weight to be at least 1:
+    ``f1,w * f2,1^(1-w) + 2*f2,1`` is homogeneous of degree 1 but rejected."""
+    x, y = GenSym(1, weight_of_x), GenSym(2, 1)
+    relation = {(0, ((x, 1), (y, 1 - weight_of_x))): Fraction(1), (0, ((y, 1),)): Fraction(2)}
+    assert weighted_degree(relation) == 1
+    p = GradedPresentation(((x, weight_of_x), (y, 1)), (relation,), PresentationMeta((), 1, 1))
+    with pytest.raises(NegativeDegreeGenerator):
+        simplify(p)
+
+
 # --- the Fraction simplifier, kept as the reference -----------------------------
+
+
+def _reference_eliminable(relation) -> list:
+    """The generators whose scalar linear term is a monomial of ``relation``
+    and that occur in no other monomial of it, each checked term by term."""
+    out = []
+    for (ue, gens), _ in relation.items():
+        if ue or len(gens) != 1 or gens[0][1] != 1:
+            continue
+        g = gens[0][0]
+        if all(
+            g not in (s for s, _ in other[1])
+            for other in relation
+            if other != (ue, gens)
+        ):
+            out.append(g)
+    return out
 
 
 def _reference_simplify(presentation: GradedPresentation) -> GradedPresentation:
@@ -352,20 +382,6 @@ def _reference_simplify(presentation: GradedPresentation) -> GradedPresentation:
 
     def linear(g):
         return (0, ((g, 1),))
-
-    def eliminable(relation):
-        out = []
-        for (ue, gens), _ in relation.items():
-            if ue or len(gens) != 1 or gens[0][1] != 1:
-                continue
-            g = gens[0][0]
-            if all(
-                g not in (s for s, _ in other[1])
-                for other in relation
-                if other != (ue, gens)
-            ):
-                out.append(g)
-        return out
 
     def substitute(p, g, value):
         out = {}
@@ -388,7 +404,11 @@ def _reference_simplify(presentation: GradedPresentation) -> GradedPresentation:
     relations = [r for _, r in sorted(zip(degrees, relations), key=lambda dr: dr[0])]
     while True:
         victim = next(
-            ((idx, max(found)) for idx, rel in enumerate(relations) if (found := eliminable(rel))),
+            (
+                (idx, max(found))
+                for idx, rel in enumerate(relations)
+                if (found := _reference_eliminable(rel))
+            ),
             None,
         )
         if victim is None:
@@ -460,6 +480,34 @@ def test_simplify_equals_the_fraction_reference_on_every_block():
     for p in built:
         ours, reference = simplify(p), _reference_simplify(p)
         assert ours == reference, p.meta.source
+
+
+def test_simplify_fills_a_digit_to_its_bound_beside_a_live_digit():
+    """Degree ``D = 5``, digits ``u, f1,1, f1,2, f2,1`` (most significant
+    first): ``f2,1^5`` fills the last digit to its bound ``D // 1``, and
+    ``f2,1 * f1,2^2`` fills ``f1,2``'s digit to ``D // 2`` beside a non-zero
+    ``f2,1`` digit.  Eliminating ``f2,1 = f1,1 / 3`` must match the reference
+    and keep ``f1,1^5`` and ``f1,1 * f1,2^2``; a digit one too narrow would
+    carry into its neighbour."""
+    x, y, z = GenSym(1, 1), GenSym(2, 1), GenSym(1, 2)
+    linear = {(0, ((x, 1),)): Fraction(-1), (0, ((y, 1),)): Fraction(3)}
+    top = {
+        (0, ((y, 5),)): Fraction(1),
+        (0, ((x, 1), (y, 4))): Fraction(2),
+        (0, ((x, 5),)): Fraction(-1, 2),
+        (0, ((y, 1), (z, 2))): Fraction(4),
+        (1, ((x, 2), (z, 1))): Fraction(5),
+        (5, ()): Fraction(7),
+    }
+    p = GradedPresentation(
+        ((x, 1), (y, 1), (z, 2)), (top, linear), PresentationMeta((), 1, 1)
+    )
+    ours = simplify(p)
+    assert ours == _reference_simplify(p)
+    assert [g for g, _ in ours.generators] == [x, z]
+    (relation,) = ours.relations
+    assert (0, ((x, 5),)) in relation
+    assert (0, ((x, 1), (z, 2))) in relation
 
 
 def test_simplified_relations_are_monic():
