@@ -334,14 +334,17 @@ def determinant(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
 # ---------------------------------------------------------------------------
 # rendering
 
+
 def term_sort_key(mono: Monomial):
-    """Graded lex, ``u`` greatest, generators by ``(row, degree)``."""
+    """Graded lex, ``u`` greatest, generators by ``(row, degree)``.
+
+    The weighted degree is summed in one loop over the factors, with no
+    further call: a render sorts every term of every relation by this key."""
     ue, gens = mono
-    return (-monomial_degree(mono), -ue, gens)
-
-
-def format_coefficient(c: Fraction) -> str:
-    return str(c)
+    degree = ue
+    for s, e in gens:
+        degree += s.degree * e
+    return (-degree, -ue, gens)
 
 
 def generator_name(symbol: GenSym, prefix: str = "f") -> str:
@@ -349,43 +352,73 @@ def generator_name(symbol: GenSym, prefix: str = "f") -> str:
     return f"{prefix}{symbol.row},{symbol.degree}"
 
 
+class _Names(dict):
+    """Generator names under one prefix, each built on first lookup."""
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, symbol: GenSym) -> str:
+        name = self[symbol] = generator_name(symbol, self.prefix)
+        return name
+
+
 def named_terms(p: MPoly, prefix: str = "f") -> Iterator[tuple[Monomial, list[str]]]:
     """The monomials of ``p`` in canonical order, each with the names of its
-    generators repeated by exponent."""
+    generators repeated by exponent.
+
+    One sort of the terms; each distinct generator of ``p`` is named once
+    and later factors look the name up."""
+    names = _Names(prefix)
     for mono in sorted(p, key=term_sort_key):
-        names: list[str] = []
+        factors: list[str] = []
         for s, e in mono[1]:
-            names.extend([generator_name(s, prefix)] * e)
-        yield mono, names
+            if e == 1:
+                factors.append(names[s])
+            else:
+                factors += [names[s]] * e
+        yield mono, factors
 
 
-def _format_factors(mono: Monomial, prefix: str) -> str:
+def _format_factors(mono: Monomial, names: _Names) -> str:
     ue, gens = mono
     pieces = []
     for s, e in gens:
-        name = generator_name(s, prefix)
-        pieces.append(name if e == 1 else f"{name}^{e}")
+        pieces.append(names[s] if e == 1 else f"{names[s]}^{e}")
     if ue:
         pieces.append("u" if ue == 1 else f"u^{ue}")
     return "*".join(pieces)
 
 
 def format_poly(p: MPoly, prefix: str = "f") -> str:
-    """Canonical text rendering, e.g. ``u^2 - 2*f2,1*u + 3/5*f1,2``."""
+    """Canonical text rendering, e.g. ``u^2 - 2*f2,1*u + 3/5*f1,2``.
+
+    Costs what :func:`named_terms` does, plus one string per term: the
+    sign and magnitude of each coefficient are read off its integer
+    numerator and denominator, with no ``Fraction`` arithmetic, and printed
+    as ``str`` of the ``Fraction`` would print them."""
     if not p:
         return "0"
+    names = _Names(prefix)
     pieces: list[str] = []
     for mono in sorted(p, key=term_sort_key):
         c = p[mono]
-        factors = _format_factors(mono, prefix)
-        if not factors:
-            body = format_coefficient(abs(c))
-        elif abs(c) == 1:
+        num, den = c.numerator, c.denominator
+        positive = num > 0
+        if not positive:
+            num = -num
+        factors = _format_factors(mono, names)
+        if den != 1:
+            body = f"{num}/{den}*{factors}" if factors else f"{num}/{den}"
+        elif not factors:
+            body = str(num)
+        elif num == 1:
             body = factors
         else:
-            body = f"{format_coefficient(abs(c))}*{factors}"
+            body = f"{num}*{factors}"
         if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
+            pieces.append(body if positive else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if positive else f"- {body}")
     return " ".join(pieces)

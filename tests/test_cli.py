@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from cherednik_centre import (
     scale,
     weight,
 )
-from cherednik_centre.cli import run
+from cherednik_centre.cli import render_json, run
 
 GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
 
@@ -160,6 +161,40 @@ def test_coefficients_are_strings_in_json(capsys):
     ]
     assert coefficients and all(isinstance(c, str) for c in coefficients)
     assert "14400" in coefficients
+
+
+# --- the canonical JSON writer -----------------------------------------------
+
+_json_strings = st.text(max_size=6) | st.sampled_from(
+    ["", '"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é", "\u2028", "\U0001f600", "\ud800"]
+)
+_json_ints = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+_json_values = st.recursive(
+    st.none() | st.booleans() | _json_ints | _json_strings,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(st.dictionaries(_json_strings, _json_values, max_size=5))
+def test_render_json_equals_json_dumps(doc):
+    assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"a": 1.5},
+        {"a": [Fraction(1, 2)]},
+        {"a": {"b": (1, 2)}},
+        {1: "x"},
+        {"a": [{None: 0}]},
+    ],
+    ids=["float", "fraction", "tuple", "int-key", "nested-none-key"],
+)
+def test_render_json_rejects_values_outside_canonical_json(doc):
+    with pytest.raises(TypeError):
+        render_json(doc)
 
 
 def test_out_writes_atomically(tmp_path, capsys):
@@ -405,6 +440,13 @@ def _golden_weight(key: str) -> int:
     return weight(parse_partition(key.rsplit(" ", 1)[1]))
 
 
+def _assert_goldens(capsys, subset: dict[str, str]) -> None:
+    for key, digest in subset.items():
+        status, out, err = _run(capsys, *key.split(" ")[1:])
+        assert (status, err) == (0, ""), key
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, key
+
+
 def test_presentation_outputs_match_the_benchmark_goldens(capsys):
     """Every ``presentation`` job of weight 9, every ``presentation
     --simplified`` job of weight 12 (the widest digits and deepest
@@ -423,10 +465,21 @@ def test_presentation_outputs_match_the_benchmark_goldens(capsys):
     }
     subset[centre] = goldens[centre]
     assert len(subset) == 3 * 30 + 2 * 77 + 1
-    for key, digest in subset.items():
-        status, out, err = _run(capsys, *key.split(" ")[1:])
-        assert (status, err) == (0, ""), key
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, key
+    _assert_goldens(capsys, subset)
+
+
+def test_centre_and_hilbert_outputs_match_the_benchmark_goldens(capsys):
+    """Every ``centre`` job (nested block documents with ``star_label``) and
+    every wreath ``hilbert`` job of the benchmark hashes to its golden."""
+    goldens = json.loads(GOLDENS.read_text())
+    subset = {
+        key: digest
+        for key, digest in goldens.items()
+        if key.startswith(("cli centre ", "cli hilbert "))
+    }
+    assert sum(key.startswith("cli centre ") for key in subset) == 7
+    assert len(subset) == 7 + 52
+    _assert_goldens(capsys, subset)
 
 
 # --- one parser per process ---------------------------------------------------

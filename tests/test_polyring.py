@@ -33,7 +33,14 @@ from cherednik_centre import (
     u_power,
     weighted_degree,
 )
-from cherednik_centre.polyring import ONE_MONO, radix_places, term_sort_key
+from cherednik_centre.polyring import (
+    ONE_MONO,
+    generator_name,
+    monomial_degree,
+    named_terms,
+    radix_places,
+    term_sort_key,
+)
 
 F11 = GenSym(1, 1)
 F12 = GenSym(1, 2)
@@ -363,3 +370,102 @@ def test_format_poly_constant_one_monomials():
     assert format_poly(const(1)) == "1"
     assert format_poly(neg(u_power(1))) == "-u"
     assert const(1) == {ONE_MONO: Fraction(1)}
+
+
+# Reference renderers: each term's degree from ``monomial_degree``, every
+# name from ``generator_name``, signs and magnitudes from ``Fraction``
+# comparisons and ``abs``.  The renderers must agree with them exactly.
+
+
+def _reference_term_sort_key(mono):
+    ue, gens = mono
+    return (-monomial_degree(mono), -ue, gens)
+
+
+def _reference_format_coefficient(c):
+    return str(c)
+
+
+def _reference_named_terms(p, prefix="f"):
+    for mono in sorted(p, key=_reference_term_sort_key):
+        names = []
+        for s, e in mono[1]:
+            names.extend([generator_name(s, prefix)] * e)
+        yield mono, names
+
+
+def _reference_format_factors(mono, prefix):
+    ue, gens = mono
+    pieces = []
+    for s, e in gens:
+        name = generator_name(s, prefix)
+        pieces.append(name if e == 1 else f"{name}^{e}")
+    if ue:
+        pieces.append("u" if ue == 1 else f"u^{ue}")
+    return "*".join(pieces)
+
+
+def _reference_format_poly(p, prefix="f"):
+    if not p:
+        return "0"
+    pieces = []
+    for mono in sorted(p, key=_reference_term_sort_key):
+        c = p[mono]
+        factors = _reference_format_factors(mono, prefix)
+        if not factors:
+            body = _reference_format_coefficient(abs(c))
+        elif abs(c) == 1:
+            body = factors
+        else:
+            body = f"{_reference_format_coefficient(abs(c))}*{factors}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+_render_coeffs = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    _proper_fractions,
+    st.fractions(min_value=-99, max_value=99, max_denominator=12).filter(bool),
+)
+
+
+@st.composite
+def _render_polys(draw):
+    """Up to six terms: coefficients +-1, non-integer fractions of either
+    sign and integers; the constant monomial drawn often; several
+    generators, exponents up to 3."""
+    p = {}
+    for _ in range(draw(st.integers(0, 6))):
+        factors = {}
+        for _ in range(draw(st.integers(0, 3))):
+            s = draw(_big_symbols)
+            factors[s] = factors.get(s, 0) + draw(st.integers(1, 3))
+        p[(draw(st.integers(0, 3)), tuple(sorted(factors.items())))] = draw(_render_coeffs)
+    return p
+
+
+@given(_render_polys(), st.sampled_from(["f", "g"]))
+def test_rendering_equals_the_reference(p, prefix):
+    for mono in p:
+        assert term_sort_key(mono) == _reference_term_sort_key(mono)
+    assert format_poly(p, prefix) == _reference_format_poly(p, prefix)
+    assert list(named_terms(p, prefix)) == list(_reference_named_terms(p, prefix))
+
+
+def test_rendering_equals_the_reference_on_signs_and_constants():
+    p = {
+        ONE_MONO: Fraction(-7, 3),
+        (1, ()): Fraction(-1),
+        (0, ((F11, 1),)): Fraction(1),
+        (0, ((F12, 3), (F21, 1))): Fraction(-5, 2),
+        (2, ((F22, 2),)): Fraction(4),
+    }
+    for prefix in ("f", "g"):
+        assert format_poly(p, prefix) == _reference_format_poly(p, prefix)
+        assert list(named_terms(p, prefix)) == list(_reference_named_terms(p, prefix))
+    assert format_poly(p, "g") == "-5/2*g1,2^3*g2,1 + 4*g2,2^2*u^2 - u + g1,1 - 7/3"
+    assert format_poly({ONE_MONO: Fraction(-1)}) == "-1"
+    assert format_poly({(0, ((F11, 2),)): Fraction(-1, 2)}) == "-1/2*f1,1^2"
