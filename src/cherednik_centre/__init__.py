@@ -33,9 +33,10 @@ from .centre import (
 )
 from .errors import (
     CellOutOfDiagram, DomainError, EllOutOfRange, EmptyPartition, InexactDivision,
-    InhomogeneousRelation, LengthMismatch, NegativeDegreeGenerator, NegativePart,
-    NegativeWeight, NonIntegral, NonSquare, NotWeaklyDecreasing, OracleTruncated,
-    PadTooShort, RowOutOfRange, UnparsableLabel, ZeroPolynomial,
+    InhomogeneousRelation, LengthMismatch, MalformedPresentation,
+    NegativeDegreeGenerator, NegativePart, NegativeWeight, NonIntegral, NonSquare,
+    NotWeaklyDecreasing, OracleTruncated, PadTooShort, RowOutOfRange,
+    UnparsableLabel, ZeroPolynomial,
 )
 from .hilbert import (
     HilbertSeries, dimension_hook_formula, format_series,
@@ -72,9 +73,10 @@ __all__ = [
     # errors
     "CellOutOfDiagram", "DomainError", "EllOutOfRange", "EmptyPartition",
     "InexactDivision", "InhomogeneousRelation", "LengthMismatch",
-    "NegativeDegreeGenerator", "NegativePart", "NegativeWeight", "NonIntegral",
-    "NonSquare", "NotWeaklyDecreasing", "OracleTruncated", "PadTooShort",
-    "RowOutOfRange", "UnparsableLabel", "ZeroPolynomial",
+    "MalformedPresentation", "NegativeDegreeGenerator", "NegativePart",
+    "NegativeWeight", "NonIntegral", "NonSquare", "NotWeaklyDecreasing",
+    "OracleTruncated", "PadTooShort", "RowOutOfRange", "UnparsableLabel",
+    "ZeroPolynomial",
     # hilbert
     "HilbertSeries", "dimension_hook_formula", "format_series",
     "graded_dimensions_from_presentation", "hilbert_series_formula",

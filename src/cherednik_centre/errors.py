@@ -60,6 +60,13 @@ class InhomogeneousRelation(DomainError):
     """Graded dimension counting needs every relation to be homogeneous."""
 
 
+class MalformedPresentation(DomainError):
+    """The rank oracle reads a presentation as a quotient of the polynomial
+    ring in its generators: a relation with ``u`` or with a symbol that is
+    not a generator, or a generator listed with a degree other than its
+    symbol's, does not fit that reading."""
+
+
 class OracleTruncated(DomainError):
     """A graded dimension above the complete-intersection bound is non-zero,
     so the default degree cutoff would truncate the series."""

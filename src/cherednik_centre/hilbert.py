@@ -29,12 +29,14 @@ The oracle makes no use of the formulas, so agreement between the two is a
 real check.  Rank computation is exact and fraction-free: each relation is
 scaled once to a primitive integer multiple (lcm of its denominators, then
 divided by the gcd of the numerators), which spans the same rows.  A
-monomial is its exponent vector packed into one int, so a Macaulay row
-``m * r`` is ``r`` shifted by ``m``: a ``{column: int}`` dict.  Each row is
-reduced against the stored pivot rows (one per lowest column, each divided
-by its content) by integer cross-multiplication until it vanishes or opens a
-new pivot; the rank is the number of pivots.  There is no floating point, no
-modular arithmetic and no tolerance anywhere.
+monomial is one packed int (the layout is described in
+:mod:`~cherednik_centre.polyring`), with the generators' digits in their
+listed order, so a Macaulay row ``m * r`` is ``r`` shifted by ``m``: a
+``{column: int}`` dict.  Each row is reduced against the stored pivot rows
+(one per lowest column, each divided by its content) by integer
+cross-multiplication until it vanishes or opens a new pivot; the rank is
+the number of pivots.  There is no floating point, no modular arithmetic
+and no tolerance anywhere.
 
 The default degree cutoff is the complete-intersection bound
 ``sum(relation degrees) - sum(generator degrees)`` plus two slack degrees;
@@ -59,19 +61,13 @@ from .errors import (
     InexactDivision,
     InhomogeneousRelation,
     LengthMismatch,
+    MalformedPresentation,
     NegativeDegreeGenerator,
     NonIntegral,
     OracleTruncated,
 )
 from .partitions import Partition, cells, hook_length, weight
-from .polyring import (
-    INHOMOGENEOUS,
-    GenSym,
-    MPoly,
-    primitive_part,
-    radix_places,
-    weighted_degree,
-)
+from .polyring import INHOMOGENEOUS, Radix, primitive_part, weighted_degree
 from .presentation import GradedPresentation, Label
 
 
@@ -228,42 +224,27 @@ def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _monomial_codes(
-    degrees: list[int], max_degree: int
-) -> tuple[list[int], list[list[int]]]:
-    """Monomials in the generators as exponent vectors packed into one int.
-
-    Generator ``k`` gets the place value ``places[k]`` of
-    :func:`~cherednik_centre.polyring.radix_places`, so multiplying two
-    monomials whose degrees sum to at most ``max_degree`` is adding their
-    codes, and generator 0 is the most significant digit.  Returns
-    ``places`` and, for each ``d <= max_degree``, the ascending codes of
-    degree ``d``.
-    """
-    places, _bases = radix_places(degrees, max_degree)
+def _monomial_codes(radix: Radix, max_degree: int) -> list[list[int]]:
+    """For each ``d <= max_degree``, the ascending codes of the monomials of
+    degree ``d`` in the symbols of ``radix``, a :meth:`Radix.by_degree
+    <cherednik_centre.polyring.Radix.by_degree>` codec up to ``max_degree``,
+    so multiplying two monomials whose degrees sum to at most ``max_degree``
+    is adding their codes."""
+    steps = [(s.degree, place) for s, place in zip(radix.symbols, radix.places[1:])]
     table: list[list[int]] = [[] for _ in range(max_degree + 1)]
 
     def grow(k: int, degree: int, code: int) -> None:
-        if k == len(degrees):
+        if k == len(steps):
             table[degree].append(code)
             return
-        step, place = degrees[k], places[k]
+        step, place = steps[k]
         while degree <= max_degree:
             grow(k + 1, degree, code)
             degree += step
             code += place
 
     grow(0, 0, 0)
-    return places, table
-
-
-def _integer_terms(relation: MPoly, place_of: dict[GenSym, int]) -> list[tuple[int, int]]:
-    """``relation``'s primitive integer multiple, which spans the same rows,
-    as ``(code, coefficient)`` pairs."""
-    return [
-        (sum(place_of[s] * e for s, e in gens), c)
-        for (_ue, gens), c in primitive_part(relation).items()
-    ]
+    return table
 
 
 def graded_dimensions_from_presentation(
@@ -274,29 +255,41 @@ def graded_dimensions_from_presentation(
     ``max_degree`` defaults to the complete-intersection bound plus two
     slack degrees, which must vanish; that check can miss an infinite
     quotient, so a truncated series may be returned as a complete one (see
-    module docstring).  Positive
-    generator degrees and homogeneous relations are required (apply to
-    positive-orientation presentations only).
+    module docstring).  Positive generator degrees, each its symbol's
+    degree, and homogeneous relations in the generators alone are required
+    (apply to positive-orientation presentations only); anything else raises
+    a :class:`~cherednik_centre.errors.DomainError`.
     """
-    symbols = [g for g, _ in presentation.generators]
-    degrees = [d for _, d in presentation.generators]
-    if any(d <= 0 for d in degrees):
-        raise NegativeDegreeGenerator(tuple(presentation.generators))
+    generators = presentation.generators
+    if any(d <= 0 for _, d in generators):
+        raise NegativeDegreeGenerator(tuple(generators))
+    misdegreed = tuple((g, d) for g, d in generators if d != g.degree)
+    if misdegreed:
+        raise MalformedPresentation(misdegreed)
+    symbols = [g for g, _ in generators]
     relations = [r for r in presentation.relations if r]
     relation_degrees = [weighted_degree(r) for r in relations]
     if INHOMOGENEOUS in relation_degrees:
         raise InhomogeneousRelation(relations[relation_degrees.index(INHOMOGENEOUS)])
+    known = set(symbols)
+    for r in relations:
+        if any(ue for ue, _ in r) or not {s for _, gens in r for s, _ in gens} <= known:
+            raise MalformedPresentation(r)
     default_cutoff = max_degree is None
     if default_cutoff:
-        max_degree = max(0, sum(relation_degrees) - sum(degrees)) + 2
-    places, monomials = _monomial_codes(degrees, max_degree)
-    place_of = dict(zip(symbols, places))
-    integer_relations = [_integer_terms(r, place_of) for r in relations]
+        max_degree = max(0, sum(relation_degrees) - sum(s.degree for s in symbols)) + 2
+    radix = Radix.by_degree(symbols, max_degree)
+    monomials = _monomial_codes(radix, max_degree)
+    packed = [
+        (radix.encode_poly(primitive_part(r)).items(), s)
+        for r, s in zip(relations, relation_degrees)
+        if s <= max_degree
+    ]
     dims = []
     for d in range(max_degree + 1):
         rows = (
             {shift + code: c for code, c in terms}
-            for terms, s in zip(integer_relations, relation_degrees)
+            for terms, s in packed
             if s <= d
             for shift in monomials[d - s]
         )

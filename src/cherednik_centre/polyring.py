@@ -12,11 +12,15 @@ every operation returns a fresh dict.  ``primitive_part`` gives the integer
 multiple (an ``IntPoly``, same monomials, coefficients with gcd 1) that the
 fraction-free routines, ``simplify`` and the rank oracle, work on.
 
-The hot loops pack each monomial into one int in mixed radix, so that
-multiplying monomials is adding ints, and keep each coefficient as an int.
-``simplify`` and the rank oracle size the digits by weighted degree
-(:func:`radix_places`); ``determinant`` sizes its own by the exponents of
-its rows.  Each decodes its result back to canonical keys.
+The hot loops (``determinant``, ``simplify`` and the rank oracle) pack each
+monomial into one int in mixed radix, through one codec, :class:`Radix`, and
+keep each coefficient as an int.  The ``u`` digit is the most significant,
+then one digit per symbol in the caller's order, so codes ascend in
+lexicographic order of the exponent vectors; each digit's base exceeds every
+exponent it will hold, so multiplying monomials is adding codes.
+``simplify`` and the oracle size the digits by weighted degree
+(:meth:`Radix.by_degree`); ``determinant`` sizes its own by the exponents of
+its rows.
 
 Grading: ``deg u = 1`` and ``deg f_{i,j} = j``; a polynomial all of whose
 monomials share the same weighted degree is homogeneous.
@@ -159,23 +163,64 @@ def d_du(p: MPoly) -> MPoly:
     return out
 
 
-def radix_places(weights: Sequence[int], max_degree: int) -> tuple[list[int], list[int]]:
-    """Mixed-radix place values and bases for packing monomials of weighted
-    degree at most ``max_degree`` into one int.
+# A polynomial in packed codes: monomial code -> int coefficient.
+PackedPoly = dict[int, int]
 
-    Digit ``k`` holds the exponent of a variable of weight ``weights[k]``
-    (every weight at least 1), so it ranges over
-    ``0 .. max_degree // weights[k]`` and its base is one more.  No such
-    monomial, and no product of two whose degrees sum to at most
-    ``max_degree``, leaves a digit, so multiplying is adding codes.  Digit 0
-    is the most significant, so codes ascend in lexicographic order of the
-    exponent vectors.  Returns ``(places, bases)``.
+
+class Radix:
+    """The packed-monomial codec of the module docstring.
+
+    ``bases[0]`` is the base of the ``u`` digit and ``bases[k]`` that of
+    ``symbols[k - 1]``; ``places`` holds the place values in the same order.
+    Adding two codes multiplies their monomials as long as no digit reaches
+    its base; keeping to the bases is the caller's sizing rule, its own
+    bases or :meth:`by_degree`.
     """
-    bases = [max_degree // w + 1 for w in weights]
-    places = [1] * len(weights)
-    for k in range(len(weights) - 2, -1, -1):
-        places[k] = places[k + 1] * bases[k + 1]
-    return places, bases
+
+    def __init__(self, symbols: Sequence[GenSym], bases: Sequence[int]):
+        self.symbols = tuple(symbols)
+        self.bases = tuple(bases)
+        places = [1] * len(self.bases)
+        for k in range(len(places) - 2, -1, -1):
+            places[k] = places[k + 1] * self.bases[k + 1]
+        self.places = tuple(places)
+        self._symbol_places = tuple(zip(self.symbols, self.places[1:]))
+        self._place_of = dict(self._symbol_places)
+
+    @classmethod
+    def by_degree(cls, symbols: Sequence[GenSym], max_degree: int) -> Radix:
+        """Digits for the monomials of weighted degree at most ``max_degree``:
+        ``u`` weighs 1 and a symbol its degree (at least 1), and a digit of
+        weight ``w`` has base ``max_degree // w + 1``.  No such monomial, and
+        no product of two whose degrees sum to at most ``max_degree``, fills
+        a digit to its base."""
+        return cls(symbols, [max_degree + 1] + [max_degree // s.degree + 1 for s in symbols])
+
+    def encode_poly(self, p: IntPoly) -> PackedPoly:
+        """``p`` with each monomial replaced by its code, in one pass with
+        the places summed inline: a comprehension per term would cost a call
+        per term, which doubles the time."""
+        u_place, place_of = self.places[0], self._place_of
+        out: PackedPoly = {}
+        for (ue, gens), c in p.items():
+            code = ue * u_place
+            for s, e in gens:
+                code += place_of[s] * e
+            out[code] = c
+        return out
+
+    def decode(self, code: int) -> Monomial:
+        """The monomial of ``code``, its factors in the order of the symbols
+        (canonical when they are sorted); stops at the last non-zero digit."""
+        ue, code = divmod(code, self.places[0])
+        gens = []
+        for s, place in self._symbol_places:
+            if code >= place:
+                e, code = divmod(code, place)
+                gens.append((s, e))
+                if not code:
+                    break
+        return ue, tuple(gens)
 
 
 def monomial_degree(mono: Monomial) -> int:
@@ -253,12 +298,12 @@ def determinant(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
     but a sparse one such as a Schubert-cell Wronskian needs far fewer,
     because most of its minors vanish.
 
-    During the sweep a monomial is one int in mixed radix, one digit for
-    ``u`` and one per generator, each digit wide enough for the sum over rows
-    of the row's largest exponent, so adding codes multiplies monomials
-    without a carry.  Coefficients are ints: each row is scaled once by the
-    lcm of its denominators, and the product of those scales is divided out
-    at the end.  The empty matrix has determinant 1.
+    During the sweep a monomial is one :class:`Radix` code, each digit's base
+    one more than the sum over rows of the row's largest exponent in it, so
+    adding codes multiplies monomials without a carry.  Coefficients are
+    ints: each row is scaled once by the lcm of its denominators, and the
+    product of those scales is divided out at the end.  The empty matrix has
+    determinant 1.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -268,35 +313,27 @@ def determinant(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
     )
     slot = {s: i for i, s in enumerate(symbols, start=1)}
     # digit 0 is the u exponent, digit i the exponent of symbols[i - 1]
-    digit_max = [0] * (len(symbols) + 1)
+    bases = [1] * (len(symbols) + 1)
     for row in matrix:
-        row_max = [0] * len(digit_max)
+        row_max = [0] * len(bases)
         for entry in row:
             for ue, gens in entry:
                 row_max[0] = max(row_max[0], ue)
                 for s, e in gens:
                     row_max[slot[s]] = max(row_max[slot[s]], e)
-        digit_max = [a + b for a, b in zip(digit_max, row_max)]
-    place = [1]
-    for top in digit_max[:-1]:
-        place.append(place[-1] * (top + 1))
+        bases = [a + b for a, b in zip(bases, row_max)]
+    radix = Radix(symbols, bases)
 
     denominator = 1
-    packed_rows = []  # per row: (column bit, [(code, int coefficient)])
+    packed_rows = []  # per row: (column bit, (code, int coefficient) pairs)
     for row in matrix:
         row_scale = math.lcm(*(c.denominator for entry in row for c in entry.values()))
         denominator *= row_scale
         packed = []
         for col, entry in enumerate(row):
             if entry:
-                terms = [
-                    (
-                        ue + sum(place[slot[s]] * e for s, e in gens),
-                        c.numerator * (row_scale // c.denominator),
-                    )
-                    for (ue, gens), c in entry.items()
-                ]
-                packed.append((1 << col, terms))
+                scaled = {m: c.numerator * (row_scale // c.denominator) for m, c in entry.items()}
+                packed.append((1 << col, radix.encode_poly(scaled).items()))
         packed_rows.append(packed)
 
     level: dict[int, dict[int, int]] = {0: {0: 1}}
@@ -320,15 +357,8 @@ def determinant(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
             if minor:
                 level[used] = minor
 
-    out: MPoly = {}
-    for code, c in level.get((1 << n) - 1, {}).items():
-        factors = []
-        for i, s in enumerate(symbols, start=1):
-            e = code // place[i] % (digit_max[i] + 1)
-            if e:
-                factors.append((s, e))
-        out[(code % (digit_max[0] + 1), tuple(factors))] = Fraction(c, denominator)
-    return out
+    full = level.get((1 << n) - 1, {})
+    return {radix.decode(code): Fraction(c, denominator) for code, c in full.items()}
 
 
 # ---------------------------------------------------------------------------

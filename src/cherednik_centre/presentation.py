@@ -30,11 +30,9 @@ and multiplies the Vandermonde product as a Python int along the path.
 linearly, giving a reduced presentation with monic relations.  It is
 fraction-free: the eliminations run on primitive integer multiples of the
 relations, and only the final monic normalization divides, so the result is
-exact.  Inside the elimination loop a monomial is one int in mixed radix and
-a coefficient one int: every relation is homogeneous of degree at most the
-largest relation degree ``D`` and every symbol weighs at least 1, so a digit
-of width ``D // weight + 1`` never carries and multiplying monomials is
-adding their codes.
+exact.  Inside the elimination loop a monomial is one packed int (the
+layout is described in :mod:`~cherednik_centre.polyring`) and a coefficient
+one int.
 """
 
 from __future__ import annotations
@@ -45,13 +43,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from .abacus import MultiPartition, format_multipartition, from_quotient
-from .errors import (
-    CellOutOfDiagram,
-    EllOutOfRange,
-    InhomogeneousRelation,
-    LengthMismatch,
-    NegativeDegreeGenerator,
-)
+from .errors import CellOutOfDiagram, InhomogeneousRelation, NegativeDegreeGenerator
 from .partitions import (
     Cell,
     Partition,
@@ -67,12 +59,12 @@ from .polyring import (
     GenVec,
     IntPoly,
     MPoly,
-    Monomial,
+    PackedPoly,
+    Radix,
     format_poly,
     generator_name,
     named_terms,
     primitive_part,
-    radix_places,
     term_sort_key,
     weighted_degree,
 )
@@ -234,19 +226,11 @@ def direct_presentation(lam: Partition) -> GradedPresentation:
 
 def wreath_presentation(q: MultiPartition, ell: int) -> GradedPresentation:
     """Presentation of A(q)+ for the wreath product, via the quotient label."""
-    if ell < 1:
-        raise EllOutOfRange(ell)
-    if len(q) != ell:
-        raise LengthMismatch((q, ell))
     return _presentation(from_quotient(q, ell), ell, q)
 
 
 # ---------------------------------------------------------------------------
 # simplification
-
-
-# A relation inside ``simplify``: packed monomial code -> int coefficient.
-PackedPoly = dict[int, int]
 
 
 def _occurs_only_linearly(p: PackedPoly, place: int, base: int) -> bool:
@@ -289,19 +273,6 @@ def _eliminate(
     return {code: c // content for code, c in out.items()}
 
 
-def _decode(code: int, u_place: int, places: list[tuple[GenSym, int]]) -> Monomial:
-    """The canonical monomial of ``code``, whose only non-zero digits are the
-    ``u`` digit (the most significant) and those of ``places``, given as
-    ``(symbol, place)`` in descending order of place."""
-    ue, code = divmod(code, u_place)
-    gens = []
-    for s, place in places:
-        if code >= place:
-            e, code = divmod(code, place)
-            gens.append((s, e))
-    return ue, tuple(gens)
-
-
 def _monic(p: IntPoly) -> MPoly:
     lead = p[min(p, key=term_sort_key)]
     return {mono: Fraction(c, lead) for mono, c in p.items()}
@@ -326,15 +297,15 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     so the choice of generators and the monic result are the same; only the
     final normalization makes fractions.  The input is not modified.
 
-    Inside the loop a monomial is one int in mixed radix
-    (:func:`~cherednik_centre.polyring.radix_places`): one digit for ``u``
-    (weight 1) and one per symbol of the relations, in sorted order, the
-    digit of a symbol of weight ``w`` ranging over ``0 .. D // w`` for ``D``
-    the largest relation degree.  Substitution keeps every relation
-    homogeneous of its degree, at most ``D``, and each ``(-rest)^e`` it uses
-    has degree ``e * w`` at most that of the relation, so no exponent
-    outgrows its digit and multiplying monomials is adding codes.  That
-    needs every weight to be at least 1: a symbol of degree below 1 raises
+    Inside the loop a monomial is one code of
+    :meth:`Radix.by_degree <cherednik_centre.polyring.Radix.by_degree>` for
+    the symbols of the relations, in sorted order, up to the largest relation
+    degree ``D``.  Substitution keeps every relation homogeneous of its
+    degree, at most ``D``, and each ``(-rest)^e`` it uses has degree
+    ``e * w`` (``w`` the weight of the eliminated symbol) at most that of the
+    relation, so no exponent outgrows its digit and multiplying monomials is
+    adding codes.  That needs every weight to be at least 1: a symbol of
+    degree below 1 raises
     :class:`~cherednik_centre.errors.NegativeDegreeGenerator`.  Codes are
     decoded to canonical monomials once, before the monic normalization.
     """
@@ -347,17 +318,10 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     weightless = tuple(s for s in symbols if s.degree < 1)
     if weightless:
         raise NegativeDegreeGenerator(weightless)
-    top_degree = max(degrees, default=0)
-    # digit 0 is the u exponent, digit k the exponent of symbols[k - 1]
-    (u_place, *places), (_, *bases) = radix_places(
-        [1] + [s.degree for s in symbols], top_degree
-    )
-    digits = dict(zip(symbols, zip(places, bases)))
+    radix = Radix.by_degree(symbols, max(degrees, default=0))
+    digits = dict(zip(symbols, zip(radix.places[1:], radix.bases[1:])))
     relations = [
-        {
-            ue * u_place + sum(digits[s][0] * e for s, e in gens): c
-            for (ue, gens), c in primitive_part(r).items()
-        }
+        radix.encode_poly(primitive_part(r))
         for _, r in sorted(zip(degrees, relations), key=lambda dr: dr[0])
     ]
     alive = symbols
@@ -383,10 +347,7 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
         relations = [
             q for q in (_eliminate(p, place, base, rel[place], powers) for p in relations) if q
         ]
-    alive_places = [(s, digits[s][0]) for s in alive]
-    canonical = [
-        {_decode(code, u_place, alive_places): c for code, c in r.items()} for r in relations
-    ]
+    canonical = [{radix.decode(code): c for code, c in r.items()} for r in relations]
     meta = replace(presentation.meta, simplified=True)
     return GradedPresentation(tuple(generators), tuple(_monic(r) for r in canonical), meta)
 

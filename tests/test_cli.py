@@ -294,6 +294,11 @@ def test_selftest_json_document(capsys):
     assert all(suite["ok"] for suite in doc["suites"])
 
 
+_SUITES = (
+    "direct/wronskian relation agreement (n <= 3)",
+    "abacus roundtrip and quotient bijection (n <= 5, ell <= 4)",
+    "hilbert formula/oracle/hook-dimension agreement (n <= 3)",
+)
 _DEEP_SUITES = (
     "direct/wronskian relation agreement (n <= 11)",
     "abacus roundtrip and quotient bijection (n <= 5, ell <= 4)",
@@ -361,15 +366,19 @@ def test_selftest_reports_a_broken_second_route(
     capsys, monkeypatch, suite, route, breaker, detail
 ):
     """Break the route each suite checks against: the suite must fail, so
-    none of them passes vacuously."""
+    none of them passes vacuously.  A suite that also runs without
+    ``--deep`` is broken under plain ``selftest 3``."""
     monkeypatch.setattr(checks, route, breaker(getattr(checks, route)))
-    name = _DEEP_SUITES[suite]
-    status, out, _ = _run(capsys, "selftest", "3", "--deep")
+    if suite < len(_SUITES):
+        name, command = _SUITES[suite], ("selftest", "3")
+    else:
+        name, command = _DEEP_SUITES[suite], ("selftest", "3", "--deep")
+    status, out, _ = _run(capsys, *command)
     assert status == 1
     lines = out.splitlines()
     assert lines[suite].startswith(f"FAIL {name}: {detail}")
     assert lines[-1] == "selftest: FAILURES"
-    status, out, _ = _run(capsys, "selftest", "3", "--deep", "--format", "json")
+    status, out, _ = _run(capsys, *command, "--format", "json")
     assert status == 1
     doc = json.loads(out)
     assert doc["passed"] is False

@@ -14,6 +14,7 @@ from cherednik_centre import (
     InexactDivision,
     InhomogeneousRelation,
     LengthMismatch,
+    MalformedPresentation,
     NegativeDegreeGenerator,
     OracleTruncated,
     PresentationMeta,
@@ -243,6 +244,33 @@ def test_oracle_rejects_inhomogeneous_relations():
     relation = {(0, ((x, 1),)): Fraction(1), (0, ((x, 2),)): Fraction(1)}  # x + x^2
     with pytest.raises(InhomogeneousRelation):
         graded_dimensions_from_presentation(_presentation([(x, 1)], [relation]))
+
+
+_X, _Y = GenSym(1, 1), GenSym(2, 1)
+
+
+@pytest.mark.parametrize(
+    "generators, relations, max_degree",
+    [
+        # u * x and x^3: read without u, degrees 3 and 4 would be negative
+        ([(_X, 1)], [{(1, ((_X, 1),)): Fraction(1)}, {(0, ((_X, 3),)): Fraction(1)}], 4),
+        # u^2
+        ([(_X, 1)], [{(2, ()): Fraction(1)}], None),
+        # y^2, y not a generator
+        ([(_X, 1)], [{(0, ((_Y, 2),)): Fraction(1)}], None),
+        # x^2, x (symbol degree 1) listed in degree 2
+        ([(_X, 2)], [{(0, ((_X, 2),)): Fraction(1)}], None),
+    ],
+    ids=["u-times-generator", "u-alone", "foreign-symbol", "listed-degree"],
+)
+def test_oracle_rejects_a_malformed_presentation(generators, relations, max_degree):
+    """A relation with ``u`` or an unlisted symbol, or a generator listed
+    with a degree other than its symbol's, is not a quotient of the
+    polynomial ring in the generators."""
+    with pytest.raises(MalformedPresentation):
+        graded_dimensions_from_presentation(
+            _presentation(generators, relations), max_degree=max_degree
+        )
 
 
 def test_series_division_is_checked():

@@ -35,10 +35,11 @@ from cherednik_centre import (
 )
 from cherednik_centre.polyring import (
     ONE_MONO,
+    Radix,
     generator_name,
     monomial_degree,
+    monomial_product,
     named_terms,
-    radix_places,
     term_sort_key,
 )
 
@@ -125,29 +126,65 @@ def test_degree_of_product_adds_for_homogeneous_inputs(p, q):
 
 
 def test_radix_places_pins():
-    """Weights 1, 2, 3 up to degree 6: bases 7, 4, 3, digit 0 most significant."""
-    assert radix_places([1, 2, 3], 6) == ([12, 3, 1], [7, 4, 3])
-    assert radix_places([], 6) == ([], [])
+    """``u`` and symbols of degrees 2 and 3 up to degree 6: bases 7, 4, 3,
+    the ``u`` digit most significant; bases given per digit are kept."""
+    radix = Radix.by_degree([F12, GenSym(1, 3)], 6)
+    assert (radix.places, radix.bases) == ((12, 3, 1), (7, 4, 3))
+    empty = Radix.by_degree([], 6)
+    assert (empty.places, empty.bases) == ((1,), (7,))
+    assert Radix([F11, F21], [3, 2, 5]).places == (10, 5, 1)
+
+
+@st.composite
+def _monomials_within(draw, symbols, budget):
+    """A canonical monomial in ``u`` and ``symbols`` (sorted) of weighted
+    degree at most ``budget``."""
+    ue = draw(st.integers(0, budget))
+    budget -= ue
+    gens = []
+    for s in symbols:
+        e = draw(st.integers(0, budget // s.degree))
+        budget -= e * s.degree
+        if e:
+            gens.append((s, e))
+    return ue, tuple(gens)
+
+
+def _symbols_of_weights(weights):
+    return [GenSym(row, w) for row, w in enumerate(weights, start=1)]
 
 
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(0, 9), st.data())
 def test_radix_codes_add_without_carrying(weights, max_degree, data):
-    """Two exponent vectors whose weighted degrees sum to at most the bound
-    encode to codes whose sum encodes their sum, digit by digit."""
-    places, bases = radix_places(weights, max_degree)
+    """Two monomials whose weighted degrees sum to at most the bound encode
+    to codes whose sum decodes to their product."""
+    symbols = _symbols_of_weights(weights)
+    radix = Radix.by_degree(symbols, max_degree)
+    a = data.draw(_monomials_within(symbols, max_degree))
+    b = data.draw(_monomials_within(symbols, max_degree - monomial_degree(a)))
+    (code_a,), (code_b,) = radix.encode_poly({a: 1}), radix.encode_poly({b: 1})
+    assert radix.decode(code_a + code_b) == monomial_product(a, b)
 
-    def vector(budget):
-        out = []
-        for w in weights:
-            e = data.draw(st.integers(0, budget // w))
-            out.append(e)
-            budget -= e * w
-        return out
 
-    a = vector(max_degree)
-    b = vector(max_degree - sum(e * w for e, w in zip(a, weights)))
-    code = sum(p * x for p, x in zip(places, a)) + sum(p * y for p, y in zip(places, b))
-    assert [code // p % base for p, base in zip(places, bases)] == [x + y for x, y in zip(a, b)]
+@given(st.lists(st.integers(1, 4), max_size=4), st.integers(0, 9), st.data())
+def test_radix_decode_inverts_encode(weights, max_degree, data):
+    """``decode(encode(m)) == m`` for canonical monomials within either
+    sizing rule: weighted degree at most the bound, or each exponent below
+    its digit's base."""
+    symbols = _symbols_of_weights(weights)
+    digits = len(symbols) + 1
+    bases = data.draw(st.lists(st.integers(1, 5), min_size=digits, max_size=digits))
+    exponents = [data.draw(st.integers(0, base - 1)) for base in bases]
+    cases = [
+        (Radix.by_degree(symbols, max_degree), data.draw(_monomials_within(symbols, max_degree))),
+        (
+            Radix(symbols, bases),
+            (exponents[0], tuple((s, e) for s, e in zip(symbols, exponents[1:]) if e)),
+        ),
+    ]
+    for radix, mono in cases:
+        (code,) = radix.encode_poly({mono: 1})
+        assert radix.decode(code) == mono
 
 
 def test_coefficient_of_u():
