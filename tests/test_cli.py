@@ -491,6 +491,31 @@ def test_centre_and_hilbert_outputs_match_the_benchmark_goldens(capsys):
     _assert_goldens(capsys, subset)
 
 
+# Outputs larger than any benchmark job: deep eliminations with long
+# coefficients, the widest raw relations, and wreath labels with ell 2 and 3.
+_LARGE_OUTPUT_PINS = {
+    "presentation --simplified --format text -- 5,4,3,2,1":
+        "ce23ce72151e27ece0646889cc65fc1ba02971fa7f9979ccbae7cf07e2ac6d41",
+    "presentation --simplified --format json -- 5,4,3,2,1":
+        "baf92dcdd1a55c618ac9e2136f83dc500da0ef0577812b391cd1d0ae70621499",
+    "presentation --format text -- 7,6,5,4,3,2,1":
+        "b1038ff920d4033cf95dffb63384cf5b7532d07f708b196ca703079945448312",
+    "presentation --format json -- 7,6,5,4,3,2,1":
+        "98c91c6c7c0f75856af867f3b31278f313d9c02771fefd07408ec4e3ccf5a0de",
+    "presentation --ell 2 --simplified --format json -- 2,1|2,1":
+        "98abe7daf7842860896e0e6b9bf164c3970546c7502a1bdedc4ae8e466d531bc",
+    "presentation --ell 3 --simplified --format text -- 2|1|1":
+        "ced827870252df0f0cae7a46987d2a03746260f6e39badde0b2dab892475f0f2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_LARGE_OUTPUT_PINS))
+def test_large_outputs_are_pinned(capsys, argv):
+    status, out, err = _run(capsys, *argv.split(" "))
+    assert (status, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _LARGE_OUTPUT_PINS[argv]
+
+
 # --- one parser per process ---------------------------------------------------
 
 
