@@ -34,7 +34,7 @@ from .centre import (
 from .errors import (
     CellOutOfDiagram, DomainError, EllOutOfRange, EmptyPartition, InexactDivision,
     InhomogeneousRelation, LengthMismatch, MalformedPresentation,
-    NegativeDegreeGenerator, NegativePart, NegativeWeight, NonIntegral, NonSquare,
+    NegativeDegreeCutoff, NegativeDegreeGenerator, NegativePart, NegativeWeight, NonIntegral, NonSquare,
     NotWeaklyDecreasing, OracleTruncated, PadTooShort, RowOutOfRange,
     UnparsableLabel, ZeroPolynomial,
 )
@@ -73,7 +73,8 @@ __all__ = [
     # errors
     "CellOutOfDiagram", "DomainError", "EllOutOfRange", "EmptyPartition",
     "InexactDivision", "InhomogeneousRelation", "LengthMismatch",
-    "MalformedPresentation", "NegativeDegreeGenerator", "NegativePart",
+    "MalformedPresentation", "NegativeDegreeCutoff", "NegativeDegreeGenerator",
+    "NegativePart",
     "NegativeWeight", "NonIntegral", "NonSquare", "NotWeaklyDecreasing",
     "OracleTruncated", "PadTooShort", "RowOutOfRange", "UnparsableLabel",
     "ZeroPolynomial",

@@ -67,6 +67,11 @@ class MalformedPresentation(DomainError):
     symbol's, does not fit that reading."""
 
 
+class NegativeDegreeCutoff(DomainError):
+    """The rank oracle counts graded pieces up to a cutoff degree, which
+    must be non-negative."""
+
+
 class OracleTruncated(DomainError):
     """A graded dimension above the complete-intersection bound is non-zero,
     so the default degree cutoff would truncate the series."""

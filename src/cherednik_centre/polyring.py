@@ -33,8 +33,10 @@ graded lexicographic with ``u`` greatest, then generators compared by
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import InexactDivision, NonSquare, ZeroPolynomial
 
@@ -120,9 +122,13 @@ def scale(p: MPoly, value) -> MPoly:
 def primitive_part(p: MPoly) -> IntPoly:
     """The primitive integer multiple of a non-zero ``p``: its coefficients
     times the lcm of their denominators, over the gcd of the products.  Same
-    monomials in the same order, same signs."""
-    denominator = math.lcm(*(c.denominator for c in p.values()))
-    out = {mono: c.numerator * (denominator // c.denominator) for mono, c in p.items()}
+    monomials in the same order, same signs.  Int coefficients are taken as
+    they are, with no ``Fraction`` attribute read per term."""
+    if all(type(c) is int for c in p.values()):
+        out = dict(p)
+    else:
+        denominator = math.lcm(*(c.denominator for c in p.values()))
+        out = {mono: c.numerator * (denominator // c.denominator) for mono, c in p.items()}
     content = math.gcd(*out.values())
     if content == 1:
         return out
@@ -186,6 +192,7 @@ class Radix:
         self.places = tuple(places)
         self._symbol_places = tuple(zip(self.symbols, self.places[1:]))
         self._place_of = dict(self._symbol_places)
+        self._renderer: _Renderer | None = None
 
     @classmethod
     def by_degree(cls, symbols: Sequence[GenSym], max_degree: int) -> Radix:
@@ -195,6 +202,22 @@ class Radix:
         no product of two whose degrees sum to at most ``max_degree``, fills
         a digit to its base."""
         return cls(symbols, [max_degree + 1] + [max_degree // s.degree + 1 for s in symbols])
+
+    @classmethod
+    def by_exponents(cls, polys: Sequence[MPoly]) -> Radix:
+        """Digits for the sorted symbols of ``polys``, each base one more
+        than the largest exponent the digit holds in them."""
+        top = {}
+        top_u = 0
+        for p in polys:
+            for ue, gens in p:
+                if ue > top_u:
+                    top_u = ue
+                for s, e in gens:
+                    if e > top.get(s, 0):
+                        top[s] = e
+        symbols = sorted(top)
+        return cls(symbols, [top_u + 1] + [top[s] + 1 for s in symbols])
 
     def encode_poly(self, p: IntPoly) -> PackedPoly:
         """``p`` with each monomial replaced by its code, in one pass with
@@ -221,6 +244,12 @@ class Radix:
                 if not code:
                     break
         return ue, tuple(gens)
+
+    def renderer(self) -> _Renderer:
+        """The term renderer of this codec, built on first use."""
+        if self._renderer is None:
+            self._renderer = _Renderer(self)
+        return self._renderer
 
 
 def monomial_degree(mono: Monomial) -> int:
@@ -366,10 +395,9 @@ def determinant(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
 
 
 def term_sort_key(mono: Monomial):
-    """Graded lex, ``u`` greatest, generators by ``(row, degree)``.
-
-    The weighted degree is summed in one loop over the factors, with no
-    further call: a render sorts every term of every relation by this key."""
+    """Graded lex, ``u`` greatest, generators by ``(row, degree)``: the
+    canonical term order, which :meth:`PackedPolys.text` and
+    :meth:`PackedPolys.json_terms` reproduce on packed codes."""
     ue, gens = mono
     degree = ue
     for s, e in gens:
@@ -382,73 +410,226 @@ def generator_name(symbol: GenSym, prefix: str = "f") -> str:
     return f"{prefix}{symbol.row},{symbol.degree}"
 
 
-class _Names(dict):
-    """Generator names under one prefix, each built on first lookup."""
+class _Renderer:
+    """The term renderer of one :class:`Radix`: each term's canonical sort
+    key and generator names, read factor by factor in one pass.
 
-    def __init__(self, prefix: str):
-        super().__init__()
-        self.prefix = prefix
+    A term's key is one int, ascending in :func:`term_sort_key` order.  It is
+    ``-(degree * bases[0] + ue) * K + T`` with ``T`` in ``(-K, 0]`` a number
+    in the radix ``(b + 1 for b in symbol bases)`` (``K`` its range), whose
+    digit for a symbol is ``e - b`` for an exponent ``e > 0``, ``0`` for a
+    zero exponent before the last factor and ``-b`` for one after it.  So at
+    the first symbol where two monomials differ, a smaller exponent sorts
+    first, an absent factor last, and a monomial whose factors have ended
+    (the shorter factor tuple) first.  A factor ``e`` of digit ``k`` adds
+    ``gains[k][e]``, which also counts the factor's weight in the degree
+    part, and the last factor adds ``tails[k]``, the part of ``T`` from the
+    zeros after it.
 
-    def __missing__(self, symbol: GenSym) -> str:
-        name = self[symbol] = generator_name(symbol, self.prefix)
-        return name
+    The factors are found most significant first by bisecting the place
+    values, so a digit that is zero costs nothing.  Symbol digits are
+    indexed least significant first: ``places``, ``gains`` and ``tails``
+    hold one entry per digit, and a name table (see :meth:`table`) one list
+    per digit.
+    """
+
+    def __init__(self, radix: Radix):
+        self.radix = radix
+        bases = radix.bases[:0:-1]
+        self.places = radix.places[:0:-1]
+        key_places = [1] * len(bases)
+        for k in range(1, len(bases)):
+            key_places[k] = key_places[k - 1] * (bases[k - 1] + 1)
+        span = key_places[-1] * (bases[-1] + 1) if bases else 1
+        self.u_step = -(radix.bases[0] + 1) * span
+        self.gains = []
+        self.tails = []
+        tail = 0
+        for s, base, key_place in zip(radix.symbols[::-1], bases, key_places):
+            step = key_place - s.degree * radix.bases[0] * span
+            self.gains.append([e * step - base * key_place for e in range(base)])
+            self.tails.append(tail)
+            tail -= base * key_place
+        self.empty_tail = tail
+        self.u_names = ["", "u"] + [f"u^{ue}" for ue in range(2, radix.bases[0])]
+        self.tables: dict[tuple[str, bool], list] = {}
+
+    def table(self, prefix: str, text: bool) -> list[list[list[str]]]:
+        """Per symbol digit, least significant first, the list of name pieces
+        for each exponent ``e``: ``["f1,2^3"]`` for text, ``["f1,2"] * 3``
+        for JSON.  Built once per prefix and form."""
+        found = self.tables.get((prefix, text))
+        if found is None:
+            found = self.tables[(prefix, text)] = []
+            for s, base in zip(self.radix.symbols[::-1], self.radix.bases[:0:-1]):
+                name = generator_name(s, prefix)
+                if text:
+                    found.append([[], [name]] + [[f"{name}^{e}"] for e in range(2, base)])
+                else:
+                    found.append([[name] * e for e in range(base)])
+        return found
+
+    def ordered(self, codes, table: list) -> list[tuple[int, int, int, list[str]]]:
+        """``(key, code, u exponent, name pieces)`` per code, in canonical
+        order."""
+        u_place, u_step, empty_tail = self.radix.places[0], self.u_step, self.empty_tail
+        places, gains, tails = self.places, self.gains, self.tails
+        rows = []
+        for code in codes:
+            ue, rest = divmod(code, u_place)
+            key = ue * u_step
+            factors: list[str] = []
+            if rest:
+                while rest:
+                    k = bisect_right(places, rest) - 1
+                    e, rest = divmod(rest, places[k])
+                    key += gains[k][e]
+                    factors += table[k][e]
+                key += tails[k]
+            else:
+                key += empty_tail
+            rows.append((key, code, ue, factors))
+        rows.sort()
+        return rows
+
+
+class PackedPolys(Sequence):
+    """Polynomials ``polys[k] / leads[k]``: int coefficients on the codes of
+    one :class:`Radix` over sorted symbols, and one non-zero int lead each.
+    Without ``leads`` each polynomial is monic: its lead is the coefficient
+    of its first term in canonical order, which rendering finds in its sort.
+
+    As a sequence it reads as the tuple of those polynomials in canonical
+    monomials with ``Fraction`` coefficients, decoded on first read and kept.
+    :meth:`text` and :meth:`json_terms` render straight from the codes, in
+    :func:`term_sort_key` order, each coefficient written as the reduced
+    ``c / lead`` (one ``math.gcd`` per term, no ``Fraction``); :func:`format_poly`
+    and :func:`named_terms` render an ``MPoly`` through :meth:`from_polys`.
+    """
+
+    def __init__(
+        self, radix: Radix, polys: Sequence[PackedPoly], leads: Sequence[int] | None = None
+    ):
+        self.radix = radix
+        self.polys = tuple(polys)
+        self.leads = None if leads is None else tuple(leads)
+        self._decoded: tuple[MPoly, ...] | None = None
+
+    @classmethod
+    def from_polys(cls, polys: Sequence[MPoly]) -> PackedPolys:
+        """The packed form of ``MPoly`` values: each digit's base one more
+        than the largest exponent it holds, each lead the lcm of the
+        polynomial's denominators (1 for int coefficients)."""
+        radix = Radix.by_exponents(polys)
+        packed, leads = [], []
+        for p in polys:
+            codes = radix.encode_poly(p)
+            if all(type(c) is int for c in codes.values()):
+                lead = 1
+            else:
+                lead = math.lcm(*(c.denominator for c in codes.values()))
+                codes = {code: c.numerator * (lead // c.denominator) for code, c in codes.items()}
+            packed.append(codes)
+            leads.append(lead)
+        return cls(radix, packed, leads)
+
+    def _rows(self, index: int, prefix: str, text: bool):
+        renderer = self.radix.renderer()
+        p = self.polys[index]
+        rows = renderer.ordered(p, renderer.table(prefix, text))
+        if not rows:
+            return
+        lead = p[rows[0][1]] if self.leads is None else self.leads[index]
+        for _key, code, ue, factors in rows:
+            c = p[code]
+            g = math.gcd(c, lead)
+            num, den = c // g, lead // g
+            if den < 0:
+                num, den = -num, -den
+            yield num, den, ue, factors
+
+    def text(self, index: int, prefix: str = "f") -> str:
+        """Canonical text of polynomial ``index``, e.g. ``u^2 - 2*f2,1*u + 3/5*f1,2``."""
+        if not self.polys[index]:
+            return "0"
+        u_names = self.radix.renderer().u_names
+        pieces: list[str] = []
+        for num, den, ue, factors in self._rows(index, prefix, True):
+            positive = num > 0
+            if not positive:
+                num = -num
+            if ue:
+                factors.append(u_names[ue])
+            if not factors:
+                body = str(num) if den == 1 else f"{num}/{den}"
+            else:
+                named = "*".join(factors)
+                if den != 1:
+                    body = f"{num}/{den}*{named}"
+                elif num == 1:
+                    body = named
+                else:
+                    body = f"{num}*{named}"
+            if not pieces:
+                pieces.append(body if positive else f"-{body}")
+            else:
+                pieces.append(f"+ {body}" if positive else f"- {body}")
+        return " ".join(pieces)
+
+    def json_terms(self, index: int, prefix: str = "f") -> list[dict]:
+        """The terms of polynomial ``index`` in canonical order, each as
+        ``{"coefficient": "-3/5", "monomial": [generator names repeated by
+        exponent]}`` (``u`` is not named); the coefficient is written as
+        ``str`` of the ``Fraction`` would write it."""
+        return [
+            {"coefficient": str(num) if den == 1 else f"{num}/{den}", "monomial": names}
+            for num, den, _ue, names in self._rows(index, prefix, False)
+        ]
+
+    def _values(self) -> tuple[MPoly, ...]:
+        if self._decoded is None:
+            decode = self.radix.decode
+            leads = self.leads
+            if leads is None:
+                renderer = self.radix.renderer()
+                table = renderer.table("f", False)
+                leads = [p[renderer.ordered(p, table)[0][1]] if p else 1 for p in self.polys]
+            self._decoded = tuple(
+                {decode(code): Fraction(c, lead) for code, c in p.items()}
+                for p, lead in zip(self.polys, leads)
+            )
+        return self._decoded
+
+    def __getitem__(self, index):
+        return self._values()[index]
+
+    def __len__(self) -> int:
+        return len(self.polys)
+
+    def __iter__(self):
+        return iter(self._values())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, PackedPolys)):
+            return self._values() == tuple(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"PackedPolys({self._values()!r})"
 
 
 def named_terms(p: MPoly, prefix: str = "f") -> Iterator[tuple[Monomial, list[str]]]:
     """The monomials of ``p`` in canonical order, each with the names of its
-    generators repeated by exponent.
-
-    One sort of the terms; each distinct generator of ``p`` is named once
-    and later factors look the name up."""
-    names = _Names(prefix)
-    for mono in sorted(p, key=term_sort_key):
-        factors: list[str] = []
-        for s, e in mono[1]:
-            if e == 1:
-                factors.append(names[s])
-            else:
-                factors += [names[s]] * e
-        yield mono, factors
-
-
-def _format_factors(mono: Monomial, names: _Names) -> str:
-    ue, gens = mono
-    pieces = []
-    for s, e in gens:
-        pieces.append(names[s] if e == 1 else f"{names[s]}^{e}")
-    if ue:
-        pieces.append("u" if ue == 1 else f"u^{ue}")
-    return "*".join(pieces)
+    generators repeated by exponent."""
+    radix = Radix.by_exponents((p,))
+    monomial_of = dict(zip(radix.encode_poly(p), p))
+    renderer = radix.renderer()
+    for _key, code, _ue, names in renderer.ordered(monomial_of, renderer.table(prefix, False)):
+        yield monomial_of[code], names
 
 
 def format_poly(p: MPoly, prefix: str = "f") -> str:
-    """Canonical text rendering, e.g. ``u^2 - 2*f2,1*u + 3/5*f1,2``.
-
-    Costs what :func:`named_terms` does, plus one string per term: the
-    sign and magnitude of each coefficient are read off its integer
-    numerator and denominator, with no ``Fraction`` arithmetic, and printed
-    as ``str`` of the ``Fraction`` would print them."""
-    if not p:
-        return "0"
-    names = _Names(prefix)
-    pieces: list[str] = []
-    for mono in sorted(p, key=term_sort_key):
-        c = p[mono]
-        num, den = c.numerator, c.denominator
-        positive = num > 0
-        if not positive:
-            num = -num
-        factors = _format_factors(mono, names)
-        if den != 1:
-            body = f"{num}/{den}*{factors}" if factors else f"{num}/{den}"
-        elif not factors:
-            body = str(num)
-        elif num == 1:
-            body = factors
-        else:
-            body = f"{num}*{factors}"
-        if not pieces:
-            pieces.append(body if positive else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if positive else f"- {body}")
-    return " ".join(pieces)
+    """Canonical text rendering, e.g. ``u^2 - 2*f2,1*u + 3/5*f1,2``."""
+    return PackedPolys.from_polys((p,)).text(0, prefix)

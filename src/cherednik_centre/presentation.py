@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .abacus import MultiPartition, format_multipartition, from_quotient
 from .errors import CellOutOfDiagram, InhomogeneousRelation, NegativeDegreeGenerator
@@ -57,15 +57,12 @@ from .polyring import (
     INHOMOGENEOUS,
     GenSym,
     GenVec,
-    IntPoly,
     MPoly,
     PackedPoly,
+    PackedPolys,
     Radix,
-    format_poly,
     generator_name,
-    named_terms,
     primitive_part,
-    term_sort_key,
     weighted_degree,
 )
 
@@ -101,10 +98,13 @@ class PresentationMeta:
 
 @dataclass(frozen=True)
 class GradedPresentation:
-    """Generators with signed degrees, homogeneous relations, provenance."""
+    """Generators with signed degrees, homogeneous relations, provenance.
+
+    ``relations`` is a tuple of polynomials, or for a simplified presentation
+    a :class:`~cherednik_centre.polyring.PackedPolys` that reads as one."""
 
     generators: tuple[tuple[GenSym, int], ...]
-    relations: tuple[MPoly, ...]
+    relations: Sequence[MPoly]
     meta: PresentationMeta
 
     def generator_symbols(self) -> tuple[GenSym, ...]:
@@ -213,7 +213,7 @@ def _presentation(lam: Partition, ell: int, source: Label) -> GradedPresentation
     by_degree: dict[int, MPoly] = {s: {} for s in range(ell, n + 1, ell)}
     for _cells, gens, degree, product in _transversals(lam, ell):
         if degree and product:
-            by_degree[degree][(0, gens)] = Fraction(orientation_sign * product)
+            by_degree[degree][(0, gens)] = orientation_sign * product
     generators = tuple((sym, h) for row in _hook_rows(lam, ell) for _j, h, sym in row)
     meta = PresentationMeta(source=source, ell=ell, orientation=1)
     return GradedPresentation(generators, tuple(by_degree.values()), meta)
@@ -271,11 +271,6 @@ def _eliminate(
     if content <= 1:
         return out
     return {code: c // content for code, c in out.items()}
-
-
-def _monic(p: IntPoly) -> MPoly:
-    lead = p[min(p, key=term_sort_key)]
-    return {mono: Fraction(c, lead) for mono, c in p.items()}
 
 
 def simplify(presentation: GradedPresentation) -> GradedPresentation:
@@ -347,9 +342,8 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
         relations = [
             q for q in (_eliminate(p, place, base, rel[place], powers) for p in relations) if q
         ]
-    canonical = [{radix.decode(code): c for code, c in r.items()} for r in relations]
     meta = replace(presentation.meta, simplified=True)
-    return GradedPresentation(tuple(generators), tuple(_monic(r) for r in canonical), meta)
+    return GradedPresentation(tuple(generators), PackedPolys(radix, relations), meta)
 
 
 def negate_grading(presentation: GradedPresentation) -> GradedPresentation:
@@ -363,11 +357,18 @@ def negate_grading(presentation: GradedPresentation) -> GradedPresentation:
 # serialization shared with the CLI
 
 
+def _packed(relations: Sequence[MPoly]) -> PackedPolys:
+    if isinstance(relations, PackedPolys):
+        return relations
+    return PackedPolys.from_polys(relations)
+
+
 def quotient_ring_text(presentation: GradedPresentation) -> str:
     """One-line quotient-ring form, e.g. ``C[f1,1] / (f1,1^5)``."""
     prefix = presentation.meta.prefix
     names = ", ".join(generator_name(g, prefix) for g, _ in presentation.generators)
-    rels = ", ".join(format_poly(r, prefix) for r in presentation.relations if r)
+    packed = _packed(presentation.relations)
+    rels = ", ".join(packed.text(k, prefix) for k, p in enumerate(packed.polys) if p)
     if not names:
         return "C"
     if not rels:
@@ -385,9 +386,10 @@ def presentation_text(presentation: GradedPresentation) -> str:
         f"{generator_name(g, prefix)} (degree {d})" for g, d in presentation.generators
     )
     lines = [f"generators: {gens or '-'}"]
-    for rel in presentation.relations:
+    packed = _packed(presentation.relations)
+    for k, rel in enumerate(presentation.relations):
         if rel:
-            lines.append(f"r_{weighted_degree(rel)} = {format_poly(rel, prefix)}")
+            lines.append(f"r_{weighted_degree(rel)} = {packed.text(k, prefix)}")
     return "\n".join(lines)
 
 
@@ -398,13 +400,8 @@ def presentation_document(presentation: GradedPresentation) -> dict:
         {"name": generator_name(g, prefix), "row": g.row, "hook": g.degree, "degree": d}
         for g, d in presentation.generators
     ]
-    relations = [
-        [
-            {"coefficient": str(rel[mono]), "monomial": names}
-            for mono, names in named_terms(rel, prefix)
-        ]
-        for rel in presentation.relations
-    ]
+    packed = _packed(presentation.relations)
+    relations = [packed.json_terms(k, prefix) for k in range(len(packed.polys))]
     return {
         "generators": generators,
         "relations": relations,

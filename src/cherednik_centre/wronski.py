@@ -45,7 +45,6 @@ from .polyring import (
     determinant,
     divide_exact,
     mul,
-    u_power,
 )
 
 
@@ -66,6 +65,8 @@ class WronskiRelations:
 
 
 def schubert_basis(lam: Partition) -> SchubertBasis:
+    """The basis of the module docstring, every coefficient the int 1, so
+    that the derivative rows of :func:`wronskian` hold ints."""
     n = weight(lam)
     if n == 0:
         return SchubertBasis((), ())
@@ -73,9 +74,9 @@ def schubert_basis(lam: Partition) -> SchubertBasis:
     polys = []
     for i in range(1, n + 1):
         d_i = beta[i - 1]
-        poly = u_power(d_i)
+        poly: MPoly = {(d_i, ()): 1}
         for j in row_hook_set(lam, i):
-            poly[(d_i - j, ((GenSym(i, j), 1),))] = Fraction(1)
+            poly[(d_i - j, ((GenSym(i, j), 1),))] = 1
         polys.append(poly)
     return SchubertBasis(lam + (0,) * (n - len(lam)), tuple(polys))
 

@@ -15,6 +15,7 @@ from cherednik_centre import (
     InhomogeneousRelation,
     LengthMismatch,
     MalformedPresentation,
+    NegativeDegreeCutoff,
     NegativeDegreeGenerator,
     OracleTruncated,
     PresentationMeta,
@@ -271,6 +272,17 @@ def test_oracle_rejects_a_malformed_presentation(generators, relations, max_degr
         graded_dimensions_from_presentation(
             _presentation(generators, relations), max_degree=max_degree
         )
+
+
+@pytest.mark.parametrize("lam", [(2, 1), ()], ids=["2,1", "empty"])
+def test_oracle_rejects_a_negative_degree_cutoff(lam):
+    """Below 0 there are no graded pieces to count: ``(2, 1)`` read the
+    series ``0`` there, and the empty partition a bare ``IndexError``."""
+    with pytest.raises(NegativeDegreeCutoff):
+        graded_dimensions_from_presentation(direct_presentation(lam), max_degree=-1)
+    assert graded_dimensions_from_presentation(direct_presentation(lam), max_degree=0) == (
+        make_series([1])
+    )
 
 
 def test_series_division_is_checked():

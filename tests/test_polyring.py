@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cherednik_centre import (
     GenSym,
@@ -35,6 +35,7 @@ from cherednik_centre import (
 )
 from cherednik_centre.polyring import (
     ONE_MONO,
+    PackedPolys,
     Radix,
     generator_name,
     monomial_degree,
@@ -506,3 +507,54 @@ def test_rendering_equals_the_reference_on_signs_and_constants():
     assert format_poly(p, "g") == "-5/2*g1,2^3*g2,1 + 4*g2,2^2*u^2 - u + g1,1 - 7/3"
     assert format_poly({ONE_MONO: Fraction(-1)}) == "-1"
     assert format_poly({(0, ((F11, 2),)): Fraction(-1, 2)}) == "-1/2*f1,1^2"
+
+
+# The packed renderer against the route it replaced in ``simplify``: decode
+# every code to a canonical monomial, divide by the coefficient of the first
+# term in canonical order (``_reference_monic``), then render the ``Fraction``
+# polynomial with the reference renderers above.  A weight-0 symbol makes
+# monomials whose factor tuples are prefixes of others tie on degree.
+
+_PACKED_SYMBOLS = sorted([F11, F12, F21, F22, GenSym(3, 1), GenSym(3, 4), GenSym(4, 0)])
+_PACKED_RADIX = Radix(_PACKED_SYMBOLS, [4] * (len(_PACKED_SYMBOLS) + 1))
+
+
+def _reference_monic(p, lead=None):
+    canonical = {_PACKED_RADIX.decode(code): c for code, c in p.items()}
+    if lead is None and canonical:
+        lead = canonical[min(canonical, key=_reference_term_sort_key)]
+    return {mono: Fraction(c, lead) for mono, c in canonical.items()}
+
+
+def _reference_json_terms(p, prefix):
+    return [
+        {"coefficient": str(p[mono]), "monomial": names}
+        for mono, names in _reference_named_terms(p, prefix)
+    ]
+
+
+@st.composite
+def _packed_polys(draw):
+    """Up to eight terms, ``u`` and every exponent up to 3, int coefficients
+    that a small lead divides or does not."""
+    codes = draw(st.lists(st.integers(0, 4 ** (len(_PACKED_SYMBOLS) + 1) - 1), max_size=8))
+    return {code: draw(st.integers(-36, 36).filter(bool)) for code in codes}
+
+
+_U_F11 = _PACKED_RADIX.places[0] + _PACKED_RADIX.places[1]  # u * f1,1
+_F11_F21 = _PACKED_RADIX.places[1] + _PACKED_RADIX.places[3]  # f1,1 * f2,1
+_F11_F40 = _PACKED_RADIX.places[1] + _PACKED_RADIX.places[7]  # f1,1 * f4,0
+
+
+@given(_packed_polys(), st.sampled_from([None, 1, -1, 2, -3, 6]), st.sampled_from(["f", "g"]))
+@example({}, None, "f")  # the zero relation
+@example({_U_F11: 4, _F11_F21: -6, 1: 8}, None, "g")  # positive lead 4: divides 8, not -6
+@example({_U_F11: -6, _F11_F21: 3, 1: -12}, None, "f")  # negative lead -6
+@example({_U_F11: 12, _F11_F21: -9, 1: 2}, -3, "g")  # lead -3 divides 12, -9, not 2
+@example({_F11_F40: 5, _PACKED_RADIX.places[1]: 2, 1: 7, 0: -1}, None, "f")  # ties on degree
+def test_packed_rendering_equals_decode_monic_and_render(p, lead, prefix):
+    packed = PackedPolys(_PACKED_RADIX, [p], None if lead is None else [lead])
+    reference = _reference_monic(p, lead)
+    assert packed.text(0, prefix) == _reference_format_poly(reference, prefix)
+    assert packed.json_terms(0, prefix) == _reference_json_terms(reference, prefix)
+    assert list(packed) == [reference]

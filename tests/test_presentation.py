@@ -523,6 +523,19 @@ def test_simplified_relations_are_monic():
 # --- grading flips and rendering ----------------------------------------------
 
 
+def test_simplified_relations_are_decoded_only_when_read():
+    """Rendering reads the packed codes; the ``Fraction`` relations are made
+    on the first read of ``relations`` and equal the reference's."""
+    p = direct_presentation((3, 2, 1))
+    ours = simplify(p)
+    quotient_ring_text(ours)
+    presentation_document(ours)
+    assert ours.relations._decoded is None
+    assert ours.relations == _reference_simplify(p).relations
+    assert ours.relations._decoded is not None
+    assert len(ours.relations) == len(ours.relations[:]) == 3
+
+
 def test_negate_grading_flips_degrees_and_orientation():
     p = direct_presentation((2, 1))
     m = negate_grading(p)
