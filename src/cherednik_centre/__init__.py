@@ -34,8 +34,8 @@ from .centre import (
 from .errors import (
     CellOutOfDiagram, DomainError, EllOutOfRange, EmptyPartition, InexactDivision,
     InhomogeneousRelation, LengthMismatch, MalformedPresentation,
-    NegativeDegreeCutoff, NegativeDegreeGenerator, NegativePart, NegativeWeight, NonIntegral, NonSquare,
-    NotWeaklyDecreasing, OracleTruncated, PadTooShort, RowOutOfRange,
+    NegativeDegreeCutoff, NegativeDegreeGenerator, NegativePart, NegativeWeight,
+    NonIntegral, NonSquare, NotWeaklyDecreasing, OracleTruncated, PadTooShort, RowOutOfRange,
     UnparsableLabel, ZeroPolynomial,
 )
 from .hilbert import (

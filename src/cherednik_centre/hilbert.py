@@ -256,10 +256,11 @@ def graded_dimensions_from_presentation(
     ``max_degree`` defaults to the complete-intersection bound plus two
     slack degrees, which must vanish; that check can miss an infinite
     quotient, so a truncated series may be returned as a complete one (see
-    module docstring).  An explicit ``max_degree`` below 0 raises
-    :class:`~cherednik_centre.errors.NegativeDegreeCutoff`.  Positive generator degrees, each its symbol's
-    degree, and homogeneous relations in the generators alone are required
-    (apply to positive-orientation presentations only); anything else raises
+    module docstring); an explicit ``max_degree`` below 0 raises
+    :class:`~cherednik_centre.errors.NegativeDegreeCutoff`.  Positive
+    generator degrees, each its symbol's degree, and homogeneous relations in
+    the generators alone are required (apply to positive-orientation
+    presentations only); anything else raises
     a :class:`~cherednik_centre.errors.DomainError`.
     """
     if max_degree is not None and max_degree < 0:

@@ -1,8 +1,10 @@
 """Exact sparse polynomials in ``u`` and graded generator symbols ``f_{i,j}``.
 
-Coefficients are arbitrary-precision rationals (`fractions.Fraction`); there
-is no floating point anywhere in the package.  A polynomial is a dict mapping
-monomials to non-zero coefficients, where a monomial is
+Coefficients are exact: Python ints where the values are integral (the
+direct relations, the Schubert basis) and ``fractions.Fraction`` where they
+need not be (the Wronskian, the monic view of simplified relations); there
+is no floating point anywhere in the package.  A polynomial is a dict
+mapping monomials to non-zero coefficients, where a monomial is
 
     (u_exponent, ((GenSym(row, degree), exponent), ...))
 
@@ -27,7 +29,12 @@ monomials share the same weighted degree is homogeneous.
 
 The canonical term order (used for printing and for picking leading terms) is
 graded lexicographic with ``u`` greatest, then generators compared by
-``(row, degree)``.
+``(row, degree)`` (:func:`term_sort_key`).  There is one term renderer,
+:class:`PackedPolys`: it reads each packed term's sort key and generator
+names in one pass over its non-zero digits (:meth:`Radix.ordered`), sorts
+the terms by that int key, and writes each coefficient ``c / lead`` reduced
+by one ``math.gcd``, with no ``Fraction`` made.  :func:`format_poly` and
+:func:`named_terms` pack an ``MPoly`` first (:meth:`PackedPolys.from_polys`).
 """
 
 from __future__ import annotations
@@ -180,7 +187,8 @@ class Radix:
     ``symbols[k - 1]``; ``places`` holds the place values in the same order.
     Adding two codes multiplies their monomials as long as no digit reaches
     its base; keeping to the bases is the caller's sizing rule, its own
-    bases or :meth:`by_degree`.
+    bases or :meth:`by_degree`.  :meth:`ordered` reads codes back for the
+    renderers.
     """
 
     def __init__(self, symbols: Sequence[GenSym], bases: Sequence[int]):
@@ -192,7 +200,7 @@ class Radix:
         self.places = tuple(places)
         self._symbol_places = tuple(zip(self.symbols, self.places[1:]))
         self._place_of = dict(self._symbol_places)
-        self._renderer: _Renderer | None = None
+        self._tables: dict[tuple[str, bool], tuple] = {}
 
     @classmethod
     def by_degree(cls, symbols: Sequence[GenSym], max_degree: int) -> Radix:
@@ -202,22 +210,6 @@ class Radix:
         no product of two whose degrees sum to at most ``max_degree``, fills
         a digit to its base."""
         return cls(symbols, [max_degree + 1] + [max_degree // s.degree + 1 for s in symbols])
-
-    @classmethod
-    def by_exponents(cls, polys: Sequence[MPoly]) -> Radix:
-        """Digits for the sorted symbols of ``polys``, each base one more
-        than the largest exponent the digit holds in them."""
-        top = {}
-        top_u = 0
-        for p in polys:
-            for ue, gens in p:
-                if ue > top_u:
-                    top_u = ue
-                for s, e in gens:
-                    if e > top.get(s, 0):
-                        top[s] = e
-        symbols = sorted(top)
-        return cls(symbols, [top_u + 1] + [top[s] + 1 for s in symbols])
 
     def encode_poly(self, p: IntPoly) -> PackedPoly:
         """``p`` with each monomial replaced by its code, in one pass with
@@ -245,11 +237,61 @@ class Radix:
                     break
         return ue, tuple(gens)
 
-    def renderer(self) -> _Renderer:
-        """The term renderer of this codec, built on first use."""
-        if self._renderer is None:
-            self._renderer = _Renderer(self)
-        return self._renderer
+    def table(self, prefix: str, text: bool) -> tuple:
+        """What :meth:`ordered` reads, for names under ``prefix`` in text
+        (``f1,2^3``) or JSON (``f1,2`` three times) form; built once."""
+        found = self._tables.get((prefix, text))
+        if found is None:
+            bases = self.bases[:0:-1]
+            span = math.prod(b + 1 for b in bases)
+            key_place, tail, cells, tails = 1, 0, [], []
+            for s, base in zip(self.symbols[::-1], bases):
+                name = generator_name(s, prefix)
+                step = key_place - s.degree * self.bases[0] * span
+                pieces = [[f"{name}^{e}" if e > 1 else name] if text else [name] * e
+                          for e in range(base)]
+                cells.append([(e * step - base * key_place, pieces[e]) for e in range(base)])
+                tails.append(tail)
+                tail -= base * key_place
+                key_place *= base + 1
+            found = self._tables[prefix, text] = (
+                self.places[:0:-1], cells, tails, tail, -(self.bases[0] + 1) * span
+            )
+        return found
+
+    def ordered(self, codes, table: tuple) -> list[tuple[int, int, int, list[str]]]:
+        """``(key, code, u exponent, name pieces)`` per code, ascending in
+        the :func:`term_sort_key` order of the monomials.
+
+        The key is ``-(degree * bases[0] + ue) * K + T`` with ``T`` in
+        ``(-K, 0]``, a number in the radix ``b + 1`` per symbol digit of base
+        ``b`` (``K`` its range) whose digit is ``e - b`` for an exponent
+        ``e > 0``, ``0`` for a zero before the last factor and ``-b`` for one
+        after it: where two monomials first differ, the smaller exponent
+        comes first, an absent factor last and an ended factor tuple first.
+        The factors are found most significant first, by bisecting the
+        place values (digits indexed least significant first).
+        """
+        places, cells, tails, empty_tail, u_step = table
+        u_place = self.places[0]
+        rows = []
+        for code in codes:
+            ue, rest = divmod(code, u_place)
+            key = ue * u_step
+            factors: list[str] = []
+            if rest:
+                while rest:
+                    k = bisect_right(places, rest) - 1
+                    e, rest = divmod(rest, places[k])
+                    gain, pieces = cells[k][e]
+                    key += gain
+                    factors += pieces
+                key += tails[k]
+            else:
+                key += empty_tail
+            rows.append((key, code, ue, factors))
+        rows.sort()
+        return rows
 
 
 def monomial_degree(mono: Monomial) -> int:
@@ -410,101 +452,16 @@ def generator_name(symbol: GenSym, prefix: str = "f") -> str:
     return f"{prefix}{symbol.row},{symbol.degree}"
 
 
-class _Renderer:
-    """The term renderer of one :class:`Radix`: each term's canonical sort
-    key and generator names, read factor by factor in one pass.
-
-    A term's key is one int, ascending in :func:`term_sort_key` order.  It is
-    ``-(degree * bases[0] + ue) * K + T`` with ``T`` in ``(-K, 0]`` a number
-    in the radix ``(b + 1 for b in symbol bases)`` (``K`` its range), whose
-    digit for a symbol is ``e - b`` for an exponent ``e > 0``, ``0`` for a
-    zero exponent before the last factor and ``-b`` for one after it.  So at
-    the first symbol where two monomials differ, a smaller exponent sorts
-    first, an absent factor last, and a monomial whose factors have ended
-    (the shorter factor tuple) first.  A factor ``e`` of digit ``k`` adds
-    ``gains[k][e]``, which also counts the factor's weight in the degree
-    part, and the last factor adds ``tails[k]``, the part of ``T`` from the
-    zeros after it.
-
-    The factors are found most significant first by bisecting the place
-    values, so a digit that is zero costs nothing.  Symbol digits are
-    indexed least significant first: ``places``, ``gains`` and ``tails``
-    hold one entry per digit, and a name table (see :meth:`table`) one list
-    per digit.
-    """
-
-    def __init__(self, radix: Radix):
-        self.radix = radix
-        bases = radix.bases[:0:-1]
-        self.places = radix.places[:0:-1]
-        key_places = [1] * len(bases)
-        for k in range(1, len(bases)):
-            key_places[k] = key_places[k - 1] * (bases[k - 1] + 1)
-        span = key_places[-1] * (bases[-1] + 1) if bases else 1
-        self.u_step = -(radix.bases[0] + 1) * span
-        self.gains = []
-        self.tails = []
-        tail = 0
-        for s, base, key_place in zip(radix.symbols[::-1], bases, key_places):
-            step = key_place - s.degree * radix.bases[0] * span
-            self.gains.append([e * step - base * key_place for e in range(base)])
-            self.tails.append(tail)
-            tail -= base * key_place
-        self.empty_tail = tail
-        self.u_names = ["", "u"] + [f"u^{ue}" for ue in range(2, radix.bases[0])]
-        self.tables: dict[tuple[str, bool], list] = {}
-
-    def table(self, prefix: str, text: bool) -> list[list[list[str]]]:
-        """Per symbol digit, least significant first, the list of name pieces
-        for each exponent ``e``: ``["f1,2^3"]`` for text, ``["f1,2"] * 3``
-        for JSON.  Built once per prefix and form."""
-        found = self.tables.get((prefix, text))
-        if found is None:
-            found = self.tables[(prefix, text)] = []
-            for s, base in zip(self.radix.symbols[::-1], self.radix.bases[:0:-1]):
-                name = generator_name(s, prefix)
-                if text:
-                    found.append([[], [name]] + [[f"{name}^{e}"] for e in range(2, base)])
-                else:
-                    found.append([[name] * e for e in range(base)])
-        return found
-
-    def ordered(self, codes, table: list) -> list[tuple[int, int, int, list[str]]]:
-        """``(key, code, u exponent, name pieces)`` per code, in canonical
-        order."""
-        u_place, u_step, empty_tail = self.radix.places[0], self.u_step, self.empty_tail
-        places, gains, tails = self.places, self.gains, self.tails
-        rows = []
-        for code in codes:
-            ue, rest = divmod(code, u_place)
-            key = ue * u_step
-            factors: list[str] = []
-            if rest:
-                while rest:
-                    k = bisect_right(places, rest) - 1
-                    e, rest = divmod(rest, places[k])
-                    key += gains[k][e]
-                    factors += table[k][e]
-                key += tails[k]
-            else:
-                key += empty_tail
-            rows.append((key, code, ue, factors))
-        rows.sort()
-        return rows
-
-
-class PackedPolys(Sequence):
+class PackedPolys:
     """Polynomials ``polys[k] / leads[k]``: int coefficients on the codes of
-    one :class:`Radix` over sorted symbols, and one non-zero int lead each.
-    Without ``leads`` each polynomial is monic: its lead is the coefficient
-    of its first term in canonical order, which rendering finds in its sort.
+    one :class:`Radix` over sorted symbols, and a non-zero int lead each;
+    with no ``leads``, each polynomial's lead is the coefficient of its
+    first term in canonical order (a monic view).
 
-    As a sequence it reads as the tuple of those polynomials in canonical
-    monomials with ``Fraction`` coefficients, decoded on first read and kept.
-    :meth:`text` and :meth:`json_terms` render straight from the codes, in
-    :func:`term_sort_key` order, each coefficient written as the reduced
-    ``c / lead`` (one ``math.gcd`` per term, no ``Fraction``); :func:`format_poly`
-    and :func:`named_terms` render an ``MPoly`` through :meth:`from_polys`.
+    It reads as the tuple of those polynomials with ``Fraction``
+    coefficients, decoded on first read.  :meth:`text` and
+    :meth:`json_terms` render from the codes: each coefficient is the
+    reduced ``c / lead``, by one ``math.gcd``.
     """
 
     def __init__(
@@ -512,91 +469,77 @@ class PackedPolys(Sequence):
     ):
         self.radix = radix
         self.polys = tuple(polys)
-        self.leads = None if leads is None else tuple(leads)
+        self.leads = leads
         self._decoded: tuple[MPoly, ...] | None = None
 
     @classmethod
     def from_polys(cls, polys: Sequence[MPoly]) -> PackedPolys:
-        """The packed form of ``MPoly`` values: each digit's base one more
-        than the largest exponent it holds, each lead the lcm of the
-        polynomial's denominators (1 for int coefficients)."""
-        radix = Radix.by_exponents(polys)
+        """``polys`` packed: each digit's base one more than the largest
+        exponent it holds, each lead the lcm of the denominators."""
+        top = dict(sorted({factor for p in polys for _, gens in p for factor in gens}))
+        top_u = max((ue for p in polys for ue, _ in p), default=0)
+        radix = Radix(list(top), [top_u + 1] + [e + 1 for e in top.values()])
         packed, leads = [], []
         for p in polys:
             codes = radix.encode_poly(p)
-            if all(type(c) is int for c in codes.values()):
-                lead = 1
-            else:
+            lead = 1
+            if not all(type(c) is int for c in codes.values()):
                 lead = math.lcm(*(c.denominator for c in codes.values()))
                 codes = {code: c.numerator * (lead // c.denominator) for code, c in codes.items()}
             packed.append(codes)
             leads.append(lead)
         return cls(radix, packed, leads)
 
-    def _rows(self, index: int, prefix: str, text: bool):
-        renderer = self.radix.renderer()
+    def _terms(self, index: int, prefix: str, text: bool):
+        """``(code, numerator, denominator, u exponent, name pieces)`` per
+        term, in canonical order."""
         p = self.polys[index]
-        rows = renderer.ordered(p, renderer.table(prefix, text))
-        if not rows:
-            return
-        lead = p[rows[0][1]] if self.leads is None else self.leads[index]
+        rows = self.radix.ordered(p, self.radix.table(prefix, text))
+        lead = self.leads[index] if self.leads else p[rows[0][1]] if rows else 1
         for _key, code, ue, factors in rows:
             c = p[code]
             g = math.gcd(c, lead)
             num, den = c // g, lead // g
             if den < 0:
                 num, den = -num, -den
-            yield num, den, ue, factors
+            yield code, num, den, ue, factors
 
     def text(self, index: int, prefix: str = "f") -> str:
-        """Canonical text of polynomial ``index``, e.g. ``u^2 - 2*f2,1*u + 3/5*f1,2``."""
-        if not self.polys[index]:
-            return "0"
-        u_names = self.radix.renderer().u_names
+        """Polynomial ``index`` as text, e.g. ``u^2 - 2*f2,1*u + 3/5*f1,2``."""
         pieces: list[str] = []
-        for num, den, ue, factors in self._rows(index, prefix, True):
-            positive = num > 0
-            if not positive:
-                num = -num
+        for _code, num, den, ue, factors in self._terms(index, prefix, True):
+            sign = "-" if num < 0 else "+"
+            num = abs(num)
             if ue:
-                factors.append(u_names[ue])
-            if not factors:
-                body = str(num) if den == 1 else f"{num}/{den}"
+                factors.append("u" if ue == 1 else f"u^{ue}")
+            named = "*".join(factors)
+            if den != 1:
+                body = f"{num}/{den}*{named}" if named else f"{num}/{den}"
+            elif num == 1 and named:
+                body = named
             else:
-                named = "*".join(factors)
-                if den != 1:
-                    body = f"{num}/{den}*{named}"
-                elif num == 1:
-                    body = named
-                else:
-                    body = f"{num}*{named}"
-            if not pieces:
-                pieces.append(body if positive else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if positive else f"- {body}")
+                body = f"{num}*{named}" if named else str(num)
+            pieces.append(f"{sign} {body}")
+        if not pieces:
+            return "0"
+        first = pieces[0]
+        pieces[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         return " ".join(pieces)
 
     def json_terms(self, index: int, prefix: str = "f") -> list[dict]:
-        """The terms of polynomial ``index`` in canonical order, each as
-        ``{"coefficient": "-3/5", "monomial": [generator names repeated by
-        exponent]}`` (``u`` is not named); the coefficient is written as
-        ``str`` of the ``Fraction`` would write it."""
+        """Polynomial ``index`` as ``{"coefficient": "-3/5", "monomial":
+        [names repeated by exponent]}`` per term (``u`` is not named)."""
         return [
             {"coefficient": str(num) if den == 1 else f"{num}/{den}", "monomial": names}
-            for num, den, _ue, names in self._rows(index, prefix, False)
+            for _code, num, den, _ue, names in self._terms(index, prefix, False)
         ]
 
     def _values(self) -> tuple[MPoly, ...]:
         if self._decoded is None:
             decode = self.radix.decode
-            leads = self.leads
-            if leads is None:
-                renderer = self.radix.renderer()
-                table = renderer.table("f", False)
-                leads = [p[renderer.ordered(p, table)[0][1]] if p else 1 for p in self.polys]
             self._decoded = tuple(
-                {decode(code): Fraction(c, lead) for code, c in p.items()}
-                for p, lead in zip(self.polys, leads)
+                {decode(code): Fraction(n, d) for code, n, d, *_ in self._terms(k, "f", False)}
+                for k in range(len(self.polys))
             )
         return self._decoded
 
@@ -605,9 +548,6 @@ class PackedPolys(Sequence):
 
     def __len__(self) -> int:
         return len(self.polys)
-
-    def __iter__(self):
-        return iter(self._values())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (tuple, PackedPolys)):
@@ -623,10 +563,10 @@ class PackedPolys(Sequence):
 def named_terms(p: MPoly, prefix: str = "f") -> Iterator[tuple[Monomial, list[str]]]:
     """The monomials of ``p`` in canonical order, each with the names of its
     generators repeated by exponent."""
-    radix = Radix.by_exponents((p,))
-    monomial_of = dict(zip(radix.encode_poly(p), p))
-    renderer = radix.renderer()
-    for _key, code, _ue, names in renderer.ordered(monomial_of, renderer.table(prefix, False)):
+    packed = PackedPolys.from_polys((p,))
+    monomial_of = dict(zip(packed.polys[0], p))
+    table = packed.radix.table(prefix, False)
+    for _key, code, _ue, names in packed.radix.ordered(monomial_of, table):
         yield monomial_of[code], names
 
 

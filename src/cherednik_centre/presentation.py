@@ -24,15 +24,26 @@ divisible by ``ell``, and its relations, of degree ``ell, 2*ell, ...``, sum
 over the transversals made of those cells only.  The enumeration walks just
 those cells; it never builds the full presentation of ``lam``.  Both
 variants share one enumerator, which keeps the beta-set exponents in place
-and multiplies the Vandermonde product as a Python int along the path.
+and multiplies the Vandermonde product as a Python int along the path; each
+relation stores it as the int coefficient of its term.
 
 ``simplify`` performs the standard elimination of generators that occur
 linearly, giving a reduced presentation with monic relations.  It is
-fraction-free: the eliminations run on primitive integer multiples of the
-relations, and only the final monic normalization divides, so the result is
-exact.  Inside the elimination loop a monomial is one packed int (the
+fraction-free from input to output: the eliminations run on primitive
+integer multiples of the relations, a monomial is one packed int (the
 layout is described in :mod:`~cherednik_centre.polyring`) and a coefficient
-one int.
+one int, and the result keeps them so, as a
+:class:`~cherednik_centre.polyring.PackedPolys` whose leads are found when
+it is rendered.  A ``Fraction`` appears only when its ``relations`` are
+read as polynomials: they are decoded then, once, to monic ``Fraction``
+relations (the Wronskian's relations are ``Fraction`` too).
+
+The renderers (:func:`quotient_ring_text`, :func:`presentation_text`,
+:func:`presentation_document`) write a simplified presentation straight
+from its codes: per term one pass over its non-zero digits for the sort key
+and the names, one sort of int keys per relation, and one ``math.gcd`` for
+the coefficient.  A raw presentation is packed first, which costs one more
+pass over its terms.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 from .abacus import MultiPartition, format_multipartition, from_quotient
 from .errors import CellOutOfDiagram, InhomogeneousRelation, NegativeDegreeGenerator
@@ -104,7 +115,7 @@ class GradedPresentation:
     a :class:`~cherednik_centre.polyring.PackedPolys` that reads as one."""
 
     generators: tuple[tuple[GenSym, int], ...]
-    relations: Sequence[MPoly]
+    relations: tuple[MPoly, ...] | PackedPolys
     meta: PresentationMeta
 
     def generator_symbols(self) -> tuple[GenSym, ...]:
@@ -280,8 +291,9 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     generator that appears with a scalar coefficient and in no other monomial
     of that relation, eliminate the lexicographically largest such
     ``(row, hook)``, substitute everywhere, drop the generator and the spent
-    relation, restart.  Output relations are normalized monic; identically
-    zero relations are dropped.
+    relation, restart.  Output relations are monic (each divided by the
+    coefficient of its first term in canonical order); identically zero
+    relations are dropped.
 
     The elimination is fraction-free and exact: each relation is kept as its
     primitive integer multiple, and eliminating ``g`` from ``lead*g + rest``
@@ -289,8 +301,8 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     ``lead^E * p(g = -rest/lead)``, ``E`` the largest exponent of ``g`` in
     ``p``.  Each relation is a non-zero rational multiple of the one that
     substituting with rational coefficients gives, with the same monomials,
-    so the choice of generators and the monic result are the same; only the
-    final normalization makes fractions.  The input is not modified.
+    so the choice of generators and the monic result are the same.  The
+    input is not modified.
 
     Inside the loop a monomial is one code of
     :meth:`Radix.by_degree <cherednik_centre.polyring.Radix.by_degree>` for
@@ -301,8 +313,10 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     relation, so no exponent outgrows its digit and multiplying monomials is
     adding codes.  That needs every weight to be at least 1: a symbol of
     degree below 1 raises
-    :class:`~cherednik_centre.errors.NegativeDegreeGenerator`.  Codes are
-    decoded to canonical monomials once, before the monic normalization.
+    :class:`~cherednik_centre.errors.NegativeDegreeGenerator`.  The result's
+    ``relations`` is a :class:`~cherednik_centre.polyring.PackedPolys` of
+    the primitive relations on those codes, with no leads given: nothing is
+    decoded or divided until it is rendered or read.
     """
     generators = list(presentation.generators)
     relations = [r for r in presentation.relations if r]
@@ -357,7 +371,7 @@ def negate_grading(presentation: GradedPresentation) -> GradedPresentation:
 # serialization shared with the CLI
 
 
-def _packed(relations: Sequence[MPoly]) -> PackedPolys:
+def _packed(relations: tuple[MPoly, ...] | PackedPolys) -> PackedPolys:
     if isinstance(relations, PackedPolys):
         return relations
     return PackedPolys.from_polys(relations)
