@@ -244,19 +244,18 @@ class Radix:
         if found is None:
             bases = self.bases[:0:-1]
             span = math.prod(b + 1 for b in bases)
-            key_place, tail, cells, tails = 1, 0, [], []
-            for s, base in zip(self.symbols[::-1], bases):
+            key_place, tail, thresholds, cells = 1, 0, [], []
+            for s, base, place in zip(self.symbols[::-1], bases, self.places[:0:-1]):
                 name = generator_name(s, prefix)
                 step = key_place - s.degree * self.bases[0] * span
-                pieces = [[f"{name}^{e}" if e > 1 else name] if text else [name] * e
-                          for e in range(base)]
-                cells.append([(e * step - base * key_place, pieces[e]) for e in range(base)])
-                tails.append(tail)
+                for e in range(1, base):
+                    pieces = [f"{name}^{e}" if e > 1 else name] if text else [name] * e
+                    thresholds.append(e * place)
+                    cells.append((e * step - base * key_place, pieces, tail))
                 tail -= base * key_place
                 key_place *= base + 1
-            found = self._tables[prefix, text] = (
-                self.places[:0:-1], cells, tails, tail, -(self.bases[0] + 1) * span
-            )
+            u_step = -(self.bases[0] + 1) * span
+            found = self._tables[prefix, text] = (thresholds, cells, tail, u_step)
         return found
 
     def ordered(self, codes, table: tuple) -> list[tuple[int, int, int, list[str]]]:
@@ -269,10 +268,12 @@ class Radix:
         ``e > 0``, ``0`` for a zero before the last factor and ``-b`` for one
         after it: where two monomials first differ, the smaller exponent
         comes first, an absent factor last and an ended factor tuple first.
-        The factors are found most significant first, by bisecting the
-        place values (digits indexed least significant first).
+        The factors come most significant first: ``e * place`` for every
+        digit and exponent ``e > 0`` ascend together, so one bisection finds
+        the digit and its exponent, and each cell holds the factor's part of
+        the key, its names and the part of the zeros after it.
         """
-        places, cells, tails, empty_tail, u_step = table
+        thresholds, cells, empty_tail, u_step = table
         u_place = self.places[0]
         rows = []
         for code in codes:
@@ -281,12 +282,12 @@ class Radix:
             factors: list[str] = []
             if rest:
                 while rest:
-                    k = bisect_right(places, rest) - 1
-                    e, rest = divmod(rest, places[k])
-                    gain, pieces = cells[k][e]
+                    i = bisect_right(thresholds, rest) - 1
+                    rest -= thresholds[i]
+                    gain, pieces, tail = cells[i]
                     key += gain
                     factors += pieces
-                key += tails[k]
+                key += tail
             else:
                 key += empty_tail
             rows.append((key, code, ue, factors))

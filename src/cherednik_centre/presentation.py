@@ -269,15 +269,18 @@ def _eliminate(
         powers.append({code: c for code, c in power.items() if c})
     scales = [lead ** (top - e) for e in range(top + 1)]
     out: PackedPoly = {}
+    get = out.get
     for (code, c), e in zip(p.items(), exponents):
         if not e:
-            out[code] = out.get(code, 0) + c * scales[0]
+            out[code] = get(code, 0) + c * scales[0]
             continue
         rest = code - e * place
         factor = c * scales[e]
         for mono, v in powers[e].items():
-            out[rest + mono] = out.get(rest + mono, 0) + factor * v
-    out = {code: c for code, c in out.items() if c}
+            key = rest + mono
+            out[key] = get(key, 0) + factor * v
+    if 0 in out.values():
+        out = {code: c for code, c in out.items() if c}
     content = math.gcd(*out.values())
     if content <= 1:
         return out
