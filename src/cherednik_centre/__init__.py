@@ -74,8 +74,7 @@ __all__ = [
     "CellOutOfDiagram", "DomainError", "EllOutOfRange", "EmptyPartition",
     "InexactDivision", "InhomogeneousRelation", "LengthMismatch",
     "MalformedPresentation", "NegativeDegreeCutoff", "NegativeDegreeGenerator",
-    "NegativePart",
-    "NegativeWeight", "NonIntegral", "NonSquare", "NotWeaklyDecreasing",
+    "NegativePart", "NegativeWeight", "NonIntegral", "NonSquare", "NotWeaklyDecreasing",
     "OracleTruncated", "PadTooShort", "RowOutOfRange", "UnparsableLabel",
     "ZeroPolynomial",
     # hilbert

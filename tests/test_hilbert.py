@@ -276,8 +276,8 @@ def test_oracle_rejects_a_malformed_presentation(generators, relations, max_degr
 
 @pytest.mark.parametrize("lam", [(2, 1), ()], ids=["2,1", "empty"])
 def test_oracle_rejects_a_negative_degree_cutoff(lam):
-    """Below 0 there are no graded pieces to count: ``(2, 1)`` read the
-    series ``0`` there, and the empty partition a bare ``IndexError``."""
+    """Below degree 0 there are no graded pieces to count, with or without
+    generators; degree 0 alone is the constants."""
     with pytest.raises(NegativeDegreeCutoff):
         graded_dimensions_from_presentation(direct_presentation(lam), max_degree=-1)
     assert graded_dimensions_from_presentation(direct_presentation(lam), max_degree=0) == (

@@ -509,9 +509,9 @@ def test_rendering_equals_the_reference_on_signs_and_constants():
     assert format_poly({(0, ((F11, 2),)): Fraction(-1, 2)}) == "-1/2*f1,1^2"
 
 
-# The packed renderer against the route it replaced in ``simplify``: decode
-# every code to a canonical monomial, divide by the coefficient of the first
-# term in canonical order (``_reference_monic``), then render the ``Fraction``
+# The packed renderer against a reference route: decode every code to a
+# canonical monomial, divide by the coefficient of the first term in
+# canonical order (``_reference_monic``), then render the ``Fraction``
 # polynomial with the reference renderers above.  A weight-0 symbol makes
 # monomials whose factor tuples are prefixes of others tie on degree.
 
