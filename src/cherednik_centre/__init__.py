@@ -48,14 +48,13 @@ from .partitions import (
     make_partition, parse_partition, partitions_of, row_hook_set, transpose, weight,
 )
 from .polyring import (
-    INHOMOGENEOUS, GenSym, MPoly, add, coefficient_of_u, const, constant_value,
-    d_du, determinant, divide_exact, format_poly, gen, monomial, mul, neg, scale,
-    sub, u_power, weighted_degree,
+    INHOMOGENEOUS, GenSym, MPoly, const, constant_value, d_du, determinant,
+    divide_exact, format_poly, gen, monomial, mul, scale, u_power, weighted_degree,
 )
 from .presentation import (
     GradedPresentation, PresentationMeta, TransversalMonomial, direct_presentation,
     format_label, negate_grading, presentation_document, quotient_ring_text,
-    simplify, transversal_monomials, vandermonde_coefficient, wreath_presentation,
+    simplify, transversal_monomials, wreath_presentation,
 )
 from .wronski import (
     SchubertBasis, WronskiRelations, schubert_basis, wronski_relations, wronskian,
@@ -86,14 +85,14 @@ __all__ = [
     "hook_length", "make_partition", "parse_partition", "partitions_of",
     "row_hook_set", "transpose", "weight",
     # polyring
-    "INHOMOGENEOUS", "GenSym", "MPoly", "add", "coefficient_of_u", "const",
-    "constant_value", "d_du", "determinant", "divide_exact", "format_poly", "gen",
-    "monomial", "mul", "neg", "scale", "sub", "u_power", "weighted_degree",
+    "INHOMOGENEOUS", "GenSym", "MPoly", "const", "constant_value", "d_du",
+    "determinant", "divide_exact", "format_poly", "gen", "monomial", "mul", "scale",
+    "u_power", "weighted_degree",
     # presentation
     "GradedPresentation", "PresentationMeta", "TransversalMonomial",
     "direct_presentation", "format_label", "negate_grading",
     "presentation_document", "quotient_ring_text", "simplify",
-    "transversal_monomials", "vandermonde_coefficient", "wreath_presentation",
+    "transversal_monomials", "wreath_presentation",
     # wronski
     "SchubertBasis", "WronskiRelations", "schubert_basis", "wronski_relations",
     "wronskian", "wronskian_recursive",

@@ -7,14 +7,11 @@ a temp file, then rename).  ``--format
 json`` emits canonical JSON: sorted keys, two-space indent, coefficients as
 exact-rational strings — parsing and re-serializing is byte-identical.
 
-:func:`render_json` writes it with one small recursive writer that escapes
-strings with ``json.encoder.encode_basestring_ascii``, the C escaper of
-``json.dumps``; its output equals ``json.dumps(doc, indent=2,
-sort_keys=True) + "\n"`` byte for byte (a property test checks it).  With
-``indent`` set, ``json.dumps`` runs the pure-Python encoder on CPython
-3.10–3.12, 1.6–1.9x slower than the writer on the 410 weight 9–12
-presentation documents; 3.13 encodes indented output in C and is about 2x
-faster than the writer there.
+:func:`render_json` writes it, equal to ``json.dumps(doc, indent=2,
+sort_keys=True) + "\n"`` byte for byte.  Relations, nearly all the bytes of
+``presentation`` and ``centre`` output, come as JSON text written from
+packed codes, which the writer indents to its depth; other strings go
+through ``json.dumps``'s C escaper.
 
 Partition arguments are comma-separated parts (``3,2``), the empty partition
 is ``-``, and multipartitions join components with ``|`` (``3,2|1,1|2``).  A
@@ -57,10 +54,10 @@ from .partitions import (
 )
 from .polyring import format_poly, named_terms
 from .presentation import (
+    _document,
     direct_presentation,
     format_label,
     label_document,
-    presentation_document,
     presentation_text,
     quotient_ring_text,
     simplify,
@@ -94,14 +91,18 @@ def render_json(doc: dict) -> str:
     return _json_value(doc, "\n") + "\n"
 
 
+class _Fragment(str):
+    """A JSON value already written as canonical JSON at the top level."""
+
+
 def _json_value(value, pad: str) -> str:
     """One JSON value whose closing bracket follows ``pad`` (a newline and
     the indent of the line the value starts on).  Strings and keys go
-    through the C escaper that ``json.dumps`` uses; anything but ``str``,
-    ``int``, ``bool``, ``None``, ``list`` and ``dict`` with ``str`` keys
-    raises ``TypeError``."""
+    through the C escaper that ``json.dumps`` uses, and a :class:`_Fragment`
+    is indented by ``pad``; anything but ``str``, ``int``, ``bool``,
+    ``None``, ``list`` and ``dict`` with ``str`` keys raises ``TypeError``."""
     if isinstance(value, str):
-        return _quote(value)
+        return value.replace("\n", pad) if type(value) is _Fragment else _quote(value)
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:
@@ -220,7 +221,7 @@ def _cmd_presentation(args) -> _Output:
         built = wreath_presentation(label, args.ell)
     if args.simplified:
         built = simplify(built)
-    return _Output(lambda: presentation_text(built), lambda: presentation_document(built))
+    return _Output(lambda: presentation_text(built), lambda: _document(built, _Fragment))
 
 
 def _cmd_wronskian(args) -> _Output:
@@ -270,8 +271,8 @@ def _centre_document(result: CentrePresentation) -> dict:
     for blk in result.blocks:
         entry = {
             "label": label_document(blk.label),
-            "plus": presentation_document(blk.plus_part),
-            "minus": presentation_document(blk.minus_part),
+            "plus": _document(blk.plus_part, _Fragment),
+            "minus": _document(blk.minus_part, _Fragment),
             "dimension": blk.dimension,
         }
         if blk.star_label is not None:

@@ -27,14 +27,13 @@ its rows.
 Grading: ``deg u = 1`` and ``deg f_{i,j} = j``; a polynomial all of whose
 monomials share the same weighted degree is homogeneous.
 
-The canonical term order (used for printing and for picking leading terms) is
-graded lexicographic with ``u`` greatest, then generators compared by
-``(row, degree)`` (:func:`term_sort_key`).  There is one term renderer,
-:class:`PackedPolys`: it reads each packed term's sort key and generator
-names in one pass over its non-zero digits (:meth:`Radix.ordered`), sorts
-the terms by that int key, and writes each coefficient ``c / lead`` reduced
-by one ``math.gcd``, with no ``Fraction`` made.  :func:`format_poly` and
-:func:`named_terms` pack an ``MPoly`` first (:meth:`PackedPolys.from_polys`).
+The canonical term order (used for printing and for picking leading terms)
+sorts monomials by ``(-degree, -u exponent, factors)``.  :class:`PackedPolys`
+renders in that order, as text or canonical JSON: it reads each term's sort
+key and generator names in one pass over its non-zero digits
+(:meth:`Radix.ordered`), sorts the terms by that int key, and writes each
+coefficient ``c / lead`` reduced by one ``math.gcd``.  :func:`format_poly`
+and :func:`named_terms` pack an ``MPoly`` first.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .errors import InexactDivision, NonSquare, ZeroPolynomial
@@ -98,25 +98,6 @@ def monomial(u_exp: int, factors: dict[GenSym, int], coeff=1) -> MPoly:
         return {}
     vec = tuple(sorted((s, e) for s, e in factors.items() if e))
     return {(u_exp, vec): coeff}
-
-
-def add(p: MPoly, q: MPoly) -> MPoly:
-    out = dict(p)
-    for mono, c in q.items():
-        s = out.get(mono, Fraction(0)) + c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    return out
-
-
-def neg(p: MPoly) -> MPoly:
-    return {mono: -c for mono, c in p.items()}
-
-
-def sub(p: MPoly, q: MPoly) -> MPoly:
-    return add(p, neg(q))
 
 
 def scale(p: MPoly, value) -> MPoly:
@@ -239,7 +220,7 @@ class Radix:
 
     def table(self, prefix: str, text: bool) -> tuple:
         """What :meth:`ordered` reads, for names under ``prefix`` in text
-        (``f1,2^3``) or JSON (``f1,2`` three times) form; built once."""
+        (``f1,2^3``) or JSON (``"f1,2"`` three times) form; built once."""
         found = self._tables.get((prefix, text))
         if found is None:
             bases = self.bases[:0:-1]
@@ -247,6 +228,8 @@ class Radix:
             key_place, tail, thresholds, cells = 1, 0, [], []
             for s, base, place in zip(self.symbols[::-1], bases, self.places[:0:-1]):
                 name = generator_name(s, prefix)
+                if not text:
+                    name = _quote(name)
                 step = key_place - s.degree * self.bases[0] * span
                 for e in range(1, base):
                     pieces = [f"{name}^{e}" if e > 1 else name] if text else [name] * e
@@ -260,7 +243,7 @@ class Radix:
 
     def ordered(self, codes, table: tuple) -> list[tuple[int, int, int, list[str]]]:
         """``(key, code, u exponent, name pieces)`` per code, ascending in
-        the :func:`term_sort_key` order of the monomials.
+        the canonical order of the monomials.
 
         The key is ``-(degree * bases[0] + ue) * K + T`` with ``T`` in
         ``(-K, 0]``, a number in the radix ``b + 1`` per symbol digit of base
@@ -311,11 +294,6 @@ def weighted_degree(p: MPoly):
     if len(degrees) == 1:
         return degrees.pop()
     return INHOMOGENEOUS
-
-
-def coefficient_of_u(p: MPoly, k: int) -> MPoly:
-    """The coefficient of ``u^k`` as a polynomial in the generators alone."""
-    return {(0, gens): c for (ue, gens), c in p.items() if ue == k}
 
 
 def constant_value(p: MPoly) -> Fraction:
@@ -437,20 +415,17 @@ def determinant(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
 # rendering
 
 
-def term_sort_key(mono: Monomial):
-    """Graded lex, ``u`` greatest, generators by ``(row, degree)``: the
-    canonical term order, which :meth:`PackedPolys.text` and
-    :meth:`PackedPolys.json_terms` reproduce on packed codes."""
-    ue, gens = mono
-    degree = ue
-    for s, e in gens:
-        degree += s.degree * e
-    return (-degree, -ue, gens)
-
-
 def generator_name(symbol: GenSym, prefix: str = "f") -> str:
     """The printed name of a generator, e.g. ``f2,1`` for ``GenSym(2, 1)``."""
     return f"{prefix}{symbol.row},{symbol.degree}"
+
+
+# The pieces of one term of :meth:`PackedPolys.json_text`.
+_JSON_TERM = '{\n    "coefficient": "'
+_JSON_NAMES = '",\n    "monomial": [\n      '
+_JSON_NAME_SEP = ",\n      "
+_JSON_TERM_END = "\n    ]\n  }"
+_JSON_NO_NAMES = '",\n    "monomial": []\n  }'
 
 
 class PackedPolys:
@@ -461,7 +436,7 @@ class PackedPolys:
 
     It reads as the tuple of those polynomials with ``Fraction``
     coefficients, decoded on first read.  :meth:`text` and
-    :meth:`json_terms` render from the codes: each coefficient is the
+    :meth:`json_text` render from the codes: each coefficient is the
     reduced ``c / lead``, by one ``math.gcd``.
     """
 
@@ -527,13 +502,20 @@ class PackedPolys:
         pieces[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         return " ".join(pieces)
 
-    def json_terms(self, index: int, prefix: str = "f") -> list[dict]:
-        """Polynomial ``index`` as ``{"coefficient": "-3/5", "monomial":
-        [names repeated by exponent]}`` per term (``u`` is not named)."""
-        return [
-            {"coefficient": str(num) if den == 1 else f"{num}/{den}", "monomial": names}
-            for _code, num, den, _ue, names in self._terms(index, prefix, False)
-        ]
+    def json_text(self, index: int, prefix: str = "f") -> str:
+        """Polynomial ``index`` as ``json.dumps(..., indent=2,
+        sort_keys=True)`` writes, at the top level, its list of
+        ``{"coefficient": "-3/5", "monomial": [names repeated by
+        exponent]}`` per term (``u`` is not named)."""
+        terms = []
+        for _code, num, den, _ue, names in self._terms(index, prefix, False):
+            coefficient = str(num) if den == 1 else f"{num}/{den}"
+            if names:
+                tail = _JSON_NAMES + _JSON_NAME_SEP.join(names) + _JSON_TERM_END
+            else:
+                tail = _JSON_NO_NAMES
+            terms.append(_JSON_TERM + coefficient + tail)
+        return "[\n  " + ",\n  ".join(terms) + "\n]" if terms else "[]"
 
     def _values(self) -> tuple[MPoly, ...]:
         if self._decoded is None:
@@ -566,9 +548,9 @@ def named_terms(p: MPoly, prefix: str = "f") -> Iterator[tuple[Monomial, list[st
     generators repeated by exponent."""
     packed = PackedPolys.from_polys((p,))
     monomial_of = dict(zip(packed.polys[0], p))
-    table = packed.radix.table(prefix, False)
-    for _key, code, _ue, names in packed.radix.ordered(monomial_of, table):
-        yield monomial_of[code], names
+    for _key, code, *_ in packed.radix.ordered(monomial_of, packed.radix.table(prefix, True)):
+        mono = monomial_of[code]
+        yield mono, [generator_name(s, prefix) for s, e in mono[1] for _ in range(e)]
 
 
 def format_poly(p: MPoly, prefix: str = "f") -> str:

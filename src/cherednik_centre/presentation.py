@@ -42,25 +42,25 @@ The renderers (:func:`quotient_ring_text`, :func:`presentation_text`,
 :func:`presentation_document`) write a simplified presentation straight
 from its codes: per term one pass over its non-zero digits for the sort key
 and the names, one sort of int keys per relation, and one ``math.gcd`` for
-the coefficient.  A raw presentation is packed first, which costs one more
-pass over its terms.
+the coefficient.  The CLI writes each relation's JSON text as it is, and
+:func:`presentation_document` parses it back.  A raw presentation is packed
+first, which costs one more pass over its terms.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .abacus import MultiPartition, format_multipartition, from_quotient
-from .errors import CellOutOfDiagram, InhomogeneousRelation, NegativeDegreeGenerator
+from .errors import InhomogeneousRelation, NegativeDegreeGenerator
 from .partitions import (
     Cell,
     Partition,
     beta_set,
     format_partition,
-    hook_length,
     transpose,
     weight,
 )
@@ -153,11 +153,12 @@ def _transversals(
     skipped first, then its cells left to right).
 
     Yields ``(cells, gen-vector, degree, product)`` with ``product`` the
-    Vandermonde product of the module docstring as a Python int.  Exponents
-    are updated in place along the path, and the product is built row by row:
-    choosing exponent ``e`` for row ``r`` multiplies in ``e_a - e`` for each
-    earlier row ``a`` and ``e - p`` for each padding row's fixed exponent
-    ``p`` (``0 .. n - len(lam) - 1``).
+    Vandermonde product of the module docstring as a Python int.  One walk
+    over a stack: a row's choices are pushed in reverse, each with the
+    exponent it writes in place when popped (the last row's are yielded at
+    once).  Choosing exponent ``e`` for row ``r`` multiplies in ``e_a - e``
+    for each earlier row ``a`` and ``e - p`` for each padding row's fixed
+    exponent ``p`` (``0 .. n - len(lam) - 1``).
     """
     n = weight(lam)
     # per row: skip it, or take one cell (column bit, hook, cell, gen factor)
@@ -172,11 +173,17 @@ def _transversals(
     # the padding rows among themselves: prod over k < padding of k!
     constant = math.prod(math.factorial(k) for k in range(padding))
     against_padding: dict[int, int] = {}
-
-    def grow(r, used, degree, product, chosen, gens):
-        if r == len(options):
-            yield chosen, gens, degree, product
-            return
+    last = len(options) - 1
+    if last < 0:
+        yield (), (), 0, constant
+        return
+    # (row, exponent of the row before, used columns, degree, product, cells, gen-vector)
+    stack = [(0, 0, 0, 0, constant, (), ())]
+    while stack:
+        r, e, used, degree, product, chosen, gens = stack.pop()
+        if r:
+            exponents[r - 1] = e
+        choices = []
         for bit, h, cell, gen in options[r]:
             if used & bit or degree + h > n:
                 continue
@@ -187,33 +194,19 @@ def _transversals(
                 against_padding[e] = factor
             for a in range(r):
                 factor *= exponents[a] - e
-            exponents[r] = e
-            yield from grow(
-                r + 1, used | bit, degree + h, product * factor, chosen + cell, gens + gen
-            )
-
-    return grow(0, 0, 0, constant, (), ())
+            if r == last:
+                yield chosen + cell, gens + gen, degree + h, product * factor
+            else:
+                choices.append(
+                    (r + 1, e, used | bit, degree + h, product * factor, chosen + cell, gens + gen)
+                )
+        stack += reversed(choices)
 
 
 def transversal_monomials(lam: Partition) -> Iterator[TransversalMonomial]:
     """All transversal monomials of degree <= weight(lam), empty one included."""
     for chosen, _gens, degree, _product in _transversals(lam):
         yield TransversalMonomial(chosen, degree)
-
-
-def vandermonde_coefficient(lam: Partition, m: TransversalMonomial) -> Fraction:
-    """The exact coefficient of the transversal monomial ``m`` (see module doc)."""
-    n = weight(lam)
-    exponents = list(beta_set(lam, n))
-    for i, j in m.cells:
-        if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
-            raise CellOutOfDiagram((lam, (i, j)))
-        exponents[i - 1] -= hook_length(lam, (i, j))
-    product = 1
-    for a in range(n):
-        for b in range(a + 1, n):
-            product *= exponents[a] - exponents[b]
-    return Fraction(product)
 
 
 def _presentation(lam: Partition, ell: int, source: Label) -> GradedPresentation:
@@ -412,13 +405,18 @@ def presentation_text(presentation: GradedPresentation) -> str:
 
 def presentation_document(presentation: GradedPresentation) -> dict:
     """JSON-ready document: generators, relations, metadata."""
+    return _document(presentation, json.loads)
+
+
+def _document(presentation: GradedPresentation, relation: Callable[[str], object]) -> dict:
+    """That document with ``relation(json text)`` for each relation."""
     prefix = presentation.meta.prefix
     generators = [
         {"name": generator_name(g, prefix), "row": g.row, "hook": g.degree, "degree": d}
         for g, d in presentation.generators
     ]
     packed = _packed(presentation.relations)
-    relations = [packed.json_terms(k, prefix) for k in range(len(packed.polys))]
+    relations = [relation(packed.json_text(k, prefix)) for k in range(len(packed.polys))]
     return {
         "generators": generators,
         "relations": relations,

@@ -1,0 +1,78 @@
+"""Reference routes the tests check the package against.
+
+Each is the plain form of something the package computes another way: ring
+operations on ``MPoly`` dicts, the canonical term order as a tuple key, one
+Vandermonde coefficient taken pair by pair over the whole padded beta-set,
+and the JSON terms of a packed relation as one dict per term.  The package
+itself uses none of them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from cherednik_centre import CellOutOfDiagram, beta_set, hook_length, weight
+from cherednik_centre.polyring import Monomial, MPoly, PackedPolys, generator_name
+
+
+def add(p: MPoly, q: MPoly) -> MPoly:
+    out = dict(p)
+    for mono, c in q.items():
+        s = out.get(mono, Fraction(0)) + c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def neg(p: MPoly) -> MPoly:
+    return {mono: -c for mono, c in p.items()}
+
+
+def sub(p: MPoly, q: MPoly) -> MPoly:
+    return add(p, neg(q))
+
+
+def coefficient_of_u(p: MPoly, k: int) -> MPoly:
+    """The coefficient of ``u^k`` as a polynomial in the generators alone."""
+    return {(0, gens): c for (ue, gens), c in p.items() if ue == k}
+
+
+def term_sort_key(mono: Monomial):
+    """Graded lex, ``u`` greatest, generators by ``(row, degree)``: the
+    canonical term order, which ``PackedPolys`` reproduces on packed codes."""
+    ue, gens = mono
+    degree = ue
+    for s, e in gens:
+        degree += s.degree * e
+    return (-degree, -ue, gens)
+
+
+def vandermonde_coefficient(lam, m) -> Fraction:
+    """The exact coefficient of the transversal monomial ``m`` (see the
+    ``presentation`` module docstring)."""
+    n = weight(lam)
+    exponents = list(beta_set(lam, n))
+    for i, j in m.cells:
+        if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
+            raise CellOutOfDiagram((lam, (i, j)))
+        exponents[i - 1] -= hook_length(lam, (i, j))
+    product = 1
+    for a in range(n):
+        for b in range(a + 1, n):
+            product *= exponents[a] - exponents[b]
+    return Fraction(product)
+
+
+def json_terms(packed: PackedPolys, index: int, prefix: str = "f") -> list[dict]:
+    """Polynomial ``index`` as ``{"coefficient": "-3/5", "monomial": [names
+    repeated by exponent]}`` per term (``u`` is not named)."""
+    terms = []
+    for code, num, den, _ue, _names in packed._terms(index, prefix, False):
+        _ue, gens = packed.radix.decode(code)
+        terms.append({
+            "coefficient": str(num) if den == 1 else f"{num}/{den}",
+            "monomial": [generator_name(s, prefix) for s, e in gens for _ in range(e)],
+        })
+    return terms

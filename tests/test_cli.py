@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cherednik_centre import (
+    centre_presentation,
     checks,
     cli,
     format_multipartition,
@@ -26,6 +27,7 @@ from cherednik_centre import (
     multipartitions_of,
     parse_partition,
     partitions_of,
+    presentation_document,
     scale,
     weight,
 )
@@ -179,6 +181,53 @@ _json_values = st.recursive(
 @given(st.dictionaries(_json_strings, _json_values, max_size=5))
 def test_render_json_equals_json_dumps(doc):
     assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _fragments_parsed(value):
+    """``value`` with every pre-rendered fragment parsed back to its value."""
+    if isinstance(value, cli._Fragment):
+        return json.loads(value)
+    if isinstance(value, dict):
+        return {key: _fragments_parsed(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_fragments_parsed(v) for v in value]
+    return value
+
+
+_json_with_fragments = st.recursive(
+    _json_values.map(lambda v: cli._Fragment(json.dumps(v, indent=2, sort_keys=True)))
+    | st.none() | _json_strings,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_json_strings, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(st.dictionaries(_json_strings, _json_with_fragments, max_size=4))
+def test_render_json_indents_fragments_at_any_depth(doc):
+    expected = json.dumps(_fragments_parsed(doc), indent=2, sort_keys=True) + "\n"
+    assert render_json(doc) == expected
+
+
+@pytest.mark.parametrize(
+    ("n", "ell", "simplified"), [(2, 2, False), (3, 1, True), (3, 2, True), (2, 3, True)]
+)
+def test_centre_document_with_fragments_equals_json_dumps_of_dicts(n, ell, simplified):
+    result = centre_presentation(n, ell, simplified)
+    doc = cli._centre_document(result)
+    fragments = [blk[part]["relations"] for blk in doc["blocks"] for part in ("plus", "minus")]
+    assert all(type(r) is cli._Fragment for relations in fragments for r in relations)
+    dicts = {
+        **doc,
+        "blocks": [
+            {
+                **blk,
+                "plus": presentation_document(source.plus_part),
+                "minus": presentation_document(source.minus_part),
+            }
+            for blk, source in zip(doc["blocks"], result.blocks)
+        ],
+    }
+    assert render_json(doc) == json.dumps(dicts, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -506,6 +555,8 @@ _LARGE_OUTPUT_PINS = {
         "98abe7daf7842860896e0e6b9bf164c3970546c7502a1bdedc4ae8e466d531bc",
     "presentation --ell 3 --simplified --format text -- 2|1|1":
         "ced827870252df0f0cae7a46987d2a03746260f6e39badde0b2dab892475f0f2",
+    "centre --ell 2 --simplified --format json -- 5":
+        "ff839e02d13d443a2c24bfba7bec6b9e4e444b625c269d80cdf5e0191cdad2df",
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,6 @@ from cherednik_centre import (
     InexactDivision,
     NonSquare,
     ZeroPolynomial,
-    add,
-    coefficient_of_u,
     const,
     constant_value,
     d_du,
@@ -27,9 +26,7 @@ from cherednik_centre import (
     gen,
     monomial,
     mul,
-    neg,
     scale,
-    sub,
     u_power,
     weighted_degree,
 )
@@ -41,8 +38,9 @@ from cherednik_centre.polyring import (
     monomial_degree,
     monomial_product,
     named_terms,
-    term_sort_key,
 )
+
+from reference import add, coefficient_of_u, json_terms, neg, sub, term_sort_key
 
 F11 = GenSym(1, 1)
 F12 = GenSym(1, 2)
@@ -556,5 +554,42 @@ def test_packed_rendering_equals_decode_monic_and_render(p, lead, prefix):
     packed = PackedPolys(_PACKED_RADIX, [p], None if lead is None else [lead])
     reference = _reference_monic(p, lead)
     assert packed.text(0, prefix) == _reference_format_poly(reference, prefix)
-    assert packed.json_terms(0, prefix) == _reference_json_terms(reference, prefix)
+    assert json.loads(packed.json_text(0, prefix)) == _reference_json_terms(reference, prefix)
     assert list(packed) == [reference]
+
+
+# ``json_text`` against ``json.dumps`` of the reference ``json_terms``, where
+# the relation sits ``depth`` lists deep; the text is re-indented there by
+# replacing each newline with the newline and indent of that depth.
+
+
+def _dumps_at_depth(value, depth):
+    """``json.dumps(value, indent=2, sort_keys=True)`` as it reads ``depth``
+    lists deep, cut out of the dump of the nested lists."""
+    for _ in range(depth):
+        value = [value]
+    text = json.dumps(value, indent=2, sort_keys=True)
+    for level in range(1, depth + 1):
+        head, tail = "[\n" + "  " * level, "\n" + "  " * (level - 1) + "]"
+        assert text.startswith(head) and text.endswith(tail)
+        text = text[len(head):-len(tail)]
+    return text
+
+
+@given(
+    _packed_polys(),
+    st.sampled_from([None, 1, -1, 2, -3, 6]),
+    st.sampled_from(["f", "g"]),
+    st.integers(0, 4),
+)
+@example({}, None, "f", 0)  # the zero relation
+@example({}, 5, "g", 2)  # the zero relation, nested
+@example({_PACKED_RADIX.places[0] * 2: 3, _U_F11: 6}, None, "f", 1)  # a u-only term
+@example({_U_F11: -6, _F11_F21: 3, 1: -12}, None, "f", 3)  # negative lead -6
+@example({_U_F11: 4, _F11_F21: -6, 1: 8}, None, "f", 1)  # lead 4 divides 8, not -6
+@example({_U_F11: 12, _F11_F21: -9, 1: 2}, -3, "g", 2)  # prefix g, given lead
+def test_json_text_equals_json_dumps_of_the_reference_terms(p, lead, prefix, depth):
+    packed = PackedPolys(_PACKED_RADIX, [p], None if lead is None else [lead])
+    pad = "\n" + "  " * depth
+    expected = _dumps_at_depth(json_terms(packed, 0, prefix), depth)
+    assert packed.json_text(0, prefix).replace("\n", pad) == expected

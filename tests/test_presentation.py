@@ -29,16 +29,21 @@ from cherednik_centre import (
     quotient_ring_text,
     simplify,
     transversal_monomials,
-    vandermonde_coefficient,
     weight,
     weighted_degree,
     wreath_presentation,
     wronski_relations,
 )
-from cherednik_centre.polyring import INHOMOGENEOUS, add, mul, scale, term_sort_key
-from cherednik_centre.presentation import GradedPresentation, PresentationMeta
+from cherednik_centre.polyring import INHOMOGENEOUS, mul, scale
+from cherednik_centre.presentation import (
+    GradedPresentation,
+    PresentationMeta,
+    _packed,
+    label_document,
+)
 
 from conftest import partitions_up_to
+from reference import add, json_terms, term_sort_key, vandermonde_coefficient
 
 
 # --- transversal monomials ----------------------------------------------------
@@ -511,8 +516,6 @@ def test_simplify_fills_a_digit_to_its_bound_beside_a_live_digit():
 
 
 def test_simplified_relations_are_monic():
-    from cherednik_centre.polyring import term_sort_key
-
     for lam in [(3, 2), (4,), (2, 2, 1)]:
         s = simplify(direct_presentation(lam))
         for rel in s.relations:
@@ -582,3 +585,43 @@ def test_presentation_document_multipartition_label():
     first_term = doc["relations"][0][0]
     assert set(first_term) == {"coefficient", "monomial"}
     assert isinstance(first_term["coefficient"], str)
+
+
+def _reference_document(presentation):
+    """The document with one dict per term (``reference.json_terms``)."""
+    prefix = presentation.meta.prefix
+    packed = _packed(presentation.relations)
+    return {
+        "generators": [
+            {"name": f"{prefix}{g.row},{g.degree}", "row": g.row, "hook": g.degree, "degree": d}
+            for g, d in presentation.generators
+        ],
+        "relations": [json_terms(packed, k, prefix) for k in range(len(packed.polys))],
+        "metadata": {
+            "partition": label_document(presentation.meta.source),
+            "ell": presentation.meta.ell,
+            "orientation": presentation.meta.orientation,
+            "simplified": presentation.meta.simplified,
+        },
+    }
+
+
+def _documented_presentations(built):
+    """``built``, simplified, and both with negated grading under prefix ``g``
+    (a centre's minus part)."""
+    for p in (built, simplify(built)):
+        yield p
+        minus = negate_grading(p)
+        yield replace(minus, meta=replace(minus.meta, prefix="g"))
+
+
+def test_presentation_document_equals_the_reference_for_small_labels():
+    labels = [(lam, 1) for n in range(9) for lam in partitions_of(n)]
+    labels += [
+        (q, ell) for ell in range(2, 9) for n in range(8 // ell + 1)
+        for q in multipartitions_of(n, ell)
+    ]
+    for label, ell in labels:
+        built = direct_presentation(label) if ell == 1 else wreath_presentation(label, ell)
+        for p in _documented_presentations(built):
+            assert presentation_document(p) == _reference_document(p), (label, ell)

@@ -11,9 +11,7 @@ from cherednik_centre import (
     EmptyPartition,
     GenSym,
     InexactDivision,
-    add,
     beta_set,
-    coefficient_of_u,
     const,
     gen,
     mul,
@@ -29,6 +27,8 @@ from cherednik_centre import (
     wronskian_recursive,
 )
 from cherednik_centre.wronski import SchubertBasis
+
+from reference import add
 
 
 def _basis_support(poly):
