@@ -48,8 +48,8 @@ from .partitions import (
     make_partition, parse_partition, partitions_of, row_hook_set, transpose, weight,
 )
 from .polyring import (
-    INHOMOGENEOUS, GenSym, MPoly, const, constant_value, d_du, determinant,
-    divide_exact, format_poly, gen, monomial, mul, scale, u_power, weighted_degree,
+    INHOMOGENEOUS, GenSym, MPoly, const, d_du, determinant, divide_exact,
+    format_poly, gen, monomial, mul, scale, u_power, weighted_degree,
 )
 from .presentation import (
     GradedPresentation, PresentationMeta, TransversalMonomial, direct_presentation,
@@ -85,9 +85,9 @@ __all__ = [
     "hook_length", "make_partition", "parse_partition", "partitions_of",
     "row_hook_set", "transpose", "weight",
     # polyring
-    "INHOMOGENEOUS", "GenSym", "MPoly", "const", "constant_value", "d_du",
-    "determinant", "divide_exact", "format_poly", "gen", "monomial", "mul", "scale",
-    "u_power", "weighted_degree",
+    "INHOMOGENEOUS", "GenSym", "MPoly", "const", "d_du", "determinant",
+    "divide_exact", "format_poly", "gen", "monomial", "mul", "scale", "u_power",
+    "weighted_degree",
     # presentation
     "GradedPresentation", "PresentationMeta", "TransversalMonomial",
     "direct_presentation", "format_label", "negate_grading",

@@ -1,9 +1,9 @@
 """Exact sparse polynomials in ``u`` and graded generator symbols ``f_{i,j}``.
 
 Coefficients are exact: Python ints where the values are integral (the
-direct relations, the Schubert basis) and ``fractions.Fraction`` where they
-need not be (the Wronskian, the monic view of simplified relations); there
-is no floating point anywhere in the package.  A polynomial is a dict
+direct and Wronskian relations, the Schubert basis) and ``Fraction`` where
+they need not be (``determinant``, the monic view of simplified relations);
+there is no floating point anywhere in the package.  A polynomial is a dict
 mapping monomials to non-zero coefficients, where a monomial is
 
     (u_exponent, ((GenSym(row, degree), exponent), ...))
@@ -14,15 +14,15 @@ every operation returns a fresh dict.  ``primitive_part`` gives the integer
 multiple (an ``IntPoly``, same monomials, coefficients with gcd 1) that the
 fraction-free routines, ``simplify`` and the rank oracle, work on.
 
-The hot loops (``determinant``, ``simplify`` and the rank oracle) pack each
-monomial into one int in mixed radix, through one codec, :class:`Radix`, and
-keep each coefficient as an int.  The ``u`` digit is the most significant,
-then one digit per symbol in the caller's order, so codes ascend in
-lexicographic order of the exponent vectors; each digit's base exceeds every
-exponent it will hold, so multiplying monomials is adding codes.
-``simplify`` and the oracle size the digits by weighted degree
-(:meth:`Radix.by_degree`); ``determinant`` sizes its own by the exponents of
-its rows.
+The hot loops (the Laplace sweep under ``determinant`` and the Wronskian,
+``simplify`` and the rank oracle) pack each monomial into one int in mixed
+radix, through one codec, :class:`Radix`, and keep each coefficient as an
+int.  The ``u`` digit is the most significant, then one digit per symbol in
+the caller's order, so codes ascend in lexicographic order of the exponent
+vectors; each digit's base exceeds every exponent it will hold, so
+multiplying monomials is adding codes.  ``simplify`` and the oracle size the
+digits by weighted degree (:meth:`Radix.by_degree`), ``determinant`` and the
+Wronskian by exponents summed over rows or columns (:meth:`Radix.summed`).
 
 Grading: ``deg u = 1`` and ``deg f_{i,j} = j``; a polynomial all of whose
 monomials share the same weighted degree is homogeneous.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
@@ -168,8 +168,8 @@ class Radix:
     ``symbols[k - 1]``; ``places`` holds the place values in the same order.
     Adding two codes multiplies their monomials as long as no digit reaches
     its base; keeping to the bases is the caller's sizing rule, its own
-    bases or :meth:`by_degree`.  :meth:`ordered` reads codes back for the
-    renderers.
+    bases, :meth:`by_degree` or :meth:`summed`.  :meth:`ordered` reads codes
+    back for the renderers.
     """
 
     def __init__(self, symbols: Sequence[GenSym], bases: Sequence[int]):
@@ -191,6 +191,24 @@ class Radix:
         no product of two whose degrees sum to at most ``max_degree``, fills
         a digit to its base."""
         return cls(symbols, [max_degree + 1] + [max_degree // s.degree + 1 for s in symbols])
+
+    @classmethod
+    def summed(cls, groups: Iterable[Iterable[MPoly]]) -> Radix:
+        """Digits over the sorted symbols of ``groups``, each base one more
+        than the sum over the groups of the group's largest exponent in the
+        digit: no product of one term per group, or of smaller ones, carries."""
+        u_base, bases = 1, {}
+        for group in groups:
+            top = {}
+            for entry in group:
+                for _, gens in entry:
+                    for s, e in gens:
+                        top[s] = max(top.get(s, 0), e)
+            u_base += max((ue for entry in group for ue, _ in entry), default=0)
+            for s, e in top.items():
+                bases[s] = bases.get(s, 1) + e
+        symbols = sorted(bases)
+        return cls(symbols, [u_base] + [bases[s] for s in symbols])
 
     def encode_poly(self, p: IntPoly) -> PackedPoly:
         """``p`` with each monomial replaced by its code, in one pass with
@@ -296,15 +314,6 @@ def weighted_degree(p: MPoly):
     return INHOMOGENEOUS
 
 
-def constant_value(p: MPoly) -> Fraction:
-    """The value of a constant polynomial (raises on non-constant input)."""
-    if not p:
-        return Fraction(0)
-    if set(p) != {ONE_MONO}:
-        raise ValueError("polynomial is not constant")
-    return p[ONE_MONO]
-
-
 def divide_exact(p: MPoly, divisor: MPoly) -> MPoly:
     """Divide by a single-term polynomial; every step must be exact.
 
@@ -337,7 +346,33 @@ def divide_exact(p: MPoly, divisor: MPoly) -> MPoly:
 
 
 def determinant(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
-    """Exact determinant of a square matrix of polynomials.
+    """Exact determinant of a square matrix of polynomials, by
+    :func:`_laplace` on its rows packed by :meth:`Radix.summed`.  Each row is
+    scaled once by the lcm of its denominators, and the product of those
+    scales is divided out at the end.  The empty matrix has determinant 1.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise NonSquare(tuple(len(row) for row in matrix))
+    radix = Radix.summed(matrix)
+    denominator = 1
+    packed_rows = []
+    for row in matrix:
+        row_scale = math.lcm(*(c.denominator for entry in row for c in entry.values()))
+        denominator *= row_scale
+        packed_rows.append([
+            (1 << col, [(code, c.numerator * (row_scale // c.denominator))
+                        for code, c in radix.encode_poly(entry).items()])
+            for col, entry in enumerate(row) if entry
+        ])
+    full = _laplace(packed_rows, n)
+    return {radix.decode(code): Fraction(c, denominator) for code, c in full.items()}
+
+
+def _laplace(rows, n: int) -> PackedPoly:
+    """The determinant of an ``n x n`` matrix given as packed rows, each the
+    list of ``(1 << column, [(code, int coefficient), ...])`` of its
+    non-zero entries; no sum of codes may carry (:meth:`Radix.summed`).
 
     Laplace expansion from the bottom row up.  Level ``k`` maps the column
     bitmask of each non-zero minor on the last ``k`` rows to that minor, and
@@ -347,47 +382,9 @@ def determinant(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
     columns: a dense matrix still needs ``2^(n-1) * n`` polynomial products,
     but a sparse one such as a Schubert-cell Wronskian needs far fewer,
     because most of its minors vanish.
-
-    During the sweep a monomial is one :class:`Radix` code, each digit's base
-    one more than the sum over rows of the row's largest exponent in it, so
-    adding codes multiplies monomials without a carry.  Coefficients are
-    ints: each row is scaled once by the lcm of its denominators, and the
-    product of those scales is divided out at the end.  The empty matrix has
-    determinant 1.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise NonSquare(tuple(len(row) for row in matrix))
-    symbols = sorted(
-        {s for row in matrix for entry in row for _, gens in entry for s, _ in gens}
-    )
-    slot = {s: i for i, s in enumerate(symbols, start=1)}
-    # digit 0 is the u exponent, digit i the exponent of symbols[i - 1]
-    bases = [1] * (len(symbols) + 1)
-    for row in matrix:
-        row_max = [0] * len(bases)
-        for entry in row:
-            for ue, gens in entry:
-                row_max[0] = max(row_max[0], ue)
-                for s, e in gens:
-                    row_max[slot[s]] = max(row_max[slot[s]], e)
-        bases = [a + b for a, b in zip(bases, row_max)]
-    radix = Radix(symbols, bases)
-
-    denominator = 1
-    packed_rows = []  # per row: (column bit, (code, int coefficient) pairs)
-    for row in matrix:
-        row_scale = math.lcm(*(c.denominator for entry in row for c in entry.values()))
-        denominator *= row_scale
-        packed = []
-        for col, entry in enumerate(row):
-            if entry:
-                scaled = {m: c.numerator * (row_scale // c.denominator) for m, c in entry.items()}
-                packed.append((1 << col, radix.encode_poly(scaled).items()))
-        packed_rows.append(packed)
-
     level: dict[int, dict[int, int]] = {0: {0: 1}}
-    for packed in reversed(packed_rows):
+    for packed in reversed(rows):
         expanded: dict[int, dict[int, int]] = {}
         for used, minor in level.items():
             for bit, terms in packed:
@@ -406,9 +403,7 @@ def determinant(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
             minor = {code: c for code, c in minor.items() if c}
             if minor:
                 level[used] = minor
-
-    full = level.get((1 << n) - 1, {})
-    return {radix.decode(code): Fraction(c, denominator) for code, c in full.items()}
+    return level.get((1 << n) - 1, {})
 
 
 # ---------------------------------------------------------------------------

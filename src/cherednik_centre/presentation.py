@@ -36,7 +36,7 @@ one int, and the result keeps them so, as a
 :class:`~cherednik_centre.polyring.PackedPolys` whose leads are found when
 it is rendered.  A ``Fraction`` appears only when its ``relations`` are
 read as polynomials: they are decoded then, once, to monic ``Fraction``
-relations (the Wronskian's relations are ``Fraction`` too).
+relations (the raw relations, like the Wronskian's, have int coefficients).
 
 The renderers (:func:`quotient_ring_text`, :func:`presentation_text`,
 :func:`presentation_document`) write a simplified presentation straight

@@ -18,6 +18,15 @@ rescaled).  This module is the oracle route; the combinatorial construction
 in :mod:`cherednik_centre.presentation` must reproduce it coefficient by
 coefficient.
 
+The basis is packed once (:class:`~.polyring.Radix`), each column scaled by
+the lcm of its denominators, and each digit's base is one more than the sum
+over the columns of its largest exponent there: a determinant term takes
+one entry per column and differentiating never raises an exponent, so no
+digit carries (a Schubert basis gives every symbol digit base 2).  Row
+``k + 1`` differentiates row ``k`` on the codes, the rows go through the
+Laplace sweep of :func:`~.polyring.determinant`, and the relations are split
+off the result by its ``u`` digit, with int coefficients.
+
 ``wronskian_recursive`` is a second, independent evaluation route for bases
 of single-term polynomials, via the identity
 
@@ -30,19 +39,20 @@ valid with the inputs ordered by increasing degree.  Against the determinant
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptyPartition
-from .partitions import Partition, beta_set, row_hook_set, weight
+from .partitions import Partition, beta_set, make_partition, row_hook_set, weight
 from .polyring import (
     GenSym,
     MPoly,
+    Radix,
+    _laplace,
     const,
-    constant_value,
     d_du,
-    determinant,
     divide_exact,
     mul,
 )
@@ -65,8 +75,9 @@ class WronskiRelations:
 
 
 def schubert_basis(lam: Partition) -> SchubertBasis:
-    """The basis of the module docstring, every coefficient the int 1, so
-    that the derivative rows of :func:`wronskian` hold ints."""
+    """The basis of the module docstring, every coefficient the int 1;
+    :class:`NegativePart` or :class:`NotWeaklyDecreasing` on a non-partition."""
+    lam = make_partition(lam)
     n = weight(lam)
     if n == 0:
         return SchubertBasis((), ())
@@ -81,30 +92,54 @@ def schubert_basis(lam: Partition) -> SchubertBasis:
     return SchubertBasis(lam + (0,) * (n - len(lam)), tuple(polys))
 
 
+def _packed_wronskian(polys: Sequence[MPoly]) -> tuple[Radix, dict[int, int], int]:
+    """The codec, the packed Wronskian times ``denominator``, and that."""
+    radix = Radix.summed([p] for p in polys)
+    u_place = radix.places[0]
+    denominator, columns = 1, []
+    for p in polys:
+        column_scale = math.lcm(*(c.denominator for c in p.values()))
+        denominator *= column_scale
+        columns.append([(code, c.numerator * (column_scale // c.denominator))
+                        for code, c in radix.encode_poly(p).items()])
+    # Each row differentiates the one above; a column, once zero, is dropped.
+    rows = [[(1 << col, terms) for col, terms in enumerate(columns) if terms]]
+    for _ in polys[1:]:
+        rows.append([
+            (bit, derived) for bit, terms in rows[-1]
+            if (derived := [(code - u_place, c * (code // u_place))
+                            for code, c in terms if code >= u_place])
+        ])
+    return radix, _laplace(rows, len(polys)), denominator
+
+
 def wronskian(basis: SchubertBasis) -> MPoly:
+    """The Wronskian of ``basis.polys``, with int coefficients if theirs are integral."""
     if not basis.polys:
         raise EmptyPartition("the Wronskian needs at least one polynomial")
-    rows = [list(basis.polys)]
-    for _ in range(len(basis.polys) - 1):
-        rows.append([d_du(entry) for entry in rows[-1]])
-    return determinant(rows)
+    radix, det, denominator = _packed_wronskian(basis.polys)
+    if denominator > 1:
+        det = {code: Fraction(c, denominator) for code, c in det.items()}
+    return {radix.decode(code): c for code, c in det.items()}
 
 
 def wronski_relations(lam: Partition) -> WronskiRelations:
-    """Extract the leading coefficient and ``r_1 ... r_n`` for ``lam``, in
-    one pass over the Wronskian's terms, split by ``u``-exponent.
-
-    The empty partition yields leading 1 and no relations (base field).
-    """
+    """The leading coefficient and ``r_1 ... r_n`` for ``lam``, split off the
+    packed Wronskian by ``u`` digit; leading 1 and no relations for ``()``,
+    and the errors of :func:`schubert_basis` on a non-partition."""
+    lam = make_partition(lam)
     n = weight(lam)
     if n == 0:
         return WronskiRelations(Fraction(1), ())
-    by_u_exponent: dict[int, MPoly] = {}
-    for (ue, gens), c in wronskian(schubert_basis(lam)).items():
-        by_u_exponent.setdefault(ue, {})[(0, gens)] = c
-    leading = constant_value(by_u_exponent.get(n, {}))
-    relations = tuple(by_u_exponent.get(n - s, {}) for s in range(1, n + 1))
-    return WronskiRelations(leading, relations)
+    # The basis has int coefficients, so the denominator is 1.
+    radix, det, _ = _packed_wronskian(schubert_basis(lam).polys)
+    u_place, decode = radix.places[0], radix.decode
+    relations: list[MPoly] = [{} for _ in range(n)]
+    leading = Fraction(det.pop(n * u_place, 0))
+    for code, c in det.items():
+        ue, rest = divmod(code, u_place)
+        relations[n - 1 - ue][decode(rest)] = c
+    return WronskiRelations(leading, tuple(relations))
 
 
 def wronskian_recursive(polys: Sequence[MPoly]) -> MPoly:

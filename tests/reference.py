@@ -1,10 +1,10 @@
 """Reference routes the tests check the package against.
 
 Each is the plain form of something the package computes another way: ring
-operations on ``MPoly`` dicts, the canonical term order as a tuple key, one
-Vandermonde coefficient taken pair by pair over the whole padded beta-set,
-and the JSON terms of a packed relation as one dict per term.  The package
-itself uses none of them.
+operations on ``MPoly`` dicts, the value of a constant polynomial, the
+canonical term order as a tuple key, one Vandermonde coefficient taken pair
+by pair over the whole padded beta-set, and the JSON terms of a packed
+relation as one dict per term.  The package itself uses none of them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from cherednik_centre import CellOutOfDiagram, beta_set, hook_length, weight
-from cherednik_centre.polyring import Monomial, MPoly, PackedPolys, generator_name
+from cherednik_centre.polyring import (
+    ONE_MONO,
+    Monomial,
+    MPoly,
+    PackedPolys,
+    generator_name,
+)
 
 
 def add(p: MPoly, q: MPoly) -> MPoly:
@@ -32,6 +38,15 @@ def neg(p: MPoly) -> MPoly:
 
 def sub(p: MPoly, q: MPoly) -> MPoly:
     return add(p, neg(q))
+
+
+def constant_value(p: MPoly) -> Fraction:
+    """The value of a constant polynomial (raises on non-constant input)."""
+    if not p:
+        return Fraction(0)
+    if set(p) != {ONE_MONO}:
+        raise ValueError("polynomial is not constant")
+    return p[ONE_MONO]
 
 
 def coefficient_of_u(p: MPoly, k: int) -> MPoly:

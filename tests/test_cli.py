@@ -34,6 +34,7 @@ from cherednik_centre import (
 from cherednik_centre.cli import render_json, run
 
 GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
+WRONSKIAN_PINS = Path(__file__).resolve().parent / "wronskian_pins.json"
 
 
 def _run(capsys, *argv):
@@ -104,6 +105,24 @@ def test_wronskian_of_single_box(capsys):
     status, out, _ = _run(capsys, "wronskian", "1")
     assert status == 0
     assert out == "u + f1,1\n"
+
+
+def test_wronskian_outputs_are_pinned(capsys):
+    """``wronskian`` stdout, as text and as JSON, for every partition of
+    n <= 6 hashes to its pin (taken while the Wronskian's coefficients were
+    ``Fraction`` values)."""
+    pins = json.loads(WRONSKIAN_PINS.read_text())
+    argvs = [
+        f"wronskian --format {fmt} -- {format_partition(lam)}"
+        for n in range(1, 7)
+        for lam in partitions_of(n)
+        for fmt in ("text", "json")
+    ]
+    assert sorted(argvs) == sorted(pins)
+    for argv in argvs:
+        status, out, err = _run(capsys, *argv.split(" "))
+        assert (status, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == pins[argv], argv
 
 
 def test_hilbert_pin(capsys):

@@ -18,7 +18,6 @@ from cherednik_centre import (
     NonSquare,
     ZeroPolynomial,
     const,
-    constant_value,
     d_du,
     determinant,
     divide_exact,
@@ -40,7 +39,15 @@ from cherednik_centre.polyring import (
     named_terms,
 )
 
-from reference import add, coefficient_of_u, json_terms, neg, sub, term_sort_key
+from reference import (
+    add,
+    coefficient_of_u,
+    constant_value,
+    json_terms,
+    neg,
+    sub,
+    term_sort_key,
+)
 
 F11 = GenSym(1, 1)
 F12 = GenSym(1, 2)

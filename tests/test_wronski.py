@@ -5,22 +5,26 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cherednik_centre import (
     EmptyPartition,
     GenSym,
     InexactDivision,
+    NegativePart,
+    NotWeaklyDecreasing,
     beta_set,
     const,
+    d_du,
+    determinant,
     gen,
+    monomial,
     mul,
     partitions_of,
     row_hook_set,
     schubert_basis,
     scale,
     u_power,
-    weight,
     weighted_degree,
     wronski_relations,
     wronskian,
@@ -62,6 +66,18 @@ def test_basis_polys_use_exactly_the_row_hook_symbols(n):
             d_i = beta_set(lam, n)[i - 1]
             assert poly[(d_i, ())] == 1  # monic
             assert weighted_degree(poly) == d_i
+
+
+@pytest.mark.parametrize(
+    ("lam", "error"),
+    [((1, 2), NotWeaklyDecreasing), ((2, 1, 3), NotWeaklyDecreasing),
+     ((-1,), NegativePart), ((1, -1), NegativePart)],
+)
+def test_non_partitions_are_rejected(lam, error):
+    with pytest.raises(error):
+        schubert_basis(lam)
+    with pytest.raises(error):
+        wronski_relations(lam)
 
 
 def test_empty_partition():
@@ -152,13 +168,18 @@ def test_recursive_wronskian_rejects_multi_term_heads():
         wronskian_recursive([add(u_power(1), const(1)), u_power(2)])
 
 
-def _monomial_matrix_wronskian(degrees):
-    from cherednik_centre import d_du, determinant
-
-    rows = [[u_power(d) for d in degrees]]
-    for _ in range(len(degrees) - 1):
+def _reference_wronskian(polys):
+    """The determinant of the ``d_du`` derivative rows, on ``MPoly`` dicts.
+    ``determinant`` shares its sweep and digit sizing with the packed route;
+    ``test_polyring`` checks both against plain ``MPoly`` expansions."""
+    rows = [list(polys)]
+    for _ in range(len(polys) - 1):
         rows.append([d_du(p) for p in rows[-1]])
     return determinant(rows)
+
+
+def _monomial_matrix_wronskian(degrees):
+    return _reference_wronskian([u_power(d) for d in degrees])
 
 
 @given(st.sets(st.integers(0, 9), min_size=1, max_size=5))
@@ -179,3 +200,48 @@ def test_monomial_wronskian_never_vanishes_on_beta_sets(n):
         assert det, lam
         total = sum(beta_set(lam, n)) - n * (n - 1) // 2
         assert det == scale(u_power(total), next(iter(det.values())))
+
+
+# --- packed route against the reference ---------------------------------------
+
+_symbols = st.sampled_from([GenSym(1, 1), GenSym(1, 2), GenSym(2, 1), GenSym(3, 2)])
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+
+
+@st.composite
+def _basis_polys(draw):
+    """A polynomial of up to four terms, or zero: ``Fraction`` coefficients,
+    ``u`` exponents up to 5 and generator exponents up to 3."""
+    p = {}
+    for _ in range(draw(st.integers(0, 4))):
+        factors = {}
+        for _ in range(draw(st.integers(0, 2))):
+            s = draw(_symbols)
+            factors[s] = factors.get(s, 0) + draw(st.integers(1, 3))
+        p = add(p, monomial(draw(st.integers(0, 5)), factors, draw(_fractions)))
+    return p
+
+
+F11, F21 = GenSym(1, 1), GenSym(2, 1)
+
+
+@given(st.lists(_basis_polys(), min_size=1, max_size=5))
+# A zero column.
+@example([u_power(2), {}, add(gen(F11), u_power(1))])
+# The column-wise f1,1 base, 1 + 1 + 3, is below the row-wise one, 1 + 3 + 3,
+# and the Wronskian -1/3*f1,1^4*u^2 fills that digit to its top.
+@example([monomial(1, {F11: 1}, Fraction(1, 2)), monomial(2, {F11: 3}, Fraction(-2, 3))])
+# Two symbols in one column and a constant term.
+@example([add(monomial(3, {F11: 1, F21: 2}), monomial(1, {F21: 1}, 5)),
+          monomial(2, {F11: 3}, Fraction(7, 4)), add(u_power(1), const(Fraction(1, 3)))])
+def test_packed_wronskian_equals_the_determinant_of_derivative_rows(polys):
+    assert wronskian(SchubertBasis((), tuple(polys))) == _reference_wronskian(polys)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_packed_wronskian_of_schubert_bases_equals_the_reference(n):
+    for lam in partitions_of(n):
+        basis = schubert_basis(lam)
+        packed = wronskian(basis)
+        assert packed == _reference_wronskian(basis.polys), lam
+        assert all(type(c) is int for c in packed.values()), lam
