@@ -47,10 +47,7 @@ from .partitions import (
     Partition, beta_set, cells, first_column_hooks, format_partition, hook_length,
     make_partition, parse_partition, partitions_of, row_hook_set, transpose, weight,
 )
-from .polyring import (
-    INHOMOGENEOUS, GenSym, MPoly, const, d_du, determinant, divide_exact,
-    format_poly, gen, monomial, mul, scale, u_power, weighted_degree,
-)
+from .polyring import INHOMOGENEOUS, GenSym, MPoly, determinant, format_poly, weighted_degree
 from .presentation import (
     GradedPresentation, PresentationMeta, TransversalMonomial, direct_presentation,
     format_label, negate_grading, presentation_document, quotient_ring_text,
@@ -85,8 +82,7 @@ __all__ = [
     "hook_length", "make_partition", "parse_partition", "partitions_of",
     "row_hook_set", "transpose", "weight",
     # polyring
-    "INHOMOGENEOUS", "GenSym", "MPoly", "const", "d_du", "determinant",
-    "divide_exact", "format_poly", "gen", "monomial", "mul", "scale", "u_power",
+    "INHOMOGENEOUS", "GenSym", "MPoly", "determinant", "format_poly",
     "weighted_degree",
     # presentation
     "GradedPresentation", "PresentationMeta", "TransversalMonomial",

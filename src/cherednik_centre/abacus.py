@@ -41,6 +41,7 @@ from .partitions import (
     beta_set,
     first_column_hooks,
     format_partition,
+    make_partition,
     parse_partition,
 )
 
@@ -111,12 +112,13 @@ def from_quotient(quotient: MultiPartition, ell: int) -> Partition:
     where ``(m_0, ..., m_{ell-1}) = (q+1, ..., q+1, q)`` is the minimal
     staircase with ``m_c >= len(component c)``; staircase counts are exactly
     the trivial-core configurations, and minimality makes the map inverse to
-    :func:`ell_quotient`.
+    :func:`ell_quotient`.  Each component goes through ``make_partition``.
     """
     if ell < 1:
         raise EllOutOfRange(ell)
     if len(quotient) != ell:
         raise LengthMismatch((quotient, ell))
+    quotient = tuple(make_partition(component) for component in quotient)
     lengths = [len(component) for component in quotient]
     q = max([0] + [b - 1 for b in lengths[: ell - 1]] + [lengths[ell - 1]])
     counts = [q + 1] * (ell - 1) + [q]

@@ -21,7 +21,7 @@ from .hilbert import (
     hilbert_series_formula,
 )
 from .partitions import beta_set, partitions_of, weight
-from .polyring import scale, u_power, weighted_degree
+from .polyring import weighted_degree
 from .presentation import direct_presentation, simplify, wreath_presentation
 from .wronski import SchubertBasis, wronski_relations, wronskian, wronskian_recursive
 
@@ -81,10 +81,10 @@ def recursive_wronskian(n_max: int) -> str | None:
     for n in range(1, n_max + 1):
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
         for lam in partitions_of(n):
-            monomials = [u_power(d) for d in beta_set(lam, n)]
+            monomials = [{(d, ()): 1} for d in beta_set(lam, n)]
             det_route = wronskian(SchubertBasis((), tuple(monomials)))
-            rec_route = wronskian_recursive(list(reversed(monomials)))
-            if det_route != scale(rec_route, sign):
+            rec_route = wronskian_recursive(monomials[::-1])
+            if det_route != {mono: sign * c for mono, c in rec_route.items()}:
                 return f"recursive oracle mismatch at {lam}"
     return None
 

@@ -67,7 +67,7 @@ from .errors import (
     NonIntegral,
     OracleTruncated,
 )
-from .partitions import Partition, cells, hook_length, weight
+from .partitions import Partition, cells, hook_length, make_partition, weight
 from .polyring import INHOMOGENEOUS, Radix, primitive_part, weighted_degree
 from .presentation import GradedPresentation, Label
 
@@ -136,15 +136,15 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 
 
 def _components(label: Label, ell: int) -> tuple[Partition, ...]:
-    """A block label as its components: a partition is the one component of
-    an ``ell = 1`` label."""
+    """A block label as its components, each through ``make_partition``: a
+    partition is the one component of an ``ell = 1`` label."""
     if ell < 1:
         raise EllOutOfRange(ell)
     if ell == 1:
-        return (label,)  # type: ignore[return-value]
+        return (make_partition(label),)
     if len(label) != ell:
         raise LengthMismatch((label, ell))
-    return label  # type: ignore[return-value]
+    return tuple(make_partition(component) for component in label)
 
 
 def _one_minus_q_to(k: int) -> list[int]:

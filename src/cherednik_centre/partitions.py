@@ -20,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator
 
 from .errors import (
@@ -46,10 +47,11 @@ def make_partition(parts) -> Partition:
         ...
     cherednik_centre.errors.NotWeaklyDecreasing: (2, 3)
     """
-    seq = tuple(int(p) for p in parts)
-    if any(p < 0 for p in seq):
+    seq = tuple(map(int, parts))
+    if seq and min(seq) < 0:
         raise NegativePart(seq)
-    if any(seq[k] < seq[k + 1] for k in range(len(seq) - 1)):
+    # Every label entry point runs this, so the scans stay in C.
+    if any(map(operator.lt, seq, seq[1:])):
         raise NotWeaklyDecreasing(seq)
     while seq and seq[-1] == 0:
         seq = seq[:-1]

@@ -9,8 +9,10 @@ mapping monomials to non-zero coefficients, where a monomial is
     (u_exponent, ((GenSym(row, degree), exponent), ...))
 
 with the generator factors sorted by symbol and all exponents positive.  The
-zero polynomial is the empty dict.  Treat polynomials as immutable values:
-every operation returns a fresh dict.  ``primitive_part`` gives the integer
+zero polynomial is the empty dict.  Callers build polynomials as dict
+literals; this module does no ``MPoly`` arithmetic: products and
+derivatives run on packed codes (below), and the recursive Wronskian of
+:mod:`.wronski` on single terms.  ``primitive_part`` gives the integer
 multiple (an ``IntPoly``, same monomials, coefficients with gcd 1) that the
 fraction-free routines, ``simplify`` and the rank oracle, work on.
 
@@ -45,7 +47,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
-from .errors import InexactDivision, NonSquare, ZeroPolynomial
+from .errors import NonSquare, ZeroPolynomial
 
 
 class GenSym(NamedTuple):
@@ -60,8 +62,6 @@ Monomial = tuple[int, GenVec]
 MPoly = dict[Monomial, Fraction]
 IntPoly = dict[Monomial, int]
 
-ONE_MONO: Monomial = (0, ())
-
 
 class Inhomogeneous:
     """Marker returned by :func:`weighted_degree` for mixed-degree polynomials."""
@@ -71,40 +71,6 @@ class Inhomogeneous:
 
 
 INHOMOGENEOUS = Inhomogeneous()
-
-
-def zero() -> MPoly:
-    return {}
-
-
-def const(value) -> MPoly:
-    value = Fraction(value)
-    return {ONE_MONO: value} if value else {}
-
-
-def u_power(k: int = 1) -> MPoly:
-    return {(k, ()): Fraction(1)}
-
-
-def gen(symbol: GenSym, exponent: int = 1) -> MPoly:
-    if exponent == 0:
-        return const(1)
-    return {(0, ((symbol, exponent),)): Fraction(1)}
-
-
-def monomial(u_exp: int, factors: dict[GenSym, int], coeff=1) -> MPoly:
-    coeff = Fraction(coeff)
-    if not coeff:
-        return {}
-    vec = tuple(sorted((s, e) for s, e in factors.items() if e))
-    return {(u_exp, vec): coeff}
-
-
-def scale(p: MPoly, value) -> MPoly:
-    value = Fraction(value)
-    if not value:
-        return {}
-    return {mono: c * value for mono, c in p.items()}
 
 
 def primitive_part(p: MPoly) -> IntPoly:
@@ -121,40 +87,6 @@ def primitive_part(p: MPoly) -> IntPoly:
     if content == 1:
         return out
     return {mono: c // content for mono, c in out.items()}
-
-
-def monomial_product(a: Monomial, b: Monomial) -> Monomial:
-    """The product of two monomials, generator factors sorted."""
-    if not b[1]:
-        return (a[0] + b[0], a[1])
-    if not a[1]:
-        return (a[0] + b[0], b[1])
-    exps: dict[GenSym, int] = dict(a[1])
-    for s, e in b[1]:
-        exps[s] = exps.get(s, 0) + e
-    return (a[0] + b[0], tuple(sorted(exps.items())))
-
-
-def mul(p: MPoly, q: MPoly) -> MPoly:
-    out: MPoly = {}
-    for ma, ca in p.items():
-        for mb, cb in q.items():
-            mono = monomial_product(ma, mb)
-            s = out.get(mono, Fraction(0)) + ca * cb
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-    return out
-
-
-def d_du(p: MPoly) -> MPoly:
-    """Formal derivative in ``u``; generator symbols are constants."""
-    out: MPoly = {}
-    for (ue, gens), c in p.items():
-        if ue:
-            out[(ue - 1, gens)] = c * ue
-    return out
 
 
 # A polynomial in packed codes: monomial code -> int coefficient.
@@ -312,33 +244,6 @@ def weighted_degree(p: MPoly):
     if len(degrees) == 1:
         return degrees.pop()
     return INHOMOGENEOUS
-
-
-def divide_exact(p: MPoly, divisor: MPoly) -> MPoly:
-    """Divide by a single-term polynomial; every step must be exact.
-
-    Raises :class:`InexactDivision` if the divisor has several terms, is
-    zero, or fails to divide some monomial of ``p``.
-    """
-    if len(divisor) != 1:
-        raise InexactDivision("divisor must be a non-zero single-term polynomial")
-    (d_ue, d_gens), d_coeff = next(iter(divisor.items()))
-    d_exps = dict(d_gens)
-    out: MPoly = {}
-    for (ue, gens), c in p.items():
-        if ue < d_ue:
-            raise InexactDivision("u-exponent too small")
-        exps = dict(gens)
-        for s, e in d_exps.items():
-            have = exps.get(s, 0)
-            if have < e:
-                raise InexactDivision(f"generator {s} does not divide")
-            if have == e:
-                del exps[s]
-            else:
-                exps[s] = have - e
-        out[(ue - d_ue, tuple(sorted(exps.items())))] = c / d_coeff
-    return out
 
 
 # ---------------------------------------------------------------------------

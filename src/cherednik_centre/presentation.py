@@ -61,6 +61,7 @@ from .partitions import (
     Partition,
     beta_set,
     format_partition,
+    make_partition,
     transpose,
     weight,
 )
@@ -204,8 +205,9 @@ def _transversals(
 
 
 def transversal_monomials(lam: Partition) -> Iterator[TransversalMonomial]:
-    """All transversal monomials of degree <= weight(lam), empty one included."""
-    for chosen, _gens, degree, _product in _transversals(lam):
+    """All transversal monomials of degree <= weight(lam), empty one included;
+    ``lam`` goes through ``make_partition``."""
+    for chosen, _gens, degree, _product in _transversals(make_partition(lam)):
         yield TransversalMonomial(chosen, degree)
 
 
@@ -224,7 +226,9 @@ def _presentation(lam: Partition, ell: int, source: Label) -> GradedPresentation
 
 
 def direct_presentation(lam: Partition) -> GradedPresentation:
-    """The combinatorial presentation of A(lam)+ (relations r_1 ... r_n)."""
+    """The combinatorial presentation of A(lam)+ (relations r_1 ... r_n);
+    ``lam`` goes through ``make_partition``."""
+    lam = make_partition(lam)
     return _presentation(lam, 1, lam)
 
 

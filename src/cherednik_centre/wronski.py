@@ -32,9 +32,15 @@ of single-term polynomials, via the identity
 
     Wr(f_1, ..., f_n) = f_1^n * Wr((f_2/f_1)', ..., (f_n/f_1)')
 
-valid with the inputs ordered by increasing degree.  Against the determinant
-(columns ordered by decreasing degree) it differs by the column-reversal sign
-``(-1)^{n(n-1)/2}``.
+valid with the inputs ordered by increasing degree.  The Wronskian is linear
+in each entry, so the route takes every coefficient out first and recurses
+on monic terms, each a ``u`` exponent and generator exponents: dividing by
+the head subtracts its exponents, ``f_1^n`` adds ``n`` times them, and
+differentiating lowers the ``u`` exponent by one and takes the old exponent
+out as one more factor of the coefficient.  Nothing is divided, so the
+coefficient is an int for int inputs and a ``Fraction`` otherwise.  Against
+the determinant (columns ordered by decreasing degree) it differs by the
+column-reversal sign ``(-1)^{n(n-1)/2}``.
 """
 
 from __future__ import annotations
@@ -44,18 +50,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EmptyPartition
+from .errors import EmptyPartition, InexactDivision
 from .partitions import Partition, beta_set, make_partition, row_hook_set, weight
-from .polyring import (
-    GenSym,
-    MPoly,
-    Radix,
-    _laplace,
-    const,
-    d_du,
-    divide_exact,
-    mul,
-)
+from .polyring import GenSym, MPoly, Radix, _laplace
 
 
 @dataclass(frozen=True)
@@ -143,20 +140,36 @@ def wronski_relations(lam: Partition) -> WronskiRelations:
 
 
 def wronskian_recursive(polys: Sequence[MPoly]) -> MPoly:
-    """Oracle-only recursive Wronskian for single-term bases.
+    """Oracle-only recursive Wronskian for single-term bases, by the identity
+    of the module docstring on monic terms, (``u`` exponent, generator
+    exponents) pairs; the coefficient is the product of the inputs' and of
+    every derivative's exponent.
 
-    Inputs must have pairwise-distinct ``u``-degrees in increasing order;
-    each ``f_j / f_1`` must divide exactly (:class:`InexactDivision`
-    otherwise — multi-term inputs are deliberately unsupported).
+    Inputs must have increasing ``u``-degrees, and each ``f_j / f_1`` must
+    divide exactly at every step; :class:`InexactDivision` otherwise, and for
+    any entry that is not one term.  A repeated degree gives a zero
+    derivative, so the Wronskian ``{}``.
     """
-    if not polys:
-        return const(1)
-    if len(polys) == 1:
-        return dict(polys[0])
-    head = polys[0]
-    reduced = [d_du(divide_exact(p, head)) for p in polys[1:]]
-    inner = wronskian_recursive(reduced)
-    power = const(1)
-    for _ in range(len(polys)):
-        power = mul(power, head)
-    return mul(power, inner)
+    coeff, terms = 1, []
+    for p in polys:
+        if len(p) != 1:
+            raise InexactDivision("the recursive route takes one term per entry")
+        ((ue, gens), c), = p.items()
+        coeff *= c
+        terms.append((ue, dict(gens)))
+    u_exp, exps = 0, {}
+    while terms:
+        n = len(terms)
+        (head_u, head_exps), rest = terms[0], terms[1:]
+        u_exp += n * head_u
+        for s, e in head_exps.items():
+            exps[s] = exps.get(s, 0) + n * e
+        terms = []
+        for ue, x in rest:
+            if ue < head_u or any(x.get(s, 0) < e for s, e in head_exps.items()):
+                raise InexactDivision("the head does not divide a later entry")
+            coeff *= ue - head_u
+            terms.append((ue - head_u - 1, {s: e - head_exps.get(s, 0) for s, e in x.items()}))
+        if not coeff:
+            return {}
+    return {(u_exp, tuple(sorted((s, e) for s, e in exps.items() if e))): coeff}

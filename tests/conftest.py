@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from cherednik_centre import partitions_of
+from cherednik_centre import NegativePart, NotWeaklyDecreasing, partitions_of
 
 settings.register_profile(
     "exact",
@@ -17,6 +17,16 @@ settings.register_profile(
     max_examples=60,
 )
 settings.load_profile("exact")
+
+
+# Labels that are not partitions, each with the error ``make_partition``
+# raises on it; every entry point that takes a label must raise the same.
+NON_PARTITIONS = [
+    ((1, 2), NotWeaklyDecreasing),
+    ((2, 1, 3), NotWeaklyDecreasing),
+    ((-1,), NegativePart),
+    ((1, -1), NegativePart),
+]
 
 
 def partitions_up_to(n_max: int, n_min: int = 0):

@@ -1,10 +1,12 @@
 """Reference routes the tests check the package against.
 
 Each is the plain form of something the package computes another way: ring
-operations on ``MPoly`` dicts, the value of a constant polynomial, the
-canonical term order as a tuple key, one Vandermonde coefficient taken pair
-by pair over the whole padded beta-set, and the JSON terms of a packed
-relation as one dict per term.  The package itself uses none of them.
+operations on ``MPoly`` dicts (constructors, sums, products, scaling and the
+``u`` derivative, which the package takes on packed codes or on single
+terms), the value of a constant polynomial, the canonical term order as a
+tuple key, one Vandermonde coefficient taken pair by pair over the whole
+padded beta-set, and the JSON terms of a packed relation as one dict per
+term.  The package itself uses none of them.
 """
 
 from __future__ import annotations
@@ -12,13 +14,65 @@ from __future__ import annotations
 from fractions import Fraction
 
 from cherednik_centre import CellOutOfDiagram, beta_set, hook_length, weight
-from cherednik_centre.polyring import (
-    ONE_MONO,
-    Monomial,
-    MPoly,
-    PackedPolys,
-    generator_name,
-)
+from cherednik_centre.polyring import GenSym, Monomial, MPoly, PackedPolys, generator_name
+
+ONE_MONO: Monomial = (0, ())
+
+
+def const(value) -> MPoly:
+    value = Fraction(value)
+    return {ONE_MONO: value} if value else {}
+
+
+def u_power(k: int = 1) -> MPoly:
+    return {(k, ()): Fraction(1)}
+
+
+def gen(symbol: GenSym, exponent: int = 1) -> MPoly:
+    if exponent == 0:
+        return const(1)
+    return {(0, ((symbol, exponent),)): Fraction(1)}
+
+
+def monomial(u_exp: int, factors: dict[GenSym, int], coeff=1) -> MPoly:
+    coeff = Fraction(coeff)
+    if not coeff:
+        return {}
+    vec = tuple(sorted((s, e) for s, e in factors.items() if e))
+    return {(u_exp, vec): coeff}
+
+
+def scale(p: MPoly, value) -> MPoly:
+    value = Fraction(value)
+    if not value:
+        return {}
+    return {mono: c * value for mono, c in p.items()}
+
+
+def monomial_product(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two monomials, generator factors sorted."""
+    exps: dict[GenSym, int] = dict(a[1])
+    for s, e in b[1]:
+        exps[s] = exps.get(s, 0) + e
+    return (a[0] + b[0], tuple(sorted(exps.items())))
+
+
+def mul(p: MPoly, q: MPoly) -> MPoly:
+    out: MPoly = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            mono = monomial_product(ma, mb)
+            s = out.get(mono, Fraction(0)) + ca * cb
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+    return out
+
+
+def d_du(p: MPoly) -> MPoly:
+    """Formal derivative in ``u``; generator symbols are constants."""
+    return {(ue - 1, gens): c * ue for (ue, gens), c in p.items() if ue}
 
 
 def add(p: MPoly, q: MPoly) -> MPoly:

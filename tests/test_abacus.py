@@ -24,7 +24,7 @@ from cherednik_centre import (
     weight,
 )
 
-from conftest import multipartitions_up_to, partitions_up_to
+from conftest import NON_PARTITIONS, multipartitions_up_to, partitions_up_to
 
 
 def test_bead_positions_are_first_column_hooks():
@@ -81,6 +81,14 @@ def test_from_quotient_pins():
     assert from_quotient(((), (), ()), 3) == ()
     with pytest.raises(LengthMismatch):
         from_quotient(((1,), (1,)), 3)
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_from_quotient_rejects_non_partition_components(lam, error):
+    with pytest.raises(error):
+        from_quotient((lam, ()), 2)
+    with pytest.raises(error):
+        from_quotient(((1,), (), lam), 3)
 
 
 def test_column_count_must_be_positive():

@@ -21,6 +21,8 @@ from cherednik_centre import (
     star_involution,
 )
 
+from conftest import NON_PARTITIONS
+
 
 def test_symmetric_group_of_order_two():
     cp = centre_presentation(2, 1)
@@ -186,6 +188,14 @@ def test_zero_weight_centre():
     assert cp.total_dimension == 1
     assert len(cp.blocks) == 1
     assert quotient_ring_text(cp.blocks[0].plus_part) == "C"
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_block_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        block(lam, 1)
+    with pytest.raises(error):
+        block((lam, (1,)), 2)
 
 
 def test_weight_and_column_count_are_validated():

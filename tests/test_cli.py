@@ -28,7 +28,6 @@ from cherednik_centre import (
     parse_partition,
     partitions_of,
     presentation_document,
-    scale,
     weight,
 )
 from cherednik_centre.cli import render_json, run
@@ -408,7 +407,7 @@ def _append_coefficient(real):
 
 
 def _double(real):
-    return lambda polys: scale(real(polys), 2)
+    return lambda polys: {mono: 2 * c for mono, c in real(polys).items()}
 
 
 def _drop_relations(real):

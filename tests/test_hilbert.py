@@ -37,7 +37,7 @@ from cherednik_centre import (
 )
 from cherednik_centre.hilbert import HilbertSeries, _sparse_rank
 
-from conftest import partitions_up_to
+from conftest import NON_PARTITIONS, partitions_up_to
 
 
 def test_series_value_pins():
@@ -339,6 +339,22 @@ def test_formulas_reject_a_label_that_does_not_fit_ell(label, ell):
         hilbert_series_formula(label, ell)
     with pytest.raises(LengthMismatch):
         dimension_hook_formula(label, ell)
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_hilbert_series_formula_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        hilbert_series_formula(lam)
+    with pytest.raises(error):
+        hilbert_series_formula(((1,), lam), 2)
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_dimension_hook_formula_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        dimension_hook_formula(lam)
+    with pytest.raises(error):
+        dimension_hook_formula(((1,), lam), 2)
 
 
 def test_oracle_agrees_on_simplified_wreath_presentations():

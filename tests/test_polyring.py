@@ -1,4 +1,5 @@
-"""Exact sparse polynomial arithmetic and determinants."""
+"""Determinants, the packed-monomial codec and rendering, and the reference
+``MPoly`` arithmetic the tests build their expected values with."""
 
 from __future__ import annotations
 
@@ -14,39 +15,37 @@ from cherednik_centre import (
     partitions_of,
     schubert_basis,
     INHOMOGENEOUS,
-    InexactDivision,
     NonSquare,
     ZeroPolynomial,
-    const,
-    d_du,
     determinant,
-    divide_exact,
     format_poly,
-    gen,
-    monomial,
-    mul,
-    scale,
-    u_power,
     weighted_degree,
 )
 from cherednik_centre.polyring import (
-    ONE_MONO,
     PackedPolys,
     Radix,
     generator_name,
     monomial_degree,
-    monomial_product,
     named_terms,
 )
 
 from reference import (
+    ONE_MONO,
     add,
     coefficient_of_u,
+    const,
     constant_value,
+    d_du,
+    gen,
     json_terms,
+    monomial,
+    monomial_product,
+    mul,
     neg,
+    scale,
     sub,
     term_sort_key,
+    u_power,
 )
 
 F11 = GenSym(1, 1)
@@ -206,32 +205,6 @@ def test_constant_value():
     assert constant_value({}) == 0
     with pytest.raises(ValueError):
         constant_value(u_power(1))
-
-
-# --- exact division -----------------------------------------------------------
-
-
-def test_divide_exact_roundtrip():
-    p = add(mul(gen(F11), u_power(3)), scale(mul(gen(F22), u_power(2)), 5))
-    d = monomial(2, {}, 1)
-    assert mul(divide_exact(p, d), d) == p
-
-
-def test_divide_exact_with_generator_factors():
-    p = monomial(1, {F11: 2, F22: 1}, Fraction(3, 2))
-    d = monomial(0, {F11: 1}, 3)
-    assert divide_exact(p, d) == monomial(1, {F11: 1, F22: 1}, Fraction(1, 2))
-
-
-def test_divide_exact_failures():
-    with pytest.raises(InexactDivision):
-        divide_exact(u_power(1), {})
-    with pytest.raises(InexactDivision):
-        divide_exact(u_power(3), add(u_power(1), const(1)))
-    with pytest.raises(InexactDivision):
-        divide_exact(u_power(1), u_power(2))
-    with pytest.raises(InexactDivision):
-        divide_exact(gen(F11), gen(F22))
 
 
 # --- determinants -------------------------------------------------------------

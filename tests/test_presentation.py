@@ -34,7 +34,7 @@ from cherednik_centre import (
     wreath_presentation,
     wronski_relations,
 )
-from cherednik_centre.polyring import INHOMOGENEOUS, mul, scale
+from cherednik_centre.polyring import INHOMOGENEOUS
 from cherednik_centre.presentation import (
     GradedPresentation,
     PresentationMeta,
@@ -42,8 +42,8 @@ from cherednik_centre.presentation import (
     label_document,
 )
 
-from conftest import partitions_up_to
-from reference import add, json_terms, term_sort_key, vandermonde_coefficient
+from conftest import NON_PARTITIONS, partitions_up_to
+from reference import add, json_terms, mul, scale, term_sort_key, vandermonde_coefficient
 
 
 # --- transversal monomials ----------------------------------------------------
@@ -77,6 +77,12 @@ def test_transversal_enumeration_matches_brute_force(lam):
 def test_transversal_includes_the_empty_monomial():
     monos = list(transversal_monomials((2, 1)))
     assert any(m.cells == () and m.degree == 0 for m in monos)
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_transversal_monomials_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        list(transversal_monomials(lam))
 
 
 # --- scalar coefficients ------------------------------------------------------
@@ -124,6 +130,12 @@ def test_generators_follow_the_diagram():
     assert p.meta.ell == 1
     assert p.meta.orientation == 1
     assert not p.meta.simplified
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_direct_presentation_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        direct_presentation(lam)
 
 
 @pytest.mark.parametrize("n", range(0, 10))
@@ -201,6 +213,12 @@ def test_empty_partition_presents_the_base_field():
 
 
 # --- wreath filtering ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_wreath_presentation_rejects_non_partition_components(lam, error):
+    with pytest.raises(error):
+        wreath_presentation(((1,), lam), 2)
 
 
 def test_wreath_requires_matching_length():

@@ -11,20 +11,11 @@ from cherednik_centre import (
     EmptyPartition,
     GenSym,
     InexactDivision,
-    NegativePart,
-    NotWeaklyDecreasing,
     beta_set,
-    const,
-    d_du,
     determinant,
-    gen,
-    monomial,
-    mul,
     partitions_of,
     row_hook_set,
     schubert_basis,
-    scale,
-    u_power,
     weighted_degree,
     wronski_relations,
     wronskian,
@@ -32,7 +23,11 @@ from cherednik_centre import (
 )
 from cherednik_centre.wronski import SchubertBasis
 
-from reference import add
+from conftest import NON_PARTITIONS
+from reference import add, const, d_du, gen, monomial, mul, scale, u_power
+
+
+F11, F21, F22 = GenSym(1, 1), GenSym(2, 1), GenSym(2, 2)
 
 
 def _basis_support(poly):
@@ -68,11 +63,7 @@ def test_basis_polys_use_exactly_the_row_hook_symbols(n):
             assert weighted_degree(poly) == d_i
 
 
-@pytest.mark.parametrize(
-    ("lam", "error"),
-    [((1, 2), NotWeaklyDecreasing), ((2, 1, 3), NotWeaklyDecreasing),
-     ((-1,), NegativePart), ((1, -1), NegativePart)],
-)
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
 def test_non_partitions_are_rejected(lam, error):
     with pytest.raises(error):
         schubert_basis(lam)
@@ -168,6 +159,47 @@ def test_recursive_wronskian_rejects_multi_term_heads():
         wronskian_recursive([add(u_power(1), const(1)), u_power(2)])
 
 
+def test_recursive_wronskian_of_3_u_7u3_is_exact():
+    """The determinant gives -126 on the reversed basis, and the column
+    reversal of three columns is odd."""
+    result = wronskian_recursive([{(0, ()): 3}, {(1, ()): 1}, {(3, ()): 7}])
+    assert result == {(1, ()): 126}
+    assert type(result[(1, ())]) is int
+
+
+def test_recursive_wronskian_divides_generator_factors():
+    """``3*f1,1`` divides ``3/2*f1,1^2*f2,2*u``; the Wronskian is the head
+    squared times ``(1/2*f1,1*f2,2*u)' = 1/2*f1,1*f2,2``."""
+    basis = [monomial(0, {F11: 1}, 3), monomial(1, {F11: 2, F22: 1}, Fraction(3, 2))]
+    assert wronskian_recursive(basis) == monomial(0, {F11: 3, F22: 1}, Fraction(9, 2))
+
+
+def test_recursive_wronskian_edge_cases():
+    assert wronskian_recursive([]) == {(0, ()): 1}
+    assert wronskian_recursive([{(2, ((F11, 1),)): -5}]) == {(2, ((F11, 1),)): -5}
+    # A repeated degree: (f_2 / f_1)' is zero, and so is the Wronskian.
+    assert wronskian_recursive([u_power(1), u_power(2), scale(u_power(2), 3)]) == {}
+    basis = [gen(F11), mul(gen(F11), u_power(1)), monomial(1, {F11: 1, F22: 1})]
+    assert wronskian_recursive(basis) == {}
+
+
+@pytest.mark.parametrize(
+    "polys",
+    [
+        [u_power(2), u_power(1)],  # decreasing degree: u^2 does not divide u
+        [const(1), u_power(3), u_power(2)],  # a decreasing pair after the head
+        [gen(F22), mul(gen(F11), u_power(1))],  # f2,2 does not divide f1,1*u
+        [const(1), mul(gen(F22), u_power(1)), mul(gen(F11), u_power(2))],  # nor at step two
+        [u_power(1), add(u_power(3), u_power(2))],  # a multi-term later entry
+        [{}, u_power(1)],  # a zero head
+        [u_power(1), {}],  # a zero later entry
+    ],
+)
+def test_recursive_wronskian_rejects_what_does_not_divide(polys):
+    with pytest.raises(InexactDivision):
+        wronskian_recursive(polys)
+
+
 def _reference_wronskian(polys):
     """The determinant of the ``d_du`` derivative rows, on ``MPoly`` dicts.
     ``determinant`` shares its sweep and digit sizing with the packed route;
@@ -191,6 +223,41 @@ def test_recursive_equals_determinant_up_to_column_reversal(degree_set):
     det_route = _monomial_matrix_wronskian(decreasing)
     rec_route = wronskian_recursive([u_power(d) for d in increasing])
     assert rec_route == scale(det_route, sign)
+
+
+_RECURSIVE_SYMBOLS = (F11, F21, F22)  # sorted
+_signed_coefficients = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool),
+)
+
+
+@st.composite
+def _dividing_single_term_bases(draw):
+    """Up to five single terms with increasing ``u`` degrees up to 9 and
+    generator exponents that never fall along the list, so that every step
+    of the recursion divides; int and ``Fraction`` coefficients of either
+    sign."""
+    degrees = sorted(draw(st.sets(st.integers(0, 9), min_size=1, max_size=5)))
+    exponents = dict.fromkeys(_RECURSIVE_SYMBOLS, 0)
+    basis = []
+    for d in degrees:
+        for s in _RECURSIVE_SYMBOLS:
+            exponents[s] += draw(st.integers(0, 2))
+        gens = tuple((s, e) for s, e in exponents.items() if e)
+        basis.append({(d, gens): draw(_signed_coefficients)})
+    return basis
+
+
+@given(_dividing_single_term_bases())
+@example([{(0, ()): 3}, {(1, ()): 1}, {(3, ()): 7}])
+def test_recursive_route_is_exact_and_equals_the_determinant(basis):
+    n = len(basis)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    expected = wronskian(SchubertBasis((), tuple(basis[::-1])))
+    result = wronskian_recursive(basis)
+    assert result == {mono: sign * c for mono, c in expected.items()}
+    assert all(type(c) in (int, Fraction) for c in result.values())
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -220,9 +287,6 @@ def _basis_polys(draw):
             factors[s] = factors.get(s, 0) + draw(st.integers(1, 3))
         p = add(p, monomial(draw(st.integers(0, 5)), factors, draw(_fractions)))
     return p
-
-
-F11, F21 = GenSym(1, 1), GenSym(2, 1)
 
 
 @given(st.lists(_basis_polys(), min_size=1, max_size=5))
