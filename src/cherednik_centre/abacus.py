@@ -80,8 +80,9 @@ def _partition_from_positions(positions) -> Partition:
 
 
 def ell_core(lam: Partition, ell: int) -> Partition:
-    """Slide all beads upwards in their columns, then read the diagram."""
-    diagram = abacus_from_partition(lam, ell)
+    """Slide all beads upwards in their columns, then read the diagram;
+    ``lam`` goes through ``make_partition``."""
+    diagram = abacus_from_partition(make_partition(lam), ell)
     compacted = set()
     for c in range(ell):
         count = len(diagram.column_rows(c))
@@ -90,11 +91,14 @@ def ell_core(lam: Partition, ell: int) -> Partition:
 
 
 def has_trivial_core(lam: Partition, ell: int) -> bool:
+    """Whether the ell-core is empty; ``lam`` goes through ``make_partition``."""
     return ell_core(lam, ell) == ()
 
 
 def ell_quotient(lam: Partition, ell: int) -> MultiPartition:
-    """The ell-tuple of column partitions (component ``c`` from column ``c``)."""
+    """The ell-tuple of column partitions (component ``c`` from column ``c``);
+    ``lam`` goes through ``make_partition``."""
+    lam = make_partition(lam)
     n_beads = len(lam)
     if has_trivial_core(lam, ell):
         while n_beads % ell != (ell - 1) % ell:

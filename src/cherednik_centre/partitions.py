@@ -105,11 +105,13 @@ def first_column_hooks(lam: Partition) -> BetaSet:
 
 
 def beta_set(lam: Partition, n: int) -> BetaSet:
-    """Beta-set padded to ``n`` parts: ``(lam_i + n - i) for i = 1..n``.
+    """Beta-set padded to ``n`` parts: ``(lam_i + n - i) for i = 1..n``;
+    ``lam`` goes through :func:`make_partition`.
 
     >>> beta_set((3, 2), 5)
     (7, 5, 2, 1, 0)
     """
+    lam = make_partition(lam)
     if n < len(lam):
         raise PadTooShort((lam, n))
     padded = lam + (0,) * (n - len(lam))

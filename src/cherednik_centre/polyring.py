@@ -73,20 +73,20 @@ class Inhomogeneous:
 INHOMOGENEOUS = Inhomogeneous()
 
 
-def primitive_part(p: MPoly) -> IntPoly:
-    """The primitive integer multiple of a non-zero ``p``: its coefficients
-    times the lcm of their denominators, over the gcd of the products.  Same
-    monomials in the same order, same signs.  Int coefficients are taken as
-    they are, with no ``Fraction`` attribute read per term."""
-    if all(type(c) is int for c in p.values()):
-        out = dict(p)
-    else:
+def primitive_part(p: MPoly | PackedPoly) -> IntPoly | PackedPoly:
+    """The primitive integer multiple of a non-zero ``p``, keyed by monomials
+    or by packed codes: its coefficients times the lcm of their denominators,
+    over the gcd of the products.  Same keys in the same order, same signs.
+    Int coefficients are taken as they are, with no ``Fraction`` attribute
+    read per term, and ``p`` itself is returned if they are already
+    primitive."""
+    if not all(type(c) is int for c in p.values()):
         denominator = math.lcm(*(c.denominator for c in p.values()))
-        out = {mono: c.numerator * (denominator // c.denominator) for mono, c in p.items()}
-    content = math.gcd(*out.values())
+        p = {mono: c.numerator * (denominator // c.denominator) for mono, c in p.items()}
+    content = math.gcd(*p.values())
     if content == 1:
-        return out
-    return {mono: c // content for mono, c in out.items()}
+        return p
+    return {mono: c // content for mono, c in p.items()}
 
 
 # A polynomial in packed codes: monomial code -> int coefficient.

@@ -23,16 +23,22 @@ The wreath variant for an ``ell``-multipartition ``q`` works on
 divisible by ``ell``, and its relations, of degree ``ell, 2*ell, ...``, sum
 over the transversals made of those cells only.  The enumeration walks just
 those cells; it never builds the full presentation of ``lam``.  Both
-variants share one enumerator, which keeps the beta-set exponents in place
-and multiplies the Vandermonde product as a Python int along the path; each
-relation stores it as the int coefficient of its term.
+variants share one enumerator.  It starts from the empty transversal's
+product ``V(d) = prod_{a < b} (d_a - d_b)`` and, for each cell it chooses,
+multiplies in the ratio of the factors that hold the cell's row, after and
+before, against only the rows chosen earlier on the path: a row left out
+keeps ``e_i = d_i`` and changes nothing, so the rows without an eligible
+cell drop out of the walk.  Each step is one exact integer division, whose
+quotient is a Vandermonde product of integers; each relation stores it as
+the int coefficient of its term.
 
 ``simplify`` performs the standard elimination of generators that occur
 linearly, giving a reduced presentation with monic relations.  It is
-fraction-free from input to output: the eliminations run on primitive
-integer multiples of the relations, a monomial is one packed int (the
-layout is described in :mod:`~cherednik_centre.polyring`) and a coefficient
-one int, and the result keeps them so, as a
+fraction-free from input to output: the eliminations run on integer
+multiples of the relations, made primitive where they are read (the
+input, each spent relation, and the result), a monomial is one packed int
+(the layout is described in :mod:`~cherednik_centre.polyring`) and a
+coefficient one int, and the result keeps them so, as a
 :class:`~cherednik_centre.polyring.PackedPolys` whose leads are found when
 it is rendered.  A ``Fraction`` appears only when its ``relations`` are
 read as polynomials: they are decoded then, once, to monic ``Fraction``
@@ -49,6 +55,7 @@ first, which costs one more pass over its terms.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -155,53 +162,77 @@ def _transversals(
 
     Yields ``(cells, gen-vector, degree, product)`` with ``product`` the
     Vandermonde product of the module docstring as a Python int.  One walk
-    over a stack: a row's choices are pushed in reverse, each with the
-    exponent it writes in place when popped (the last row's are yielded at
-    once).  Choosing exponent ``e`` for row ``r`` multiplies in ``e_a - e``
-    for each earlier row ``a`` and ``e - p`` for each padding row's fixed
-    exponent ``p`` (``0 .. n - len(lam) - 1``).
+    over a stack, through the rows that hold an eligible cell only: a
+    skipped row keeps ``e_r = d_r`` and leaves the product as it is.  The
+    walk starts from ``V(d)``, the empty transversal's product, and choosing
+    the cell of hook ``h`` in row ``r`` sets ``e = d_r - h`` and multiplies
+    the product by ``num / den``, with ``M`` the rows chosen before it:
+
+        num = A_r(e) * prod_{j in M} (e - e_j) (d_r - d_j)
+        den = B_r    * prod_{j in M} (e - d_j) (d_r - e_j)
+
+    where ``A_r(e) = prod_{j != r} (e - d_j)`` (once per cell) and
+    ``B_r = prod_{j != r} (d_r - d_j)`` (once per row): the factors of
+    ``V`` that hold row ``r``, after and before, with the rows of ``M`` at
+    their chosen exponents.  So a node costs O(|M|), not O(rows).  No factor
+    of ``den`` is zero, since a rim hook ends on a gap of the beta-set, so
+    ``e`` and every ``e_j`` are gaps and ``d_r``, ``d_j`` are beads; and
+    ``product * num // den`` is exact, the quotient being a Vandermonde
+    product of integers.
     """
     n = weight(lam)
-    # per row: skip it, or take one cell (column bit, hook, cell, gen factor)
-    options = [
-        [(0, 0, (), ())]
-        + [(1 << j, h, ((i, j),), ((sym, 1),)) for j, h, sym in row]
-        for i, row in enumerate(_hook_rows(lam, ell), start=1)
-    ]
-    beta = beta_set(lam, n)
-    exponents = list(beta[: len(lam)])
+    heads = beta_set(lam, n)[: len(lam)]
+    # the padding exponents are 0 .. padding - 1, below every gap and every
+    # row's exponent: a product against all of them is a falling factorial
     padding = n - len(lam)
-    # the padding rows among themselves: prod over k < padding of k!
-    constant = math.prod(math.factorial(k) for k in range(padding))
-    against_padding: dict[int, int] = {}
-    last = len(options) - 1
+    product = (
+        math.prod(a - b for a, b in itertools.combinations(heads, 2))
+        * math.prod(math.perm(d, padding) for d in heads)
+        * math.prod(math.factorial(k) for k in range(padding))
+    )
+    # per row holding an eligible cell: its exponent, B_r, and per cell
+    # (column bit, hook, cell, gen factor, e, A_r(e))
+    rows = []
+    for i, row in enumerate(_hook_rows(lam, ell), start=1):
+        if not row:
+            continue
+        d = heads[i - 1]
+        others = heads[: i - 1] + heads[i:]
+        options = [
+            (1 << j, h, ((i, j),), ((sym, 1),), d - h,
+             math.perm(d - h, padding) * math.prod(d - h - b for b in others))
+            for j, h, sym in row
+        ]
+        rows.append((d, math.perm(d, padding) * math.prod(d - b for b in others), options))
+    last = len(rows) - 1
     if last < 0:
-        yield (), (), 0, constant
+        yield (), (), 0, product
         return
-    # (row, exponent of the row before, used columns, degree, product, cells, gen-vector)
-    stack = [(0, 0, 0, 0, constant, (), ())]
+    # (row, used columns, degree, product, cells, gen-vector, (d_j, e_j) of M)
+    stack = [(0, 0, 0, product, (), (), ())]
     while stack:
-        r, e, used, degree, product, chosen, gens = stack.pop()
-        if r:
-            exponents[r - 1] = e
-        choices = []
-        for bit, h, cell, gen in options[r]:
+        k, used, degree, product, chosen, gens, picked = stack.pop()
+        d, before, options = rows[k]
+        if k == last:
+            yield chosen, gens, degree, product
+        else:
+            choices = [(k + 1, used, degree, product, chosen, gens, picked)]
+        for bit, h, cell, gen, e, after in options:
             if used & bit or degree + h > n:
                 continue
-            e = beta[r] - h
-            factor = against_padding.get(e)
-            if factor is None:
-                factor = math.prod(e - p for p in range(padding))
-                against_padding[e] = factor
-            for a in range(r):
-                factor *= exponents[a] - e
-            if r == last:
-                yield chosen + cell, gens + gen, degree + h, product * factor
+            num, den = after, before
+            for d_j, e_j in picked:
+                num *= (e - e_j) * (d - d_j)
+                den *= (e - d_j) * (d - e_j)
+            if k == last:
+                yield chosen + cell, gens + gen, degree + h, product * num // den
             else:
-                choices.append(
-                    (r + 1, e, used | bit, degree + h, product * factor, chosen + cell, gens + gen)
-                )
-        stack += reversed(choices)
+                choices.append((
+                    k + 1, used | bit, degree + h, product * num // den,
+                    chosen + cell, gens + gen, picked + ((d, e),),
+                ))
+        if k != last:
+            stack += reversed(choices)
 
 
 def transversal_monomials(lam: Partition) -> Iterator[TransversalMonomial]:
@@ -250,10 +281,11 @@ def _occurs_only_linearly(p: PackedPoly, place: int, base: int) -> bool:
 def _eliminate(
     p: PackedPoly, place: int, base: int, lead: int, powers: list[PackedPoly]
 ) -> PackedPoly:
-    """The primitive part of ``lead^E * p(g = -rest / lead)``, where ``g`` is
-    the generator at ``place``, ``E`` is its largest exponent in ``p`` and
-    ``powers[e]`` is ``(-rest)^e`` (extended here as needed); ``p`` itself if
-    ``g`` does not occur in it."""
+    """``lead^E * p(g = -rest / lead)``, where ``g`` is the generator at
+    ``place``, ``E`` is its largest exponent in ``p`` and ``powers[e]`` is
+    ``(-rest)^e`` (extended here as needed); ``p`` itself if ``g`` does not
+    occur in it.  The content is left in: :func:`simplify` divides it out
+    where it reads a relation."""
     exponents = [code // place % base for code in p]
     top = max(exponents)
     if not top:
@@ -278,10 +310,7 @@ def _eliminate(
             out[key] = get(key, 0) + factor * v
     if 0 in out.values():
         out = {code: c for code, c in out.items() if c}
-    content = math.gcd(*out.values())
-    if content <= 1:
-        return out
-    return {code: c // content for code, c in out.items()}
+    return out
 
 
 def simplify(presentation: GradedPresentation) -> GradedPresentation:
@@ -295,14 +324,18 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     coefficient of its first term in canonical order); identically zero
     relations are dropped.
 
-    The elimination is fraction-free and exact: each relation is kept as its
-    primitive integer multiple, and eliminating ``g`` from ``lead*g + rest``
-    replaces each relation ``p`` by the primitive part of
-    ``lead^E * p(g = -rest/lead)``, ``E`` the largest exponent of ``g`` in
-    ``p``.  Each relation is a non-zero rational multiple of the one that
-    substituting with rational coefficients gives, with the same monomials,
-    so the choice of generators and the monic result are the same.  The
-    input is not modified.
+    The elimination is fraction-free and exact: each relation is kept as an
+    integer multiple, and eliminating ``g`` from ``lead*g + rest`` replaces
+    each relation ``p`` by ``lead^E * p(g = -rest/lead)``, ``E`` the largest
+    exponent of ``g`` in ``p``.  Each relation is a non-zero rational
+    multiple of the one that substituting with rational coefficients gives,
+    with the same monomials, so the choice of generators and the monic
+    result are the same.  The content is divided out only where a relation
+    is read: the input relations, the spent relation before its ``lead``
+    and ``rest`` are taken, and each surviving relation once, at the end.
+    A spent relation is a positive multiple of the one that dividing after
+    every substitution gives, so its primitive part, and with it every
+    ``lead`` and ``rest``, is the same.  The input is not modified.
 
     Inside the loop a monomial is one code of
     :meth:`Radix.by_degree <cherednik_centre.polyring.Radix.by_degree>` for
@@ -348,7 +381,7 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
             break
         idx, g = victim
         place, base = digits[g]
-        rel = relations.pop(idx)
+        rel = primitive_part(relations.pop(idx))
         negated_rest = {code: -c for code, c in rel.items() if code != place}
         powers = [{0: 1}, negated_rest]
         generators = [gd for gd in generators if gd[0] != g]
@@ -356,6 +389,7 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
         relations = [
             q for q in (_eliminate(p, place, base, rel[place], powers) for p in relations) if q
         ]
+    relations = [primitive_part(p) for p in relations]
     meta = replace(presentation.meta, simplified=True)
     return GradedPresentation(tuple(generators), PackedPolys(radix, relations), meta)
 

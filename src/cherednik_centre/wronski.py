@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptyPartition, InexactDivision
-from .partitions import Partition, beta_set, make_partition, row_hook_set, weight
+from .partitions import Partition, beta_set, make_partition, weight
 from .polyring import GenSym, MPoly, Radix, _laplace
 
 
@@ -79,12 +79,14 @@ def schubert_basis(lam: Partition) -> SchubertBasis:
     if n == 0:
         return SchubertBasis((), ())
     beta = beta_set(lam, n)
+    # every row's hook set off the one beta-set, as row_hook_set reads it
+    occupied = set(beta)
     polys = []
-    for i in range(1, n + 1):
-        d_i = beta[i - 1]
+    for i, d_i in enumerate(beta, start=1):
         poly: MPoly = {(d_i, ()): 1}
-        for j in row_hook_set(lam, i):
-            poly[(d_i - j, ((GenSym(i, j), 1),))] = 1
+        for j in range(1, d_i + 1):
+            if d_i - j not in occupied:
+                poly[(d_i - j, ((GenSym(i, j), 1),))] = 1
         polys.append(poly)
     return SchubertBasis(lam + (0,) * (n - len(lam)), tuple(polys))
 

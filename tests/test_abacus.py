@@ -91,6 +91,24 @@ def test_from_quotient_rejects_non_partition_components(lam, error):
         from_quotient(((1,), (), lam), 3)
 
 
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_ell_core_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        ell_core(lam, 2)
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_has_trivial_core_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        has_trivial_core(lam, 2)
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_ell_quotient_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        ell_quotient(lam, 2)
+
+
 def test_column_count_must_be_positive():
     with pytest.raises(EllOutOfRange):
         ell_core((3, 2), 0)

@@ -28,7 +28,7 @@ from cherednik_centre import (
     weight,
 )
 
-from conftest import partitions_up_to
+from conftest import NON_PARTITIONS, partitions_up_to
 
 
 def test_doctests():
@@ -86,6 +86,12 @@ def test_beta_set_pin_and_padding():
     assert beta_set((3, 2), 2) == first_column_hooks((3, 2))
     with pytest.raises(PadTooShort):
         beta_set((3, 2), 1)
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_beta_set_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        beta_set(lam, 3)
 
 
 def test_row_hook_set_pins():

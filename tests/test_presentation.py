@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -167,7 +168,7 @@ def test_relation_monomials_are_exactly_the_transversal_ones(n):
         assert seen == expected, lam
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_every_term_is_the_vandermonde_coefficient(n):
     """Each relation term is ``orientation * vandermonde_coefficient`` of its
     transversal, computed pair by pair over the whole padded beta-set."""
@@ -277,13 +278,10 @@ def _wreath_by_stripping(q, ell) -> GradedPresentation:
 
 
 def test_wreath_equals_the_stripped_direct_presentation():
-    cases = [
-        (q, ell)
-        for ell in range(2, 5)
-        for n in range(1, 12 // ell + 1)
-        for q in multipartitions_of(n, ell)
-    ]
-    assert len(cases) == 281
+    """Every label with n*ell <= 16, ell >= 2: at the larger ell most rows of
+    ``from_quotient(q, ell)`` hold no eligible cell, and the walk skips them."""
+    cases = list(_wreath_cases(16))
+    assert len(cases) == 1106
     for q, ell in cases:
         ours, reference = wreath_presentation(q, ell), _wreath_by_stripping(q, ell)
         assert ours.generators == reference.generators, (q, ell)
@@ -531,6 +529,17 @@ def test_simplify_fills_a_digit_to_its_bound_beside_a_live_digit():
     (relation,) = ours.relations
     assert (0, ((x, 5),)) in relation
     assert (0, ((x, 1), (z, 2))) in relation
+
+
+def test_simplified_packed_relations_are_primitive():
+    """The packed relations have content 1, though the elimination leaves
+    the content in: all partitions of n <= 11 and wreath labels with
+    n*ell <= 8."""
+    built = [direct_presentation(lam) for n in range(12) for lam in partitions_of(n)]
+    built += [wreath_presentation(q, ell) for q, ell in _wreath_cases(8)]
+    for p in built:
+        for rel in simplify(p).relations.polys:
+            assert math.gcd(*rel.values()) == 1, p.meta.source
 
 
 def test_simplified_relations_are_monic():
