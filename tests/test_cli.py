@@ -559,7 +559,8 @@ def test_centre_and_hilbert_outputs_match_the_benchmark_goldens(capsys):
 
 
 # Outputs larger than any benchmark job: deep eliminations with long
-# coefficients, the widest raw relations, and wreath labels with ell 2 and 3.
+# coefficients, the widest raw relations, wreath labels with ell 2 and 3, and
+# the full Wronskian of the weight-21 staircase.
 _LARGE_OUTPUT_PINS = {
     "presentation --simplified --format text -- 5,4,3,2,1":
         "ce23ce72151e27ece0646889cc65fc1ba02971fa7f9979ccbae7cf07e2ac6d41",
@@ -575,6 +576,10 @@ _LARGE_OUTPUT_PINS = {
         "ced827870252df0f0cae7a46987d2a03746260f6e39badde0b2dab892475f0f2",
     "centre --ell 2 --simplified --format json -- 5":
         "ff839e02d13d443a2c24bfba7bec6b9e4e444b625c269d80cdf5e0191cdad2df",
+    "wronskian --format text -- 6,5,4,3,2,1":
+        "3bcdd7dec706d820b4ced0945ebd1cab0da78f62485085b927bdc3eaee67c2da",
+    "wronskian --format json -- 6,5,4,3,2,1":
+        "bb0a0f8d1c53db232752c837e4fea79d8aec54c35b845bcb4eac0a0278664154",
 }
 
 
