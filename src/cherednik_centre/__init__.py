@@ -28,8 +28,7 @@ from .abacus import (
     partition_from_abacus, star_involution,
 )
 from .centre import (
-    Block, CentrePresentation, block, centre_dimension, centre_presentation,
-    multipartitions_of,
+    Block, CentrePresentation, block, centre_presentation, multipartitions_of,
 )
 from .errors import (
     CellOutOfDiagram, DomainError, EllOutOfRange, EmptyPartition, InexactDivision,
@@ -64,8 +63,8 @@ __all__ = [
     "ell_quotient", "format_multipartition", "from_quotient", "has_trivial_core",
     "parse_multipartition", "partition_from_abacus", "star_involution",
     # centre
-    "Block", "CentrePresentation", "block", "centre_dimension",
-    "centre_presentation", "multipartitions_of",
+    "Block", "CentrePresentation", "block", "centre_presentation",
+    "multipartitions_of",
     # errors
     "CellOutOfDiagram", "DomainError", "EllOutOfRange", "EmptyPartition",
     "InexactDivision", "InhomogeneousRelation", "LengthMismatch",

@@ -61,7 +61,8 @@ class BeadDiagram:
 
 
 def abacus_from_partition(lam: Partition, ell: int) -> BeadDiagram:
-    """Display ``lam`` on ``ell`` columns: beads at the first-column hooks."""
+    """Display ``lam`` on ``ell`` columns: beads at the first-column hooks;
+    ``lam`` goes through ``make_partition`` there."""
     if ell < 1:
         raise EllOutOfRange(ell)
     return BeadDiagram(columns=ell, beads=frozenset(first_column_hooks(lam)))
@@ -118,11 +119,7 @@ def from_quotient(quotient: MultiPartition, ell: int) -> Partition:
     the trivial-core configurations, and minimality makes the map inverse to
     :func:`ell_quotient`.  Each component goes through ``make_partition``.
     """
-    if ell < 1:
-        raise EllOutOfRange(ell)
-    if len(quotient) != ell:
-        raise LengthMismatch((quotient, ell))
-    quotient = tuple(make_partition(component) for component in quotient)
+    quotient = _make_multipartition(quotient, ell)
     lengths = [len(component) for component in quotient]
     q = max([0] + [b - 1 for b in lengths[: ell - 1]] + [lengths[ell - 1]])
     counts = [q + 1] * (ell - 1) + [q]
@@ -131,6 +128,17 @@ def from_quotient(quotient: MultiPartition, ell: int) -> Partition:
         for row in beta_set(component, counts[c]):
             positions.add(row * ell + c)
     return _partition_from_positions(positions)
+
+
+def _make_multipartition(quotient, ell: int) -> MultiPartition:
+    """``quotient`` checked as an ``ell``-multipartition, each component
+    through ``make_partition``: :class:`EllOutOfRange` for ``ell < 1``, then
+    :class:`LengthMismatch` unless it has ``ell`` components."""
+    if ell < 1:
+        raise EllOutOfRange(ell)
+    if len(quotient) != ell:
+        raise LengthMismatch((quotient, ell))
+    return tuple(make_partition(component) for component in quotient)
 
 
 def star_involution(quotient: MultiPartition) -> MultiPartition:

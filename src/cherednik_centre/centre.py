@@ -28,14 +28,7 @@ from .abacus import MultiPartition, star_involution
 from .errors import EllOutOfRange, NegativeWeight
 from .hilbert import dimension_hook_formula
 from .partitions import partitions_of
-from .presentation import (
-    GradedPresentation,
-    Label,
-    direct_presentation,
-    negate_grading,
-    simplify,
-    wreath_presentation,
-)
+from .presentation import GradedPresentation, Label, _block_part, negate_grading
 
 
 @dataclass(frozen=True)
@@ -90,23 +83,14 @@ def _plus_part(
     block (its own block when the label is its own star)."""
     found = parts.get(label)
     if found is None:
-        if ell == 1:
-            raw = direct_presentation(label)  # type: ignore[arg-type]
-        else:
-            raw = wreath_presentation(label, ell)  # type: ignore[arg-type]
-        found = parts[label] = simplify(raw) if simplified else raw
+        found = parts[label] = _block_part(label, ell, simplified)
     return found
 
 
 def _labels(n: int, ell: int) -> list[Label]:
-    """The block labels of the centre in label order (see module doc)."""
-    if ell < 1:
-        raise EllOutOfRange(ell)
-    if n < 0:
-        raise NegativeWeight(n)
-    if ell == 1:
-        return list(partitions_of(n))
-    return list(multipartitions_of(n, ell))
+    """The block labels of the centre in label order (see module doc): for
+    ``ell = 1`` the one component of each 1-multipartition, a partition."""
+    return [q[0] if ell == 1 else q for q in multipartitions_of(n, ell)]
 
 
 def _star(label: Label, ell: int) -> Label:
@@ -140,12 +124,3 @@ def centre_presentation(n: int, ell: int, simplified: bool = False) -> CentrePre
     parts: dict[Label, GradedPresentation] = {}
     blocks = tuple(_block(label, ell, simplified, parts) for label in _labels(n, ell))
     return CentrePresentation(n, ell, blocks, sum(b.dimension for b in blocks))
-
-
-def centre_dimension(n: int, ell: int) -> int:
-    """The total dimension of ``centre_presentation(n, ell)``, summed over the
-    labels by the hook formula without building any presentation."""
-    return sum(
-        dimension_hook_formula(label, ell) * dimension_hook_formula(_star(label, ell), ell)
-        for label in _labels(n, ell)
-    )

@@ -41,7 +41,7 @@ from .abacus import (
     parse_multipartition,
 )
 from .centre import CentrePresentation, centre_presentation
-from .errors import DomainError, EllOutOfRange, LengthMismatch
+from .errors import DomainError, EllOutOfRange
 from .hilbert import format_series, hilbert_series_formula
 from .partitions import (
     beta_set,
@@ -54,14 +54,12 @@ from .partitions import (
 )
 from .polyring import format_poly, named_terms
 from .presentation import (
+    _block_part,
     _document,
-    direct_presentation,
     format_label,
     label_document,
     presentation_text,
     quotient_ring_text,
-    simplify,
-    wreath_presentation,
 )
 from .wronski import schubert_basis, wronskian
 
@@ -129,14 +127,12 @@ def _json_value(value, pad: str) -> str:
 
 
 def _parse_label(text: str, ell: int):
+    """The label in ``text``: a partition for ``ell = 1``, otherwise a
+    multipartition, whose length the library checks against ``ell``.
+    ``ell`` itself is checked first, before the text is parsed."""
     if ell < 1:
         raise EllOutOfRange(ell)
-    if ell == 1:
-        return parse_partition(text)
-    label = parse_multipartition(text)
-    if len(label) != ell:
-        raise LengthMismatch((label, ell))
-    return label
+    return parse_partition(text) if ell == 1 else parse_multipartition(text)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +210,7 @@ def _cmd_abacus(args) -> _Output:
 
 
 def _cmd_presentation(args) -> _Output:
-    label = _parse_label(args.label, args.ell)
-    if args.ell == 1:
-        built = direct_presentation(label)
-    else:
-        built = wreath_presentation(label, args.ell)
-    if args.simplified:
-        built = simplify(built)
+    built = _block_part(_parse_label(args.label, args.ell), args.ell, args.simplified)
     return _Output(lambda: presentation_text(built), lambda: _document(built, _Fragment))
 
 

@@ -27,8 +27,9 @@ on every partition of ``n <= 7`` and on every wreath label with
 
 The oracle makes no use of the formulas, so agreement between the two is a
 real check.  Rank computation is exact and fraction-free: each relation is
-scaled once to a primitive integer multiple (lcm of its denominators, then
-divided by the gcd of the numerators), which spans the same rows.  A
+scaled once to a primitive integer multiple (lcm of its denominators by
+``Radix.pack``, then divided by the gcd of the numerators by
+``primitive_part``), which spans the same rows.  A
 monomial is one packed int (the layout is described in
 :mod:`~cherednik_centre.polyring`), with the generators' digits in their
 listed order, so a Macaulay row ``m * r`` is ``r`` shifted by ``m``: a
@@ -56,11 +57,10 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from .abacus import _make_multipartition
 from .errors import (
-    EllOutOfRange,
     InexactDivision,
     InhomogeneousRelation,
-    LengthMismatch,
     MalformedPresentation,
     NegativeDegreeCutoff,
     NegativeDegreeGenerator,
@@ -138,13 +138,9 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 def _components(label: Label, ell: int) -> tuple[Partition, ...]:
     """A block label as its components, each through ``make_partition``: a
     partition is the one component of an ``ell = 1`` label."""
-    if ell < 1:
-        raise EllOutOfRange(ell)
     if ell == 1:
         return (make_partition(label),)
-    if len(label) != ell:
-        raise LengthMismatch((label, ell))
-    return tuple(make_partition(component) for component in label)
+    return _make_multipartition(label, ell)
 
 
 def _one_minus_q_to(k: int) -> list[int]:
@@ -285,11 +281,9 @@ def graded_dimensions_from_presentation(
         max_degree = max(0, sum(relation_degrees) - sum(s.degree for s in symbols)) + 2
     radix = Radix.by_degree(symbols, max_degree)
     monomials = _monomial_codes(radix, max_degree)
-    packed = [
-        (radix.encode_poly(primitive_part(r)).items(), s)
-        for r, s in zip(relations, relation_degrees)
-        if s <= max_degree
-    ]
+    kept = [(r, s) for r, s in zip(relations, relation_degrees) if s <= max_degree]
+    codes, _scales = radix.pack(r for r, _ in kept)
+    packed = [(primitive_part(p).items(), s) for p, (_, s) in zip(codes, kept)]
     dims = []
     for d in range(max_degree + 1):
         rows = (

@@ -63,11 +63,13 @@ def weight(lam: Partition) -> int:
 
 
 def transpose(lam: Partition) -> Partition:
-    """Conjugate partition (columns become rows).
+    """Conjugate partition (columns become rows); ``lam`` goes through
+    :func:`make_partition`.
 
     >>> transpose((3, 2))
     (2, 2, 1)
     """
+    lam = make_partition(lam)
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
@@ -98,8 +100,10 @@ def hook_length(lam: Partition, cell: Cell) -> int:
 def first_column_hooks(lam: Partition) -> BetaSet:
     """First-column hook lengths ``h(i, 1) = lam_i + len(lam) - i``.
 
-    These are the bead positions of the abacus encoding of ``lam``.
+    These are the bead positions of the abacus encoding of ``lam``, which
+    goes through :func:`make_partition`.
     """
+    lam = make_partition(lam)
     n = len(lam)
     return tuple(p + n - i for i, p in enumerate(lam, start=1))
 

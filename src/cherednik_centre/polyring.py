@@ -12,14 +12,17 @@ with the generator factors sorted by symbol and all exponents positive.  The
 zero polynomial is the empty dict.  Callers build polynomials as dict
 literals; this module does no ``MPoly`` arithmetic: products and
 derivatives run on packed codes (below), and the recursive Wronskian of
-:mod:`.wronski` on single terms.  ``primitive_part`` gives the integer
-multiple (an ``IntPoly``, same monomials, coefficients with gcd 1) that the
-fraction-free routines, ``simplify`` and the rank oracle, work on.
+:mod:`.wronski` on single terms.
 
 The hot loops (the Laplace sweep under ``determinant`` and the Wronskian,
 ``simplify`` and the rank oracle) pack each monomial into one int in mixed
 radix, through one codec, :class:`Radix`, and keep each coefficient as an
-int.  The ``u`` digit is the most significant, then one digit per symbol in
+int.  :meth:`Radix.pack` is the one place where a ``Fraction`` becomes an
+int: it scales each polynomial by the lcm of its denominators and reports
+that scale, which the determinant and the Wronskian divide out and the
+renderers keep as the lead; ``simplify`` and the rank oracle then take the
+``primitive_part`` (coefficients with gcd 1) of each packed relation.  The
+``u`` digit is the most significant, then one digit per symbol in
 the caller's order, so codes ascend in lexicographic order of the exponent
 vectors; each digit's base exceeds every exponent it will hold, so
 multiplying monomials is adding codes.  ``simplify`` and the oracle size the
@@ -73,16 +76,11 @@ class Inhomogeneous:
 INHOMOGENEOUS = Inhomogeneous()
 
 
-def primitive_part(p: MPoly | PackedPoly) -> IntPoly | PackedPoly:
-    """The primitive integer multiple of a non-zero ``p``, keyed by monomials
-    or by packed codes: its coefficients times the lcm of their denominators,
-    over the gcd of the products.  Same keys in the same order, same signs.
-    Int coefficients are taken as they are, with no ``Fraction`` attribute
-    read per term, and ``p`` itself is returned if they are already
-    primitive."""
-    if not all(type(c) is int for c in p.values()):
-        denominator = math.lcm(*(c.denominator for c in p.values()))
-        p = {mono: c.numerator * (denominator // c.denominator) for mono, c in p.items()}
+def primitive_part(p: IntPoly | PackedPoly) -> IntPoly | PackedPoly:
+    """The primitive multiple of a non-zero ``p`` with int coefficients,
+    keyed by monomials or by packed codes: its coefficients over their gcd.
+    Same keys in the same order, same signs; ``p`` itself if it is already
+    primitive.  :meth:`Radix.pack` makes ``Fraction`` input integral first."""
     content = math.gcd(*p.values())
     if content == 1:
         return p
@@ -125,17 +123,14 @@ class Radix:
         return cls(symbols, [max_degree + 1] + [max_degree // s.degree + 1 for s in symbols])
 
     @classmethod
-    def summed(cls, groups: Iterable[Iterable[MPoly]]) -> Radix:
+    def summed(cls, groups: Iterable[Sequence[MPoly]]) -> Radix:
         """Digits over the sorted symbols of ``groups``, each base one more
         than the sum over the groups of the group's largest exponent in the
         digit: no product of one term per group, or of smaller ones, carries."""
         u_base, bases = 1, {}
         for group in groups:
-            top = {}
-            for entry in group:
-                for _, gens in entry:
-                    for s, e in gens:
-                        top[s] = max(top.get(s, 0), e)
+            # sorted factors: the last exponent kept per symbol is its largest
+            top = dict(sorted({factor for entry in group for _, gens in entry for factor in gens}))
             u_base += max((ue for entry in group for ue, _ in entry), default=0)
             for s, e in top.items():
                 bases[s] = bases.get(s, 1) + e
@@ -154,6 +149,21 @@ class Radix:
                 code += place_of[s] * e
             out[code] = c
         return out
+
+    def pack(self, polys: Iterable[MPoly]) -> tuple[list[PackedPoly], list[int]]:
+        """Each of ``polys`` encoded with int coefficients, times the lcm of
+        its coefficients' denominators, and those scales: 1 for int input,
+        which is taken as it is, with no ``Fraction`` attribute read per term."""
+        packed, scales = [], []
+        for p in polys:
+            codes = self.encode_poly(p)
+            scale = 1
+            if not all(type(c) is int for c in codes.values()):
+                scale = math.lcm(*(c.denominator for c in codes.values()))
+                codes = {code: c.numerator * (scale // c.denominator) for code, c in codes.items()}
+            packed.append(codes)
+            scales.append(scale)
+        return packed, scales
 
     def decode(self, code: int) -> Monomial:
         """The monomial of ``code``, its factors in the order of the symbols
@@ -252,9 +262,10 @@ def weighted_degree(p: MPoly):
 
 def determinant(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
     """Exact determinant of a square matrix of polynomials, by
-    :func:`_laplace` on its rows packed by :meth:`Radix.summed`.  Each row is
-    scaled once by the lcm of its denominators, and the product of those
-    scales is divided out at the end.  The empty matrix has determinant 1.
+    :func:`_laplace` on its rows packed by :meth:`Radix.summed` and
+    :meth:`Radix.pack`.  Each row is scaled once, by the lcm of its entries'
+    scales, and the product of those is divided out at the end.  The empty
+    matrix has determinant 1.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -263,12 +274,12 @@ def determinant(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
     denominator = 1
     packed_rows = []
     for row in matrix:
-        row_scale = math.lcm(*(c.denominator for entry in row for c in entry.values()))
+        entries, scales = radix.pack(row)
+        row_scale = math.lcm(*scales)
         denominator *= row_scale
         packed_rows.append([
-            (1 << col, [(code, c.numerator * (row_scale // c.denominator))
-                        for code, c in radix.encode_poly(entry).items()])
-            for col, entry in enumerate(row) if entry
+            (1 << col, [(code, c * (row_scale // scale)) for code, c in entry.items()])
+            for col, (entry, scale) in enumerate(zip(entries, scales)) if entry
         ])
     full = _laplace(packed_rows, n)
     return {radix.decode(code): Fraction(c, denominator) for code, c in full.items()}
@@ -350,21 +361,11 @@ class PackedPolys:
 
     @classmethod
     def from_polys(cls, polys: Sequence[MPoly]) -> PackedPolys:
-        """``polys`` packed: each digit's base one more than the largest
-        exponent it holds, each lead the lcm of the denominators."""
-        top = dict(sorted({factor for p in polys for _, gens in p for factor in gens}))
-        top_u = max((ue for p in polys for ue, _ in p), default=0)
-        radix = Radix(list(top), [top_u + 1] + [e + 1 for e in top.values()])
-        packed, leads = [], []
-        for p in polys:
-            codes = radix.encode_poly(p)
-            lead = 1
-            if not all(type(c) is int for c in codes.values()):
-                lead = math.lcm(*(c.denominator for c in codes.values()))
-                codes = {code: c.numerator * (lead // c.denominator) for code, c in codes.items()}
-            packed.append(codes)
-            leads.append(lead)
-        return cls(radix, packed, leads)
+        """``polys`` packed by :meth:`Radix.summed` as one group, each
+        digit's base one more than the largest exponent it holds, and by
+        :meth:`Radix.pack`, each lead the scale it reports."""
+        radix = Radix.summed([polys])
+        return cls(radix, *radix.pack(polys))
 
     def _terms(self, index: int, prefix: str, text: bool):
         """``(code, numerator, denominator, u exponent, name pieces)`` per

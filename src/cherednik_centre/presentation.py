@@ -23,8 +23,12 @@ The wreath variant for an ``ell``-multipartition ``q`` works on
 divisible by ``ell``, and its relations, of degree ``ell, 2*ell, ...``, sum
 over the transversals made of those cells only.  The enumeration walks just
 those cells; it never builds the full presentation of ``lam``.  Both
-variants share one enumerator.  It starts from the empty transversal's
-product ``V(d) = prod_{a < b} (d_a - d_b)`` and, for each cell it chooses,
+variants share one enumerator, which yields each transversal as its
+generator factors, its degree and its coefficient, the one payload every
+caller reads; :func:`transversal_monomials` reads the cells back off the
+generators, ``f_{i, h}`` naming the cell of hook ``h`` in row ``i``.  The
+walk starts from the empty transversal's product
+``V(d) = prod_{a < b} (d_a - d_b)`` and, for each cell it chooses,
 multiplies in the ratio of the factors that hold the cell's row, after and
 before, against only the rows chosen earlier on the path: a row left out
 keeps ``e_i = d_i`` and changes nothing, so the rows without an eligible
@@ -153,15 +157,14 @@ def _hook_rows(lam: Partition, ell: int) -> list[list[tuple[int, int, GenSym]]]:
     return rows
 
 
-def _transversals(
-    lam: Partition, ell: int = 1
-) -> Iterator[tuple[tuple[Cell, ...], GenVec, int, int]]:
+def _transversals(lam: Partition, ell: int = 1) -> Iterator[tuple[GenVec, int, int]]:
     """Every transversal of ``lam`` of degree <= weight(lam) whose hooks ``ell``
     divides, the empty one included, in depth-first order over the rows (row
     skipped first, then its cells left to right).
 
-    Yields ``(cells, gen-vector, degree, product)`` with ``product`` the
-    Vandermonde product of the module docstring as a Python int.  One walk
+    Yields ``(gen-vector, degree, product)``: one ``(f_{row, hook}, 1)``
+    factor per chosen cell, in row order, and ``product`` the Vandermonde
+    product of the module docstring as a Python int.  One walk
     over a stack, through the rows that hold an eligible cell only: a
     skipped row keeps ``e_r = d_r`` and leaves the product as it is.  The
     walk starts from ``V(d)``, the empty transversal's product, and choosing
@@ -191,7 +194,7 @@ def _transversals(
         * math.prod(math.factorial(k) for k in range(padding))
     )
     # per row holding an eligible cell: its exponent, B_r, and per cell
-    # (column bit, hook, cell, gen factor, e, A_r(e))
+    # (column bit, hook, gen factor, e, A_r(e))
     rows = []
     for i, row in enumerate(_hook_rows(lam, ell), start=1):
         if not row:
@@ -199,25 +202,25 @@ def _transversals(
         d = heads[i - 1]
         others = heads[: i - 1] + heads[i:]
         options = [
-            (1 << j, h, ((i, j),), ((sym, 1),), d - h,
+            (1 << j, h, ((sym, 1),), d - h,
              math.perm(d - h, padding) * math.prod(d - h - b for b in others))
             for j, h, sym in row
         ]
         rows.append((d, math.perm(d, padding) * math.prod(d - b for b in others), options))
     last = len(rows) - 1
     if last < 0:
-        yield (), (), 0, product
+        yield (), 0, product
         return
-    # (row, used columns, degree, product, cells, gen-vector, (d_j, e_j) of M)
-    stack = [(0, 0, 0, product, (), (), ())]
+    # (row, used columns, degree, product, gen-vector, (d_j, e_j) of M)
+    stack = [(0, 0, 0, product, (), ())]
     while stack:
-        k, used, degree, product, chosen, gens, picked = stack.pop()
+        k, used, degree, product, gens, picked = stack.pop()
         d, before, options = rows[k]
         if k == last:
-            yield chosen, gens, degree, product
+            yield gens, degree, product
         else:
-            choices = [(k + 1, used, degree, product, chosen, gens, picked)]
-        for bit, h, cell, gen, e, after in options:
+            choices = [(k + 1, used, degree, product, gens, picked)]
+        for bit, h, gen, e, after in options:
             if used & bit or degree + h > n:
                 continue
             num, den = after, before
@@ -225,11 +228,11 @@ def _transversals(
                 num *= (e - e_j) * (d - d_j)
                 den *= (e - d_j) * (d - e_j)
             if k == last:
-                yield chosen + cell, gens + gen, degree + h, product * num // den
+                yield gens + gen, degree + h, product * num // den
             else:
                 choices.append((
                     k + 1, used | bit, degree + h, product * num // den,
-                    chosen + cell, gens + gen, picked + ((d, e),),
+                    gens + gen, picked + ((d, e),),
                 ))
         if k != last:
             stack += reversed(choices)
@@ -237,9 +240,12 @@ def _transversals(
 
 def transversal_monomials(lam: Partition) -> Iterator[TransversalMonomial]:
     """All transversal monomials of degree <= weight(lam), empty one included;
-    ``lam`` goes through ``make_partition``."""
-    for chosen, _gens, degree, _product in _transversals(make_partition(lam)):
-        yield TransversalMonomial(chosen, degree)
+    ``lam`` goes through ``make_partition``.  Each generator ``f_{row, hook}``
+    names one cell, since hooks within a row are distinct."""
+    lam = make_partition(lam)
+    cell_of = {sym: (sym.row, j) for row in _hook_rows(lam, 1) for j, _h, sym in row}
+    for gens, degree, _product in _transversals(lam):
+        yield TransversalMonomial(tuple(cell_of[sym] for sym, _ in gens), degree)
 
 
 def _presentation(lam: Partition, ell: int, source: Label) -> GradedPresentation:
@@ -248,7 +254,7 @@ def _presentation(lam: Partition, ell: int, source: Label) -> GradedPresentation
     n = weight(lam)
     orientation_sign = -1 if (n * (n - 1) // 2) % 2 else 1
     by_degree: dict[int, MPoly] = {s: {} for s in range(ell, n + 1, ell)}
-    for _cells, gens, degree, product in _transversals(lam, ell):
+    for gens, degree, product in _transversals(lam, ell):
         if degree and product:
             by_degree[degree][(0, gens)] = orientation_sign * product
     generators = tuple((sym, h) for row in _hook_rows(lam, ell) for _j, h, sym in row)
@@ -362,10 +368,9 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
         raise NegativeDegreeGenerator(weightless)
     radix = Radix.by_degree(symbols, max(degrees, default=0))
     digits = dict(zip(symbols, zip(radix.places[1:], radix.bases[1:])))
-    relations = [
-        radix.encode_poly(primitive_part(r))
-        for _, r in sorted(zip(degrees, relations), key=lambda dr: dr[0])
-    ]
+    by_degree = sorted(zip(degrees, relations), key=lambda dr: dr[0])
+    packed, _scales = radix.pack(r for _, r in by_degree)
+    relations = [primitive_part(p) for p in packed]
     alive = symbols
     while True:
         victim = next(
@@ -392,6 +397,13 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     relations = [primitive_part(p) for p in relations]
     meta = replace(presentation.meta, simplified=True)
     return GradedPresentation(tuple(generators), PackedPolys(radix, relations), meta)
+
+
+def _block_part(label: Label, ell: int, simplified: bool) -> GradedPresentation:
+    """The plus part of the block of ``label``: the direct presentation for
+    ``ell = 1``, the wreath one otherwise, then simplified if asked."""
+    built = direct_presentation(label) if ell == 1 else wreath_presentation(label, ell)
+    return simplify(built) if simplified else built
 
 
 def negate_grading(presentation: GradedPresentation) -> GradedPresentation:

@@ -19,13 +19,14 @@ in :mod:`cherednik_centre.presentation` must reproduce it coefficient by
 coefficient.
 
 The basis is packed once (:class:`~.polyring.Radix`), each column scaled by
-the lcm of its denominators, and each digit's base is one more than the sum
-over the columns of its largest exponent there: a determinant term takes
-one entry per column and differentiating never raises an exponent, so no
-digit carries (a Schubert basis gives every symbol digit base 2).  Row
-``k + 1`` differentiates row ``k`` on the codes, the rows go through the
-Laplace sweep of :func:`~.polyring.determinant`, and the relations are split
-off the result by its ``u`` digit, with int coefficients.
+:meth:`~.polyring.Radix.pack` to int coefficients, and each digit's base is
+one more than the sum over the columns of its largest exponent there: a
+determinant term takes one entry per column and differentiating never raises
+an exponent, so no digit carries (a Schubert basis gives every symbol digit
+base 2).  Row ``k + 1`` differentiates row ``k`` on the codes, the rows go
+through the Laplace sweep :func:`~.polyring._laplace`, the product of the
+column scales is divided out, and the relations are split off the result by
+its ``u`` digit, with int coefficients.
 
 ``wronskian_recursive`` is a second, independent evaluation route for bases
 of single-term polynomials, via the identity
@@ -95,21 +96,16 @@ def _packed_wronskian(polys: Sequence[MPoly]) -> tuple[Radix, dict[int, int], in
     """The codec, the packed Wronskian times ``denominator``, and that."""
     radix = Radix.summed([p] for p in polys)
     u_place = radix.places[0]
-    denominator, columns = 1, []
-    for p in polys:
-        column_scale = math.lcm(*(c.denominator for c in p.values()))
-        denominator *= column_scale
-        columns.append([(code, c.numerator * (column_scale // c.denominator))
-                        for code, c in radix.encode_poly(p).items()])
+    columns, scales = radix.pack(polys)
     # Each row differentiates the one above; a column, once zero, is dropped.
-    rows = [[(1 << col, terms) for col, terms in enumerate(columns) if terms]]
+    rows = [[(1 << col, p.items()) for col, p in enumerate(columns) if p]]
     for _ in polys[1:]:
         rows.append([
             (bit, derived) for bit, terms in rows[-1]
             if (derived := [(code - u_place, c * (code // u_place))
                             for code, c in terms if code >= u_place])
         ])
-    return radix, _laplace(rows, len(polys)), denominator
+    return radix, _laplace(rows, len(polys)), math.prod(scales)
 
 
 def wronskian(basis: SchubertBasis) -> MPoly:

@@ -3,7 +3,9 @@
 Each is the plain form of something the package computes another way: ring
 operations on ``MPoly`` dicts (constructors, sums, products, scaling and the
 ``u`` derivative, which the package takes on packed codes or on single
-terms), the value of a constant polynomial, the canonical term order as a
+terms), determinants by permutations and by memoized Laplace expansion on
+those operations (the package packs its rows into integer codes), the value
+of a constant polynomial, the canonical term order as a
 tuple key, one Vandermonde coefficient taken pair by pair over the whole
 padded beta-set, and the JSON terms of a packed relation as one dict per
 term.  The package itself uses none of them.
@@ -11,6 +13,7 @@ term.  The package itself uses none of them.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from cherednik_centre import CellOutOfDiagram, beta_set, hook_length, weight
@@ -92,6 +95,50 @@ def neg(p: MPoly) -> MPoly:
 
 def sub(p: MPoly, q: MPoly) -> MPoly:
     return add(p, neg(q))
+
+
+def det_by_permutations(matrix) -> MPoly:
+    """The determinant as the signed sum over all permutations."""
+    n = len(matrix)
+    acc = {}
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for a in range(n):
+            for b in range(a + 1, n):
+                if perm[a] > perm[b]:
+                    sign = -sign
+        term = const(sign)
+        for row in range(n):
+            term = mul(term, matrix[row][perm[row]])
+        acc = add(acc, term)
+    return acc
+
+
+def det_by_laplace_memo(matrix) -> MPoly:
+    """The determinant by Laplace expansion along rows from the top,
+    memoized over the tuple of unused columns (``2^n * n`` polynomial
+    multiplications on ``Fraction`` coefficients)."""
+    n = len(matrix)
+    memo = {}
+
+    def expand(cols_left):
+        if not cols_left:
+            return const(1)
+        cached = memo.get(cols_left)
+        if cached is not None:
+            return cached
+        row = n - len(cols_left)
+        acc = {}
+        for idx, col in enumerate(cols_left):
+            entry = matrix[row][col]
+            if not entry:
+                continue
+            term = mul(entry, expand(cols_left[:idx] + cols_left[idx + 1 :]))
+            acc = add(acc, term if idx % 2 == 0 else neg(term))
+        memo[cols_left] = acc
+        return acc
+
+    return expand(tuple(range(n)))
 
 
 def constant_value(p: MPoly) -> Fraction:

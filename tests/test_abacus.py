@@ -92,6 +92,12 @@ def test_from_quotient_rejects_non_partition_components(lam, error):
 
 
 @pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_abacus_from_partition_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        abacus_from_partition(lam, 2)
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
 def test_ell_core_rejects_non_partitions(lam, error):
     with pytest.raises(error):
         ell_core(lam, 2)

@@ -10,7 +10,6 @@ from cherednik_centre import (
     EllOutOfRange,
     NegativeWeight,
     block,
-    centre_dimension,
     centre_presentation,
     dimension_hook_formula,
     graded_dimensions_from_presentation,
@@ -22,6 +21,17 @@ from cherednik_centre import (
 )
 
 from conftest import NON_PARTITIONS
+
+
+def _hook_formula_total(n, ell):
+    """The centre's total dimension summed off its labels by the hook
+    formula, ``d(label) * d(star)`` each, with no presentation built."""
+    labels = list(partitions_of(n)) if ell == 1 else list(multipartitions_of(n, ell))
+    star = (lambda label: label) if ell == 1 else star_involution
+    return sum(
+        dimension_hook_formula(label, ell) * dimension_hook_formula(star(label), ell)
+        for label in labels
+    )
 
 
 def test_symmetric_group_of_order_two():
@@ -50,10 +60,10 @@ def test_wreath_2_2_block_structure():
 
 
 def test_centre_dimension_pins():
-    assert centre_dimension(2, 1) == 2
-    assert centre_dimension(3, 1) == 6
-    assert centre_dimension(0, 1) == 1
-    assert centre_dimension(1, 2) == 2
+    assert centre_presentation(2, 1).total_dimension == _hook_formula_total(2, 1) == 2
+    assert centre_presentation(3, 1).total_dimension == _hook_formula_total(3, 1) == 6
+    assert centre_presentation(0, 1).total_dimension == _hook_formula_total(0, 1) == 1
+    assert centre_presentation(1, 2).total_dimension == _hook_formula_total(1, 2) == 2
 
 
 @pytest.mark.parametrize("ell", range(1, 9))
@@ -61,13 +71,14 @@ def test_centre_dimension_is_the_sum_of_block_dimensions(ell):
     """Summed off the labels, the total equals the assembled centre's, for
     every n*ell <= 8."""
     for n in range(0, 8 // ell + 1):
-        assert centre_dimension(n, ell) == centre_presentation(n, ell).total_dimension
+        assert _hook_formula_total(n, ell) == centre_presentation(n, ell).total_dimension
 
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_symmetric_group_centre_dimension_is_factorial(n):
     """Block dimensions are squares of hook dimensions, so the total is n!."""
-    assert centre_dimension(n, 1) == math.factorial(n)
+    assert centre_presentation(n, 1).total_dimension == math.factorial(n)
+    assert _hook_formula_total(n, 1) == math.factorial(n)
 
 
 @pytest.mark.parametrize(
@@ -79,13 +90,15 @@ def test_total_dimension_is_the_group_order(n, ell):
     contributes dim(q)·dim(q*) = dim(q)², so the total must be the group
     order ℓⁿ·n! — a cross-check of the hook formula against pure group
     theory."""
-    assert centre_dimension(n, ell) == ell**n * math.factorial(n)
+    assert centre_presentation(n, ell).total_dimension == ell**n * math.factorial(n)
+    assert _hook_formula_total(n, ell) == ell**n * math.factorial(n)
 
 
 def test_wreath_centre_of_weight_five():
     """Group order 2^5 * 5! for G(2,1,5); its largest blocks have parts of
     dimension 20."""
-    assert centre_dimension(5, 2) == 2**5 * 120
+    assert centre_presentation(5, 2).total_dimension == 2**5 * 120
+    assert _hook_formula_total(5, 2) == 2**5 * 120
 
 
 @pytest.mark.parametrize("n,ell", [(3, 2), (2, 3)])
@@ -93,10 +106,10 @@ def test_centre_runs_the_oracle_once_per_label(monkeypatch, n, ell):
     """Each label is needed as a plus part and as the minus part of its star
     partner's block; one centre builds it once.  Dimensions come from the
     hook formula, so assembling the centre never runs the rank oracle."""
-    from cherednik_centre import centre, hilbert
+    from cherednik_centre import hilbert, presentation
 
     seen = []
-    build = centre.wreath_presentation
+    build = presentation.wreath_presentation
 
     def counting(q, ell):
         seen.append(q)
@@ -105,7 +118,7 @@ def test_centre_runs_the_oracle_once_per_label(monkeypatch, n, ell):
     def forbidden(rows):
         raise AssertionError("centre_presentation ran the rank oracle")
 
-    monkeypatch.setattr(centre, "wreath_presentation", counting)
+    monkeypatch.setattr(presentation, "wreath_presentation", counting)
     # every oracle call ranks its rows here, however the oracle was imported
     monkeypatch.setattr(hilbert, "_sparse_rank", forbidden)
     cp = centre_presentation(n, ell)

@@ -94,6 +94,18 @@ def test_beta_set_rejects_non_partitions(lam, error):
         beta_set(lam, 3)
 
 
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_first_column_hooks_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        first_column_hooks(lam)
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_transpose_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        transpose(lam)
+
+
 def test_row_hook_set_pins():
     assert sorted(row_hook_set((3, 2), 1)) == [1, 3, 4]
     assert sorted(row_hook_set((3, 2), 2)) == [1, 2]

@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 
@@ -36,6 +35,8 @@ from reference import (
     const,
     constant_value,
     d_du,
+    det_by_laplace_memo,
+    det_by_permutations,
     gen,
     json_terms,
     monomial,
@@ -210,49 +211,6 @@ def test_constant_value():
 # --- determinants -------------------------------------------------------------
 
 
-def _det_by_permutations(matrix):
-    n = len(matrix)
-    acc = {}
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for a in range(n):
-            for b in range(a + 1, n):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        term = const(sign)
-        for row in range(n):
-            term = mul(term, matrix[row][perm[row]])
-        acc = add(acc, term)
-    return acc
-
-
-def _det_by_laplace_memo(matrix):
-    """The former production determinant: Laplace expansion along rows from
-    the top, memoized over the tuple of unused columns (``2^n * n``
-    polynomial multiplications on ``Fraction`` coefficients)."""
-    n = len(matrix)
-    memo = {}
-
-    def expand(cols_left):
-        if not cols_left:
-            return const(1)
-        cached = memo.get(cols_left)
-        if cached is not None:
-            return cached
-        row = n - len(cols_left)
-        acc = {}
-        for idx, col in enumerate(cols_left):
-            entry = matrix[row][col]
-            if not entry:
-                continue
-            term = mul(entry, expand(cols_left[:idx] + cols_left[idx + 1 :]))
-            acc = add(acc, term if idx % 2 == 0 else neg(term))
-        memo[cols_left] = acc
-        return acc
-
-    return expand(tuple(range(n)))
-
-
 def _assert_canonical(p):
     """The canonical ``MPoly`` invariants: ``Fraction`` coefficients, none
     zero; non-negative ``u`` exponents; generator factors strictly sorted by
@@ -277,7 +235,7 @@ def test_determinant_matches_laplace_memo_on_schubert_wronskians(n):
     for lam in partitions_of(n):
         matrix = _wronski_matrix(lam)
         det = determinant(matrix)
-        assert det == _det_by_laplace_memo(matrix), lam
+        assert det == det_by_laplace_memo(matrix), lam
         _assert_canonical(det)
 
 
@@ -306,7 +264,7 @@ def _entries(draw):
 def test_determinant_matches_laplace_memo_on_sparse_fraction_matrices(n, data):
     matrix = [[data.draw(_entries()) for _ in range(n)] for _ in range(n)]
     det = determinant(matrix)
-    assert det == _det_by_laplace_memo(matrix)
+    assert det == det_by_laplace_memo(matrix)
     _assert_canonical(det)
     zero_row = data.draw(st.integers(0, n - 1))
     matrix[zero_row] = [{} for _ in range(n)]
@@ -327,7 +285,7 @@ def test_determinant_of_high_exponents_does_not_carry():
 @given(st.integers(1, 4), st.data())
 def test_determinant_matches_permutation_expansion(n, data):
     matrix = [[data.draw(polys(max_terms=2)) for _ in range(n)] for _ in range(n)]
-    assert determinant(matrix) == _det_by_permutations(matrix)
+    assert determinant(matrix) == det_by_permutations(matrix)
 
 
 def test_determinant_edge_cases():

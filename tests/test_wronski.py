@@ -12,7 +12,6 @@ from cherednik_centre import (
     GenSym,
     InexactDivision,
     beta_set,
-    determinant,
     partitions_of,
     row_hook_set,
     schubert_basis,
@@ -24,7 +23,17 @@ from cherednik_centre import (
 from cherednik_centre.wronski import SchubertBasis
 
 from conftest import NON_PARTITIONS
-from reference import add, const, d_du, gen, monomial, mul, scale, u_power
+from reference import (
+    add,
+    const,
+    d_du,
+    det_by_laplace_memo,
+    gen,
+    monomial,
+    mul,
+    scale,
+    u_power,
+)
 
 
 F11, F21, F22 = GenSym(1, 1), GenSym(2, 1), GenSym(2, 2)
@@ -201,13 +210,13 @@ def test_recursive_wronskian_rejects_what_does_not_divide(polys):
 
 
 def _reference_wronskian(polys):
-    """The determinant of the ``d_du`` derivative rows, on ``MPoly`` dicts.
-    ``determinant`` shares its sweep and digit sizing with the packed route;
-    ``test_polyring`` checks both against plain ``MPoly`` expansions."""
+    """The determinant of the ``d_du`` derivative rows, by the reference
+    Laplace expansion on ``MPoly`` dicts: it shares no packing, digit sizing
+    or sweep with the packed route it checks."""
     rows = [list(polys)]
     for _ in range(len(polys) - 1):
         rows.append([d_du(p) for p in rows[-1]])
-    return determinant(rows)
+    return det_by_laplace_memo(rows)
 
 
 def _monomial_matrix_wronskian(degrees):
