@@ -60,9 +60,10 @@ def multipartitions_of(n: int, ell: int) -> Iterator[MultiPartition]:
 
 
 def _multipartitions_of(n: int, ell: int) -> Iterator[MultiPartition]:
-    if ell == 0:
-        if n == 0:
-            yield ()
+    if ell == 1:
+        # the last component takes the whole rest of the weight
+        for head in partitions_of(n):
+            yield (head,)
         return
     for k in range(n, -1, -1):
         for head in partitions_of(k):
