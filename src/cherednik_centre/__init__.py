@@ -46,7 +46,7 @@ from .partitions import (
     Partition, beta_set, cells, first_column_hooks, format_partition, hook_length,
     make_partition, parse_partition, partitions_of, row_hook_set, transpose, weight,
 )
-from .polyring import INHOMOGENEOUS, GenSym, MPoly, determinant, format_poly, weighted_degree
+from .polyring import GenSym, MPoly, determinant, format_poly, weighted_degree
 from .presentation import (
     GradedPresentation, PresentationMeta, TransversalMonomial, direct_presentation,
     format_label, negate_grading, presentation_document, quotient_ring_text,
@@ -81,8 +81,7 @@ __all__ = [
     "hook_length", "make_partition", "parse_partition", "partitions_of",
     "row_hook_set", "transpose", "weight",
     # polyring
-    "INHOMOGENEOUS", "GenSym", "MPoly", "determinant", "format_poly",
-    "weighted_degree",
+    "GenSym", "MPoly", "determinant", "format_poly", "weighted_degree",
     # presentation
     "GradedPresentation", "PresentationMeta", "TransversalMonomial",
     "direct_presentation", "format_label", "negate_grading",

@@ -57,7 +57,9 @@ class NegativeDegreeGenerator(DomainError):
 
 
 class InhomogeneousRelation(DomainError):
-    """Graded dimension counting needs every relation to be homogeneous."""
+    """A polynomial whose monomials differ in weighted degree, raised by
+    ``weighted_degree`` with that polynomial: graded dimension counting,
+    ``simplify`` and the raw text form need every relation homogeneous."""
 
 
 class MalformedPresentation(DomainError):

@@ -6,8 +6,14 @@ Two independent routes:
   of group.  For an ``ell``-multipartition of ``n`` (a partition is the
   one-component label of ``ell = 1``) the series is
   ``prod_{i=1..n} (1 - q^{ell i}) / prod_{components, cells} (1 - q^{ell h})``
-  (an exact polynomial quotient) and the dimension is its value at q = 1,
-  ``n! / prod hooks`` over the cells of every component;
+  and the dimension is its value at q = 1, ``n! / prod hooks`` over the
+  cells of every component.  The series is computed in one coefficient
+  list: multiplying by ``1 - q^k`` appends ``k`` zeros and runs
+  ``c[d] -= c[d - k]`` for descending ``d``; dividing by it runs
+  ``c[d] += c[d - k]`` for ascending ``d`` and drops the top ``k``
+  coefficients, which must be 0.  Every division is exact: the whole
+  denominator ``D`` divides the numerator ``N``, so each factor ``f`` of
+  ``D`` divides ``N``, and ``D / f`` divides ``N / f``;
 
 * a linear-algebra oracle on a presentation, kept as the checker — in each
   degree ``d`` count the monomials in the generators and subtract the exact
@@ -60,7 +66,6 @@ from dataclasses import dataclass
 from .abacus import _make_multipartition
 from .errors import (
     InexactDivision,
-    InhomogeneousRelation,
     MalformedPresentation,
     NegativeDegreeCutoff,
     NegativeDegreeGenerator,
@@ -68,7 +73,7 @@ from .errors import (
     OracleTruncated,
 )
 from .partitions import Partition, cells, hook_length, make_partition, weight
-from .polyring import INHOMOGENEOUS, Radix, primitive_part, weighted_degree
+from .polyring import Radix, primitive_part, weighted_degree
 from .presentation import GradedPresentation, Label
 
 
@@ -109,30 +114,25 @@ def format_series(series: HilbertSeries) -> str:
     return " + ".join(pieces) if pieces else "0"
 
 
-def _poly_mul_dense(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
+def _times_one_minus_q_to(c: list[int], k: int) -> None:
+    """``c := c * (1 - q^k)`` in place, for ``k >= 1``."""
+    c.extend([0] * k)
+    for d in range(len(c) - 1, k - 1, -1):
+        c[d] -= c[d - k]
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact quotient of dense integer polynomials with den[0] = 1."""
-    if len(num) < len(den):
-        num = num + [0] * (len(den) - len(num))
-    out = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for k in range(len(out)):
-        c = rem[k]
-        out[k] = c
-        if c:
-            for t, dv in enumerate(den):
-                rem[k + t] -= c * dv
-    if any(rem):
+def _divide_by_one_minus_q_to(c: list[int], k: int) -> None:
+    """``c := c / (1 - q^k)`` in place, for ``k >= 1``; raises
+    :class:`~cherednik_centre.errors.InexactDivision` unless the quotient is
+    a polynomial with fewer coefficients than ``c``."""
+    top = len(c) - k
+    if top <= 0:
         raise InexactDivision("series quotient is not a polynomial")
-    return out
+    for d in range(k, len(c)):
+        c[d] += c[d - k]
+    if any(c[top:]):
+        raise InexactDivision("series quotient is not a polynomial")
+    del c[top:]
 
 
 def _components(label: Label, ell: int) -> tuple[Partition, ...]:
@@ -143,32 +143,29 @@ def _components(label: Label, ell: int) -> tuple[Partition, ...]:
     return _make_multipartition(label, ell)
 
 
-def _one_minus_q_to(k: int) -> list[int]:
-    return [1] + [0] * (k - 1) + [-1]
+def _hooks(components: tuple[Partition, ...]) -> list[int]:
+    """The hook of every cell of every (validated) component."""
+    return [hook_length(lam, cell) for lam in components for cell in cells(lam)]
 
 
 def hilbert_series_formula(label: Label, ell: int = 1) -> HilbertSeries:
-    """``prod_{i=1..n} (1 - q^{ell i}) / prod_{components, cells} (1 - q^{ell h})``;
-    the division is exact."""
+    """``prod_{i=1..n} (1 - q^{ell i}) / prod_{components, cells} (1 - q^{ell h})``,
+    multiplied out and divided in one coefficient list; each division is
+    exact."""
     components = _components(label, ell)
-    num = [1]
+    series = [1]
     for i in range(1, sum(map(weight, components)) + 1):
-        num = _poly_mul_dense(num, _one_minus_q_to(ell * i))
-    den = [1]
-    for component in components:
-        for cell in cells(component):
-            den = _poly_mul_dense(den, _one_minus_q_to(ell * hook_length(component, cell)))
-    return make_series(_poly_div_exact(num, den))
+        _times_one_minus_q_to(series, ell * i)
+    for h in _hooks(components):
+        _divide_by_one_minus_q_to(series, ell * h)
+    return make_series(series)
 
 
 def dimension_hook_formula(label: Label, ell: int = 1) -> int:
     """``n! / prod hooks`` over the cells of every component, with
     integrality enforced: the series formula at q = 1."""
     components = _components(label, ell)
-    product = 1
-    for component in components:
-        for cell in cells(component):
-            product *= hook_length(component, cell)
+    product = math.prod(_hooks(components))
     factorial = math.factorial(sum(map(weight, components)))
     if factorial % product:
         raise NonIntegral((label, factorial, product))
@@ -270,8 +267,6 @@ def graded_dimensions_from_presentation(
     symbols = [g for g, _ in generators]
     relations = [r for r in presentation.relations if r]
     relation_degrees = [weighted_degree(r) for r in relations]
-    if INHOMOGENEOUS in relation_degrees:
-        raise InhomogeneousRelation(relations[relation_degrees.index(INHOMOGENEOUS)])
     known = set(symbols)
     for r in relations:
         if any(ue for ue, _ in r) or not {s for _, gens in r for s, _ in gens} <= known:

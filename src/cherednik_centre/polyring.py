@@ -31,6 +31,9 @@ Wronskian by exponents summed over rows or columns (:meth:`Radix.summed`).
 
 Grading: ``deg u = 1`` and ``deg f_{i,j} = j``; a polynomial all of whose
 monomials share the same weighted degree is homogeneous.
+:func:`weighted_degree` returns that degree and raises
+:class:`~cherednik_centre.errors.InhomogeneousRelation` on any other
+non-zero polynomial.
 
 The canonical term order (used for printing and for picking leading terms)
 sorts monomials by ``(-degree, -u exponent, factors)``.  :class:`PackedPolys`
@@ -50,7 +53,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
-from .errors import NonSquare, ZeroPolynomial
+from .errors import InhomogeneousRelation, NonSquare, ZeroPolynomial
 
 
 class GenSym(NamedTuple):
@@ -64,16 +67,6 @@ GenVec = tuple[tuple[GenSym, int], ...]
 Monomial = tuple[int, GenVec]
 MPoly = dict[Monomial, Fraction]
 IntPoly = dict[Monomial, int]
-
-
-class Inhomogeneous:
-    """Marker returned by :func:`weighted_degree` for mixed-degree polynomials."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "Inhomogeneous"
-
-
-INHOMOGENEOUS = Inhomogeneous()
 
 
 def primitive_part(p: IntPoly | PackedPoly) -> IntPoly | PackedPoly:
@@ -243,17 +236,19 @@ def monomial_degree(mono: Monomial) -> int:
     return ue + sum(s.degree * e for s, e in gens)
 
 
-def weighted_degree(p: MPoly):
-    """Common weighted degree, or the :data:`INHOMOGENEOUS` marker.
+def weighted_degree(p: MPoly) -> int:
+    """The weighted degree shared by every monomial of ``p``.
 
-    Raises :class:`ZeroPolynomial` on the zero polynomial (no degree).
+    Raises :class:`ZeroPolynomial` on the zero polynomial (no degree) and
+    :class:`InhomogeneousRelation`, carrying ``p``, when the monomials of
+    ``p`` differ in degree.
     """
     if not p:
         raise ZeroPolynomial("the zero polynomial has no weighted degree")
     degrees = {monomial_degree(mono) for mono in p}
     if len(degrees) == 1:
         return degrees.pop()
-    return INHOMOGENEOUS
+    raise InhomogeneousRelation(p)
 
 
 # ---------------------------------------------------------------------------

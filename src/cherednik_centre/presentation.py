@@ -66,7 +66,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Union
 
 from .abacus import MultiPartition, format_multipartition, from_quotient
-from .errors import InhomogeneousRelation, NegativeDegreeGenerator
+from .errors import NegativeDegreeGenerator
 from .partitions import (
     Cell,
     Partition,
@@ -77,7 +77,6 @@ from .partitions import (
     weight,
 )
 from .polyring import (
-    INHOMOGENEOUS,
     GenSym,
     GenVec,
     MPoly,
@@ -129,9 +128,6 @@ class GradedPresentation:
     generators: tuple[tuple[GenSym, int], ...]
     relations: tuple[MPoly, ...] | PackedPolys
     meta: PresentationMeta
-
-    def generator_symbols(self) -> tuple[GenSym, ...]:
-        return tuple(g for g, _ in self.generators)
 
 
 @dataclass(frozen=True)
@@ -360,8 +356,6 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     generators = list(presentation.generators)
     relations = [r for r in presentation.relations if r]
     degrees = [weighted_degree(r) for r in relations]
-    if INHOMOGENEOUS in degrees:
-        raise InhomogeneousRelation(relations[degrees.index(INHOMOGENEOUS)])
     symbols = sorted({s for r in relations for _ue, gens in r for s, _e in gens})
     weightless = tuple(s for s in symbols if s.degree < 1)
     if weightless:

@@ -7,16 +7,35 @@ terms), determinants by permutations and by memoized Laplace expansion on
 those operations (the package packs its rows into integer codes), the value
 of a constant polynomial, the canonical term order as a
 tuple key, one Vandermonde coefficient taken pair by pair over the whole
-padded beta-set, and the JSON terms of a packed relation as one dict per
-term.  The package itself uses none of them.
+padded beta-set, the JSON terms of a packed relation as one dict per
+term, and the closed Hilbert series as one dense product of every factor
+followed by one long division (the package multiplies and divides by each
+two-term factor in place).  The package itself uses none of them.
+
+Also here: the wreath labels the tests sweep, and each one's presentation
+and oracle series, built once per label for every test that reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
-from cherednik_centre import CellOutOfDiagram, beta_set, hook_length, weight
+from cherednik_centre import (
+    CellOutOfDiagram,
+    GradedPresentation,
+    HilbertSeries,
+    InexactDivision,
+    beta_set,
+    cells,
+    graded_dimensions_from_presentation,
+    hook_length,
+    make_series,
+    multipartitions_of,
+    weight,
+    wreath_presentation,
+)
 from cherednik_centre.polyring import GenSym, Monomial, MPoly, PackedPolys, generator_name
 
 ONE_MONO: Monomial = (0, ())
@@ -192,3 +211,68 @@ def json_terms(packed: PackedPolys, index: int, prefix: str = "f") -> list[dict]
             "monomial": [generator_name(s, prefix) for s, e in gens for _ in range(e)],
         })
     return terms
+
+
+def poly_mul_dense(a: list[int], b: list[int]) -> list[int]:
+    """The product of two dense integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def poly_div_exact(num: list[int], den: list[int]) -> list[int]:
+    """Exact quotient of dense integer polynomials with ``den[0] = 1``, by
+    long division; :class:`InexactDivision` on a remainder."""
+    if len(num) < len(den):
+        num = num + [0] * (len(den) - len(num))
+    out = [0] * (len(num) - len(den) + 1)
+    rem = list(num)
+    for k in range(len(out)):
+        c = rem[k]
+        out[k] = c
+        if c:
+            for t, dv in enumerate(den):
+                rem[k + t] -= c * dv
+    if any(rem):
+        raise InexactDivision("series quotient is not a polynomial")
+    return out
+
+
+def one_minus_q_to(k: int) -> list[int]:
+    return [1] + [0] * (k - 1) + [-1]
+
+
+def series_by_long_division(label, ell: int = 1) -> HilbertSeries:
+    """``prod_{i=1..n} (1 - q^{ell i}) / prod_{components, cells} (1 - q^{ell h})``
+    with numerator and denominator each multiplied out in full, then one
+    long division; ``label`` a partition for ``ell = 1``, else its
+    components."""
+    components = (label,) if ell == 1 else label
+    num = [1]
+    for i in range(1, sum(map(weight, components)) + 1):
+        num = poly_mul_dense(num, one_minus_q_to(ell * i))
+    den = [1]
+    for lam in components:
+        for cell in cells(lam):
+            den = poly_mul_dense(den, one_minus_q_to(ell * hook_length(lam, cell)))
+    return make_series(poly_div_exact(num, den))
+
+
+def wreath_cases(total_max: int):
+    """Every ``(q, ell)`` with ``2 <= ell``, ``q`` an ``ell``-multipartition
+    of ``n >= 1`` and ``n * ell <= total_max``."""
+    for ell in range(2, total_max + 1):
+        for n in range(1, total_max // ell + 1):
+            for q in multipartitions_of(n, ell):
+                yield q, ell
+
+
+@functools.lru_cache(maxsize=None)
+def wreath_block(q, ell: int) -> tuple[GradedPresentation, HilbertSeries]:
+    """The wreath presentation of ``q`` and its oracle series with the
+    default cutoff, built once per label however many tests read them."""
+    built = wreath_presentation(q, ell)
+    return built, graded_dimensions_from_presentation(built)

@@ -22,22 +22,31 @@ from cherednik_centre import (
     dimension_hook_formula,
     direct_presentation,
     format_series,
-    from_quotient,
     graded_dimensions_from_presentation,
     hilbert_series_formula,
     make_series,
-    multipartitions_of,
     negate_grading,
     partitions_of,
     presentation_dimension,
     simplify,
     transpose,
-    weight,
     wreath_presentation,
 )
-from cherednik_centre.hilbert import HilbertSeries, _sparse_rank
+from cherednik_centre.hilbert import (
+    HilbertSeries,
+    _divide_by_one_minus_q_to,
+    _sparse_rank,
+    _times_one_minus_q_to,
+)
 
 from conftest import NON_PARTITIONS, partitions_up_to
+from reference import (
+    one_minus_q_to,
+    poly_mul_dense,
+    series_by_long_division,
+    wreath_block,
+    wreath_cases,
+)
 
 
 def test_series_value_pins():
@@ -286,26 +295,57 @@ def test_oracle_rejects_a_negative_degree_cutoff(lam):
 
 
 def test_series_division_is_checked():
-    from cherednik_centre.hilbert import _poly_div_exact
+    c = [1, 0, -1]
+    _divide_by_one_minus_q_to(c, 1)
+    assert c == [1, 1]
+    c = [1, 0, 0, -1]
+    _divide_by_one_minus_q_to(c, 3)
+    assert c == [1]
+    for c, k in [([1, 1, 1], 1), ([1, 0, 0, 0], 2), ([1], 1), ([1, -1], 2)]:
+        with pytest.raises(InexactDivision):
+            _divide_by_one_minus_q_to(c, k)
 
-    assert _poly_div_exact([1, 0, -1], [1, -1]) == [1, 1]
+
+_INT_POLYS = st.lists(st.integers(-100, 100), min_size=1, max_size=12)
+
+
+@given(_INT_POLYS, st.integers(1, 8))
+def test_multiplying_by_one_minus_q_to_k_and_dividing_back_is_the_identity(p, k):
+    c = list(p)
+    _times_one_minus_q_to(c, k)
+    assert c == poly_mul_dense(p, one_minus_q_to(k))
+    _divide_by_one_minus_q_to(c, k)
+    assert c == p
+
+
+@given(_INT_POLYS, st.integers(1, 8), st.data())
+def test_dividing_a_non_multiple_of_one_minus_q_to_k_raises(p, k, data):
+    """``p * (1 - q^k)`` plus a non-zero term of degree below ``k`` leaves a
+    non-zero remainder of degree below ``k``."""
+    c = list(p)
+    _times_one_minus_q_to(c, k)
+    c[data.draw(st.integers(0, k - 1))] += data.draw(st.integers(-100, 100).filter(bool))
     with pytest.raises(InexactDivision):
-        _poly_div_exact([1, 1, 1], [1, -1])
+        _divide_by_one_minus_q_to(c, k)
+
+
+def test_series_formula_equals_the_long_division_reference():
+    """Every partition of n <= 10 and every wreath label with n*ell <= 12:
+    the in-place route equals the dense product and long division."""
+    labels = [(lam, 1) for n in range(11) for lam in partitions_of(n)]
+    labels += list(wreath_cases(12))
+    assert len(labels) == 139 + 396
+    for label, ell in labels:
+        expected = series_by_long_division(label, ell)
+        assert hilbert_series_formula(label, ell) == expected, (label, ell)
 
 
 # --- wreath series ------------------------------------------------------------
 
 
-def _wreath_cases(total_max):
-    for ell in range(2, total_max + 1):
-        for n in range(1, total_max // ell + 1):
-            for q in multipartitions_of(n, ell):
-                yield q, ell
-
-
-@pytest.mark.parametrize("q,ell", list(_wreath_cases(8)))
+@pytest.mark.parametrize("q,ell", list(wreath_cases(8)))
 def test_wreath_series_support_is_divisible_by_ell(q, ell):
-    series = graded_dimensions_from_presentation(wreath_presentation(q, ell))
+    _built, series = wreath_block(q, ell)
     for d, c in enumerate(series.coefficients):
         if c:
             assert d % ell == 0, (q, ell, series)
@@ -362,7 +402,7 @@ def test_oracle_agrees_on_simplified_wreath_presentations():
     scales to integer rows; raw and simplified give the same series, and it
     is the closed formula read off the multipartition."""
     fractional = 0
-    for q, ell in _wreath_cases(10):
+    for q, ell in wreath_cases(10):
         raw = wreath_presentation(q, ell)
         simplified = simplify(raw)
         fractional += any(
@@ -383,7 +423,7 @@ def test_wreath_dimension_survey_is_recorded_not_asserted(capsys):
     all components (``dimension_hook_formula(q, ell)``), equals the oracle on
     all 93 labels."""
     misses = 0
-    cases = list(_wreath_cases(8))
+    cases = list(wreath_cases(8))
     assert len(cases) == 93
     for q, ell in cases:
         dim = presentation_dimension(wreath_presentation(q, ell))

@@ -35,16 +35,25 @@ from cherednik_centre import (
     wreath_presentation,
     wronski_relations,
 )
-from cherednik_centre.polyring import INHOMOGENEOUS
 from cherednik_centre.presentation import (
     GradedPresentation,
     PresentationMeta,
     _packed,
     label_document,
+    presentation_text,
 )
 
 from conftest import NON_PARTITIONS, partitions_up_to
-from reference import add, json_terms, mul, scale, term_sort_key, vandermonde_coefficient
+from reference import (
+    add,
+    json_terms,
+    mul,
+    scale,
+    term_sort_key,
+    vandermonde_coefficient,
+    wreath_block,
+    wreath_cases,
+)
 
 
 # --- transversal monomials ----------------------------------------------------
@@ -251,13 +260,6 @@ def test_wreath_of_weight_9_example():
     assert len(p.relations) == 3  # degrees 3, 6, 9
 
 
-def _wreath_cases(total_max):
-    for ell in range(2, total_max + 1):
-        for n in range(1, total_max // ell + 1):
-            for q in multipartitions_of(n, ell):
-                yield q, ell
-
-
 def _wreath_by_stripping(q, ell) -> GradedPresentation:
     """Reference route: the full direct presentation of ``from_quotient(q,
     ell)``, then drop the generators whose hook ``ell`` does not divide, the
@@ -280,7 +282,7 @@ def _wreath_by_stripping(q, ell) -> GradedPresentation:
 def test_wreath_equals_the_stripped_direct_presentation():
     """Every label with n*ell <= 16, ell >= 2: at the larger ell most rows of
     ``from_quotient(q, ell)`` hold no eligible cell, and the walk skips them."""
-    cases = list(_wreath_cases(16))
+    cases = list(wreath_cases(16))
     assert len(cases) == 1106
     for q, ell in cases:
         ours, reference = wreath_presentation(q, ell), _wreath_by_stripping(q, ell)
@@ -289,11 +291,11 @@ def test_wreath_equals_the_stripped_direct_presentation():
         assert ours.meta == reference.meta
 
 
-@pytest.mark.parametrize("q,ell", list(_wreath_cases(8)))
+@pytest.mark.parametrize("q,ell", list(wreath_cases(8)))
 def test_wreath_degrees_and_support(q, ell):
     """Kept generators have hook degree divisible by ℓ; relations live in
     degrees ℓ, 2ℓ, …, and only involve kept generators."""
-    p = wreath_presentation(q, ell)
+    p, _series = wreath_block(q, ell)
     lam = from_quotient(q, ell)
     kept = {g for g, _ in p.generators}
     assert all(g.degree % ell == 0 for g in kept)
@@ -338,13 +340,10 @@ def test_simplify_reaches_a_fixed_point_and_preserves_dimensions(lam):
     assert before == after, lam
 
 
-@pytest.mark.parametrize("q,ell", list(_wreath_cases(8)))
+@pytest.mark.parametrize("q,ell", list(wreath_cases(8)))
 def test_simplify_preserves_wreath_dimensions(q, ell):
-    p = wreath_presentation(q, ell)
-    s = simplify(p)
-    assert graded_dimensions_from_presentation(
-        p
-    ) == graded_dimensions_from_presentation(s)
+    p, series = wreath_block(q, ell)
+    assert graded_dimensions_from_presentation(simplify(p)) == series
 
 
 def test_simplify_rejects_an_inhomogeneous_relation():
@@ -356,10 +355,24 @@ def test_simplify_rejects_an_inhomogeneous_relation():
     p = GradedPresentation(
         ((x, 1), (y, 1)), (inhomogeneous, square), PresentationMeta((), 1, 1)
     )
-    with pytest.raises(InhomogeneousRelation):
+    with pytest.raises(InhomogeneousRelation) as raised:
         simplify(p)
-    with pytest.raises(InhomogeneousRelation):
+    assert raised.value.args == (inhomogeneous,)
+    with pytest.raises(InhomogeneousRelation) as raised:
         simplify(GradedPresentation(p.generators, (square, inhomogeneous), p.meta))
+    assert raised.value.args == (inhomogeneous,)
+
+
+def test_presentation_text_rejects_an_inhomogeneous_relation():
+    """The raw text form labels each relation ``r_<degree>``: ``f1,1 +
+    f2,2`` has no degree, so it raises with that relation instead of
+    printing a marker in place of the degree."""
+    x, y = GenSym(1, 1), GenSym(2, 2)
+    relation = {(0, ((x, 1),)): 1, (0, ((y, 1),)): 1}
+    p = GradedPresentation(((x, 1), (y, 2)), (relation,), PresentationMeta((), 1, 1))
+    with pytest.raises(InhomogeneousRelation) as raised:
+        presentation_text(p)
+    assert raised.value.args == (relation,)
 
 
 @pytest.mark.parametrize("weight_of_x", [0, -1])
@@ -420,8 +433,6 @@ def _reference_simplify(presentation: GradedPresentation) -> GradedPresentation:
     generators = list(presentation.generators)
     relations = [r for r in presentation.relations if r]
     degrees = [weighted_degree(r) for r in relations]
-    if INHOMOGENEOUS in degrees:
-        raise InhomogeneousRelation(relations[degrees.index(INHOMOGENEOUS)])
     relations = [r for _, r in sorted(zip(degrees, relations), key=lambda dr: dr[0])]
     while True:
         victim = next(
@@ -496,7 +507,7 @@ def test_simplify_equals_the_fraction_reference(p):
 def test_simplify_equals_the_fraction_reference_on_every_block():
     """All partitions of n <= 10 and all wreath labels with n*ell <= 10."""
     built = [direct_presentation(lam) for n in range(11) for lam in partitions_of(n)]
-    built += [wreath_presentation(q, ell) for q, ell in _wreath_cases(10)]
+    built += [wreath_presentation(q, ell) for q, ell in wreath_cases(10)]
     assert len(built) == 139 + 190
     for p in built:
         ours, reference = simplify(p), _reference_simplify(p)
@@ -536,7 +547,7 @@ def test_simplified_packed_relations_are_primitive():
     the content in: all partitions of n <= 11 and wreath labels with
     n*ell <= 8."""
     built = [direct_presentation(lam) for n in range(12) for lam in partitions_of(n)]
-    built += [wreath_presentation(q, ell) for q, ell in _wreath_cases(8)]
+    built += [wreath_presentation(q, ell) for q, ell in wreath_cases(8)]
     for p in built:
         for rel in simplify(p).relations.polys:
             assert math.gcd(*rel.values()) == 1, p.meta.source
