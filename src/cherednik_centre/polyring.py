@@ -38,10 +38,10 @@ non-zero polynomial.
 The canonical term order (used for printing and for picking leading terms)
 sorts monomials by ``(-degree, -u exponent, factors)``.  :class:`PackedPolys`
 renders in that order, as text or canonical JSON: it reads each term's sort
-key and generator names in one pass over its non-zero digits
-(:meth:`Radix.ordered`), sorts the terms by that int key, and writes each
-coefficient ``c / lead`` reduced by one ``math.gcd``.  :func:`format_poly`
-and :func:`named_terms` pack an ``MPoly`` first.
+key and names in one pass over its non-zero digits (:meth:`Radix.ordered`),
+each factor's names joined once per codec, sorts the terms by that int key,
+and writes each coefficient ``c / lead`` reduced by one ``math.gcd``.
+:func:`format_poly` and :func:`named_terms` pack an ``MPoly`` first.
 """
 
 from __future__ import annotations
@@ -173,9 +173,10 @@ class Radix:
 
     def table(self, prefix: str, text: bool) -> tuple:
         """What :meth:`ordered` reads, for names under ``prefix`` in text
-        (``f1,2^3``) or JSON (``"f1,2"`` three times) form; built once."""
+        (``f1,2^3``) or JSON (``"f1,2"`` e times) form, pre-joined; built once."""
         found = self._tables.get((prefix, text))
         if found is None:
+            sep = "*" if text else _JSON_NAME_SEP
             bases = self.bases[:0:-1]
             span = math.prod(b + 1 for b in bases)
             key_place, tail, thresholds, cells = 1, 0, [], []
@@ -185,17 +186,17 @@ class Radix:
                     name = _quote(name)
                 step = key_place - s.degree * self.bases[0] * span
                 for e in range(1, base):
-                    pieces = [f"{name}^{e}" if e > 1 else name] if text else [name] * e
+                    names = (f"{name}^{e}" if e > 1 else name) if text else sep.join([name] * e)
                     thresholds.append(e * place)
-                    cells.append((e * step - base * key_place, pieces, tail))
+                    cells.append((e * step - base * key_place, names, sep + names, tail))
                 tail -= base * key_place
                 key_place *= base + 1
             u_step = -(self.bases[0] + 1) * span
             found = self._tables[prefix, text] = (thresholds, cells, tail, u_step)
         return found
 
-    def ordered(self, codes, table: tuple) -> list[tuple[int, int, int, list[str]]]:
-        """``(key, code, u exponent, name pieces)`` per code, ascending in
+    def ordered(self, codes, table: tuple) -> list[tuple[int, int, int, str]]:
+        """``(key, code, u exponent, joined names)`` per code, ascending in
         the canonical order of the monomials.
 
         The key is ``-(degree * bases[0] + ue) * K + T`` with ``T`` in
@@ -206,8 +207,8 @@ class Radix:
         comes first, an absent factor last and an ended factor tuple first.
         The factors come most significant first: ``e * place`` for every
         digit and exponent ``e > 0`` ascend together, so one bisection finds
-        the digit and its exponent, and each cell holds the factor's part of
-        the key, its names and the part of the zeros after it.
+        the digit and its exponent; a cell holds the factor's part of the key,
+        its names bare and behind a separator, and the part of the zeros after it.
         """
         thresholds, cells, empty_tail, u_step = table
         u_place = self.places[0]
@@ -215,18 +216,20 @@ class Radix:
         for code in codes:
             ue, rest = divmod(code, u_place)
             key = ue * u_step
-            factors: list[str] = []
             if rest:
+                i = bisect_right(thresholds, rest) - 1
+                rest -= thresholds[i]
+                gain, names, _joined, tail = cells[i]
+                key += gain
                 while rest:
                     i = bisect_right(thresholds, rest) - 1
                     rest -= thresholds[i]
-                    gain, pieces, tail = cells[i]
+                    gain, _names, joined, tail = cells[i]
                     key += gain
-                    factors += pieces
-                key += tail
+                    names += joined
+                rows.append((key + tail, code, ue, names))
             else:
-                key += empty_tail
-            rows.append((key, code, ue, factors))
+                rows.append((key + empty_tail, code, ue, ""))
         rows.sort()
         return rows
 
@@ -362,36 +365,35 @@ class PackedPolys:
         radix = Radix.summed([polys])
         return cls(radix, *radix.pack(polys))
 
-    def _terms(self, index: int, prefix: str, text: bool):
-        """``(code, numerator, denominator, u exponent, name pieces)`` per
-        term, in canonical order."""
+    def _terms(self, index: int, prefix: str = "f", text: bool = False) -> tuple:
+        """``p``, its :meth:`Radix.ordered` rows, its lead and the lead's sign:
+        ``c / lead`` in lowest terms, the denominator positive, is ``c // g``
+        over ``lead // g`` for ``g = gcd(c, lead) * sign``."""
         p = self.polys[index]
         rows = self.radix.ordered(p, self.radix.table(prefix, text))
         lead = self.leads[index] if self.leads else p[rows[0][1]] if rows else 1
-        for _key, code, ue, factors in rows:
-            c = p[code]
-            g = math.gcd(c, lead)
-            num, den = c // g, lead // g
-            if den < 0:
-                num, den = -num, -den
-            yield code, num, den, ue, factors
+        return p, rows, lead, -1 if lead < 0 else 1
 
     def text(self, index: int, prefix: str = "f") -> str:
         """Polynomial ``index`` as text, e.g. ``u^2 - 2*f2,1*u + 3/5*f1,2``."""
-        pieces: list[str] = []
-        for _code, num, den, ue, factors in self._terms(index, prefix, True):
-            sign = "-" if num < 0 else "+"
+        p, rows, lead, sign = self._terms(index, prefix, True)
+        gcd, pieces = math.gcd, []
+        for _key, code, ue, named in rows:
+            c = p[code]
+            g = gcd(c, lead) * sign
+            num, den = c // g, lead // g
+            sign_text = "-" if num < 0 else "+"
             num = abs(num)
             if ue:
-                factors.append("u" if ue == 1 else f"u^{ue}")
-            named = "*".join(factors)
+                u = "u" if ue == 1 else f"u^{ue}"
+                named = f"{named}*{u}" if named else u
             if den != 1:
                 body = f"{num}/{den}*{named}" if named else f"{num}/{den}"
             elif num == 1 and named:
                 body = named
             else:
                 body = f"{num}*{named}" if named else str(num)
-            pieces.append(f"{sign} {body}")
+            pieces.append(f"{sign_text} {body}")
         if not pieces:
             return "0"
         first = pieces[0]
@@ -403,13 +405,14 @@ class PackedPolys:
         sort_keys=True)`` writes, at the top level, its list of
         ``{"coefficient": "-3/5", "monomial": [names repeated by
         exponent]}`` per term (``u`` is not named)."""
-        terms = []
-        for _code, num, den, _ue, names in self._terms(index, prefix, False):
-            coefficient = str(num) if den == 1 else f"{num}/{den}"
-            if names:
-                tail = _JSON_NAMES + _JSON_NAME_SEP.join(names) + _JSON_TERM_END
-            else:
-                tail = _JSON_NO_NAMES
+        p, rows, lead, sign = self._terms(index, prefix, False)
+        gcd, terms = math.gcd, []
+        for _key, code, _ue, names in rows:
+            c = p[code]
+            g = gcd(c, lead) * sign
+            den = lead // g
+            coefficient = str(c // g) if den == 1 else f"{c // g}/{den}"
+            tail = _JSON_NAMES + names + _JSON_TERM_END if names else _JSON_NO_NAMES
             terms.append(_JSON_TERM + coefficient + tail)
         return "[\n  " + ",\n  ".join(terms) + "\n]" if terms else "[]"
 
@@ -417,8 +420,8 @@ class PackedPolys:
         if self._decoded is None:
             decode = self.radix.decode
             self._decoded = tuple(
-                {decode(code): Fraction(n, d) for code, n, d, *_ in self._terms(k, "f", False)}
-                for k in range(len(self.polys))
+                {decode(code): Fraction(p[code], lead) for _key, code, *_ in rows}
+                for p, rows, lead, _sign in map(self._terms, range(len(self.polys)))
             )
         return self._decoded
 

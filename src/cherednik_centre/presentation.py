@@ -37,16 +37,16 @@ quotient is a Vandermonde product of integers; each relation stores it as
 the int coefficient of its term.
 
 ``simplify`` performs the standard elimination of generators that occur
-linearly, giving a reduced presentation with monic relations.  It is
-fraction-free from input to output: the eliminations run on integer
-multiples of the relations, made primitive where they are read (the
-input, each spent relation, and the result), a monomial is one packed int
-(the layout is described in :mod:`~cherednik_centre.polyring`) and a
-coefficient one int, and the result keeps them so, as a
-:class:`~cherednik_centre.polyring.PackedPolys` whose leads are found when
-it is rendered.  A ``Fraction`` appears only when its ``relations`` are
-read as polynomials: they are decoded then, once, to monic ``Fraction``
-relations (the raw relations, like the Wronskian's, have int coefficients).
+linearly, in one pass over the relations in degree order, giving a reduced
+presentation with monic relations.  It is fraction-free from input to
+output: the eliminations run on integer multiples of the relations, each
+substitution dividing out a gcd, made primitive where they are read.  A
+monomial is one packed int (the layout is described in
+:mod:`~cherednik_centre.polyring`) and a coefficient one int, and the
+result keeps them so, as a :class:`~cherednik_centre.polyring.PackedPolys`
+whose leads are found when it is rendered.  A ``Fraction`` appears only
+when its ``relations`` are read as polynomials: they are decoded then, once,
+to monic ``Fraction`` relations (the raw relations have int coefficients).
 
 The renderers (:func:`quotient_ring_text`, :func:`presentation_text`,
 :func:`presentation_document`) write a simplified presentation straight
@@ -89,6 +89,7 @@ from .polyring import (
 )
 
 Label = Union[Partition, MultiPartition]
+HookRows = list[list[tuple[int, int, GenSym]]]
 
 
 def _is_multipartition(label: Label) -> bool:
@@ -138,7 +139,7 @@ class TransversalMonomial:
     degree: int
 
 
-def _hook_rows(lam: Partition, ell: int) -> list[list[tuple[int, int, GenSym]]]:
+def _hook_rows(lam: Partition, ell: int) -> HookRows:
     """Per row, the ``(column, hook, generator)`` of each cell whose hook
     ``ell`` divides, left to right."""
     conjugate = transpose(lam)
@@ -153,10 +154,10 @@ def _hook_rows(lam: Partition, ell: int) -> list[list[tuple[int, int, GenSym]]]:
     return rows
 
 
-def _transversals(lam: Partition, ell: int = 1) -> Iterator[tuple[GenVec, int, int]]:
-    """Every transversal of ``lam`` of degree <= weight(lam) whose hooks ``ell``
-    divides, the empty one included, in depth-first order over the rows (row
-    skipped first, then its cells left to right).
+def _transversals(lam: Partition, hook_rows: HookRows) -> Iterator[tuple[GenVec, int, int]]:
+    """Every transversal of degree <= weight(lam) of the cells in ``hook_rows``
+    (of ``lam``), the empty one included, in depth-first order over the rows
+    (row skipped first, then its cells left to right).
 
     Yields ``(gen-vector, degree, product)``: one ``(f_{row, hook}, 1)``
     factor per chosen cell, in row order, and ``product`` the Vandermonde
@@ -192,7 +193,7 @@ def _transversals(lam: Partition, ell: int = 1) -> Iterator[tuple[GenVec, int, i
     # per row holding an eligible cell: its exponent, B_r, and per cell
     # (column bit, hook, gen factor, e, A_r(e))
     rows = []
-    for i, row in enumerate(_hook_rows(lam, ell), start=1):
+    for i, row in enumerate(hook_rows, start=1):
         if not row:
             continue
         d = heads[i - 1]
@@ -239,8 +240,9 @@ def transversal_monomials(lam: Partition) -> Iterator[TransversalMonomial]:
     ``lam`` goes through ``make_partition``.  Each generator ``f_{row, hook}``
     names one cell, since hooks within a row are distinct."""
     lam = make_partition(lam)
-    cell_of = {sym: (sym.row, j) for row in _hook_rows(lam, 1) for j, _h, sym in row}
-    for gens, degree, _product in _transversals(lam):
+    hook_rows = _hook_rows(lam, 1)
+    cell_of = {sym: (sym.row, j) for row in hook_rows for j, _h, sym in row}
+    for gens, degree, _product in _transversals(lam, hook_rows):
         yield TransversalMonomial(tuple(cell_of[sym] for sym, _ in gens), degree)
 
 
@@ -250,10 +252,11 @@ def _presentation(lam: Partition, ell: int, source: Label) -> GradedPresentation
     n = weight(lam)
     orientation_sign = -1 if (n * (n - 1) // 2) % 2 else 1
     by_degree: dict[int, MPoly] = {s: {} for s in range(ell, n + 1, ell)}
-    for gens, degree, product in _transversals(lam, ell):
+    hook_rows = _hook_rows(lam, ell)
+    for gens, degree, product in _transversals(lam, hook_rows):
         if degree and product:
             by_degree[degree][(0, gens)] = orientation_sign * product
-    generators = tuple((sym, h) for row in _hook_rows(lam, ell) for _j, h, sym in row)
+    generators = tuple((sym, h) for row in hook_rows for _j, h, sym in row)
     meta = PresentationMeta(source=source, ell=ell, orientation=1)
     return GradedPresentation(generators, tuple(by_degree.values()), meta)
 
@@ -274,22 +277,17 @@ def wreath_presentation(q: MultiPartition, ell: int) -> GradedPresentation:
 # simplification
 
 
-def _occurs_only_linearly(p: PackedPoly, place: int, base: int) -> bool:
-    """Whether ``p`` has the scalar linear term of the generator at ``place``
-    (digit base ``base``) and no other monomial containing that generator."""
-    return place in p and sum(1 for code in p if code // place % base) == 1
-
-
 def _eliminate(
     p: PackedPoly, place: int, base: int, lead: int, powers: list[PackedPoly]
 ) -> PackedPoly:
-    """``lead^E * p(g = -rest / lead)``, where ``g`` is the generator at
-    ``place``, ``E`` is its largest exponent in ``p`` and ``powers[e]`` is
-    ``(-rest)^e`` (extended here as needed); ``p`` itself if ``g`` does not
-    occur in it.  The content is left in: :func:`simplify` divides it out
-    where it reads a relation."""
+    """``lead^E * p(g = -rest / lead) / G``, where ``g`` is the generator at
+    ``place``, ``E`` its largest exponent in ``p``, ``powers[e]`` is
+    ``(-rest)^e`` (extended here as needed) and ``G > 0`` the gcd of
+    ``lead^E`` and the ``c * lead^(E - e)`` of the terms ``c * g^e * m``,
+    ``e >= 1``; ``p`` itself if ``g`` does not occur in it.  The rest of the
+    content is left in, for :func:`simplify` to divide out."""
     exponents = [code // place % base for code in p]
-    top = max(exponents)
+    top = max(exponents, default=0)
     if not top:
         return p
     while len(powers) <= top:
@@ -299,61 +297,64 @@ def _eliminate(
                 power[ma + mb] = power.get(ma + mb, 0) + ca * cb
         powers.append({code: c for code, c in power.items() if c})
     scales = [lead ** (top - e) for e in range(top + 1)]
-    out: PackedPoly = {}
+    common = math.gcd(scales[0], *(c * scales[e] for c, e in zip(p.values(), exponents) if e))
+    scale = scales[0] // common
+    out = {code: c * scale for (code, c), e in zip(p.items(), exponents) if not e}
     get = out.get
     for (code, c), e in zip(p.items(), exponents):
-        if not e:
-            out[code] = get(code, 0) + c * scales[0]
-            continue
-        rest = code - e * place
-        factor = c * scales[e]
-        for mono, v in powers[e].items():
-            key = rest + mono
-            out[key] = get(key, 0) + factor * v
+        if e:
+            rest, factor = code - e * place, c * scales[e] // common
+            for mono, v in powers[e].items():
+                key = rest + mono
+                out[key] = get(key, 0) + factor * v
     if 0 in out.values():
         out = {code: c for code, c in out.items() if c}
     return out
 
 
 def simplify(presentation: GradedPresentation) -> GradedPresentation:
-    """Eliminate generators that occur linearly; loop to a fixed point.
+    """Eliminate generators that occur linearly, in one pass over the
+    relations in increasing degree.
 
-    Scan relations in increasing degree; in the first relation offering a
-    generator that appears with a scalar coefficient and in no other monomial
-    of that relation, eliminate the lexicographically largest such
-    ``(row, hook)``, substitute everywhere, drop the generator and the spent
-    relation, restart.  Output relations are monic (each divided by the
-    coefficient of its first term in canonical order); identically zero
-    relations are dropped.
+    Each relation, when reached, takes every earlier substitution in order.
+    If it then offers a generator (one of its monomials, with a scalar
+    coefficient, that occurs in no other), the largest such ``(row, hook)``
+    is eliminated and the relation spent; otherwise it is kept.  Output
+    relations are monic (divided by the coefficient of their first term in
+    canonical order); zero relations are dropped.  On the blocks of the
+    paper this removes ``f_{i, h}`` for each hook length ``h`` of the
+    presentation, ``i`` the largest row holding a cell of hook ``h``.
 
-    The elimination is fraction-free and exact: each relation is kept as an
-    integer multiple, and eliminating ``g`` from ``lead*g + rest`` replaces
-    each relation ``p`` by ``lead^E * p(g = -rest/lead)``, ``E`` the largest
-    exponent of ``g`` in ``p``.  Each relation is a non-zero rational
-    multiple of the one that substituting with rational coefficients gives,
-    with the same monomials, so the choice of generators and the monic
-    result are the same.  The content is divided out only where a relation
-    is read: the input relations, the spent relation before its ``lead``
-    and ``rest`` are taken, and each surviving relation once, at the end.
-    A spent relation is a positive multiple of the one that dividing after
-    every substitution gives, so its primitive part, and with it every
-    ``lead`` and ``rest``, is the same.  The input is not modified.
+    The pass is exact, not a heuristic: it spends the relations that a scan
+    restarted from the first relation after each elimination would.  A
+    generator eliminated from a relation of degree ``s`` has degree ``s``,
+    and every weight is at least 1, so a relation of degree at most ``s``
+    holds it only as a linear term, and would have offered a generator
+    itself.  So a relation passed over never changes, a restart would resume
+    where the pass stands, and a later substitution never touches a kept one.
 
-    Inside the loop a monomial is one code of
-    :meth:`Radix.by_degree <cherednik_centre.polyring.Radix.by_degree>` for
-    the symbols of the relations, in sorted order, up to the largest relation
-    degree ``D``.  Substitution keeps every relation homogeneous of its
-    degree, at most ``D``, and each ``(-rest)^e`` it uses has degree
-    ``e * w`` (``w`` the weight of the eliminated symbol) at most that of the
-    relation, so no exponent outgrows its digit and multiplying monomials is
-    adding codes.  That needs every weight to be at least 1: a symbol of
-    degree below 1 raises
+    The elimination is fraction-free: eliminating ``g`` from ``lead*g +
+    rest`` replaces ``p`` by ``lead^E * p(g = -rest/lead)`` over a positive
+    gcd (:func:`_eliminate`), ``E`` the largest exponent of ``g`` in ``p``: a
+    non-zero rational multiple of what rational substitution gives, with the
+    same monomials, so the same generators go and the monic result is the
+    same.  A relation's content is divided out on input and after its
+    substitutions; it is then a positive multiple of what dividing after
+    every substitution gives, with the same primitive part, ``lead`` and
+    ``rest``.  The input is not modified.
+
+    Inside the pass a monomial is one code of :meth:`Radix.by_degree
+    <cherednik_centre.polyring.Radix.by_degree>` over the sorted symbols, up
+    to the largest relation degree ``D``.  Substitution keeps each relation
+    homogeneous of its degree, and each ``(-rest)^e`` it uses has degree at
+    most that of the relation, so no exponent outgrows its digit and
+    multiplying monomials is adding codes.  That needs every weight to be at
+    least 1: a symbol of degree below 1 raises
     :class:`~cherednik_centre.errors.NegativeDegreeGenerator`.  The result's
-    ``relations`` is a :class:`~cherednik_centre.polyring.PackedPolys` of
-    the primitive relations on those codes, with no leads given: nothing is
-    decoded or divided until it is rendered or read.
+    ``relations`` is a :class:`~cherednik_centre.polyring.PackedPolys` of the
+    primitive relations on those codes, with no leads: nothing is decoded or
+    divided until it is rendered or read.
     """
-    generators = list(presentation.generators)
     relations = [r for r in presentation.relations if r]
     degrees = [weighted_degree(r) for r in relations]
     symbols = sorted({s for r in relations for _ue, gens in r for s, _e in gens})
@@ -364,33 +365,29 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     digits = dict(zip(symbols, zip(radix.places[1:], radix.bases[1:])))
     by_degree = sorted(zip(degrees, relations), key=lambda dr: dr[0])
     packed, _scales = radix.pack(r for _, r in by_degree)
-    relations = [primitive_part(p) for p in packed]
-    alive = symbols
-    while True:
-        victim = next(
-            (
-                (idx, g)
-                for idx, rel in enumerate(relations)
-                for g in reversed(alive)
-                if _occurs_only_linearly(rel, *digits[g])
-            ),
-            None,
-        )
-        if victim is None:
-            break
-        idx, g = victim
+    substitutions, eliminated, kept = [], set(), []
+    for p in packed:
+        p = primitive_part(p)
+        for substitution in substitutions:
+            p = _eliminate(p, *substitution)
+        if not p:
+            continue
+        p = primitive_part(p)
+        # the largest generator whose only term in ``p`` is itself (none eliminated is left)
+        g = next((
+            g for g, (place, base) in reversed(digits.items())
+            if place in p and sum(1 for code in p if code // place % base) == 1
+        ), None)
+        if g is None:
+            kept.append(p)
+            continue
         place, base = digits[g]
-        rel = primitive_part(relations.pop(idx))
-        negated_rest = {code: -c for code, c in rel.items() if code != place}
-        powers = [{0: 1}, negated_rest]
-        generators = [gd for gd in generators if gd[0] != g]
-        alive = [s for s in alive if s != g]
-        relations = [
-            q for q in (_eliminate(p, place, base, rel[place], powers) for p in relations) if q
-        ]
-    relations = [primitive_part(p) for p in relations]
+        eliminated.add(g)
+        negated_rest = {code: -c for code, c in p.items() if code != place}
+        substitutions.append((place, base, p[place], [{0: 1}, negated_rest]))
+    generators = tuple(gd for gd in presentation.generators if gd[0] not in eliminated)
     meta = replace(presentation.meta, simplified=True)
-    return GradedPresentation(tuple(generators), PackedPolys(radix, relations), meta)
+    return GradedPresentation(generators, PackedPolys(radix, kept), meta)
 
 
 def _block_part(label: Label, ell: int, simplified: bool) -> GradedPresentation:

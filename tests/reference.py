@@ -10,7 +10,10 @@ tuple key, one Vandermonde coefficient taken pair by pair over the whole
 padded beta-set, the JSON terms of a packed relation as one dict per
 term, and the closed Hilbert series as one dense product of every factor
 followed by one long division (the package multiplies and divides by each
-two-term factor in place).  The package itself uses none of them.
+two-term factor in place), and the integer ``simplify`` that scans the
+relations from the first one again after every elimination and substitutes
+into every relation at once (the package makes one pass, substituting into
+each relation when it reaches it).  The package itself uses none of them.
 
 Also here: the wreath labels the tests sweep, and each one's presentation
 and oracle series, built once per label for every test that reads them.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 from cherednik_centre import (
@@ -27,16 +31,30 @@ from cherednik_centre import (
     GradedPresentation,
     HilbertSeries,
     InexactDivision,
+    NegativeDegreeGenerator,
     beta_set,
     cells,
+    direct_presentation,
     graded_dimensions_from_presentation,
     hook_length,
     make_series,
     multipartitions_of,
+    partitions_of,
+    simplify,
     weight,
+    weighted_degree,
     wreath_presentation,
 )
-from cherednik_centre.polyring import GenSym, Monomial, MPoly, PackedPolys, generator_name
+from cherednik_centre.polyring import (
+    GenSym,
+    Monomial,
+    MPoly,
+    PackedPoly,
+    PackedPolys,
+    Radix,
+    generator_name,
+    primitive_part,
+)
 
 ONE_MONO: Monomial = (0, ())
 
@@ -202,12 +220,15 @@ def vandermonde_coefficient(lam, m) -> Fraction:
 
 def json_terms(packed: PackedPolys, index: int, prefix: str = "f") -> list[dict]:
     """Polynomial ``index`` as ``{"coefficient": "-3/5", "monomial": [names
-    repeated by exponent]}`` per term (``u`` is not named)."""
+    repeated by exponent]}`` per term (``u`` is not named), in the order of
+    the package's sorted rows, each coefficient a ``Fraction`` over the lead
+    and each monomial decoded from its code."""
+    p, rows, lead, _sign = packed._terms(index, prefix, False)
     terms = []
-    for code, num, den, _ue, _names in packed._terms(index, prefix, False):
+    for _key, code, *_ in rows:
         _ue, gens = packed.radix.decode(code)
         terms.append({
-            "coefficient": str(num) if den == 1 else f"{num}/{den}",
+            "coefficient": str(Fraction(p[code], lead)),
             "monomial": [generator_name(s, prefix) for s, e in gens for _ in range(e)],
         })
     return terms
@@ -276,3 +297,115 @@ def wreath_block(q, ell: int) -> tuple[GradedPresentation, HilbertSeries]:
     default cutoff, built once per label however many tests read them."""
     built = wreath_presentation(q, ell)
     return built, graded_dimensions_from_presentation(built)
+
+
+def _occurs_only_linearly(p: PackedPoly, place: int, base: int) -> bool:
+    """Whether ``p`` has the scalar linear term of the generator at ``place``
+    (digit base ``base``) and no other monomial containing that generator."""
+    return place in p and sum(1 for code in p if code // place % base) == 1
+
+
+def eliminate_scaled(
+    p: PackedPoly, place: int, base: int, lead: int, powers: list[PackedPoly]
+) -> PackedPoly:
+    """``lead^E * p(g = -rest / lead)``, where ``g`` is the generator at
+    ``place``, ``E`` is its largest exponent in ``p`` and ``powers[e]`` is
+    ``(-rest)^e`` (extended here as needed); ``p`` itself if ``g`` does not
+    occur in it.  No content is divided out."""
+    exponents = [code // place % base for code in p]
+    top = max(exponents)
+    if not top:
+        return p
+    while len(powers) <= top:
+        power: PackedPoly = {}
+        for ma, ca in powers[-1].items():
+            for mb, cb in powers[1].items():
+                power[ma + mb] = power.get(ma + mb, 0) + ca * cb
+        powers.append({code: c for code, c in power.items() if c})
+    scales = [lead ** (top - e) for e in range(top + 1)]
+    out: PackedPoly = {}
+    get = out.get
+    for (code, c), e in zip(p.items(), exponents):
+        if not e:
+            out[code] = get(code, 0) + c * scales[0]
+            continue
+        rest = code - e * place
+        factor = c * scales[e]
+        for mono, v in powers[e].items():
+            key = rest + mono
+            out[key] = get(key, 0) + factor * v
+    if 0 in out.values():
+        out = {code: c for code, c in out.items() if c}
+    return out
+
+
+def simplify_by_restart(presentation: GradedPresentation) -> GradedPresentation:
+    """The integer ``simplify`` by restarts: scan the relations in increasing
+    degree for the first one that offers a generator (the largest that occurs
+    linearly and in no other of its monomials), spend it, substitute into
+    every other relation with :func:`eliminate_scaled`, and scan again from
+    the first relation.  Contents are divided out of the input relations,
+    each spent relation and the kept ones at the end."""
+    generators = list(presentation.generators)
+    relations = [r for r in presentation.relations if r]
+    degrees = [weighted_degree(r) for r in relations]
+    symbols = sorted({s for r in relations for _ue, gens in r for s, _e in gens})
+    weightless = tuple(s for s in symbols if s.degree < 1)
+    if weightless:
+        raise NegativeDegreeGenerator(weightless)
+    radix = Radix.by_degree(symbols, max(degrees, default=0))
+    digits = dict(zip(symbols, zip(radix.places[1:], radix.bases[1:])))
+    by_degree = sorted(zip(degrees, relations), key=lambda dr: dr[0])
+    packed, _scales = radix.pack(r for _, r in by_degree)
+    relations = [primitive_part(p) for p in packed]
+    alive = symbols
+    while True:
+        victim = next(
+            (
+                (idx, g)
+                for idx, rel in enumerate(relations)
+                for g in reversed(alive)
+                if _occurs_only_linearly(rel, *digits[g])
+            ),
+            None,
+        )
+        if victim is None:
+            break
+        idx, g = victim
+        place, base = digits[g]
+        rel = primitive_part(relations.pop(idx))
+        negated_rest = {code: -c for code, c in rel.items() if code != place}
+        powers = [{0: 1}, negated_rest]
+        generators = [gd for gd in generators if gd[0] != g]
+        alive = [s for s in alive if s != g]
+        relations = [
+            q for q in (eliminate_scaled(p, place, base, rel[place], powers) for p in relations)
+            if q
+        ]
+    relations = [primitive_part(p) for p in relations]
+    meta = replace(presentation.meta, simplified=True)
+    return GradedPresentation(tuple(generators), PackedPolys(radix, relations), meta)
+
+
+def blocks(total_max: int):
+    """``(label, ell, raw presentation)`` for every partition of
+    ``n <= total_max`` (``ell = 1``) and every wreath label of
+    :func:`wreath_cases`."""
+    for n in range(total_max + 1):
+        for lam in partitions_of(n):
+            yield lam, 1, direct_presentation(lam)
+    for q, ell in wreath_cases(total_max):
+        yield q, ell, wreath_presentation(q, ell)
+
+
+def simplify_equals_restart(total_max: int) -> str | None:
+    """``None`` if ``simplify`` and :func:`simplify_by_restart` give the same
+    generators and the same packed relations, int for int, on every block of
+    :func:`blocks`; otherwise the first label where they differ."""
+    for label, ell, built in blocks(total_max):
+        ours, reference = simplify(built), simplify_by_restart(built)
+        if ours.generators != reference.generators:
+            return f"generators differ at {label}, ell={ell}"
+        if ours.relations.polys != reference.relations.polys:
+            return f"relations differ at {label}, ell={ell}"
+    return None

@@ -38,6 +38,7 @@ from cherednik_centre import (
 from cherednik_centre.presentation import (
     GradedPresentation,
     PresentationMeta,
+    _eliminate,
     _packed,
     label_document,
     presentation_text,
@@ -46,9 +47,13 @@ from cherednik_centre.presentation import (
 from conftest import NON_PARTITIONS, partitions_up_to
 from reference import (
     add,
+    blocks,
+    eliminate_scaled,
     json_terms,
     mul,
     scale,
+    simplify_by_restart,
+    simplify_equals_restart,
     term_sort_key,
     vandermonde_coefficient,
     wreath_block,
@@ -512,6 +517,117 @@ def test_simplify_equals_the_fraction_reference_on_every_block():
     for p in built:
         ours, reference = simplify(p), _reference_simplify(p)
         assert ours == reference, p.meta.source
+
+
+# --- the restart scan, kept as the integer reference --------------------------
+
+
+@given(_homogeneous_presentations())
+def test_simplify_equals_the_integer_reference(p):
+    ours, reference = simplify(p), simplify_by_restart(p)
+    assert ours.generators == reference.generators
+    assert ours.relations.polys == reference.relations.polys
+
+
+def test_simplify_equals_the_integer_reference_on_every_block():
+    """Same generators and the same packed relations, int for int and sign
+    for sign: every partition of n <= 12 and every wreath label with
+    n*ell <= 12."""
+    assert simplify_equals_restart(12) is None
+
+
+def test_simplify_removes_the_last_row_of_each_hook():
+    """For each hook length ``h`` of the presentation, ``simplify`` removes
+    ``f_{i, h}`` for the largest row ``i`` holding a cell of hook ``h``, and
+    nothing else; the same blocks as above."""
+    count = 0
+    for label, ell, built in blocks(12):
+        lam = label if ell == 1 else from_quotient(label, ell)
+        last_row = {}
+        for i, j in cells(lam):
+            h = hook_length(lam, (i, j))
+            if h % ell == 0:
+                last_row[h] = max(last_row.get(h, 0), i)
+        kept = {g for g, _ in simplify(built).generators}
+        removed = {g for g, _ in built.generators} - kept
+        assert removed == {GenSym(i, h) for h, i in last_row.items()}, (label, ell)
+        count += 1
+    assert count == 272 + 396
+
+
+_X, _Y, _Z = GenSym(1, 1), GenSym(2, 1), GenSym(3, 1)
+
+
+def _checked_simplify(p: GradedPresentation) -> GradedPresentation:
+    """``simplify(p)``, asserted equal to both references."""
+    ours = simplify(p)
+    reference = simplify_by_restart(p)
+    assert ours.generators == reference.generators
+    assert ours.relations.polys == reference.relations.polys
+    assert ours == _reference_simplify(p)
+    return ours
+
+
+def test_one_pass_substitutes_a_victim_into_a_later_relation_of_its_degree():
+    """``x + 2y`` spends ``y``, which is a linear term of ``3x + 4y + 6z``
+    of the same degree; that relation takes ``y = -x/2`` when it is reached
+    and then spends ``z``; the degree-2 relation takes both."""
+    linear = {(0, ((_X, 1),)): 1, (0, ((_Y, 1),)): 2}
+    same_degree = {(0, ((_X, 1),)): 3, (0, ((_Y, 1),)): 4, (0, ((_Z, 1),)): 6}
+    quadratic = {(0, ((_Z, 2),)): 36, (0, ((_X, 1), (_Y, 1))): 1, (2, ()): 1}
+    p = GradedPresentation(
+        ((_X, 1), (_Y, 1), (_Z, 1)), (quadratic, same_degree, linear), PresentationMeta((), 1, 1)
+    )
+    s = _checked_simplify(p)
+    assert [g for g, _ in s.generators] == [_X]
+    assert quotient_ring_text(s) == "C[f1,1] / (u^2 + 1/2*f1,1^2)"
+
+
+def test_one_pass_eliminates_a_generator_that_occurs_squared():
+    """``3y - x`` spends ``y``, which occurs squared in ``3y^2 + 3xy + x^2 +
+    u^2``: ``9 * p(y = x/3)`` is ``3 * (7x^2 + 3u^2)``, so the kernel
+    divides out 3, and the result is a third of the scaled substitution."""
+    linear = {(0, ((_X, 1),)): -1, (0, ((_Y, 1),)): 3}
+    square = {
+        (0, ((_Y, 2),)): 3, (0, ((_X, 1), (_Y, 1))): 3, (0, ((_X, 2),)): 1, (2, ()): 1,
+    }
+    p = GradedPresentation(((_X, 1), (_Y, 1)), (linear, square), PresentationMeta((), 1, 1))
+    s = _checked_simplify(p)
+    assert [g for g, _ in s.generators] == [_X]
+    assert quotient_ring_text(s) == "C[f1,1] / (u^2 + 7/3*f1,1^2)"
+    (packed_linear, packed_square), _ = s.relations.radix.pack((linear, square))
+    place, base = s.relations.radix.places[2], s.relations.radix.bases[2]
+    negated_rest = {code: -c for code, c in packed_linear.items() if code != place}
+    ours = _eliminate(packed_square, place, base, 3, [{0: 1}, dict(negated_rest)])
+    scaled = eliminate_scaled(packed_square, place, base, 3, [{0: 1}, dict(negated_rest)])
+    assert scaled == {code: 3 * c for code, c in ours.items()}
+    assert sorted(ours.values()) == [3, 7]
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 3)),
+        st.integers(-30, 30).filter(bool),
+        min_size=1,
+        max_size=6,
+    ),
+    st.dictionaries(st.integers(0, 2), st.integers(-30, 30).filter(bool), max_size=3),
+    st.integers(-12, 12).filter(bool),
+)
+def test_eliminate_is_a_positive_multiple_of_the_scaled_substitution(terms, rest, lead):
+    """Two digits, ``x`` above ``g`` (base 16, place 1): ``p`` holds
+    ``x^a * g^e`` with ``e <= 3``, ``rest`` is a polynomial in ``x`` of
+    degree <= 2, so no exponent reaches 16.  The kernel's result has the
+    monomials of ``lead^E * p(g = -rest/lead)`` and is a positive multiple
+    of it, with int coefficients."""
+    p = {a * 16 + e: c for (a, e), c in terms.items()}
+    negated_rest = {a * 16: -c for a, c in rest.items()}
+    ours = _eliminate(p, 1, 16, lead, [{0: 1}, dict(negated_rest)])
+    scaled = eliminate_scaled(p, 1, 16, lead, [{0: 1}, dict(negated_rest)])
+    assert set(ours) == set(scaled)
+    assert all(type(c) is int for c in ours.values())
+    ratios = {Fraction(ours[code], scaled[code]) for code in ours}
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
 
 
 def test_simplify_fills_a_digit_to_its_bound_beside_a_live_digit():
