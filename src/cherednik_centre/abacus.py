@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from .errors import EllOutOfRange, LengthMismatch
 from .partitions import (
     Partition,
-    beta_set,
+    _beta_set,
     first_column_hooks,
     format_partition,
     make_partition,
@@ -83,12 +83,17 @@ def _partition_from_positions(positions) -> Partition:
 def ell_core(lam: Partition, ell: int) -> Partition:
     """Slide all beads upwards in their columns, then read the diagram;
     ``lam`` goes through ``make_partition``."""
-    diagram = abacus_from_partition(make_partition(lam), ell)
-    compacted = set()
-    for c in range(ell):
-        count = len(diagram.column_rows(c))
-        compacted.update(c + ell * r for r in range(count))
-    return _partition_from_positions(compacted)
+    return _ell_core(make_partition(lam), ell)
+
+
+def _ell_core(lam: Partition, ell: int) -> Partition:
+    """:func:`ell_core` of a validated ``lam``."""
+    if ell < 1:
+        raise EllOutOfRange(ell)
+    counts = [0] * ell
+    for p in _beta_set(lam, len(lam)):
+        counts[p % ell] += 1
+    return _partition_from_positions(c + ell * r for c, k in enumerate(counts) for r in range(k))
 
 
 def has_trivial_core(lam: Partition, ell: int) -> bool:
@@ -101,13 +106,12 @@ def ell_quotient(lam: Partition, ell: int) -> MultiPartition:
     ``lam`` goes through ``make_partition``."""
     lam = make_partition(lam)
     n_beads = len(lam)
-    if has_trivial_core(lam, ell):
+    if _ell_core(lam, ell) == ():
         while n_beads % ell != (ell - 1) % ell:
             n_beads += 1
-    diagram = BeadDiagram(columns=ell, beads=frozenset(beta_set(lam, n_beads)))
-    return tuple(
-        _partition_from_positions(diagram.column_rows(c)) for c in range(ell)
-    )
+    beads = _beta_set(lam, n_beads)
+    return tuple(_partition_from_positions([p // ell for p in beads if p % ell == c])
+                 for c in range(ell))
 
 
 def from_quotient(quotient: MultiPartition, ell: int) -> Partition:
@@ -125,7 +129,7 @@ def from_quotient(quotient: MultiPartition, ell: int) -> Partition:
     counts = [q + 1] * (ell - 1) + [q]
     positions: set[int] = set()
     for c, component in enumerate(quotient):
-        for row in beta_set(component, counts[c]):
+        for row in _beta_set(component, counts[c]):
             positions.add(row * ell + c)
     return _partition_from_positions(positions)
 

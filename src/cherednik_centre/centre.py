@@ -72,8 +72,7 @@ def _multipartitions_of(n: int, ell: int) -> Iterator[MultiPartition]:
 
 
 def _reprefix(presentation: GradedPresentation, prefix: str) -> GradedPresentation:
-    meta = replace(presentation.meta, prefix=prefix)
-    return GradedPresentation(presentation.generators, presentation.relations, meta)
+    return replace(presentation, meta=replace(presentation.meta, prefix=prefix))
 
 
 def _plus_part(

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -71,9 +72,15 @@ ASSUMPTION = "generic c / smooth Calogero-Moser"
 
 
 def _write_atomic(path: str, content: str) -> None:
+    """``content`` to a temp file renamed onto ``path``, with the mode of the
+    target it replaces, or ``0o666`` under the umask, not ``mkstemp``'s 0o600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-")
     try:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.exists(path) else 0o666 & ~umask
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w") as handle:
             handle.write(content)
         os.replace(tmp, path)

@@ -52,14 +52,14 @@ class InexactDivision(DomainError):
 
 
 class NegativeDegreeGenerator(DomainError):
-    """Graded dimension counting, and ``simplify``'s packed monomials, need
-    strictly positive generator degrees."""
+    """Graded dimension counting, and packed relations (``Radix.by_degree``),
+    need strictly positive generator degrees."""
 
 
 class InhomogeneousRelation(DomainError):
     """A polynomial whose monomials differ in weighted degree, raised by
-    ``weighted_degree`` with that polynomial: graded dimension counting,
-    ``simplify`` and the raw text form need every relation homogeneous."""
+    ``weighted_degree`` with that polynomial: a ``GradedPresentation`` built
+    from polynomials checks each of them so."""
 
 
 class MalformedPresentation(DomainError):

@@ -32,13 +32,11 @@ on every partition of ``n <= 7`` and on every wreath label with
 ``2 <= ell`` and ``n * ell <= 10`` (the tests and ``checks``).
 
 The oracle makes no use of the formulas, so agreement between the two is a
-real check.  Rank computation is exact and fraction-free: each relation is
-scaled once to a primitive integer multiple (lcm of its denominators by
-``Radix.pack``, then divided by the gcd of the numerators by
-``primitive_part``), which spans the same rows.  A
-monomial is one packed int (the layout is described in
-:mod:`~cherednik_centre.polyring`), with the generators' digits in their
-listed order, so a Macaulay row ``m * r`` is ``r`` shifted by ``m``: a
+real check.  Rank computation is exact and fraction-free: each relation's
+packed int coefficients, over their gcd (``primitive_part``), span the same
+rows.  Its codes are decoded and encoded again on the oracle's codec (see
+:mod:`~cherednik_centre.polyring`), the generators' digits in their listed
+order, so a Macaulay row ``m * r`` is ``r`` shifted by ``m``: a
 ``{column: int}`` dict.  Each row is reduced against the stored pivot rows
 (one per lowest column, each divided by its content) by integer
 cross-multiplication until it vanishes or opens a new pivot; the rank is
@@ -73,7 +71,7 @@ from .errors import (
     OracleTruncated,
 )
 from .partitions import Partition, cells, hook_length, make_partition, weight
-from .polyring import Radix, primitive_part, weighted_degree
+from .polyring import Radix, monomial_degree, primitive_part
 from .presentation import GradedPresentation, Label
 
 
@@ -265,20 +263,24 @@ def graded_dimensions_from_presentation(
     if misdegreed:
         raise MalformedPresentation(misdegreed)
     symbols = [g for g, _ in generators]
-    relations = [r for r in presentation.relations if r]
-    relation_degrees = [weighted_degree(r) for r in relations]
     known = set(symbols)
+    decode = presentation.relations.radix.decode
+    relations = [
+        {decode(code): c for code, c in p.items()} for p in presentation.relations.polys if p
+    ]
     for r in relations:
         if any(ue for ue, _ in r) or not {s for _, gens in r for s, _ in gens} <= known:
             raise MalformedPresentation(r)
+    relation_degrees = [monomial_degree(next(iter(r))) for r in relations]
     default_cutoff = max_degree is None
     if default_cutoff:
         max_degree = max(0, sum(relation_degrees) - sum(s.degree for s in symbols)) + 2
     radix = Radix.by_degree(symbols, max_degree)
     monomials = _monomial_codes(radix, max_degree)
-    kept = [(r, s) for r, s in zip(relations, relation_degrees) if s <= max_degree]
-    codes, _scales = radix.pack(r for r, _ in kept)
-    packed = [(primitive_part(p).items(), s) for p, (_, s) in zip(codes, kept)]
+    packed = [
+        (primitive_part(radix.encode_poly(r)).items(), s)
+        for r, s in zip(relations, relation_degrees) if s <= max_degree
+    ]
     dims = []
     for d in range(max_degree + 1):
         rows = (

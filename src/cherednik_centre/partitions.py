@@ -104,8 +104,7 @@ def first_column_hooks(lam: Partition) -> BetaSet:
     goes through :func:`make_partition`.
     """
     lam = make_partition(lam)
-    n = len(lam)
-    return tuple(p + n - i for i, p in enumerate(lam, start=1))
+    return _beta_set(lam, len(lam))
 
 
 def beta_set(lam: Partition, n: int) -> BetaSet:
@@ -118,6 +117,11 @@ def beta_set(lam: Partition, n: int) -> BetaSet:
     lam = make_partition(lam)
     if n < len(lam):
         raise PadTooShort((lam, n))
+    return _beta_set(lam, n)
+
+
+def _beta_set(lam: Partition, n: int) -> BetaSet:
+    """:func:`beta_set` of a validated ``lam`` and ``n >= len(lam)``."""
     padded = lam + (0,) * (n - len(lam))
     return tuple(p + n - i for i, p in enumerate(padded, start=1))
 

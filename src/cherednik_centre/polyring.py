@@ -1,10 +1,8 @@
 """Exact sparse polynomials in ``u`` and graded generator symbols ``f_{i,j}``.
 
-Coefficients are exact: Python ints where the values are integral (the
-direct and Wronskian relations, the Schubert basis) and ``Fraction`` where
-they need not be (``determinant``, the monic view of simplified relations);
-there is no floating point anywhere in the package.  A polynomial is a dict
-mapping monomials to non-zero coefficients, where a monomial is
+Coefficients are exact, ints or ``Fraction`` values; there is no floating
+point anywhere in the package.  A polynomial is a dict mapping monomials to
+non-zero coefficients, where a monomial is
 
     (u_exponent, ((GenSym(row, degree), exponent), ...))
 
@@ -14,20 +12,19 @@ literals; this module does no ``MPoly`` arithmetic: products and
 derivatives run on packed codes (below), and the recursive Wronskian of
 :mod:`.wronski` on single terms.
 
-The hot loops (the Laplace sweep under ``determinant`` and the Wronskian,
-``simplify`` and the rank oracle) pack each monomial into one int in mixed
-radix, through one codec, :class:`Radix`, and keep each coefficient as an
-int.  :meth:`Radix.pack` is the one place where a ``Fraction`` becomes an
-int: it scales each polynomial by the lcm of its denominators and reports
-that scale, which the determinant and the Wronskian divide out and the
-renderers keep as the lead; ``simplify`` and the rank oracle then take the
-``primitive_part`` (coefficients with gcd 1) of each packed relation.  The
-``u`` digit is the most significant, then one digit per symbol in
-the caller's order, so codes ascend in lexicographic order of the exponent
-vectors; each digit's base exceeds every exponent it will hold, so
-multiplying monomials is adding codes.  ``simplify`` and the oracle size the
-digits by weighted degree (:meth:`Radix.by_degree`), ``determinant`` and the
-Wronskian by exponents summed over rows or columns (:meth:`Radix.summed`).
+Relations and the hot loops pack each monomial into one int in mixed radix,
+through one codec, :class:`Radix`, and keep each coefficient as an int.
+:meth:`Radix.pack` is the one place where a ``Fraction`` becomes an int: it
+scales each polynomial by the lcm of its denominators and reports that
+scale, which the determinant and the Wronskian divide out and
+:class:`PackedPolys` keeps as the lead.  The ``u`` digit is the most
+significant, then one digit per symbol in the caller's order, so codes
+ascend in lexicographic order of the exponent vectors; each digit's base
+exceeds every exponent it will hold, so multiplying monomials is adding
+codes.  :class:`PackedPolys` sizes the digits by weighted degree
+(:meth:`Radix.by_degree`), ``determinant`` and the Wronskian by exponents
+summed over rows or columns (:meth:`Radix.summed`).  :func:`format_poly` and
+:func:`named_terms` pack an ``MPoly`` first.
 
 Grading: ``deg u = 1`` and ``deg f_{i,j} = j``; a polynomial all of whose
 monomials share the same weighted degree is homogeneous.
@@ -41,7 +38,6 @@ renders in that order, as text or canonical JSON: it reads each term's sort
 key and names in one pass over its non-zero digits (:meth:`Radix.ordered`),
 each factor's names joined once per codec, sorts the terms by that int key,
 and writes each coefficient ``c / lead`` reduced by one ``math.gcd``.
-:func:`format_poly` and :func:`named_terms` pack an ``MPoly`` first.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
-from .errors import InhomogeneousRelation, NonSquare, ZeroPolynomial
+from .errors import InhomogeneousRelation, NegativeDegreeGenerator, NonSquare, ZeroPolynomial
 
 
 class GenSym(NamedTuple):
@@ -66,29 +62,27 @@ class GenSym(NamedTuple):
 GenVec = tuple[tuple[GenSym, int], ...]
 Monomial = tuple[int, GenVec]
 MPoly = dict[Monomial, Fraction]
-IntPoly = dict[Monomial, int]
-
-
-def primitive_part(p: IntPoly | PackedPoly) -> IntPoly | PackedPoly:
-    """The primitive multiple of a non-zero ``p`` with int coefficients,
-    keyed by monomials or by packed codes: its coefficients over their gcd.
-    Same keys in the same order, same signs; ``p`` itself if it is already
-    primitive.  :meth:`Radix.pack` makes ``Fraction`` input integral first."""
-    content = math.gcd(*p.values())
-    if content == 1:
-        return p
-    return {mono: c // content for mono, c in p.items()}
 
 
 # A polynomial in packed codes: monomial code -> int coefficient.
 PackedPoly = dict[int, int]
 
 
+def primitive_part(p: PackedPoly) -> PackedPoly:
+    """The primitive multiple of a non-zero ``p`` with int coefficients: its
+    coefficients over their gcd, same codes in the same order, same signs;
+    ``p`` itself if it is already primitive."""
+    content = math.gcd(*p.values())
+    if content == 1:
+        return p
+    return {mono: c // content for mono, c in p.items()}
+
+
 class Radix:
     """The packed-monomial codec of the module docstring.
 
     ``bases[0]`` is the base of the ``u`` digit and ``bases[k]`` that of
-    ``symbols[k - 1]``; ``places`` holds the place values in the same order.
+    ``symbols[k - 1]``; ``places`` holds the place values in that order.
     Adding two codes multiplies their monomials as long as no digit reaches
     its base; keeping to the bases is the caller's sizing rule, its own
     bases, :meth:`by_degree` or :meth:`summed`.  :meth:`ordered` reads codes
@@ -103,7 +97,7 @@ class Radix:
             places[k] = places[k + 1] * self.bases[k + 1]
         self.places = tuple(places)
         self._symbol_places = tuple(zip(self.symbols, self.places[1:]))
-        self._place_of = dict(self._symbol_places)
+        self.place_of = dict(self._symbol_places)
         self._tables: dict[tuple[str, bool], tuple] = {}
 
     @classmethod
@@ -130,11 +124,11 @@ class Radix:
         symbols = sorted(bases)
         return cls(symbols, [u_base] + [bases[s] for s in symbols])
 
-    def encode_poly(self, p: IntPoly) -> PackedPoly:
+    def encode_poly(self, p: MPoly) -> PackedPoly:
         """``p`` with each monomial replaced by its code, in one pass with
         the places summed inline: a comprehension per term would cost a call
         per term, which doubles the time."""
-        u_place, place_of = self.places[0], self._place_of
+        u_place, place_of = self.places[0], self.place_of
         out: PackedPoly = {}
         for (ue, gens), c in p.items():
             code = ue * u_place
@@ -170,6 +164,10 @@ class Radix:
                 if not code:
                     break
         return ue, tuple(gens)
+
+    def degree(self, code: int) -> int:
+        """The weighted degree of the monomial of ``code``."""
+        return monomial_degree(self.decode(code))
 
     def table(self, prefix: str, text: bool) -> tuple:
         """What :meth:`ordered` reads, for names under ``prefix`` in text
@@ -344,9 +342,8 @@ class PackedPolys:
     first term in canonical order (a monic view).
 
     It reads as the tuple of those polynomials with ``Fraction``
-    coefficients, decoded on first read.  :meth:`text` and
-    :meth:`json_text` render from the codes: each coefficient is the
-    reduced ``c / lead``, by one ``math.gcd``.
+    coefficients, decoded on first read.  :meth:`text` and :meth:`json_text`
+    render from the codes, each coefficient the reduced ``c / lead``.
     """
 
     def __init__(
@@ -359,10 +356,16 @@ class PackedPolys:
 
     @classmethod
     def from_polys(cls, polys: Sequence[MPoly]) -> PackedPolys:
-        """``polys`` packed by :meth:`Radix.summed` as one group, each
-        digit's base one more than the largest exponent it holds, and by
-        :meth:`Radix.pack`, each lead the scale it reports."""
-        radix = Radix.summed([polys])
+        """``polys`` packed by :meth:`Radix.pack`, each lead the scale it
+        reports, on :meth:`Radix.by_degree` over their sorted symbols up to
+        their largest monomial degree; a symbol of weight below 1 raises
+        :class:`~cherednik_centre.errors.NegativeDegreeGenerator`."""
+        symbols = sorted({s for p in polys for _ue, gens in p for s, _e in gens})
+        weightless = tuple(s for s in symbols if s.degree < 1)
+        if weightless:
+            raise NegativeDegreeGenerator(weightless)
+        top = max((monomial_degree(mono) for p in polys for mono in p), default=0)
+        radix = Radix.by_degree(symbols, top)
         return cls(radix, *radix.pack(polys))
 
     def _terms(self, index: int, prefix: str = "f", text: bool = False) -> tuple:
@@ -419,9 +422,10 @@ class PackedPolys:
     def _values(self) -> tuple[MPoly, ...]:
         if self._decoded is None:
             decode = self.radix.decode
+            leads = self.leads or [self._terms(k)[2] for k in range(len(self.polys))]
             self._decoded = tuple(
-                {decode(code): Fraction(p[code], lead) for _key, code, *_ in rows}
-                for p, rows, lead, _sign in map(self._terms, range(len(self.polys)))
+                {decode(code): Fraction(c, lead) for code, c in p.items()}
+                for p, lead in zip(self.polys, leads)
             )
         return self._decoded
 

@@ -24,37 +24,26 @@ divisible by ``ell``, and its relations, of degree ``ell, 2*ell, ...``, sum
 over the transversals made of those cells only.  The enumeration walks just
 those cells; it never builds the full presentation of ``lam``.  Both
 variants share one enumerator, which yields each transversal as its
-generator factors, its degree and its coefficient, the one payload every
-caller reads; :func:`transversal_monomials` reads the cells back off the
-generators, ``f_{i, h}`` naming the cell of hook ``h`` in row ``i``.  The
+monomial's code (the sum of its cells' places on the relations' codec),
+its degree and its coefficient, the one payload every caller reads.  The
 walk starts from the empty transversal's product
 ``V(d) = prod_{a < b} (d_a - d_b)`` and, for each cell it chooses,
 multiplies in the ratio of the factors that hold the cell's row, after and
 before, against only the rows chosen earlier on the path: a row left out
 keeps ``e_i = d_i`` and changes nothing, so the rows without an eligible
 cell drop out of the walk.  Each step is one exact integer division, whose
-quotient is a Vandermonde product of integers; each relation stores it as
-the int coefficient of its term.
+quotient is a Vandermonde product of integers.
 
-``simplify`` performs the standard elimination of generators that occur
-linearly, in one pass over the relations in degree order, giving a reduced
-presentation with monic relations.  It is fraction-free from input to
-output: the eliminations run on integer multiples of the relations, each
-substitution dividing out a gcd, made primitive where they are read.  A
-monomial is one packed int (the layout is described in
-:mod:`~cherednik_centre.polyring`) and a coefficient one int, and the
-result keeps them so, as a :class:`~cherednik_centre.polyring.PackedPolys`
-whose leads are found when it is rendered.  A ``Fraction`` appears only
-when its ``relations`` are read as polynomials: they are decoded then, once,
-to monic ``Fraction`` relations (the raw relations have int coefficients).
-
-The renderers (:func:`quotient_ring_text`, :func:`presentation_text`,
-:func:`presentation_document`) write a simplified presentation straight
-from its codes: per term one pass over its non-zero digits for the sort key
-and the names, one sort of int keys per relation, and one ``math.gcd`` for
-the coefficient.  The CLI writes each relation's JSON text as it is, and
-:func:`presentation_document` parses it back.  A raw presentation is packed
-first, which costs one more pass over its terms.
+Relations have one form, a :class:`~cherednik_centre.polyring.PackedPolys`:
+a monomial is one packed int (see :mod:`~cherednik_centre.polyring`) and a
+coefficient one int.  The raw ones are built so, with lead 1; relations
+given as polynomials are checked and packed once, when their
+:class:`GradedPresentation` is built.  ``simplify`` eliminates the
+generators that occur linearly, fraction-free on the same codes, and keeps
+monic relations with no leads.  A ``Fraction`` appears only when
+``relations`` are read as polynomials.  The renderers write from the codes;
+the CLI writes each relation's JSON text as it is, and
+:func:`presentation_document` parses it back.
 """
 
 from __future__ import annotations
@@ -66,11 +55,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Union
 
 from .abacus import MultiPartition, format_multipartition, from_quotient
-from .errors import NegativeDegreeGenerator
 from .partitions import (
     Cell,
     Partition,
-    beta_set,
+    _beta_set,
     format_partition,
     make_partition,
     transpose,
@@ -78,8 +66,6 @@ from .partitions import (
 )
 from .polyring import (
     GenSym,
-    GenVec,
-    MPoly,
     PackedPoly,
     PackedPolys,
     Radix,
@@ -123,12 +109,23 @@ class PresentationMeta:
 class GradedPresentation:
     """Generators with signed degrees, homogeneous relations, provenance.
 
-    ``relations`` is a tuple of polynomials, or for a simplified presentation
-    a :class:`~cherednik_centre.polyring.PackedPolys` that reads as one."""
+    ``relations`` is a :class:`~cherednik_centre.polyring.PackedPolys` on a
+    ``Radix.by_degree`` codec that covers every relation's degree, read as
+    the tuple of its polynomials.  Polynomials given instead are checked and
+    packed here, once: each non-zero one through ``weighted_degree``
+    (:class:`~cherednik_centre.errors.InhomogeneousRelation`), then all by
+    ``PackedPolys.from_polys``."""
 
     generators: tuple[tuple[GenSym, int], ...]
-    relations: tuple[MPoly, ...] | PackedPolys
+    relations: PackedPolys
     meta: PresentationMeta
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.relations, PackedPolys):
+            relations = tuple(self.relations)
+            for r in filter(None, relations):
+                weighted_degree(r)
+            object.__setattr__(self, "relations", PackedPolys.from_polys(relations))
 
 
 @dataclass(frozen=True)
@@ -139,9 +136,10 @@ class TransversalMonomial:
     degree: int
 
 
-def _hook_rows(lam: Partition, ell: int) -> HookRows:
+def _hook_rows(lam: Partition, ell: int) -> tuple[HookRows, Radix]:
     """Per row, the ``(column, hook, generator)`` of each cell whose hook
-    ``ell`` divides, left to right."""
+    ``ell`` divides, left to right; and the relations' codec,
+    :meth:`Radix.by_degree` over the sorted generators up to ``weight(lam)``."""
     conjugate = transpose(lam)
     rows = []
     for i, part in enumerate(lam, start=1):
@@ -151,22 +149,24 @@ def _hook_rows(lam: Partition, ell: int) -> HookRows:
             if h % ell == 0:
                 row.append((j, h, GenSym(i, h)))
         rows.append(row)
-    return rows
+    # hooks fall left to right, so each row reversed is in symbol order
+    return rows, Radix.by_degree([c[2] for row in rows for c in reversed(row)], weight(lam))
 
 
-def _transversals(lam: Partition, hook_rows: HookRows) -> Iterator[tuple[GenVec, int, int]]:
+def _transversals(
+    lam: Partition, hook_rows: HookRows, radix: Radix
+) -> Iterator[tuple[int, int, int]]:
     """Every transversal of degree <= weight(lam) of the cells in ``hook_rows``
     (of ``lam``), the empty one included, in depth-first order over the rows
     (row skipped first, then its cells left to right).
 
-    Yields ``(gen-vector, degree, product)``: one ``(f_{row, hook}, 1)``
-    factor per chosen cell, in row order, and ``product`` the Vandermonde
-    product of the module docstring as a Python int.  One walk
-    over a stack, through the rows that hold an eligible cell only: a
-    skipped row keeps ``e_r = d_r`` and leaves the product as it is.  The
-    walk starts from ``V(d)``, the empty transversal's product, and choosing
-    the cell of hook ``h`` in row ``r`` sets ``e = d_r - h`` and multiplies
-    the product by ``num / den``, with ``M`` the rows chosen before it:
+    Yields ``(code, degree, product)``: the sum of the chosen cells' places on
+    ``radix``, and the Vandermonde product of the module docstring as a Python
+    int.  One walk over a stack, through the rows that hold an eligible cell
+    only: a skipped row keeps ``e_r = d_r`` and leaves the product as it is.
+    The walk starts from ``V(d)``, the empty transversal's product, and
+    choosing the cell of hook ``h`` in row ``r`` sets ``e = d_r - h`` and
+    multiplies the product by ``num / den``, ``M`` the rows chosen before it:
 
         num = A_r(e) * prod_{j in M} (e - e_j) (d_r - d_j)
         den = B_r    * prod_{j in M} (e - d_j) (d_r - e_j)
@@ -181,7 +181,7 @@ def _transversals(lam: Partition, hook_rows: HookRows) -> Iterator[tuple[GenVec,
     product of integers.
     """
     n = weight(lam)
-    heads = beta_set(lam, n)[: len(lam)]
+    heads = _beta_set(lam, n)[: len(lam)]
     # the padding exponents are 0 .. padding - 1, below every gap and every
     # row's exponent: a product against all of them is a falling factorial
     padding = n - len(lam)
@@ -191,7 +191,8 @@ def _transversals(lam: Partition, hook_rows: HookRows) -> Iterator[tuple[GenVec,
         * math.prod(math.factorial(k) for k in range(padding))
     )
     # per row holding an eligible cell: its exponent, B_r, and per cell
-    # (column bit, hook, gen factor, e, A_r(e))
+    # (column bit, hook, generator place, e, A_r(e))
+    place_of = radix.place_of
     rows = []
     for i, row in enumerate(hook_rows, start=1):
         if not row:
@@ -199,25 +200,25 @@ def _transversals(lam: Partition, hook_rows: HookRows) -> Iterator[tuple[GenVec,
         d = heads[i - 1]
         others = heads[: i - 1] + heads[i:]
         options = [
-            (1 << j, h, ((sym, 1),), d - h,
+            (1 << j, h, place_of[sym], d - h,
              math.perm(d - h, padding) * math.prod(d - h - b for b in others))
             for j, h, sym in row
         ]
         rows.append((d, math.perm(d, padding) * math.prod(d - b for b in others), options))
     last = len(rows) - 1
     if last < 0:
-        yield (), 0, product
+        yield 0, 0, product
         return
-    # (row, used columns, degree, product, gen-vector, (d_j, e_j) of M)
-    stack = [(0, 0, 0, product, (), ())]
+    # (row, used columns, degree, product, code, (d_j, e_j) of M)
+    stack = [(0, 0, 0, product, 0, ())]
     while stack:
-        k, used, degree, product, gens, picked = stack.pop()
+        k, used, degree, product, code, picked = stack.pop()
         d, before, options = rows[k]
         if k == last:
-            yield gens, degree, product
+            yield code, degree, product
         else:
-            choices = [(k + 1, used, degree, product, gens, picked)]
-        for bit, h, gen, e, after in options:
+            choices = [(k + 1, used, degree, product, code, picked)]
+        for bit, h, place, e, after in options:
             if used & bit or degree + h > n:
                 continue
             num, den = after, before
@@ -225,11 +226,11 @@ def _transversals(lam: Partition, hook_rows: HookRows) -> Iterator[tuple[GenVec,
                 num *= (e - e_j) * (d - d_j)
                 den *= (e - d_j) * (d - e_j)
             if k == last:
-                yield gens + gen, degree + h, product * num // den
+                yield code + place, degree + h, product * num // den
             else:
                 choices.append((
                     k + 1, used | bit, degree + h, product * num // den,
-                    gens + gen, picked + ((d, e),),
+                    code + place, picked + ((d, e),),
                 ))
         if k != last:
             stack += reversed(choices)
@@ -240,25 +241,26 @@ def transversal_monomials(lam: Partition) -> Iterator[TransversalMonomial]:
     ``lam`` goes through ``make_partition``.  Each generator ``f_{row, hook}``
     names one cell, since hooks within a row are distinct."""
     lam = make_partition(lam)
-    hook_rows = _hook_rows(lam, 1)
+    hook_rows, radix = _hook_rows(lam, 1)
     cell_of = {sym: (sym.row, j) for row in hook_rows for j, _h, sym in row}
-    for gens, degree, _product in _transversals(lam, hook_rows):
-        yield TransversalMonomial(tuple(cell_of[sym] for sym, _ in gens), degree)
+    for code, degree, _product in _transversals(lam, hook_rows, radix):
+        yield TransversalMonomial(tuple(cell_of[s] for s, _ in radix.decode(code)[1]), degree)
 
 
 def _presentation(lam: Partition, ell: int, source: Label) -> GradedPresentation:
     """Generators: the cells whose hook ``ell`` divides; relations: degrees
-    ``ell, 2*ell, ..., weight(lam)``, each term stored once as it is found."""
+    ``ell, 2*ell, ..., weight(lam)``, each term stored once as it is found,
+    with lead 1."""
     n = weight(lam)
     orientation_sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    by_degree: dict[int, MPoly] = {s: {} for s in range(ell, n + 1, ell)}
-    hook_rows = _hook_rows(lam, ell)
-    for gens, degree, product in _transversals(lam, hook_rows):
+    by_degree: dict[int, PackedPoly] = {s: {} for s in range(ell, n + 1, ell)}
+    hook_rows, radix = _hook_rows(lam, ell)
+    for code, degree, product in _transversals(lam, hook_rows, radix):
         if degree and product:
-            by_degree[degree][(0, gens)] = orientation_sign * product
+            by_degree[degree][code] = orientation_sign * product
     generators = tuple((sym, h) for row in hook_rows for _j, h, sym in row)
-    meta = PresentationMeta(source=source, ell=ell, orientation=1)
-    return GradedPresentation(generators, tuple(by_degree.values()), meta)
+    relations = PackedPolys(radix, by_degree.values(), (1,) * len(by_degree))
+    return GradedPresentation(generators, relations, PresentationMeta(source, ell, 1))
 
 
 def direct_presentation(lam: Partition) -> GradedPresentation:
@@ -326,47 +328,31 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     presentation, ``i`` the largest row holding a cell of hook ``h``.
 
     The pass is exact, not a heuristic: it spends the relations that a scan
-    restarted from the first relation after each elimination would.  A
-    generator eliminated from a relation of degree ``s`` has degree ``s``,
-    and every weight is at least 1, so a relation of degree at most ``s``
-    holds it only as a linear term, and would have offered a generator
-    itself.  So a relation passed over never changes, a restart would resume
-    where the pass stands, and a later substitution never touches a kept one.
+    restarted after each elimination would.  A generator eliminated from a
+    relation of degree ``s`` has degree ``s``, and every weight is at least
+    1, so a relation of degree at most ``s`` holds it only linearly and
+    would have offered a generator itself: a relation passed over never
+    changes, and a later substitution never touches a kept one.
 
     The elimination is fraction-free: eliminating ``g`` from ``lead*g +
     rest`` replaces ``p`` by ``lead^E * p(g = -rest/lead)`` over a positive
-    gcd (:func:`_eliminate`), ``E`` the largest exponent of ``g`` in ``p``: a
-    non-zero rational multiple of what rational substitution gives, with the
-    same monomials, so the same generators go and the monic result is the
-    same.  A relation's content is divided out on input and after its
-    substitutions; it is then a positive multiple of what dividing after
-    every substitution gives, with the same primitive part, ``lead`` and
-    ``rest``.  The input is not modified.
+    gcd (:func:`_eliminate`), ``E`` the largest exponent of ``g`` in ``p``,
+    with the monomials of rational substitution, so the same generators go
+    and the monic result is the same.  A relation's content is divided out
+    on input and after its substitutions.  The input is not modified.
 
-    Inside the pass a monomial is one code of :meth:`Radix.by_degree
-    <cherednik_centre.polyring.Radix.by_degree>` over the sorted symbols, up
-    to the largest relation degree ``D``.  Substitution keeps each relation
-    homogeneous of its degree, and each ``(-rest)^e`` it uses has degree at
-    most that of the relation, so no exponent outgrows its digit and
-    multiplying monomials is adding codes.  That needs every weight to be at
-    least 1: a symbol of degree below 1 raises
-    :class:`~cherednik_centre.errors.NegativeDegreeGenerator`.  The result's
-    ``relations`` is a :class:`~cherednik_centre.polyring.PackedPolys` of the
-    primitive relations on those codes, with no leads: nothing is decoded or
-    divided until it is rendered or read.
+    It runs on the input's codes, whose ``Radix.by_degree`` covers every
+    relation's degree: substitution keeps each relation homogeneous, and
+    each ``(-rest)^e`` has degree at most the relation's, so no exponent
+    outgrows its digit.  The result keeps the primitive relations on those
+    codes, with no leads: nothing is decoded or divided until it is read.
     """
-    relations = [r for r in presentation.relations if r]
-    degrees = [weighted_degree(r) for r in relations]
-    symbols = sorted({s for r in relations for _ue, gens in r for s, _e in gens})
-    weightless = tuple(s for s in symbols if s.degree < 1)
-    if weightless:
-        raise NegativeDegreeGenerator(weightless)
-    radix = Radix.by_degree(symbols, max(degrees, default=0))
-    digits = dict(zip(symbols, zip(radix.places[1:], radix.bases[1:])))
-    by_degree = sorted(zip(degrees, relations), key=lambda dr: dr[0])
-    packed, _scales = radix.pack(r for _, r in by_degree)
+    radix = presentation.relations.radix
+    digits = dict(zip(radix.symbols, zip(radix.places[1:], radix.bases[1:])))
+    relations = [p for p in presentation.relations.polys if p]
+    relations.sort(key=lambda p: radix.degree(next(iter(p))))
     substitutions, eliminated, kept = [], set(), []
-    for p in packed:
+    for p in relations:
         p = primitive_part(p)
         for substitution in substitutions:
             p = _eliminate(p, *substitution)
@@ -401,24 +387,18 @@ def negate_grading(presentation: GradedPresentation) -> GradedPresentation:
     """Flip every generator degree and the orientation flag."""
     flipped = tuple((g, -d) for g, d in presentation.generators)
     meta = replace(presentation.meta, orientation=-presentation.meta.orientation)
-    return GradedPresentation(flipped, presentation.relations, meta)
+    return replace(presentation, generators=flipped, meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # serialization shared with the CLI
 
 
-def _packed(relations: tuple[MPoly, ...] | PackedPolys) -> PackedPolys:
-    if isinstance(relations, PackedPolys):
-        return relations
-    return PackedPolys.from_polys(relations)
-
-
 def quotient_ring_text(presentation: GradedPresentation) -> str:
     """One-line quotient-ring form, e.g. ``C[f1,1] / (f1,1^5)``."""
     prefix = presentation.meta.prefix
     names = ", ".join(generator_name(g, prefix) for g, _ in presentation.generators)
-    packed = _packed(presentation.relations)
+    packed = presentation.relations
     rels = ", ".join(packed.text(k, prefix) for k, p in enumerate(packed.polys) if p)
     if not names:
         return "C"
@@ -437,10 +417,10 @@ def presentation_text(presentation: GradedPresentation) -> str:
         f"{generator_name(g, prefix)} (degree {d})" for g, d in presentation.generators
     )
     lines = [f"generators: {gens or '-'}"]
-    packed = _packed(presentation.relations)
-    for k, rel in enumerate(presentation.relations):
-        if rel:
-            lines.append(f"r_{weighted_degree(rel)} = {packed.text(k, prefix)}")
+    packed = presentation.relations
+    for k, p in enumerate(packed.polys):
+        if p:
+            lines.append(f"r_{packed.radix.degree(next(iter(p)))} = {packed.text(k, prefix)}")
     return "\n".join(lines)
 
 
@@ -456,7 +436,7 @@ def _document(presentation: GradedPresentation, relation: Callable[[str], object
         {"name": generator_name(g, prefix), "row": g.row, "hook": g.degree, "degree": d}
         for g, d in presentation.generators
     ]
-    packed = _packed(presentation.relations)
+    packed = presentation.relations
     relations = [relation(packed.json_text(k, prefix)) for k in range(len(packed.polys))]
     return {
         "generators": generators,

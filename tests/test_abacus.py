@@ -7,6 +7,7 @@ from hypothesis import given
 
 from cherednik_centre import (
     BeadDiagram,
+    abacus,
     EllOutOfRange,
     LengthMismatch,
     abacus_from_partition,
@@ -19,6 +20,7 @@ from cherednik_centre import (
     multipartitions_of,
     parse_multipartition,
     partition_from_abacus,
+    partitions,
     partitions_of,
     star_involution,
     weight,
@@ -218,3 +220,31 @@ def test_multipartition_enumeration_order():
         ((), (1, 1)),
     ]
     assert list(multipartitions_of(0, 3)) == [((), (), ())]
+
+
+def test_each_abacus_input_is_validated_once(monkeypatch):
+    """``ell_core`` and ``ell_quotient`` run ``make_partition`` once per
+    call and ``from_quotient`` once per component, over the partitions of
+    1..12 with ell = 3 and the 3-multipartitions of 0..4; the private
+    helpers they call take the validated input."""
+    calls = []
+    real = partitions.make_partition
+
+    def counted(parts):
+        calls.append(parts)
+        return real(parts)
+
+    monkeypatch.setattr(abacus, "make_partition", counted)
+    monkeypatch.setattr(partitions, "make_partition", counted)
+    labels = [lam for n in range(1, 13) for lam in partitions_of(n)]
+    assert len(labels) == 271
+    for route in (ell_core, ell_quotient):
+        calls.clear()
+        for lam in labels:
+            route(lam, 3)
+        assert len(calls) == len(labels), route.__name__
+    quotients = [q for n in range(5) for q in multipartitions_of(n, 3)]
+    calls.clear()
+    for q in quotients:
+        from_quotient(q, 3)
+    assert len(calls) == 3 * len(quotients)

@@ -283,6 +283,32 @@ def test_out_writes_atomically(tmp_path, capsys):
     assert leftovers == []
 
 
+@pytest.fixture
+def umask_022():
+    previous = os.umask(0o022)
+    yield
+    os.umask(previous)
+
+
+def test_out_gives_a_new_file_the_umask_mode(tmp_path, capsys, umask_022):
+    """``0o666`` under the umask, as a plain ``open`` gives, not the temp
+    file's ``0o600``."""
+    target = tmp_path / "series.txt"
+    status, _, _ = _run(capsys, "hilbert", "3,1", "--out", str(target))
+    assert status == 0
+    assert target.stat().st_mode & 0o777 == 0o644
+
+
+def test_out_keeps_the_mode_of_the_target_it_replaces(tmp_path, capsys, umask_022):
+    target = tmp_path / "series.txt"
+    target.write_text("old\n")
+    target.chmod(0o604)
+    status, _, _ = _run(capsys, "hilbert", "3,1", "--out", str(target))
+    assert status == 0
+    assert target.read_text().startswith("series: ")
+    assert target.stat().st_mode & 0o777 == 0o604
+
+
 def test_domain_error_exit_code(capsys):
     status, out, err = _run(capsys, "partition", "info", "2,3")
     assert status == 1
@@ -576,6 +602,15 @@ _LARGE_OUTPUT_PINS = {
         "ced827870252df0f0cae7a46987d2a03746260f6e39badde0b2dab892475f0f2",
     "centre --ell 2 --simplified --format json -- 5":
         "ff839e02d13d443a2c24bfba7bec6b9e4e444b625c269d80cdf5e0191cdad2df",
+    # raw relations, rendered from the codes they are built on
+    "centre --format json -- 5":
+        "054a4738d0b459bc0b42d605315c5bbb1dce14040ce6e497958f2fd8a58663f2",
+    "centre --ell 2 --format json -- 6":
+        "3d45bd8e489d0300c23063ed93ec46c0b03911f7caf63057f7ac0a495831281d",
+    "presentation --ell 2 --format json -- 2,1|2,1":
+        "83c8abee82e04e8d550701a080c68461ed8156f1b6bac27a78eec9ca54d3a60b",
+    "presentation --ell 3 --format text -- 2|1|1":
+        "e06b1f5fb890f60df29da61eca963a3a4311e149e5ae9fd5a031c589a9a811a4",
     "wronskian --format text -- 6,5,4,3,2,1":
         "3bcdd7dec706d820b4ced0945ebd1cab0da78f62485085b927bdc3eaee67c2da",
     "wronskian --format json -- 6,5,4,3,2,1":

@@ -39,7 +39,6 @@ from cherednik_centre.presentation import (
     GradedPresentation,
     PresentationMeta,
     _eliminate,
-    _packed,
     label_document,
     presentation_text,
 )
@@ -352,31 +351,29 @@ def test_simplify_preserves_wreath_dimensions(q, ell):
 
 
 def test_simplify_rejects_an_inhomogeneous_relation():
-    """``f1,1 + f1,1^2`` next to ``f2,1^2``: a DomainError, not a TypeError
-    from sorting by degree."""
+    """``f1,1 + f1,1^2`` next to ``f2,1^2``: a DomainError when the
+    presentation ``simplify`` would read is built, in either order."""
     x, y = GenSym(1, 1), GenSym(2, 1)
     inhomogeneous = {(0, ((x, 1),)): Fraction(1), (0, ((x, 2),)): Fraction(1)}
     square = {(0, ((y, 2),)): Fraction(1)}
-    p = GradedPresentation(
-        ((x, 1), (y, 1)), (inhomogeneous, square), PresentationMeta((), 1, 1)
-    )
+    meta = PresentationMeta((), 1, 1)
     with pytest.raises(InhomogeneousRelation) as raised:
-        simplify(p)
+        GradedPresentation(((x, 1), (y, 1)), (inhomogeneous, square), meta)
     assert raised.value.args == (inhomogeneous,)
     with pytest.raises(InhomogeneousRelation) as raised:
-        simplify(GradedPresentation(p.generators, (square, inhomogeneous), p.meta))
+        GradedPresentation(((x, 1), (y, 1)), (square, inhomogeneous), meta)
     assert raised.value.args == (inhomogeneous,)
 
 
 def test_presentation_text_rejects_an_inhomogeneous_relation():
     """The raw text form labels each relation ``r_<degree>``: ``f1,1 +
-    f2,2`` has no degree, so it raises with that relation instead of
-    printing a marker in place of the degree."""
+    f2,2`` has no degree, so building the presentation raises with that
+    relation, and no text form with a marker in place of the degree is
+    ever printed."""
     x, y = GenSym(1, 1), GenSym(2, 2)
     relation = {(0, ((x, 1),)): 1, (0, ((y, 1),)): 1}
-    p = GradedPresentation(((x, 1), (y, 2)), (relation,), PresentationMeta((), 1, 1))
     with pytest.raises(InhomogeneousRelation) as raised:
-        presentation_text(p)
+        GradedPresentation(((x, 1), (y, 2)), (relation,), PresentationMeta((), 1, 1))
     assert raised.value.args == (relation,)
 
 
@@ -384,13 +381,26 @@ def test_presentation_text_rejects_an_inhomogeneous_relation():
 def test_simplify_rejects_a_symbol_of_weight_below_one(weight_of_x):
     """The packed codes bound each exponent by the relation degree over the
     symbol's weight, which needs every weight to be at least 1:
-    ``f1,w * f2,1^(1-w) + 2*f2,1`` is homogeneous of degree 1 but rejected."""
+    ``f1,w * f2,1^(1-w) + 2*f2,1`` is homogeneous of degree 1 but rejected
+    when the presentation is built."""
     x, y = GenSym(1, weight_of_x), GenSym(2, 1)
     relation = {(0, ((x, 1), (y, 1 - weight_of_x))): Fraction(1), (0, ((y, 1),)): Fraction(2)}
     assert weighted_degree(relation) == 1
-    p = GradedPresentation(((x, weight_of_x), (y, 1)), (relation,), PresentationMeta((), 1, 1))
-    with pytest.raises(NegativeDegreeGenerator):
-        simplify(p)
+    with pytest.raises(NegativeDegreeGenerator) as raised:
+        GradedPresentation(((x, weight_of_x), (y, 1)), (relation,), PresentationMeta((), 1, 1))
+    assert raised.value.args == ((x,),)
+
+
+def test_a_rebuilt_presentation_gets_the_same_codes():
+    """Every block of n*ell <= 12: the relations read back as polynomials
+    and packed again when a presentation is built from them land on the
+    codec and the codes they were enumerated on."""
+    built = list(blocks(12))
+    assert len(built) == 668
+    for label, ell, p in built:
+        rebuilt = GradedPresentation(p.generators, tuple(p.relations), p.meta)
+        assert rebuilt.relations.radix.bases == p.relations.radix.bases, (label, ell)
+        assert rebuilt.relations.polys == p.relations.polys, (label, ell)
 
 
 # --- the Fraction simplifier, kept as the reference -----------------------------
@@ -744,7 +754,7 @@ def test_presentation_document_multipartition_label():
 def _reference_document(presentation):
     """The document with one dict per term (``reference.json_terms``)."""
     prefix = presentation.meta.prefix
-    packed = _packed(presentation.relations)
+    packed = presentation.relations
     return {
         "generators": [
             {"name": f"{prefix}{g.row},{g.degree}", "row": g.row, "hook": g.degree, "degree": d}
