@@ -32,10 +32,9 @@ from .centre import (
 )
 from .errors import (
     CellOutOfDiagram, DomainError, EllOutOfRange, EmptyPartition, InexactDivision,
-    InhomogeneousRelation, LengthMismatch, MalformedPresentation,
-    NegativeDegreeCutoff, NegativeDegreeGenerator, NegativePart, NegativeWeight,
-    NonIntegral, NonSquare, NotWeaklyDecreasing, OracleTruncated, PadTooShort, RowOutOfRange,
-    UnparsableLabel, ZeroPolynomial,
+    InhomogeneousRelation, LengthMismatch, MalformedPresentation, NegativeDegreeGenerator,
+    NegativePart, NegativeWeight, NonIntegral, NonSquare, NotWeaklyDecreasing,
+    OracleTruncated, PadTooShort, RowOutOfRange, UnparsableLabel, ZeroPolynomial,
 )
 from .hilbert import (
     HilbertSeries, dimension_hook_formula, format_series,
@@ -68,7 +67,7 @@ __all__ = [
     # errors
     "CellOutOfDiagram", "DomainError", "EllOutOfRange", "EmptyPartition",
     "InexactDivision", "InhomogeneousRelation", "LengthMismatch",
-    "MalformedPresentation", "NegativeDegreeCutoff", "NegativeDegreeGenerator",
+    "MalformedPresentation", "NegativeDegreeGenerator",
     "NegativePart", "NegativeWeight", "NonIntegral", "NonSquare", "NotWeaklyDecreasing",
     "OracleTruncated", "PadTooShort", "RowOutOfRange", "UnparsableLabel",
     "ZeroPolynomial",

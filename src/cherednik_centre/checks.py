@@ -2,7 +2,8 @@
 
 Each suite computes one family of quantities by two (or three) independent
 routes and returns ``None`` if they agree over its bounds, or a one-line
-detail naming the first label where they do not.  Bounds are inclusive.
+detail naming the first label where they do not (an oracle that raises
+``OracleTruncated`` there disagrees).  Bounds are inclusive.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .abacus import (
     partition_from_abacus,
 )
 from .centre import multipartitions_of
+from .errors import OracleTruncated
 from .hilbert import (
     dimension_hook_formula,
     graded_dimensions_from_presentation,
@@ -62,12 +64,20 @@ def abacus_bijection(n_max: int) -> str | None:
     return None
 
 
+def _oracle(presentation):
+    """The oracle's series, or ``None`` (equal to no series) if it raises."""
+    try:
+        return graded_dimensions_from_presentation(presentation)
+    except OracleTruncated:
+        return None
+
+
 def hilbert_formula_equals_oracle(n_max: int) -> str | None:
     """Series formula = rank oracle, and its value at 1 = hook dimension."""
     for n in range(0, n_max + 1):
         for lam in partitions_of(n):
             series = hilbert_series_formula(lam)
-            oracle = graded_dimensions_from_presentation(direct_presentation(lam))
+            oracle = _oracle(direct_presentation(lam))
             if series != oracle:
                 return f"series mismatch at {lam}"
             if series.dimension() != dimension_hook_formula(lam):
@@ -104,15 +114,12 @@ def wreath_support(total_max: int) -> str | None:
                 for k, rel in enumerate(built.relations, start=1):
                     if rel and weighted_degree(rel) != k * ell:
                         return f"relation {k} not of degree {k * ell} at {q}"
-                series = graded_dimensions_from_presentation(built)
+                series = _oracle(built)
                 if hilbert_series_formula(q, ell) != series:
                     return f"series formula mismatch at {q}"
                 for d, c in enumerate(series.coefficients):
                     if c and d % ell:
                         return f"support violation at {q}, degree {d}"
-                reduced = simplify(built)
-                if graded_dimensions_from_presentation(
-                    reduced, max_degree=series.degree() + 2
-                ) != series:
+                if _oracle(simplify(built)) != series:
                     return f"simplify changed dimensions at {q}"
     return None

@@ -69,14 +69,9 @@ class MalformedPresentation(DomainError):
     symbol's, does not fit that reading."""
 
 
-class NegativeDegreeCutoff(DomainError):
-    """The rank oracle counts graded pieces up to a cutoff degree, which
-    must be non-negative."""
-
-
 class OracleTruncated(DomainError):
-    """A graded dimension above the complete-intersection bound is non-zero,
-    so the default degree cutoff would truncate the series."""
+    """A graded dimension above the complete-intersection bound is non-zero;
+    the payload is the tuple of dimensions the oracle computed to its cutoff."""
 
 
 class NonIntegral(DomainError):
@@ -84,7 +79,7 @@ class NonIntegral(DomainError):
 
 
 class UnparsableLabel(DomainError):
-    """Label text is not a comma/pipe-separated list of integers."""
+    """A label, as text or as parts, is not a list of integers."""
 
 
 class EllOutOfRange(DomainError):

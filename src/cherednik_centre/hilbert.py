@@ -43,16 +43,16 @@ cross-multiplication until it vanishes or opens a new pivot; the rank is
 the number of pivots.  There is no floating point, no modular arithmetic
 and no tolerance anywhere.
 
-The default degree cutoff is the complete-intersection bound
+The oracle's one degree cutoff is the complete-intersection bound
 ``sum(relation degrees) - sum(generator degrees)`` plus two slack degrees;
-the oracle raises :class:`~cherednik_centre.errors.OracleTruncated` unless
-both slack degrees vanish.  That check is a heuristic, not a proof of
-finiteness: when a generator has degree above 2, two vanishing degrees do
-not show that every higher degree vanishes.  Generators ``x`` (degree 1)
-and ``y`` (degree 5) with relations ``x`` and ``x^5`` present C[y], which is
-infinite, yet the oracle returns the series ``1`` and raises nothing.  A
-sound check needs degrees up to the bound plus the largest generator degree
-to vanish.
+it raises :class:`~cherednik_centre.errors.OracleTruncated`, with the
+dimensions it computed, unless both slack degrees vanish.  That check is a
+heuristic, not a proof of finiteness: when a generator has degree above 2,
+two vanishing degrees do not show that every higher degree vanishes.
+Generators ``x`` (degree 1) and ``y`` (degree 5) with relations ``x`` and
+``x^5`` present C[y], which is infinite, yet the oracle returns the series
+``1`` and raises nothing.  A sound check needs degrees up to the bound plus
+the largest generator degree to vanish.
 """
 
 from __future__ import annotations
@@ -65,12 +65,11 @@ from .abacus import _make_multipartition
 from .errors import (
     InexactDivision,
     MalformedPresentation,
-    NegativeDegreeCutoff,
     NegativeDegreeGenerator,
     NonIntegral,
     OracleTruncated,
 )
-from .partitions import Partition, cells, hook_length, make_partition, weight
+from .partitions import Partition, _hook_length, make_partition, weight
 from .polyring import Radix, monomial_degree, primitive_part
 from .presentation import GradedPresentation, Label
 
@@ -142,8 +141,9 @@ def _components(label: Label, ell: int) -> tuple[Partition, ...]:
 
 
 def _hooks(components: tuple[Partition, ...]) -> list[int]:
-    """The hook of every cell of every (validated) component."""
-    return [hook_length(lam, cell) for lam in components for cell in cells(lam)]
+    """The hook of every cell of every (validated) component, row-major."""
+    return [_hook_length(lam, (i, j)) for lam in components
+            for i, p in enumerate(lam, start=1) for j in range(1, p + 1)]
 
 
 def hilbert_series_formula(label: Label, ell: int = 1) -> HilbertSeries:
@@ -239,23 +239,14 @@ def _monomial_codes(radix: Radix, max_degree: int) -> list[list[int]]:
     return table
 
 
-def graded_dimensions_from_presentation(
-    presentation: GradedPresentation, max_degree: int | None = None
-) -> HilbertSeries:
-    """Dimension of each graded piece of the quotient ring, degrees 0..max.
-
-    ``max_degree`` defaults to the complete-intersection bound plus two
-    slack degrees, which must vanish; that check can miss an infinite
-    quotient, so a truncated series may be returned as a complete one (see
-    module docstring); an explicit ``max_degree`` below 0 raises
-    :class:`~cherednik_centre.errors.NegativeDegreeCutoff`.  Positive
-    generator degrees, each its symbol's degree, and homogeneous relations in
-    the generators alone are required (apply to positive-orientation
-    presentations only); anything else raises
-    a :class:`~cherednik_centre.errors.DomainError`.
-    """
-    if max_degree is not None and max_degree < 0:
-        raise NegativeDegreeCutoff(max_degree)
+def graded_dimensions_from_presentation(presentation: GradedPresentation) -> HilbertSeries:
+    """Dimension of each graded piece of the quotient ring up to the cutoff;
+    :class:`~cherednik_centre.errors.OracleTruncated` unless both slack
+    degrees vanish, a check that can miss an infinite quotient (see module
+    docstring).  Positive generator degrees, each its symbol's degree, and
+    homogeneous relations in the generators alone are required (apply to
+    positive-orientation presentations only); anything else raises a
+    :class:`~cherednik_centre.errors.DomainError`."""
     generators = presentation.generators
     if any(d <= 0 for _, d in generators):
         raise NegativeDegreeGenerator(tuple(generators))
@@ -272,9 +263,7 @@ def graded_dimensions_from_presentation(
         if any(ue for ue, _ in r) or not {s for _, gens in r for s, _ in gens} <= known:
             raise MalformedPresentation(r)
     relation_degrees = [monomial_degree(next(iter(r))) for r in relations]
-    default_cutoff = max_degree is None
-    if default_cutoff:
-        max_degree = max(0, sum(relation_degrees) - sum(s.degree for s in symbols)) + 2
+    max_degree = max(0, sum(relation_degrees) - sum(s.degree for s in symbols)) + 2
     radix = Radix.by_degree(symbols, max_degree)
     monomials = _monomial_codes(radix, max_degree)
     packed = [
@@ -290,11 +279,11 @@ def graded_dimensions_from_presentation(
             for shift in monomials[d - s]
         )
         dims.append(len(monomials[d]) - _sparse_rank(rows))
-    if default_cutoff and any(dims[-2:]):
+    if any(dims[-2:]):
         raise OracleTruncated(tuple(dims))
     return make_series(dims)
 
 
 def presentation_dimension(presentation: GradedPresentation) -> int:
-    """Total dimension computed by the oracle with the default cutoff."""
+    """Total dimension computed by the oracle."""
     return graded_dimensions_from_presentation(presentation).dimension()

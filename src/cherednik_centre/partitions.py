@@ -47,7 +47,10 @@ def make_partition(parts) -> Partition:
         ...
     cherednik_centre.errors.NotWeaklyDecreasing: (2, 3)
     """
-    seq = tuple(map(int, parts))
+    try:
+        seq = tuple(map(operator.index, parts))
+    except TypeError:
+        raise UnparsableLabel(parts) from None
     if seq and min(seq) < 0:
         raise NegativePart(seq)
     # Every label entry point runs this, so the scans stay in C.
@@ -76,20 +79,24 @@ def transpose(lam: Partition) -> Partition:
 
 
 def cells(lam: Partition) -> Iterator[Cell]:
-    """All cells of the diagram in row-major order, 1-based."""
-    for i, p in enumerate(lam, start=1):
-        for j in range(1, p + 1):
-            yield (i, j)
+    """All cells of the diagram of ``make_partition(lam)``, row-major, 1-based."""
+    lam = make_partition(lam)
+    return ((i, j) for i, p in enumerate(lam, start=1) for j in range(1, p + 1))
 
 
 def hook_length(lam: Partition, cell: Cell) -> int:
-    """Hook length of ``cell``, with the leg running down the full column.
+    """Hook length of ``cell`` in ``make_partition(lam)``, leg down the full column.
 
     >>> hook_length((3, 2), (1, 1))
     4
     >>> hook_length((3, 2), (1, 3))
     1
     """
+    return _hook_length(make_partition(lam), cell)
+
+
+def _hook_length(lam: Partition, cell: Cell) -> int:
+    """:func:`hook_length` on a validated ``lam``."""
     i, j = cell
     if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
         raise CellOutOfDiagram((lam, cell))
@@ -132,15 +139,17 @@ def row_hook_set(lam: Partition, i: int) -> frozenset[int]:
     With ``P = beta_set(lam, n)`` for ``n = weight(lam)`` and ``d_i`` its
     ``i``-th entry, the set is ``{j : 1 <= j <= d_i, d_i - j not in P}`` —
     equal to ``{hook_length(lam, (i, j)) : 1 <= j <= lam_i}`` and empty for
-    rows below the diagram.  The set does not depend on the padding length.
+    rows below the diagram.  The set does not depend on the padding length;
+    ``lam`` goes through :func:`make_partition`.
 
     >>> sorted(row_hook_set((3, 2), 1))
     [1, 3, 4]
     """
+    lam = make_partition(lam)
     n = weight(lam)
     if not 1 <= i <= n:
         raise RowOutOfRange((lam, i))
-    beta = beta_set(lam, n)
+    beta = _beta_set(lam, n)
     occupied = set(beta)
     d_i = beta[i - 1]
     return frozenset(j for j in range(1, d_i + 1) if d_i - j not in occupied)

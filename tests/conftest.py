@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from cherednik_centre import NegativePart, NotWeaklyDecreasing, partitions_of
+from cherednik_centre import NegativePart, NotWeaklyDecreasing, UnparsableLabel, partitions_of
 
 settings.register_profile(
     "exact",
@@ -26,6 +26,8 @@ NON_PARTITIONS = [
     ((2, 1, 3), NotWeaklyDecreasing),
     ((-1,), NegativePart),
     ((1, -1), NegativePart),
+    ((1.5,), UnparsableLabel),
+    (((1,),), UnparsableLabel),
 ]
 
 

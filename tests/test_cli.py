@@ -452,23 +452,28 @@ def _drop_relations(real):
         (4, "simplify", _drop_relations, "simplify changed dimensions at "),
         (4, "hilbert_series_formula", _append_coefficient,
          "series formula mismatch at ((), ())"),
+        # no relations leave an infinite quotient, which the oracle raises on
+        (2, "direct_presentation", _drop_relations, "series mismatch at (1,)"),
     ],
-    ids=["direct", "abacus", "hilbert", "recursive", "wreath", "wreath-formula"],
+    ids=["direct", "abacus", "hilbert", "recursive", "wreath", "wreath-formula",
+         "infinite-quotient"],
 )
 def test_selftest_reports_a_broken_second_route(
     capsys, monkeypatch, suite, route, breaker, detail
 ):
     """Break the route each suite checks against: the suite must fail, so
-    none of them passes vacuously.  A suite that also runs without
-    ``--deep`` is broken under plain ``selftest 3``."""
+    none of them passes vacuously, and every suite still reports.  A suite
+    that also runs without ``--deep`` is broken under plain ``selftest 3``."""
     monkeypatch.setattr(checks, route, breaker(getattr(checks, route)))
     if suite < len(_SUITES):
-        name, command = _SUITES[suite], ("selftest", "3")
+        names, command = _SUITES, ("selftest", "3")
     else:
-        name, command = _DEEP_SUITES[suite], ("selftest", "3", "--deep")
+        names, command = _DEEP_SUITES, ("selftest", "3", "--deep")
+    name = names[suite]
     status, out, _ = _run(capsys, *command)
     assert status == 1
     lines = out.splitlines()
+    assert len(lines) == len(names) + 1
     assert lines[suite].startswith(f"FAIL {name}: {detail}")
     assert lines[-1] == "selftest: FAILURES"
     status, out, _ = _run(capsys, *command, "--format", "json")

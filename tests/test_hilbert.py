@@ -15,7 +15,6 @@ from cherednik_centre import (
     InhomogeneousRelation,
     LengthMismatch,
     MalformedPresentation,
-    NegativeDegreeCutoff,
     NegativeDegreeGenerator,
     OracleTruncated,
     PresentationMeta,
@@ -128,11 +127,6 @@ def test_oracle_on_the_base_field():
     assert graded_dimensions_from_presentation(p).coefficients == (1,)
 
 
-def test_explicit_max_degree_extends_with_zeros():
-    p = direct_presentation((2,))
-    assert graded_dimensions_from_presentation(p, max_degree=7).coefficients == (1,)
-
-
 def _bareiss_rank(rows: list[list[Fraction]]) -> int:
     """Reference rank: dense fraction-free Bareiss elimination (denominators
     cleared per row, then exact integer elimination)."""
@@ -224,14 +218,12 @@ def _presentation(generators, relations) -> GradedPresentation:
 
 def test_oracle_rejects_an_infinite_quotient():
     """One generator and no relations: every degree is non-zero, so the
-    default cutoff would truncate the series."""
+    cutoff would truncate the series; the error carries the dimensions
+    computed up to the cutoff."""
     x = GenSym(1, 1)
-    with pytest.raises(OracleTruncated):
+    with pytest.raises(OracleTruncated) as raised:
         graded_dimensions_from_presentation(_presentation([(x, 1)], []))
-    # an explicit cutoff asks for the truncation and gets it
-    assert graded_dimensions_from_presentation(
-        _presentation([(x, 1)], []), max_degree=3
-    ).coefficients == (1, 1, 1, 1)
+    assert raised.value.args == ((1, 1, 1),)
 
 
 @pytest.mark.xfail(
@@ -260,38 +252,25 @@ _X, _Y = GenSym(1, 1), GenSym(2, 1)
 
 
 @pytest.mark.parametrize(
-    "generators, relations, max_degree",
+    "generators, relations",
     [
-        # u * x and x^3: read without u, degrees 3 and 4 would be negative
-        ([(_X, 1)], [{(1, ((_X, 1),)): Fraction(1)}, {(0, ((_X, 3),)): Fraction(1)}], 4),
+        # u * x and x^3
+        ([(_X, 1)], [{(1, ((_X, 1),)): Fraction(1)}, {(0, ((_X, 3),)): Fraction(1)}]),
         # u^2
-        ([(_X, 1)], [{(2, ()): Fraction(1)}], None),
+        ([(_X, 1)], [{(2, ()): Fraction(1)}]),
         # y^2, y not a generator
-        ([(_X, 1)], [{(0, ((_Y, 2),)): Fraction(1)}], None),
+        ([(_X, 1)], [{(0, ((_Y, 2),)): Fraction(1)}]),
         # x^2, x (symbol degree 1) listed in degree 2
-        ([(_X, 2)], [{(0, ((_X, 2),)): Fraction(1)}], None),
+        ([(_X, 2)], [{(0, ((_X, 2),)): Fraction(1)}]),
     ],
     ids=["u-times-generator", "u-alone", "foreign-symbol", "listed-degree"],
 )
-def test_oracle_rejects_a_malformed_presentation(generators, relations, max_degree):
+def test_oracle_rejects_a_malformed_presentation(generators, relations):
     """A relation with ``u`` or an unlisted symbol, or a generator listed
     with a degree other than its symbol's, is not a quotient of the
     polynomial ring in the generators."""
     with pytest.raises(MalformedPresentation):
-        graded_dimensions_from_presentation(
-            _presentation(generators, relations), max_degree=max_degree
-        )
-
-
-@pytest.mark.parametrize("lam", [(2, 1), ()], ids=["2,1", "empty"])
-def test_oracle_rejects_a_negative_degree_cutoff(lam):
-    """Below degree 0 there are no graded pieces to count, with or without
-    generators; degree 0 alone is the constants."""
-    with pytest.raises(NegativeDegreeCutoff):
-        graded_dimensions_from_presentation(direct_presentation(lam), max_degree=-1)
-    assert graded_dimensions_from_presentation(direct_presentation(lam), max_degree=0) == (
-        make_series([1])
-    )
+        graded_dimensions_from_presentation(_presentation(generators, relations))
 
 
 def test_series_division_is_checked():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import types
+from pathlib import Path
 
 import cherednik_centre
 
@@ -21,3 +22,10 @@ def test_every_exported_name_resolves_and_none_is_a_module():
     namespace: dict = {}
     exec("from cherednik_centre import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(names)
+
+
+def test_readme_lists_every_exported_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("* `")]
+    assert sorted(listed) == sorted(cherednik_centre.__all__)

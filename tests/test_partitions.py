@@ -106,6 +106,24 @@ def test_transpose_rejects_non_partitions(lam, error):
         transpose(lam)
 
 
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_hook_length_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        hook_length(lam, (1, 1))
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_cells_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        cells(lam)
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_row_hook_set_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        row_hook_set(lam, 1)
+
+
 def test_row_hook_set_pins():
     assert sorted(row_hook_set((3, 2), 1)) == [1, 3, 4]
     assert sorted(row_hook_set((3, 2), 2)) == [1, 2]

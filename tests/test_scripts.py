@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -37,3 +39,23 @@ def test_script_runs(script, args, head):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.startswith(head)
+
+
+def test_wreath_survey_reports_an_infinite_quotient(monkeypatch, capsys):
+    """A presentation with its relations dropped has an infinite quotient:
+    the oracle raises on it, and the survey prints ``NO`` and exits 1."""
+    path = ROOT / "scripts" / "wreath_dimension_survey.py"
+    spec = importlib.util.spec_from_file_location("wreath_dimension_survey", path)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    real = survey.wreath_presentation
+    monkeypatch.setattr(
+        survey, "wreath_presentation",
+        lambda q, ell: dataclasses.replace(real(q, ell), relations=()),
+    )
+    monkeypatch.setattr(sys, "argv", [str(path), "--budget", "2"])
+    assert survey.main() == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  2 1|-                    -             1 NO",
+        "  2 -|1                    -             1 NO",
+    ]
