@@ -51,7 +51,6 @@ from .partitions import (
     hook_length,
     parse_partition,
     transpose,
-    weight,
 )
 from .polyring import format_poly, named_terms
 from .presentation import (
@@ -156,7 +155,7 @@ class _Output:
 
 def _cmd_partition_info(args) -> _Output:
     lam = parse_partition(args.partition)
-    n = weight(lam)
+    n = sum(lam)
     hooks = [
         [hook_length(lam, (i, j)) for j in range(1, lam[i - 1] + 1)]
         for i in range(1, len(lam) + 1)

@@ -69,7 +69,7 @@ from .errors import (
     NonIntegral,
     OracleTruncated,
 )
-from .partitions import Partition, _hook_length, make_partition, weight
+from .partitions import Partition, _hook_length, make_partition
 from .polyring import Radix, monomial_degree, primitive_part
 from .presentation import GradedPresentation, Label
 
@@ -152,7 +152,7 @@ def hilbert_series_formula(label: Label, ell: int = 1) -> HilbertSeries:
     exact."""
     components = _components(label, ell)
     series = [1]
-    for i in range(1, sum(map(weight, components)) + 1):
+    for i in range(1, sum(map(sum, components)) + 1):
         _times_one_minus_q_to(series, ell * i)
     for h in _hooks(components):
         _divide_by_one_minus_q_to(series, ell * h)
@@ -164,7 +164,7 @@ def dimension_hook_formula(label: Label, ell: int = 1) -> int:
     integrality enforced: the series formula at q = 1."""
     components = _components(label, ell)
     product = math.prod(_hooks(components))
-    factorial = math.factorial(sum(map(weight, components)))
+    factorial = math.factorial(sum(map(sum, components)))
     if factorial % product:
         raise NonIntegral((label, factorial, product))
     return factorial // product

@@ -62,7 +62,12 @@ def make_partition(parts) -> Partition:
 
 
 def weight(lam: Partition) -> int:
-    return sum(lam)
+    """The number of cells of ``make_partition(lam)``.
+
+    >>> weight((3, 2))
+    5
+    """
+    return sum(make_partition(lam))
 
 
 def transpose(lam: Partition) -> Partition:
@@ -146,7 +151,7 @@ def row_hook_set(lam: Partition, i: int) -> frozenset[int]:
     [1, 3, 4]
     """
     lam = make_partition(lam)
-    n = weight(lam)
+    n = sum(lam)
     if not 1 <= i <= n:
         raise RowOutOfRange((lam, i))
     beta = _beta_set(lam, n)
@@ -173,7 +178,9 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
 
 def format_partition(lam: Partition) -> str:
-    """Text form: comma-separated parts, ``-`` for the empty partition."""
+    """Text form of ``make_partition(lam)``: comma-separated parts, ``-``
+    for the empty partition."""
+    lam = make_partition(lam)
     return ",".join(str(p) for p in lam) if lam else "-"
 
 

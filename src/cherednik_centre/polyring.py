@@ -183,10 +183,13 @@ class Radix:
                 if not text:
                     name = _quote(name)
                 step = key_place - s.degree * self.bases[0] * span
+                # exponent e's cell: gain e * step - base * key_place, names e times
+                gain, names, joined = step - base * key_place, name, sep + name
                 for e in range(1, base):
-                    names = (f"{name}^{e}" if e > 1 else name) if text else sep.join([name] * e)
                     thresholds.append(e * place)
-                    cells.append((e * step - base * key_place, names, sep + names, tail))
+                    cells.append((gain, names, sep + names, tail))
+                    gain += step
+                    names = f"{name}^{e + 1}" if text else names + joined
                 tail -= base * key_place
                 key_place *= base + 1
             u_step = -(self.bases[0] + 1) * span

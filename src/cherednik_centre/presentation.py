@@ -62,7 +62,6 @@ from .partitions import (
     format_partition,
     make_partition,
     transpose,
-    weight,
 )
 from .polyring import (
     GenSym,
@@ -150,7 +149,7 @@ def _hook_rows(lam: Partition, ell: int) -> tuple[HookRows, Radix]:
                 row.append((j, h, GenSym(i, h)))
         rows.append(row)
     # hooks fall left to right, so each row reversed is in symbol order
-    return rows, Radix.by_degree([c[2] for row in rows for c in reversed(row)], weight(lam))
+    return rows, Radix.by_degree([c[2] for row in rows for c in reversed(row)], sum(lam))
 
 
 def _transversals(
@@ -180,7 +179,7 @@ def _transversals(
     ``product * num // den`` is exact, the quotient being a Vandermonde
     product of integers.
     """
-    n = weight(lam)
+    n = sum(lam)
     heads = _beta_set(lam, n)[: len(lam)]
     # the padding exponents are 0 .. padding - 1, below every gap and every
     # row's exponent: a product against all of them is a falling factorial
@@ -251,7 +250,7 @@ def _presentation(lam: Partition, ell: int, source: Label) -> GradedPresentation
     """Generators: the cells whose hook ``ell`` divides; relations: degrees
     ``ell, 2*ell, ..., weight(lam)``, each term stored once as it is found,
     with lead 1."""
-    n = weight(lam)
+    n = sum(lam)
     orientation_sign = -1 if (n * (n - 1) // 2) % 2 else 1
     by_degree: dict[int, PackedPoly] = {s: {} for s in range(ell, n + 1, ell)}
     hook_rows, radix = _hook_rows(lam, ell)
@@ -287,25 +286,50 @@ def _eliminate(
     ``(-rest)^e`` (extended here as needed) and ``G > 0`` the gcd of
     ``lead^E`` and the ``c * lead^(E - e)`` of the terms ``c * g^e * m``,
     ``e >= 1``; ``p`` itself if ``g`` does not occur in it.  The rest of the
-    content is left in, for :func:`simplify` to divide out."""
-    exponents = [code // place % base for code in p]
-    top = max(exponents, default=0)
-    if not top:
-        return p
-    while len(powers) <= top:
-        power: PackedPoly = {}
-        for ma, ca in powers[-1].items():
-            for mb, cb in powers[1].items():
-                power[ma + mb] = power.get(ma + mb, 0) + ca * cb
-        powers.append({code: c for code, c in power.items() if c})
-    scales = [lead ** (top - e) for e in range(top + 1)]
-    common = math.gcd(scales[0], *(c * scales[e] for c, e in zip(p.values(), exponents) if e))
-    scale = scales[0] // common
-    out = {code: c * scale for (code, c), e in zip(p.items(), exponents) if not e}
-    get = out.get
-    for (code, c), e in zip(p.items(), exponents):
+    content is left in, for :func:`simplify` to divide out.
+
+    One pass splits ``p`` into its free terms and its held ones, ``(code
+    without g^e, c, e)``.  ``E = 1``, the case of every block (see
+    :func:`simplify`), takes ``G = gcd(lead, c)`` and ``powers[1]``
+    directly, and keeps the free terms as they are when ``G = lead``."""
+    free: PackedPoly = {}
+    held = []
+    top = 1
+    for code, c in p.items():
+        e = code // place % base
         if e:
-            rest, factor = code - e * place, c * scales[e] // common
+            held.append((code - e * place, c, e))
+            if e > top:
+                top = e
+        else:
+            free[code] = c
+    if not held:
+        return p
+    if top == 1:
+        common = math.gcd(lead, *(c for _rest, c, _e in held))
+        scale = lead // common
+        out = free if scale == 1 else {code: c * scale for code, c in free.items()}
+        get = out.get
+        substitute = powers[1].items()
+        for rest, c, _e in held:
+            factor = c // common
+            for mono, v in substitute:
+                key = rest + mono
+                out[key] = get(key, 0) + factor * v
+    else:
+        while len(powers) <= top:
+            power: PackedPoly = {}
+            for ma, ca in powers[-1].items():
+                for mb, cb in powers[1].items():
+                    power[ma + mb] = power.get(ma + mb, 0) + ca * cb
+            powers.append({code: c for code, c in power.items() if c})
+        scales = [lead ** (top - e) for e in range(top + 1)]
+        common = math.gcd(scales[0], *(c * scales[e] for _rest, c, e in held))
+        scale = scales[0] // common
+        out = {code: c * scale for code, c in free.items()}
+        get = out.get
+        for rest, c, e in held:
+            factor = c * scales[e] // common
             for mono, v in powers[e].items():
                 key = rest + mono
                 out[key] = get(key, 0) + factor * v
@@ -340,6 +364,12 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
     with the monomials of rational substitution, so the same generators go
     and the monic result is the same.  A relation's content is divided out
     on input and after its substitutions.  The input is not modified.
+
+    On the blocks, ``E`` is always 1.  Raw relations are multilinear, since a
+    transversal uses each cell once, and each substitution's ``rest`` holds
+    no eliminated generator, so no substitution can square one.  Every
+    elimination there takes the kernel's ``E = 1`` path; only a presentation
+    given by hand, with a generator squared, reaches the general one.
 
     It runs on the input's codes, whose ``Radix.by_degree`` covers every
     relation's degree: substitution keeps each relation homogeneous, and

@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptyPartition, InexactDivision
-from .partitions import Partition, beta_set, make_partition, weight
+from .partitions import Partition, beta_set, make_partition
 from .polyring import GenSym, MPoly, Radix, _laplace
 
 
@@ -76,7 +76,7 @@ def schubert_basis(lam: Partition) -> SchubertBasis:
     """The basis of the module docstring, every coefficient the int 1;
     :class:`NegativePart` or :class:`NotWeaklyDecreasing` on a non-partition."""
     lam = make_partition(lam)
-    n = weight(lam)
+    n = sum(lam)
     if n == 0:
         return SchubertBasis((), ())
     beta = beta_set(lam, n)
@@ -123,7 +123,7 @@ def wronski_relations(lam: Partition) -> WronskiRelations:
     packed Wronskian by ``u`` digit; leading 1 and no relations for ``()``,
     and the errors of :func:`schubert_basis` on a non-partition."""
     lam = make_partition(lam)
-    n = weight(lam)
+    n = sum(lam)
     if n == 0:
         return WronskiRelations(Fraction(1), ())
     # The basis has int coefficients, so the denominator is 1.

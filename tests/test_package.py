@@ -1,7 +1,8 @@
-"""The package's public names."""
+"""The package's public names, and the imports of every module."""
 
 from __future__ import annotations
 
+import ast
 import types
 from pathlib import Path
 
@@ -29,3 +30,46 @@ def test_readme_lists_every_exported_name():
     section = readme.split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
     listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("* `")]
     assert sorted(listed) == sorted(cherednik_centre.__all__)
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with its line; ``from
+    __future__`` binds none."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    """The literal ``__all__`` of a module, empty if it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_imported_name_is_used():
+    """No module under ``src/``, ``tests/`` or ``scripts/`` imports a name
+    that it never reads, except the re-exports an ``__init__.py`` lists in
+    ``__all__``."""
+    root = Path(__file__).resolve().parents[1]
+    unused = []
+    for folder in ("src", "tests", "scripts"):
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            exempt = _exported_names(tree) if path.name == "__init__.py" else set()
+            unused += [
+                f"{path.relative_to(root)}:{line} {name}"
+                for name, line in _imported_names(tree).items()
+                if name not in read and name not in exempt
+            ]
+    assert unused == []

@@ -124,6 +124,18 @@ def test_row_hook_set_rejects_non_partitions(lam, error):
         row_hook_set(lam, 1)
 
 
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_weight_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        weight(lam)
+
+
+@pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
+def test_format_partition_rejects_non_partitions(lam, error):
+    with pytest.raises(error):
+        format_partition(lam)
+
+
 def test_row_hook_set_pins():
     assert sorted(row_hook_set((3, 2), 1)) == [1, 3, 4]
     assert sorted(row_hook_set((3, 2), 2)) == [1, 2]

@@ -40,7 +40,6 @@ from cherednik_centre.presentation import (
     PresentationMeta,
     _eliminate,
     label_document,
-    presentation_text,
 )
 
 from conftest import NON_PARTITIONS, partitions_up_to
@@ -612,6 +611,50 @@ def test_one_pass_eliminates_a_generator_that_occurs_squared():
     scaled = eliminate_scaled(packed_square, place, base, 3, [{0: 1}, dict(negated_rest)])
     assert scaled == {code: 3 * c for code, c in ours.items()}
     assert sorted(ours.values()) == [3, 7]
+
+
+def test_raw_relations_are_multilinear():
+    """Every monomial of a raw relation holds each generator at most once,
+    since a transversal uses each cell once: on every partition of n <= 10
+    and every wreath label with n*ell <= 8.  So no substitution of
+    :func:`simplify` on a block meets a squared generator, and
+    ``_eliminate`` takes its ``E = 1`` path."""
+    built = [direct_presentation(lam) for n in range(11) for lam in partitions_of(n)]
+    built += [wreath_presentation(q, ell) for q, ell in wreath_cases(8)]
+    codes = 0
+    for p in built:
+        decode = p.relations.radix.decode
+        for relation in p.relations.polys:
+            for code in relation:
+                assert all(e == 1 for _s, e in decode(code)[1]), (p.meta.source, code)
+            codes += len(relation)
+    assert codes > len(built)
+
+
+@pytest.mark.parametrize(
+    ("p", "lead", "negated_rest", "ratio"),
+    [
+        # g absent: p itself
+        pytest.param({32: 5, 48: -7}, 2, {16: 3}, 1, id="E=0"),
+        # 5x^2 + 4xg + 6g with g = 3x/2: G = gcd(2, 4, 6) = lead, no rescaling
+        pytest.param({32: 5, 17: 4, 1: 6}, 2, {16: 3}, 2, id="E=1-lead-divides"),
+        # the same with g = x: G = 1, the free term rescaled by 3
+        pytest.param({32: 5, 17: 4, 1: 6}, 3, {16: 3}, 1, id="E=1-lead-scales"),
+        # 3g^2 + 3xg + x^2 with g = x/3: 9 * p(g) = 21x^2, G = 3
+        pytest.param({2: 3, 17: 3, 32: 1}, 3, {16: 1}, 3, id="E=2"),
+    ],
+)
+def test_eliminate_branches(p, lead, negated_rest, ratio):
+    """Each path of the kernel on ``x`` above ``g`` (base 16, place 1):
+    the scaled substitution over exactly ``G``, and neither ``p`` nor the
+    substitution's ``powers[1]`` changed."""
+    before = dict(p)
+    powers = [{0: 1}, dict(negated_rest)]
+    ours = _eliminate(p, 1, 16, lead, powers)
+    assert p == before and powers[1] == negated_rest
+    assert (ours is p) == (not any(code % 16 for code in p))
+    scaled = eliminate_scaled(p, 1, 16, lead, [{0: 1}, dict(negated_rest)])
+    assert scaled == {code: ratio * c for code, c in ours.items()}
 
 
 @given(
