@@ -281,60 +281,45 @@ def wreath_presentation(q: MultiPartition, ell: int) -> GradedPresentation:
 def _eliminate(
     p: PackedPoly, place: int, base: int, lead: int, powers: list[PackedPoly]
 ) -> PackedPoly:
-    """``lead^E * p(g = -rest / lead) / G``, where ``g`` is the generator at
-    ``place``, ``E`` its largest exponent in ``p``, ``powers[e]`` is
-    ``(-rest)^e`` (extended here as needed) and ``G > 0`` the gcd of
-    ``lead^E`` and the ``c * lead^(E - e)`` of the terms ``c * g^e * m``,
-    ``e >= 1``; ``p`` itself if ``g`` does not occur in it.  The rest of the
-    content is left in, for :func:`simplify` to divide out.
+    """A positive multiple of ``lead^E * p(g = -rest / lead)``, where ``g``
+    is the generator at ``place``, ``E`` its largest exponent in ``p`` and
+    ``powers[1]`` is ``-rest``; ``p`` itself if ``g`` does not occur in it.
 
-    One pass splits ``p`` into its free terms and its held ones, ``(code
-    without g^e, c, e)``.  ``E = 1``, the case of every block (see
-    :func:`simplify`), takes ``G = gcd(lead, c)`` and ``powers[1]``
-    directly, and keeps the free terms as they are when ``G = lead``."""
-    free: PackedPoly = {}
-    held = []
-    top = 1
-    for code, c in p.items():
-        e = code // place % base
-        if e:
-            held.append((code - e * place, c, e))
-            if e > top:
-                top = e
-        else:
-            free[code] = c
-    if not held:
-        return p
-    if top == 1:
-        common = math.gcd(lead, *(c for _rest, c, _e in held))
+    Each of ``E`` passes splits the relation into its free terms and its
+    held ones, ``(code without one g, c)``, and replaces one ``g`` of each
+    held term by ``-rest``: the relation times ``lead``, over the gcd ``G >
+    0`` of ``lead`` and the held coefficients, so the free terms are kept as
+    they are when ``G = lead``.  The rest of the content is left in, for
+    :func:`simplify` to divide out.  On a block ``E`` is 1 (see
+    :func:`simplify`): one pass, over exactly ``G``."""
+    substitute = powers[1].items()
+    out, passes = p, 1
+    while passes:
+        free: PackedPoly = {}
+        held = []
+        for code, c in out.items():
+            e = code // place % base
+            if e:
+                held.append((code - place, c))
+                if e > passes:
+                    passes = e
+            else:
+                free[code] = c
+        # a later pass that holds nothing still scales by the sign of lead
+        if not held and out is p:
+            return p
+        common = math.gcd(lead, *(c for _rest, c in held))
         scale = lead // common
         out = free if scale == 1 else {code: c * scale for code, c in free.items()}
         get = out.get
-        substitute = powers[1].items()
-        for rest, c, _e in held:
+        for rest, c in held:
             factor = c // common
             for mono, v in substitute:
                 key = rest + mono
                 out[key] = get(key, 0) + factor * v
-    else:
-        while len(powers) <= top:
-            power: PackedPoly = {}
-            for ma, ca in powers[-1].items():
-                for mb, cb in powers[1].items():
-                    power[ma + mb] = power.get(ma + mb, 0) + ca * cb
-            powers.append({code: c for code, c in power.items() if c})
-        scales = [lead ** (top - e) for e in range(top + 1)]
-        common = math.gcd(scales[0], *(c * scales[e] for _rest, c, e in held))
-        scale = scales[0] // common
-        out = {code: c * scale for code, c in free.items()}
-        get = out.get
-        for rest, c, e in held:
-            factor = c * scales[e] // common
-            for mono, v in powers[e].items():
-                key = rest + mono
-                out[key] = get(key, 0) + factor * v
-    if 0 in out.values():
-        out = {code: c for code, c in out.items() if c}
+        if 0 in out.values():
+            out = {code: c for code, c in out.items() if c}
+        passes -= 1
     return out
 
 
@@ -360,22 +345,22 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
 
     The elimination is fraction-free: eliminating ``g`` from ``lead*g +
     rest`` replaces ``p`` by ``lead^E * p(g = -rest/lead)`` over a positive
-    gcd (:func:`_eliminate`), ``E`` the largest exponent of ``g`` in ``p``,
+    integer (:func:`_eliminate`), ``E`` the largest exponent of ``g`` in ``p``,
     with the monomials of rational substitution, so the same generators go
     and the monic result is the same.  A relation's content is divided out
     on input and after its substitutions.  The input is not modified.
 
     On the blocks, ``E`` is always 1.  Raw relations are multilinear, since a
     transversal uses each cell once, and each substitution's ``rest`` holds
-    no eliminated generator, so no substitution can square one.  Every
-    elimination there takes the kernel's ``E = 1`` path; only a presentation
-    given by hand, with a generator squared, reaches the general one.
+    no eliminated generator, so no substitution can square one and the
+    kernel makes one pass.  Only a presentation given by hand, with a
+    generator squared, makes it take more.
 
     It runs on the input's codes, whose ``Radix.by_degree`` covers every
-    relation's degree: substitution keeps each relation homogeneous, and
-    each ``(-rest)^e`` has degree at most the relation's, so no exponent
-    outgrows its digit.  The result keeps the primitive relations on those
-    codes, with no leads: nothing is decoded or divided until it is read.
+    relation's degree: substitution keeps each relation homogeneous, so no
+    exponent outgrows its digit.  The result keeps the primitive relations
+    on those codes, with no leads: nothing is decoded or divided until it
+    is read.
     """
     radix = presentation.relations.radix
     digits = dict(zip(radix.symbols, zip(radix.places[1:], radix.bases[1:])))

@@ -9,7 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from cherednik_centre import (
     CellOutOfDiagram,
@@ -594,8 +594,9 @@ def test_one_pass_substitutes_a_victim_into_a_later_relation_of_its_degree():
 
 def test_one_pass_eliminates_a_generator_that_occurs_squared():
     """``3y - x`` spends ``y``, which occurs squared in ``3y^2 + 3xy + x^2 +
-    u^2``: ``9 * p(y = x/3)`` is ``3 * (7x^2 + 3u^2)``, so the kernel
-    divides out 3, and the result is a third of the scaled substitution."""
+    u^2``: ``9 * p(y = x/3)`` is ``3 * (7x^2 + 3u^2)``.  The kernel's first
+    pass divides out 3, its second nothing, and the result is a third of
+    the scaled substitution."""
     linear = {(0, ((_X, 1),)): -1, (0, ((_Y, 1),)): 3}
     square = {
         (0, ((_Y, 2),)): 3, (0, ((_X, 1), (_Y, 1))): 3, (0, ((_X, 2),)): 1, (2, ()): 1,
@@ -607,7 +608,9 @@ def test_one_pass_eliminates_a_generator_that_occurs_squared():
     (packed_linear, packed_square), _ = s.relations.radix.pack((linear, square))
     place, base = s.relations.radix.places[2], s.relations.radix.bases[2]
     negated_rest = {code: -c for code, c in packed_linear.items() if code != place}
-    ours = _eliminate(packed_square, place, base, 3, [{0: 1}, dict(negated_rest)])
+    before, powers = dict(packed_square), [{0: 1}, dict(negated_rest)]
+    ours = _eliminate(packed_square, place, base, 3, powers)
+    assert packed_square == before and powers[1] == negated_rest
     scaled = eliminate_scaled(packed_square, place, base, 3, [{0: 1}, dict(negated_rest)])
     assert scaled == {code: 3 * c for code, c in ours.items()}
     assert sorted(ours.values()) == [3, 7]
@@ -618,7 +621,7 @@ def test_raw_relations_are_multilinear():
     since a transversal uses each cell once: on every partition of n <= 10
     and every wreath label with n*ell <= 8.  So no substitution of
     :func:`simplify` on a block meets a squared generator, and
-    ``_eliminate`` takes its ``E = 1`` path."""
+    ``_eliminate`` makes one pass."""
     built = [direct_presentation(lam) for n in range(11) for lam in partitions_of(n)]
     built += [wreath_presentation(q, ell) for q, ell in wreath_cases(8)]
     codes = 0
@@ -640,12 +643,11 @@ def test_raw_relations_are_multilinear():
         pytest.param({32: 5, 17: 4, 1: 6}, 2, {16: 3}, 2, id="E=1-lead-divides"),
         # the same with g = x: G = 1, the free term rescaled by 3
         pytest.param({32: 5, 17: 4, 1: 6}, 3, {16: 3}, 1, id="E=1-lead-scales"),
-        # 3g^2 + 3xg + x^2 with g = x/3: 9 * p(g) = 21x^2, G = 3
-        pytest.param({2: 3, 17: 3, 32: 1}, 3, {16: 1}, 3, id="E=2"),
     ],
 )
 def test_eliminate_branches(p, lead, negated_rest, ratio):
-    """Each path of the kernel on ``x`` above ``g`` (base 16, place 1):
+    """The kernel on ``x`` above ``g`` (base 16, place 1), with ``g``
+    absent, with the free terms kept and with them rescaled:
     the scaled substitution over exactly ``G``, and neither ``p`` nor the
     substitution's ``powers[1]`` changed."""
     before = dict(p)
@@ -667,6 +669,9 @@ def test_eliminate_branches(p, lead, negated_rest, ratio):
     st.dictionaries(st.integers(0, 2), st.integers(-30, 30).filter(bool), max_size=3),
     st.integers(-12, 12).filter(bool),
 )
+# g^2 + x with g = 0 and lead -1: the second pass holds nothing and must
+# still scale by the sign of lead
+@example({(0, 2): 1, (1, 0): 1}, {}, -1)
 def test_eliminate_is_a_positive_multiple_of_the_scaled_substitution(terms, rest, lead):
     """Two digits, ``x`` above ``g`` (base 16, place 1): ``p`` holds
     ``x^a * g^e`` with ``e <= 3``, ``rest`` is a polynomial in ``x`` of
