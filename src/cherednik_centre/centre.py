@@ -7,9 +7,10 @@ the ``ell``-multipartitions of ``n``.  Each block is a tensor product
 The minus part is the plus part of the *star* label with negated grading:
 the star of a multipartition is ``(q_1, q_ell, ..., q_2)``, and a partition
 is its own star, so in the symmetric case the minus part is the plus part
-negated.  The block dimension is ``d(label) * d(star)``, both read off the
-label by the hook formula of :mod:`~cherednik_centre.hilbert`; no
-presentation is ranked to find it.
+negated.  The block dimension is ``d(label) * d(star)``, ``d`` the hook
+formula of :mod:`~cherednik_centre.hilbert`: the star keeps ``q_1`` and
+reverses the other components, so it has the label's weight and multiset of
+hooks, and the dimension is ``d(label)^2``, with no presentation ranked.
 
 The deformation parameter never appears: the presentations are valid for
 generic parameter (smooth Calogero–Moser space) and carry no dependence on
@@ -101,17 +102,12 @@ def _block(
     label: Label, ell: int, simplified: bool, parts: dict[Label, GradedPresentation]
 ) -> Block:
     # the dimension comes first: it rejects a label that does not fit ``ell``
-    dim_plus = dimension_hook_formula(label, ell)
+    dim = dimension_hook_formula(label, ell)
     star = _star(label, ell)
     plus = _plus_part(label, ell, simplified, parts)
     minus = _reprefix(negate_grading(_plus_part(star, ell, simplified, parts)), "g")
-    return Block(
-        label,
-        plus,
-        minus,
-        dim_plus * dimension_hook_formula(star, ell),
-        star_label=None if ell == 1 else star,  # type: ignore[arg-type]
-    )
+    star_label = None if ell == 1 else star
+    return Block(label, plus, minus, dim * dim, star_label)  # type: ignore[arg-type]
 
 
 def block(label: Label, ell: int, simplified: bool = False) -> Block:

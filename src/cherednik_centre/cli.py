@@ -45,10 +45,10 @@ from .centre import CentrePresentation, centre_presentation
 from .errors import DomainError, EllOutOfRange
 from .hilbert import format_series, hilbert_series_formula
 from .partitions import (
+    _row_hooks,
     beta_set,
     first_column_hooks,
     format_partition,
-    hook_length,
     parse_partition,
     transpose,
 )
@@ -156,10 +156,7 @@ class _Output:
 def _cmd_partition_info(args) -> _Output:
     lam = parse_partition(args.partition)
     n = sum(lam)
-    hooks = [
-        [hook_length(lam, (i, j)) for j in range(1, lam[i - 1] + 1)]
-        for i in range(1, len(lam) + 1)
-    ]
+    hooks = _row_hooks(lam)
     beta = list(beta_set(lam, n)) if n else []
 
     def text() -> str:

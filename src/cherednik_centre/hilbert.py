@@ -69,7 +69,7 @@ from .errors import (
     NonIntegral,
     OracleTruncated,
 )
-from .partitions import Partition, _hook_length, make_partition
+from .partitions import Partition, _row_hooks, make_partition
 from .polyring import Radix, monomial_degree, primitive_part
 from .presentation import GradedPresentation, Label
 
@@ -83,9 +83,6 @@ class HilbertSeries:
     def dimension(self) -> int:
         """Total dimension — the series evaluated at q = 1."""
         return sum(self.coefficients)
-
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
 
 def make_series(coefficients) -> HilbertSeries:
@@ -142,8 +139,7 @@ def _components(label: Label, ell: int) -> tuple[Partition, ...]:
 
 def _hooks(components: tuple[Partition, ...]) -> list[int]:
     """The hook of every cell of every (validated) component, row-major."""
-    return [_hook_length(lam, (i, j)) for lam in components
-            for i, p in enumerate(lam, start=1) for j in range(1, p + 1)]
+    return [h for lam in components for row in _row_hooks(lam) for h in row]
 
 
 def hilbert_series_formula(label: Label, ell: int = 1) -> HilbertSeries:

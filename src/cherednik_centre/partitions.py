@@ -11,11 +11,15 @@ Conventions used throughout the package:
       h(i, j) = (lam_i - j) + (L_j - i) + 1
 
   where ``L_j`` is the *full* length of column ``j`` (arm + leg + 1 with the
-  leg measured down the whole column).
+  leg measured down the whole column), the ``j``-th part of the conjugate.
+  It is computed in one place, the hook table :func:`_row_hooks`, which
+  every reader of hooks in the package uses.
 
 * The beta-set of ``lam`` padded to ``n`` parts is ``d_i = lam_i + n - i``
   for ``i = 1..n`` — strictly decreasing, pairwise distinct.  With
   ``n = len(lam)`` these are exactly the first-column hook lengths.
+  :func:`row_hook_set` and :func:`first_column_hooks` read hooks off it with
+  no conjugate: the independent route the tests hold the table to.
 """
 
 from __future__ import annotations
@@ -77,10 +81,12 @@ def transpose(lam: Partition) -> Partition:
     >>> transpose((3, 2))
     (2, 2, 1)
     """
-    lam = make_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    return _transpose(make_partition(lam))
+
+
+def _transpose(lam: Partition) -> Partition:
+    """:func:`transpose` of a validated ``lam``."""
+    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1)) if lam else ()
 
 
 def cells(lam: Partition) -> Iterator[Cell]:
@@ -90,23 +96,33 @@ def cells(lam: Partition) -> Iterator[Cell]:
 
 
 def hook_length(lam: Partition, cell: Cell) -> int:
-    """Hook length of ``cell`` in ``make_partition(lam)``, leg down the full column.
+    """Hook length of ``cell`` in ``make_partition(lam)``, from :func:`_row_hooks`.
 
     >>> hook_length((3, 2), (1, 1))
     4
     >>> hook_length((3, 2), (1, 3))
     1
     """
-    return _hook_length(make_partition(lam), cell)
-
-
-def _hook_length(lam: Partition, cell: Cell) -> int:
-    """:func:`hook_length` on a validated ``lam``."""
+    lam = make_partition(lam)
     i, j = cell
     if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
         raise CellOutOfDiagram((lam, cell))
-    col_len = sum(1 for p in lam if p >= j)
-    return (lam[i - 1] - j) + (col_len - i) + 1
+    return _row_hooks(lam)[i - 1][j - 1]
+
+
+def _row_hooks(lam: Partition) -> list[list[int]]:
+    """The hook table of a validated ``lam``: each row's hooks, left to
+    right, arm + leg + 1 with the leg off the conjugate, one step per cell.
+
+    >>> _row_hooks((3, 2))
+    [[4, 3, 1], [2, 1]]
+    """
+    conjugate = _transpose(lam)
+    # with 0-based column j: (p - j - 1) + (c - i) + 1
+    return [
+        [p - i + c - j for j, c in enumerate(conjugate[:p])]
+        for i, p in enumerate(lam, start=1)
+    ]
 
 
 def first_column_hooks(lam: Partition) -> BetaSet:

@@ -59,9 +59,9 @@ from .partitions import (
     Cell,
     Partition,
     _beta_set,
+    _row_hooks,
     format_partition,
     make_partition,
-    transpose,
 )
 from .polyring import (
     GenSym,
@@ -136,18 +136,13 @@ class TransversalMonomial:
 
 
 def _hook_rows(lam: Partition, ell: int) -> tuple[HookRows, Radix]:
-    """Per row, the ``(column, hook, generator)`` of each cell whose hook
-    ``ell`` divides, left to right; and the relations' codec,
-    :meth:`Radix.by_degree` over the sorted generators up to ``weight(lam)``."""
-    conjugate = transpose(lam)
-    rows = []
-    for i, part in enumerate(lam, start=1):
-        row = []
-        for j in range(1, part + 1):
-            h = part - j + conjugate[j - 1] - i + 1
-            if h % ell == 0:
-                row.append((j, h, GenSym(i, h)))
-        rows.append(row)
+    """Per row of a validated ``lam``, the ``(column, hook, generator)`` of
+    each cell whose hook ``ell`` divides, left to right; and the relations'
+    codec, :meth:`Radix.by_degree` over the sorted generators up to ``weight(lam)``."""
+    rows = [
+        [(j, h, GenSym(i, h)) for j, h in enumerate(hooks, start=1) if h % ell == 0]
+        for i, hooks in enumerate(_row_hooks(lam), start=1)
+    ]
     # hooks fall left to right, so each row reversed is in symbol order
     return rows, Radix.by_degree([c[2] for row in rows for c in reversed(row)], sum(lam))
 
@@ -278,12 +273,10 @@ def wreath_presentation(q: MultiPartition, ell: int) -> GradedPresentation:
 # simplification
 
 
-def _eliminate(
-    p: PackedPoly, place: int, base: int, lead: int, powers: list[PackedPoly]
-) -> PackedPoly:
-    """A positive multiple of ``lead^E * p(g = -rest / lead)``, where ``g``
-    is the generator at ``place``, ``E`` its largest exponent in ``p`` and
-    ``powers[1]`` is ``-rest``; ``p`` itself if ``g`` does not occur in it.
+def _eliminate(p: PackedPoly, place: int, base: int, lead: int, rest: PackedPoly) -> PackedPoly:
+    """A positive multiple of ``lead^E * p(g = -rest / lead)``, ``g`` the
+    generator at ``place`` that ``lead*g + rest`` spends and ``E`` its largest
+    exponent in ``p``; ``p`` itself if ``g`` does not occur in it.
 
     Each of ``E`` passes splits the relation into its free terms and its
     held ones, ``(code without one g, c)``, and replaces one ``g`` of each
@@ -292,7 +285,7 @@ def _eliminate(
     they are when ``G = lead``.  The rest of the content is left in, for
     :func:`simplify` to divide out.  On a block ``E`` is 1 (see
     :func:`simplify`): one pass, over exactly ``G``."""
-    substitute = powers[1].items()
+    substitute = rest.items()
     out, passes = p, 1
     while passes:
         free: PackedPoly = {}
@@ -312,11 +305,11 @@ def _eliminate(
         scale = lead // common
         out = free if scale == 1 else {code: c * scale for code, c in free.items()}
         get = out.get
-        for rest, c in held:
+        for without, c in held:
             factor = c // common
             for mono, v in substitute:
-                key = rest + mono
-                out[key] = get(key, 0) + factor * v
+                key = without + mono
+                out[key] = get(key, 0) - factor * v
         if 0 in out.values():
             out = {code: c for code, c in out.items() if c}
         passes -= 1
@@ -384,8 +377,8 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
             continue
         place, base = digits[g]
         eliminated.add(g)
-        negated_rest = {code: -c for code, c in p.items() if code != place}
-        substitutions.append((place, base, p[place], [{0: 1}, negated_rest]))
+        rest = {code: c for code, c in p.items() if code != place}
+        substitutions.append((place, base, p[place], rest))
     generators = tuple(gd for gd in presentation.generators if gd[0] not in eliminated)
     meta = replace(presentation.meta, simplified=True)
     return GradedPresentation(generators, PackedPolys(radix, kept), meta)

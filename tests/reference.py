@@ -5,9 +5,10 @@ operations on ``MPoly`` dicts (constructors, sums, products, scaling and the
 ``u`` derivative, which the package takes on packed codes or on single
 terms), determinants by permutations and by memoized Laplace expansion on
 those operations (the package packs its rows into integer codes), the value
-of a constant polynomial, the canonical term order as a
-tuple key, one Vandermonde coefficient taken pair by pair over the whole
-padded beta-set, the JSON terms of a packed relation as one dict per
+of a constant polynomial, the hook of a cell by counting the cells right of
+it and below it (the package reads a table built off the conjugate), the
+canonical term order as a tuple key, one Vandermonde coefficient taken pair
+by pair over the whole padded beta-set, the JSON terms of a packed relation as one dict per
 term, and the closed Hilbert series as one dense product of every factor
 followed by one long division (the package multiplies and divides by each
 two-term factor in place), and the integer ``simplify`` that scans the
@@ -200,6 +201,13 @@ def term_sort_key(mono: Monomial):
     for s, e in gens:
         degree += s.degree * e
     return (-degree, -ue, gens)
+
+
+def hook_by_counting(lam, i: int, j: int) -> int:
+    """The hook of cell ``(i, j)`` of the partition ``lam``, counted: the
+    cells right of it in its row, the cells below it in its column, and
+    itself.  No conjugate is formed."""
+    return (lam[i - 1] - j) + sum(1 for p in lam[i:] if p >= j) + 1
 
 
 def vandermonde_coefficient(lam, m) -> Fraction:

@@ -180,12 +180,15 @@ def test_wreath_blocks_enumerate_multipartitions(n, ell):
 
 
 def test_star_pairing_gives_equal_dimensions():
-    """Paired labels q and q* produce blocks of the same dimension."""
-    for n, ell in [(2, 2), (1, 3), (2, 3)]:
-        cp = centre_presentation(n, ell)
-        by_label = {b.label: b.dimension for b in cp.blocks}
-        for label, dim in by_label.items():
-            assert by_label[star_involution(label)] == dim
+    """Paired labels q and q* produce blocks of the same dimension, the
+    square of the label's hook dimension, on every n*ell <= 12."""
+    for ell in range(1, 13):
+        star = (lambda label: label) if ell == 1 else star_involution
+        for n in range(12 // ell + 1):
+            by_label = {b.label: b.dimension for b in centre_presentation(n, ell).blocks}
+            for label, dim in by_label.items():
+                assert by_label[star(label)] == dim, (label, ell)
+                assert dim == dimension_hook_formula(label, ell) ** 2, (label, ell)
 
 
 def test_simplified_centre_blocks_are_marked():

@@ -60,7 +60,6 @@ def test_series_helpers():
     s = make_series([1, 0, 2, 0, 0])
     assert s.coefficients == (1, 0, 2)
     assert s.dimension() == 3
-    assert s.degree() == 2
     assert make_series([]) == HilbertSeries((0,))
     assert format_series(s) == "1 + 2*q^2"
     assert format_series(make_series([1, 1, 1])) == "1 + q + q^2"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import cherednik_centre
@@ -73,3 +74,46 @@ def test_every_imported_name_is_used():
                 if name not in read and name not in exempt
             ]
     assert unused == []
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Each name that ``tree`` reads, as a name, an attribute or an
+    imported name, with how often."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_private_helper_is_referenced():
+    """Each module-level ``_name`` function or class in ``src/`` is read
+    somewhere in ``src/``, ``tests/`` or ``scripts/`` outside its own
+    definition: a helper left behind by a refactor fails here."""
+    root = Path(__file__).resolve().parents[1]
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src", "tests", "scripts")
+        for path in sorted((root / folder).rglob("*.py"))
+    }
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    helpers = [
+        (path, node)
+        for path, tree in trees.items()
+        if path.is_relative_to(root / "src")
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert helpers
+    orphans = [
+        f"{path.relative_to(root)}:{node.lineno} {node.name}"
+        for path, node in helpers
+        if everywhere[node.name] == _references(node)[node.name]
+    ]
+    assert orphans == []

@@ -29,6 +29,7 @@ from cherednik_centre import (
 )
 
 from conftest import NON_PARTITIONS, partitions_up_to
+from reference import hook_by_counting
 
 
 def test_doctests():
@@ -170,6 +171,14 @@ def _row_identities_hold(lam) -> bool:
 def test_row_hook_set_equals_row_hooks(n):
     for lam in partitions_of(n):
         assert _row_identities_hold(lam), lam
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_hook_length_equals_counting(n):
+    """The hook table against cells counted right and below, on every cell."""
+    for lam in partitions_of(n):
+        for i, j in cells(lam):
+            assert hook_length(lam, (i, j)) == hook_by_counting(lam, i, j), (lam, i, j)
 
 
 @pytest.mark.parametrize("n", range(0, 13))

@@ -607,11 +607,12 @@ def test_one_pass_eliminates_a_generator_that_occurs_squared():
     assert quotient_ring_text(s) == "C[f1,1] / (u^2 + 7/3*f1,1^2)"
     (packed_linear, packed_square), _ = s.relations.radix.pack((linear, square))
     place, base = s.relations.radix.places[2], s.relations.radix.bases[2]
-    negated_rest = {code: -c for code, c in packed_linear.items() if code != place}
-    before, powers = dict(packed_square), [{0: 1}, dict(negated_rest)]
-    ours = _eliminate(packed_square, place, base, 3, powers)
-    assert packed_square == before and powers[1] == negated_rest
-    scaled = eliminate_scaled(packed_square, place, base, 3, [{0: 1}, dict(negated_rest)])
+    rest = {code: c for code, c in packed_linear.items() if code != place}
+    before, rest_before = dict(packed_square), dict(rest)
+    ours = _eliminate(packed_square, place, base, 3, rest)
+    assert packed_square == before and rest == rest_before
+    negated_rest = {code: -c for code, c in rest.items()}
+    scaled = eliminate_scaled(packed_square, place, base, 3, [{0: 1}, negated_rest])
     assert scaled == {code: 3 * c for code, c in ours.items()}
     assert sorted(ours.values()) == [3, 7]
 
@@ -635,27 +636,27 @@ def test_raw_relations_are_multilinear():
 
 
 @pytest.mark.parametrize(
-    ("p", "lead", "negated_rest", "ratio"),
+    ("p", "lead", "rest", "ratio"),
     [
         # g absent: p itself
-        pytest.param({32: 5, 48: -7}, 2, {16: 3}, 1, id="E=0"),
+        pytest.param({32: 5, 48: -7}, 2, {16: -3}, 1, id="E=0"),
         # 5x^2 + 4xg + 6g with g = 3x/2: G = gcd(2, 4, 6) = lead, no rescaling
-        pytest.param({32: 5, 17: 4, 1: 6}, 2, {16: 3}, 2, id="E=1-lead-divides"),
+        pytest.param({32: 5, 17: 4, 1: 6}, 2, {16: -3}, 2, id="E=1-lead-divides"),
         # the same with g = x: G = 1, the free term rescaled by 3
-        pytest.param({32: 5, 17: 4, 1: 6}, 3, {16: 3}, 1, id="E=1-lead-scales"),
+        pytest.param({32: 5, 17: 4, 1: 6}, 3, {16: -3}, 1, id="E=1-lead-scales"),
     ],
 )
-def test_eliminate_branches(p, lead, negated_rest, ratio):
+def test_eliminate_branches(p, lead, rest, ratio):
     """The kernel on ``x`` above ``g`` (base 16, place 1), with ``g``
     absent, with the free terms kept and with them rescaled:
     the scaled substitution over exactly ``G``, and neither ``p`` nor the
-    substitution's ``powers[1]`` changed."""
-    before = dict(p)
-    powers = [{0: 1}, dict(negated_rest)]
-    ours = _eliminate(p, 1, 16, lead, powers)
-    assert p == before and powers[1] == negated_rest
+    substitution's ``rest`` changed."""
+    before, rest_before = dict(p), dict(rest)
+    ours = _eliminate(p, 1, 16, lead, rest)
+    assert p == before and rest == rest_before
     assert (ours is p) == (not any(code % 16 for code in p))
-    scaled = eliminate_scaled(p, 1, 16, lead, [{0: 1}, dict(negated_rest)])
+    negated_rest = {code: -c for code, c in rest.items()}
+    scaled = eliminate_scaled(p, 1, 16, lead, [{0: 1}, negated_rest])
     assert scaled == {code: ratio * c for code, c in ours.items()}
 
 
@@ -679,9 +680,9 @@ def test_eliminate_is_a_positive_multiple_of_the_scaled_substitution(terms, rest
     monomials of ``lead^E * p(g = -rest/lead)`` and is a positive multiple
     of it, with int coefficients."""
     p = {a * 16 + e: c for (a, e), c in terms.items()}
-    negated_rest = {a * 16: -c for a, c in rest.items()}
-    ours = _eliminate(p, 1, 16, lead, [{0: 1}, dict(negated_rest)])
-    scaled = eliminate_scaled(p, 1, 16, lead, [{0: 1}, dict(negated_rest)])
+    packed_rest = {a * 16: c for a, c in rest.items()}
+    ours = _eliminate(p, 1, 16, lead, packed_rest)
+    scaled = eliminate_scaled(p, 1, 16, lead, [{0: 1}, {a: -c for a, c in packed_rest.items()}])
     assert set(ours) == set(scaled)
     assert all(type(c) is int for c in ours.values())
     ratios = {Fraction(ours[code], scaled[code]) for code in ours}
