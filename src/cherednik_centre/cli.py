@@ -7,11 +7,13 @@ a temp file, then rename).  ``--format
 json`` emits canonical JSON: sorted keys, two-space indent, coefficients as
 exact-rational strings — parsing and re-serializing is byte-identical.
 
-:func:`render_json` writes it, equal to ``json.dumps(doc, indent=2,
-sort_keys=True) + "\n"`` byte for byte.  Relations, nearly all the bytes of
-``presentation`` and ``centre`` output, come as JSON text written from
-packed codes, which the writer indents to its depth; other strings go
-through ``json.dumps``'s C escaper.
+Every JSON output equals ``json.dumps(doc, indent=2, sort_keys=True) +
+"\n"`` of its document, byte for byte.  :func:`render_json` writes the small
+documents from dicts, escaping strings with ``json.dumps``'s C escaper.  The
+``presentation`` and ``centre`` documents, nearly all of whose bytes are
+relations, are written straight to text with no document tree: each
+presentation by ``presentation._presentation_json`` at its depth, its
+relations from packed codes.
 
 Partition arguments are comma-separated parts (``3,2``), the empty partition
 is ``-``, and multipartitions join components with ``|`` (``3,2|1,1|2``).  A
@@ -55,7 +57,9 @@ from .partitions import (
 from .polyring import format_poly, named_terms
 from .presentation import (
     _block_part,
-    _document,
+    _json_list,
+    _label_json,
+    _presentation_json,
     format_label,
     label_document,
     presentation_text,
@@ -95,18 +99,14 @@ def render_json(doc: dict) -> str:
     return _json_value(doc, "\n") + "\n"
 
 
-class _Fragment(str):
-    """A JSON value already written as canonical JSON at the top level."""
-
-
 def _json_value(value, pad: str) -> str:
     """One JSON value whose closing bracket follows ``pad`` (a newline and
     the indent of the line the value starts on).  Strings and keys go
-    through the C escaper that ``json.dumps`` uses, and a :class:`_Fragment`
-    is indented by ``pad``; anything but ``str``, ``int``, ``bool``,
-    ``None``, ``list`` and ``dict`` with ``str`` keys raises ``TypeError``."""
+    through the C escaper that ``json.dumps`` uses; anything but ``str``,
+    ``int``, ``bool``, ``None``, ``list`` and ``dict`` with ``str`` keys
+    raises ``TypeError``."""
     if isinstance(value, str):
-        return value.replace("\n", pad) if type(value) is _Fragment else _quote(value)
+        return _quote(value)
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:
@@ -118,9 +118,7 @@ def _json_value(value, pad: str) -> str:
             items.append(f"{_quote(key)}: {_json_value(value[key], inner)}")
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, list):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in value]) + pad + "]"
+        return _json_list([_json_value(v, inner) for v in value], pad)
     if value is True:
         return "true"
     if value is False:
@@ -149,7 +147,7 @@ def _parse_label(text: str, ell: int):
 @dataclass(frozen=True)
 class _Output:
     text: Callable[[], str]
-    document: Callable[[], dict]
+    json: Callable[[], str]
     status: int = 0
 
 
@@ -181,7 +179,7 @@ def _cmd_partition_info(args) -> _Output:
             "beta_set": beta,
         }
 
-    return _Output(text, document)
+    return _Output(text, lambda: render_json(document()))
 
 
 def _cmd_abacus(args) -> _Output:
@@ -191,30 +189,32 @@ def _cmd_abacus(args) -> _Output:
         lam = from_quotient(quotient, ell)
         return _Output(
             lambda: f"partition: {format_partition(lam)}",
-            lambda: {"quotient": label_document(quotient), "ell": ell, "partition": list(lam)},
+            lambda: render_json(
+                {"quotient": label_document(quotient), "ell": ell, "partition": list(lam)}
+            ),
         )
     lam = parse_partition(args.argument)
     core = ell_core(lam, ell)
     if args.action == "core":
         return _Output(
             lambda: f"core: {format_partition(core)}",
-            lambda: {"partition": list(lam), "ell": ell, "core": list(core)},
+            lambda: render_json({"partition": list(lam), "ell": ell, "core": list(core)}),
         )
     quotient = ell_quotient(lam, ell)
     return _Output(
         lambda: f"quotient: {format_multipartition(quotient)}\ncore: {format_partition(core)}",
-        lambda: {
+        lambda: render_json({
             "partition": list(lam),
             "ell": ell,
             "quotient": label_document(quotient),
             "core": list(core),
-        },
+        }),
     )
 
 
 def _cmd_presentation(args) -> _Output:
     built = _block_part(_parse_label(args.label, args.ell), args.ell, args.simplified)
-    return _Output(lambda: presentation_text(built), lambda: _document(built, _Fragment))
+    return _Output(lambda: presentation_text(built), lambda: _presentation_json(built) + "\n")
 
 
 def _cmd_wronskian(args) -> _Output:
@@ -228,7 +228,7 @@ def _cmd_wronskian(args) -> _Output:
         ]
         return {"partition": list(lam), "wronskian": terms}
 
-    return _Output(lambda: format_poly(wr), document)
+    return _Output(lambda: format_poly(wr), lambda: render_json(document()))
 
 
 def _cmd_hilbert(args) -> _Output:
@@ -236,13 +236,13 @@ def _cmd_hilbert(args) -> _Output:
     series = hilbert_series_formula(label, args.ell)
     return _Output(
         lambda: f"series: {format_series(series)}\ndimension: {series.dimension()}",
-        lambda: {
+        lambda: render_json({
             "label": label_document(label),
             "ell": args.ell,
             "coefficients": list(series.coefficients),
             "series": format_series(series),
             "dimension": series.dimension(),
-        },
+        }),
     )
 
 
@@ -259,30 +259,34 @@ def _centre_text(result: CentrePresentation, simplified: bool) -> str:
     return "\n".join(lines)
 
 
-def _centre_document(result: CentrePresentation) -> dict:
+def _centre_json(result: CentrePresentation) -> str:
+    """The centre's document as canonical JSON, in one loop over the blocks;
+    each block's plus and minus parts are written by ``_presentation_json``
+    at their depth."""
+    field = "\n      "
     blocks = []
     for blk in result.blocks:
-        entry = {
-            "label": label_document(blk.label),
-            "plus": _document(blk.plus_part, _Fragment),
-            "minus": _document(blk.minus_part, _Fragment),
-            "dimension": blk.dimension,
-        }
+        fields = [
+            f'"dimension": {blk.dimension}',
+            '"label": ' + _label_json(blk.label, field),
+            '"minus": ' + _presentation_json(blk.minus_part, field),
+            '"plus": ' + _presentation_json(blk.plus_part, field),
+        ]
         if blk.star_label is not None:
-            entry["star_label"] = label_document(blk.star_label)
-        blocks.append(entry)
-    return {
-        "group": {"n": result.n, "ell": result.ell},
-        "assumption": ASSUMPTION,
-        "blocks": blocks,
-        "total_dimension": result.total_dimension,
-    }
+            fields.append('"star_label": ' + _label_json(blk.star_label, field))
+        blocks.append("{" + field + ("," + field).join(fields) + "\n    }")
+    return (
+        '{\n  "assumption": ' + _json_value(ASSUMPTION, "")
+        + ',\n  "blocks": ' + _json_list(blocks, "\n  ")
+        + ',\n  "group": ' + _json_value({"ell": result.ell, "n": result.n}, "\n  ")
+        + f',\n  "total_dimension": {result.total_dimension}\n}}\n'
+    )
 
 
 def _cmd_centre(args) -> _Output:
     result = centre_presentation(args.n, args.ell, args.simplified)
     return _Output(
-        lambda: _centre_text(result, args.simplified), lambda: _centre_document(result)
+        lambda: _centre_text(result, args.simplified), lambda: _centre_json(result)
     )
 
 
@@ -331,7 +335,7 @@ def _cmd_selftest(args) -> _Output:
         ]
         return {"passed": passed, "suites": entries}
 
-    return _Output(text, document, 0 if passed else 1)
+    return _Output(text, lambda: render_json(document()), 0 if passed else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +464,7 @@ def run(argv: list[str]) -> int:
         return int(code) if code else 0
     try:
         result = _HANDLERS[args.command](args)
-        if args.format == "json":
-            output = render_json(result.document())
-        else:
-            output = result.text() + "\n"
+        output = result.json() if args.format == "json" else result.text() + "\n"
     except DomainError as err:
         print(type(err).__name__, file=sys.stderr)
         return 1

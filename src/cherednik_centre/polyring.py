@@ -98,7 +98,7 @@ class Radix:
         self.places = tuple(places)
         self._symbol_places = tuple(zip(self.symbols, self.places[1:]))
         self.place_of = dict(self._symbol_places)
-        self._tables: dict[tuple[str, bool], tuple] = {}
+        self._tables: dict[tuple[str, bool, str], tuple] = {}
 
     @classmethod
     def by_degree(cls, symbols: Sequence[GenSym], max_degree: int) -> Radix:
@@ -169,12 +169,14 @@ class Radix:
         """The weighted degree of the monomial of ``code``."""
         return monomial_degree(self.decode(code))
 
-    def table(self, prefix: str, text: bool) -> tuple:
+    def table(self, prefix: str, text: bool, pad: str = "\n") -> tuple:
         """What :meth:`ordered` reads, for names under ``prefix`` in text
-        (``f1,2^3``) or JSON (``"f1,2"`` e times) form, pre-joined; built once."""
-        found = self._tables.get((prefix, text))
+        (``f1,2^3``) or JSON (``"f1,2"`` e times) form, pre-joined; built once
+        per ``(prefix, text, pad)``.  JSON names are joined by ``","``, ``pad``
+        and six spaces, for a relation closing after ``pad`` (:meth:`PackedPolys.json_text`)."""
+        found = self._tables.get((prefix, text, pad))
         if found is None:
-            sep = "*" if text else _JSON_NAME_SEP
+            sep = "*" if text else "," + pad + "      "
             bases = self.bases[:0:-1]
             span = math.prod(b + 1 for b in bases)
             key_place, tail, thresholds, cells = 1, 0, [], []
@@ -193,7 +195,7 @@ class Radix:
                 tail -= base * key_place
                 key_place *= base + 1
             u_step = -(self.bases[0] + 1) * span
-            found = self._tables[prefix, text] = (thresholds, cells, tail, u_step)
+            found = self._tables[prefix, text, pad] = (thresholds, cells, tail, u_step)
         return found
 
     def ordered(self, codes, table: tuple) -> list[tuple[int, int, int, str]]:
@@ -330,14 +332,6 @@ def generator_name(symbol: GenSym, prefix: str = "f") -> str:
     return f"{prefix}{symbol.row},{symbol.degree}"
 
 
-# The pieces of one term of :meth:`PackedPolys.json_text`.
-_JSON_TERM = '{\n    "coefficient": "'
-_JSON_NAMES = '",\n    "monomial": [\n      '
-_JSON_NAME_SEP = ",\n      "
-_JSON_TERM_END = "\n    ]\n  }"
-_JSON_NO_NAMES = '",\n    "monomial": []\n  }'
-
-
 class PackedPolys:
     """Polynomials ``polys[k] / leads[k]``: int coefficients on the codes of
     one :class:`Radix` over sorted symbols, and a non-zero int lead each;
@@ -371,12 +365,12 @@ class PackedPolys:
         radix = Radix.by_degree(symbols, top)
         return cls(radix, *radix.pack(polys))
 
-    def _terms(self, index: int, prefix: str = "f", text: bool = False) -> tuple:
+    def _terms(self, index: int, prefix: str = "f", text: bool = False, pad: str = "\n") -> tuple:
         """``p``, its :meth:`Radix.ordered` rows, its lead and the lead's sign:
         ``c / lead`` in lowest terms, the denominator positive, is ``c // g``
         over ``lead // g`` for ``g = gcd(c, lead) * sign``."""
         p = self.polys[index]
-        rows = self.radix.ordered(p, self.radix.table(prefix, text))
+        rows = self.radix.ordered(p, self.radix.table(prefix, text, pad))
         lead = self.leads[index] if self.leads else p[rows[0][1]] if rows else 1
         return p, rows, lead, -1 if lead < 0 else 1
 
@@ -406,21 +400,27 @@ class PackedPolys:
         pieces[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         return " ".join(pieces)
 
-    def json_text(self, index: int, prefix: str = "f") -> str:
+    def json_text(self, index: int, prefix: str = "f", pad: str = "\n") -> str:
         """Polynomial ``index`` as ``json.dumps(..., indent=2,
-        sort_keys=True)`` writes, at the top level, its list of
-        ``{"coefficient": "-3/5", "monomial": [names repeated by
-        exponent]}`` per term (``u`` is not named)."""
-        p, rows, lead, sign = self._terms(index, prefix, False)
+        sort_keys=True)`` writes it, its list of ``{"coefficient": "-3/5",
+        "monomial": [names repeated by exponent]}`` per term (``u`` is not
+        named), on a line whose newline and indent are ``pad``: the closing
+        bracket follows ``pad``, the default being the top level."""
+        p, rows, lead, sign = self._terms(index, prefix, False, pad)
+        term = "{" + pad + '    "coefficient": "'
+        names_head = '",' + pad + '    "monomial": [' + pad + "      "
+        names_end = pad + "    ]" + pad + "  }"
+        no_names = '",' + pad + '    "monomial": []' + pad + "  }"
         gcd, terms = math.gcd, []
         for _key, code, _ue, names in rows:
             c = p[code]
             g = gcd(c, lead) * sign
             den = lead // g
             coefficient = str(c // g) if den == 1 else f"{c // g}/{den}"
-            tail = _JSON_NAMES + names + _JSON_TERM_END if names else _JSON_NO_NAMES
-            terms.append(_JSON_TERM + coefficient + tail)
-        return "[\n  " + ",\n  ".join(terms) + "\n]" if terms else "[]"
+            tail = names_head + names + names_end if names else no_names
+            terms.append(term + coefficient + tail)
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(terms) + pad + "]" if terms else "[]"
 
     def _values(self) -> tuple[MPoly, ...]:
         if self._decoded is None:

@@ -41,9 +41,10 @@ given as polynomials are checked and packed once, when their
 :class:`GradedPresentation` is built.  ``simplify`` eliminates the
 generators that occur linearly, fraction-free on the same codes, and keeps
 monic relations with no leads.  A ``Fraction`` appears only when
-``relations`` are read as polynomials.  The renderers write from the codes;
-the CLI writes each relation's JSON text as it is, and
-:func:`presentation_document` parses it back.
+``relations`` are read as polynomials.  The renderers write from the codes.
+One writer, :func:`_presentation_json`, writes a presentation's JSON
+document as text at the depth it is nested to; the CLI prints it, and
+:func:`presentation_document` parses it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Union
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterator, Union
 
 from .abacus import MultiPartition, format_multipartition, from_quotient
 from .partitions import (
@@ -433,26 +435,45 @@ def presentation_text(presentation: GradedPresentation) -> str:
 
 
 def presentation_document(presentation: GradedPresentation) -> dict:
-    """JSON-ready document: generators, relations, metadata."""
-    return _document(presentation, json.loads)
+    """JSON-ready document: generators, relations, metadata; the text of
+    :func:`_presentation_json`, the one writer, parsed."""
+    return json.loads(_presentation_json(presentation))
 
 
-def _document(presentation: GradedPresentation, relation: Callable[[str], object]) -> dict:
-    """That document with ``relation(json text)`` for each relation."""
-    prefix = presentation.meta.prefix
+def _presentation_json(presentation: GradedPresentation, pad: str = "\n") -> str:
+    """The document as ``json.dumps(..., indent=2, sort_keys=True)`` writes it
+    on a line whose newline and indent are ``pad``: generators, metadata with
+    the label, and relations, each by :meth:`PackedPolys.json_text` at its depth."""
+    meta = presentation.meta
+    inner = pad + "  "
+    entry, field = inner + "  ", inner + "    "
     generators = [
-        {"name": generator_name(g, prefix), "row": g.row, "hook": g.degree, "degree": d}
+        f'{{{field}"degree": {d},{field}"hook": {g.degree},{field}"name": '
+        f'{_quote(generator_name(g, meta.prefix))},{field}"row": {g.row}{entry}}}'
         for g, d in presentation.generators
     ]
     packed = presentation.relations
-    relations = [relation(packed.json_text(k, prefix)) for k in range(len(packed.polys))]
-    return {
-        "generators": generators,
-        "relations": relations,
-        "metadata": {
-            "partition": label_document(presentation.meta.source),
-            "ell": presentation.meta.ell,
-            "orientation": presentation.meta.orientation,
-            "simplified": presentation.meta.simplified,
-        },
-    }
+    relations = [packed.json_text(k, meta.prefix, entry) for k in range(len(packed.polys))]
+    return (
+        f'{{{inner}"generators": {_json_list(generators, inner)},{inner}"metadata": '
+        f'{{{entry}"ell": {meta.ell},{entry}"orientation": {meta.orientation},'
+        f'{entry}"partition": {_label_json(meta.source, entry)},'
+        f'{entry}"simplified": {"true" if meta.simplified else "false"}{inner}}},'
+        f'{inner}"relations": {_json_list(relations, inner)}{pad}}}'
+    )
+
+
+def _label_json(label: Label, pad: str) -> str:
+    """:func:`label_document` of ``label`` as JSON closing after ``pad``."""
+    if not _is_multipartition(label):
+        return _json_list(list(map(str, label)), pad)
+    inner, part = pad + "  ", pad + "    "
+    return _json_list([
+        "[" + part + ("," + part).join(map(str, c)) + inner + "]" if c else "[]" for c in label
+    ], pad)
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON list, closing after ``pad``, of values written one level in."""
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"

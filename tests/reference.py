@@ -8,22 +8,26 @@ those operations (the package packs its rows into integer codes), the value
 of a constant polynomial, the hook of a cell by counting the cells right of
 it and below it (the package reads a table built off the conjugate), the
 canonical term order as a tuple key, one Vandermonde coefficient taken pair
-by pair over the whole padded beta-set, the JSON terms of a packed relation as one dict per
-term, and the closed Hilbert series as one dense product of every factor
-followed by one long division (the package multiplies and divides by each
-two-term factor in place), and the integer ``simplify`` that scans the
-relations from the first one again after every elimination and substitutes
-into every relation at once (the package makes one pass, substituting into
-each relation when it reaches it).  The package itself uses none of them.
+by pair over the whole padded beta-set, the JSON terms of a packed relation
+as one dict per term and a presentation's JSON document as dicts around them
+(the package writes the text at its depth), and the closed Hilbert series
+as one dense product of every factor followed by one long division (the
+package multiplies and divides by each two-term factor in place), and the
+integer ``simplify`` that scans the relations from the first one again after
+every elimination and substitutes into every relation at once (the package
+makes one pass, substituting into each relation when it reaches it).  The
+package itself uses none of them.
 
 Also here: the wreath labels the tests sweep, and each one's presentation
-and oracle series, built once per label for every test that reads them.
+and oracle series, built once per label for every test that reads them; and
+``json.dumps`` of a value cut at a nesting depth.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -37,7 +41,6 @@ from cherednik_centre import (
     cells,
     direct_presentation,
     graded_dimensions_from_presentation,
-    hook_length,
     make_series,
     multipartitions_of,
     partitions_of,
@@ -56,6 +59,7 @@ from cherednik_centre.polyring import (
     generator_name,
     primitive_part,
 )
+from cherednik_centre.presentation import label_document
 
 ONE_MONO: Monomial = (0, ())
 
@@ -218,7 +222,7 @@ def vandermonde_coefficient(lam, m) -> Fraction:
     for i, j in m.cells:
         if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
             raise CellOutOfDiagram((lam, (i, j)))
-        exponents[i - 1] -= hook_length(lam, (i, j))
+        exponents[i - 1] -= hook_by_counting(lam, i, j)
     product = 1
     for a in range(n):
         for b in range(a + 1, n):
@@ -240,6 +244,39 @@ def json_terms(packed: PackedPolys, index: int, prefix: str = "f") -> list[dict]
             "monomial": [generator_name(s, prefix) for s, e in gens for _ in range(e)],
         })
     return terms
+
+
+def reference_document(presentation: GradedPresentation) -> dict:
+    """The presentation's JSON document built as dicts, one per generator
+    and per term (:func:`json_terms`), with no JSON text written or parsed."""
+    prefix = presentation.meta.prefix
+    packed = presentation.relations
+    return {
+        "generators": [
+            {"name": f"{prefix}{g.row},{g.degree}", "row": g.row, "hook": g.degree, "degree": d}
+            for g, d in presentation.generators
+        ],
+        "relations": [json_terms(packed, k, prefix) for k in range(len(packed.polys))],
+        "metadata": {
+            "partition": label_document(presentation.meta.source),
+            "ell": presentation.meta.ell,
+            "orientation": presentation.meta.orientation,
+            "simplified": presentation.meta.simplified,
+        },
+    }
+
+
+def dumps_at_depth(value, depth: int) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` as it reads ``depth``
+    lists deep, cut out of the dump of the nested lists."""
+    for _ in range(depth):
+        value = [value]
+    text = json.dumps(value, indent=2, sort_keys=True)
+    for level in range(1, depth + 1):
+        head, tail = "[\n" + "  " * level, "\n" + "  " * (level - 1) + "]"
+        assert text.startswith(head) and text.endswith(tail)
+        text = text[len(head):-len(tail)]
+    return text
 
 
 def poly_mul_dense(a: list[int], b: list[int]) -> list[int]:
@@ -285,8 +322,8 @@ def series_by_long_division(label, ell: int = 1) -> HilbertSeries:
         num = poly_mul_dense(num, one_minus_q_to(ell * i))
     den = [1]
     for lam in components:
-        for cell in cells(lam):
-            den = poly_mul_dense(den, one_minus_q_to(ell * hook_length(lam, cell)))
+        for i, j in cells(lam):
+            den = poly_mul_dense(den, one_minus_q_to(ell * hook_by_counting(lam, i, j)))
     return make_series(poly_div_exact(num, den))
 
 

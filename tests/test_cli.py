@@ -27,10 +27,12 @@ from cherednik_centre import (
     multipartitions_of,
     parse_partition,
     partitions_of,
-    presentation_document,
     weight,
 )
 from cherednik_centre.cli import render_json, run
+from cherednik_centre.presentation import label_document
+
+from reference import reference_document
 
 GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
 WRONSKIAN_PINS = Path(__file__).resolve().parent / "wronskian_pins.json"
@@ -165,6 +167,10 @@ def test_json_is_canonical_and_roundtrips(capsys):
         ["presentation", "3,2", "--format", "json"],
         ["hilbert", "2,2", "--format", "json"],
         ["centre", "2", "--ell", "2", "--format", "json"],
+        ["centre", "--ell", "3", "--simplified", "--format", "json", "--", "4"],
+        ["centre", "--ell", "2", "--format", "json", "--", "6"],
+        ["presentation", "--simplified", "--format", "json", "--", "5,4,3,2,1"],
+        ["presentation", "--ell", "2", "--format", "json", "--", "3,1|2,1"],
     ):
         status, out, _ = _run(capsys, *argv)
         assert status == 0
@@ -201,51 +207,35 @@ def test_render_json_equals_json_dumps(doc):
     assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _fragments_parsed(value):
-    """``value`` with every pre-rendered fragment parsed back to its value."""
-    if isinstance(value, cli._Fragment):
-        return json.loads(value)
-    if isinstance(value, dict):
-        return {key: _fragments_parsed(v) for key, v in value.items()}
-    if isinstance(value, list):
-        return [_fragments_parsed(v) for v in value]
-    return value
-
-
-_json_with_fragments = st.recursive(
-    _json_values.map(lambda v: cli._Fragment(json.dumps(v, indent=2, sort_keys=True)))
-    | st.none() | _json_strings,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_json_strings, inner, max_size=3),
-    max_leaves=6,
-)
-
-
-@given(st.dictionaries(_json_strings, _json_with_fragments, max_size=4))
-def test_render_json_indents_fragments_at_any_depth(doc):
-    expected = json.dumps(_fragments_parsed(doc), indent=2, sort_keys=True) + "\n"
-    assert render_json(doc) == expected
-
-
 @pytest.mark.parametrize(
     ("n", "ell", "simplified"), [(2, 2, False), (3, 1, True), (3, 2, True), (2, 3, True)]
 )
-def test_centre_document_with_fragments_equals_json_dumps_of_dicts(n, ell, simplified):
+def test_centre_document_with_fragments_equals_json_dumps_of_dicts(capsys, n, ell, simplified):
+    """The centre's JSON, each part written at its depth, against
+    ``json.dumps`` of the document built as dicts, each part by
+    ``reference.reference_document``."""
+    flags = ["--simplified"] if simplified else []
+    status, out, _ = _run(capsys, "centre", str(n), "--ell", str(ell), *flags, "--format", "json")
+    assert status == 0
     result = centre_presentation(n, ell, simplified)
-    doc = cli._centre_document(result)
-    fragments = [blk[part]["relations"] for blk in doc["blocks"] for part in ("plus", "minus")]
-    assert all(type(r) is cli._Fragment for relations in fragments for r in relations)
+    blocks = []
+    for blk in result.blocks:
+        entry = {
+            "label": label_document(blk.label),
+            "plus": reference_document(blk.plus_part),
+            "minus": reference_document(blk.minus_part),
+            "dimension": blk.dimension,
+        }
+        if blk.star_label is not None:
+            entry["star_label"] = label_document(blk.star_label)
+        blocks.append(entry)
     dicts = {
-        **doc,
-        "blocks": [
-            {
-                **blk,
-                "plus": presentation_document(source.plus_part),
-                "minus": presentation_document(source.minus_part),
-            }
-            for blk, source in zip(doc["blocks"], result.blocks)
-        ],
+        "group": {"n": n, "ell": ell},
+        "assumption": cli.ASSUMPTION,
+        "blocks": blocks,
+        "total_dimension": result.total_dimension,
     }
-    assert render_json(doc) == json.dumps(dicts, indent=2, sort_keys=True) + "\n"
+    assert out == json.dumps(dicts, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -90,10 +90,23 @@ def _references(tree: ast.AST) -> Counter:
     return found
 
 
+def _private_definitions(tree: ast.Module):
+    """Each module-level name that ``tree`` defines as a function, a class
+    or an assigned constant (``_NAME = ...``), with its node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
 def test_every_private_helper_is_referenced():
-    """Each module-level ``_name`` function or class in ``src/`` is read
-    somewhere in ``src/``, ``tests/`` or ``scripts/`` outside its own
-    definition: a helper left behind by a refactor fails here."""
+    """Each module-level ``_name`` function, class or constant in ``src/``
+    is read somewhere in ``src/``, ``tests/`` or ``scripts/`` outside its
+    own definition: a helper left behind by a refactor fails here."""
     root = Path(__file__).resolve().parents[1]
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
@@ -102,18 +115,17 @@ def test_every_private_helper_is_referenced():
     }
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
     helpers = [
-        (path, node)
+        (path, name, node)
         for path, tree in trees.items()
         if path.is_relative_to(root / "src")
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
+        for name, node in _private_definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
     ]
-    assert helpers
+    # the scan finds each kind, so that none passes for want of a match
+    assert {ast.FunctionDef, ast.ClassDef, ast.Assign} <= {type(node) for *_, node in helpers}
     orphans = [
-        f"{path.relative_to(root)}:{node.lineno} {node.name}"
-        for path, node in helpers
-        if everywhere[node.name] == _references(node)[node.name]
+        f"{path.relative_to(root)}:{node.lineno} {name}"
+        for path, name, node in helpers
+        if everywhere[name] == _references(node)[name]
     ]
     assert orphans == []

@@ -37,6 +37,7 @@ from reference import (
     d_du,
     det_by_laplace_memo,
     det_by_permutations,
+    dumps_at_depth,
     gen,
     json_terms,
     monomial,
@@ -494,21 +495,8 @@ def test_packed_rendering_equals_decode_monic_and_render(p, lead, prefix):
 
 
 # ``json_text`` against ``json.dumps`` of the reference ``json_terms``, where
-# the relation sits ``depth`` lists deep; the text is re-indented there by
-# replacing each newline with the newline and indent of that depth.
-
-
-def _dumps_at_depth(value, depth):
-    """``json.dumps(value, indent=2, sort_keys=True)`` as it reads ``depth``
-    lists deep, cut out of the dump of the nested lists."""
-    for _ in range(depth):
-        value = [value]
-    text = json.dumps(value, indent=2, sort_keys=True)
-    for level in range(1, depth + 1):
-        head, tail = "[\n" + "  " * level, "\n" + "  " * (level - 1) + "]"
-        assert text.startswith(head) and text.endswith(tail)
-        text = text[len(head):-len(tail)]
-    return text
+# the relation sits ``depth`` lists deep; the text is written there, with its
+# closing bracket after the newline and indent of that depth.
 
 
 @given(
@@ -526,5 +514,5 @@ def _dumps_at_depth(value, depth):
 def test_json_text_equals_json_dumps_of_the_reference_terms(p, lead, prefix, depth):
     packed = PackedPolys(_PACKED_RADIX, [p], None if lead is None else [lead])
     pad = "\n" + "  " * depth
-    expected = _dumps_at_depth(json_terms(packed, 0, prefix), depth)
-    assert packed.json_text(0, prefix).replace("\n", pad) == expected
+    expected = dumps_at_depth(json_terms(packed, 0, prefix), depth)
+    assert packed.json_text(0, prefix, pad) == expected

@@ -39,19 +39,20 @@ from cherednik_centre.presentation import (
     GradedPresentation,
     PresentationMeta,
     _eliminate,
-    label_document,
+    _presentation_json,
 )
 
 from conftest import NON_PARTITIONS, partitions_up_to
 from reference import (
     add,
     blocks,
+    dumps_at_depth,
     eliminate_scaled,
-    json_terms,
     mul,
     scale,
     simplify_by_restart,
     simplify_equals_restart,
+    reference_document,
     term_sort_key,
     vandermonde_coefficient,
     wreath_block,
@@ -800,25 +801,6 @@ def test_presentation_document_multipartition_label():
     assert isinstance(first_term["coefficient"], str)
 
 
-def _reference_document(presentation):
-    """The document with one dict per term (``reference.json_terms``)."""
-    prefix = presentation.meta.prefix
-    packed = presentation.relations
-    return {
-        "generators": [
-            {"name": f"{prefix}{g.row},{g.degree}", "row": g.row, "hook": g.degree, "degree": d}
-            for g, d in presentation.generators
-        ],
-        "relations": [json_terms(packed, k, prefix) for k in range(len(packed.polys))],
-        "metadata": {
-            "partition": label_document(presentation.meta.source),
-            "ell": presentation.meta.ell,
-            "orientation": presentation.meta.orientation,
-            "simplified": presentation.meta.simplified,
-        },
-    }
-
-
 def _documented_presentations(built):
     """``built``, simplified, and both with negated grading under prefix ``g``
     (a centre's minus part)."""
@@ -828,7 +810,8 @@ def _documented_presentations(built):
         yield replace(minus, meta=replace(minus.meta, prefix="g"))
 
 
-def test_presentation_document_equals_the_reference_for_small_labels():
+def _small_labels():
+    """Every partition of n <= 8 and every wreath label with n*ell <= 8."""
     labels = [(lam, 1) for n in range(9) for lam in partitions_of(n)]
     labels += [
         (q, ell) for ell in range(2, 9) for n in range(8 // ell + 1)
@@ -836,5 +819,20 @@ def test_presentation_document_equals_the_reference_for_small_labels():
     ]
     for label, ell in labels:
         built = direct_presentation(label) if ell == 1 else wreath_presentation(label, ell)
+        yield label, ell, built
+
+
+def test_presentation_document_equals_the_reference_for_small_labels():
+    for label, ell, built in _small_labels():
         for p in _documented_presentations(built):
-            assert presentation_document(p) == _reference_document(p), (label, ell)
+            assert presentation_document(p) == reference_document(p), (label, ell)
+
+
+def test_presentation_json_equals_json_dumps_of_the_reference_at_depth():
+    """The writer's text, byte for byte, top level and three lists deep."""
+    for label, ell, built in _small_labels():
+        for p in _documented_presentations(built):
+            reference = reference_document(p)
+            for depth in (0, 3):
+                pad = "\n" + "  " * depth
+                assert _presentation_json(p, pad) == dumps_at_depth(reference, depth), (label, ell)
