@@ -300,21 +300,22 @@ def _cmd_selftest(args) -> _Output:
 
     n_max = args.n_max
     relation_max = max(n_max, 11) if args.deep else n_max
+    oracle_max = max(n_max, 7) if args.deep else n_max
     suites = [
         (f"direct/wronskian relation agreement (n <= {relation_max})",
          checks.direct_equals_wronskian, relation_max),
         ("abacus roundtrip and quotient bijection (n <= 5, ell <= 4)",
          checks.abacus_bijection, 5),
-        (f"hilbert formula/oracle/hook-dimension agreement (n <= {n_max})",
-         checks.hilbert_formula_equals_oracle, n_max),
+        (f"hilbert formula/oracle/hook-dimension agreement (n <= {oracle_max})",
+         checks.hilbert_formula_equals_oracle, oracle_max),
     ]
     if args.deep:
         suites += [
             ("recursive-wronskian determinant cross-check (n <= 9)",
              checks.recursive_wronskian, 9),
             ("wreath degrees, series formula/oracle agreement, support and "
-             "simplify invariance (n*ell <= 8)",
-             checks.wreath_support, 8),
+             "simplify invariance (n*ell <= 10)",
+             checks.wreath_support, 10),
         ]
     # (name, failure detail or None) per suite
     results = [(name, suite(bound)) for name, suite, bound in suites]

@@ -28,8 +28,9 @@ the complete-intersection product above (Stanley 1978, *Hilbert functions of
 graded algebras*).  For generic parameter the block is the fibre of smooth
 Calogero–Moser space (Gordon 2003), which the paper's theorem presents from
 the label alone.  The oracle verifies the formula coefficient by coefficient
-on every partition of ``n <= 7`` and on every wreath label with
-``2 <= ell`` and ``n * ell <= 10`` (the tests and ``checks``).
+on every partition of ``n <= 8`` and on every wreath label with
+``2 <= ell`` and ``n * ell <= 10`` in the tests, and up to ``n <= 9`` and
+``n * ell <= 12`` through ``checks`` in CI.
 
 The oracle makes no use of the formulas, so agreement between the two is a
 real check.  Rank computation is exact and fraction-free: each relation's
@@ -42,6 +43,25 @@ order, so a Macaulay row ``m * r`` is ``r`` shifted by ``m``: a
 cross-multiplication until it vanishes or opens a new pivot; the rank is
 the number of pivots.  There is no floating point, no modular arithmetic
 and no tolerance anywhere.
+
+Within each degree the rows are built relation by relation, and each new
+pivot column records the index of the relation whose row opened it.  The
+row ``m * r_j`` is not built when ``m`` is a pivot column of degree
+``d - deg r_j`` opened by a relation before ``j``: the syzygy criterion of
+F5 (Faugère 2002, *A new efficient algorithm for computing Gröbner bases
+without reduction to zero*).  Skipping it leaves the span unchanged, for
+any relation order and any regularity.  The pivot row ``g`` of ``m`` is a
+combination of rows of relations ``r_i``, ``i < j``, whose lowest
+(minimum-code) monomial is ``m``; so ``g * r_j`` is a combination of rows
+``m'' * r_i`` of degree ``d``, and
+``c_m * m * r_j = g * r_j - sum c_m' * m' * r_j`` over the other monomials
+``m'`` of ``g``, each of larger code.  By induction over the relations and,
+within ``r_j``, down the codes, every skipped row is in the span of the rows
+kept, so every rank is the one all rows give.  A constant relation's skip
+set is the degree being built, whose pivots from earlier relations are
+final by then.  The block relations form a regular sequence, so every row
+that would reduce to zero is a Koszul syzygy and is skipped: no row the
+oracle reduces on the blocks the tests sweep ends at zero.
 
 The oracle's one degree cutoff is the complete-intersection bound
 ``sum(relation degrees) - sum(generator degrees)`` plus two slack degrees;
@@ -170,45 +190,56 @@ def dimension_hook_formula(label: Label, ell: int = 1) -> int:
 # the presentation oracle
 
 
-def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
-    """Exact rank of sparse integer rows ``{column: coefficient}``.
+def _reduce(
+    row: dict[int, int], pivots: dict[int, tuple[int, list[tuple[int, int]]]]
+) -> int | None:
+    """Reduce the sparse integer row ``{column: coefficient}`` in place
+    against ``pivots`` and return the column of the pivot it opens, or
+    ``None`` if it reduces to zero.
 
-    Fraction-free incremental echelon form: each row is reduced against the
-    stored pivot row of its lowest column, by cross-multiplication with the
-    two leading coefficients over their gcd, until it is empty or its lowest
-    column has no pivot yet; it then becomes that column's pivot, divided by
-    its content.  A pivot is stored as its leading coefficient and its tail;
-    every reduction cancels the leading entry exactly.  Input rows are not
-    modified.
+    Fraction-free: the row is reduced against the stored pivot row of its
+    lowest column, by cross-multiplication with the two leading coefficients
+    over their gcd, until it is empty or its lowest column has no pivot yet;
+    it then becomes that column's pivot, divided by its content.  A pivot is
+    stored as its leading coefficient and its tail; every reduction cancels
+    the leading entry exactly.
     """
-    pivots: dict[int, tuple[int, list[tuple[int, int]]]] = {}
-    for source in rows:
-        row = dict(source)
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                content = math.gcd(*row.values())
-                lead = row.pop(col) // content
-                pivots[col] = (lead, [(c, v // content) for c, v in row.items()])
-                break
-            lead, tail = pivot
-            factor = row.pop(col)
-            g = math.gcd(lead, factor)
-            # row := (lead * row - factor * pivot) / g, leading entry dropped
-            lead, factor = lead // g, factor // g
-            if lead != 1:
-                for c in row:
-                    row[c] *= lead
-            for c, v in tail:
-                if c in row:
-                    value = row[c] - factor * v
-                    if value:
-                        row[c] = value
-                    else:
-                        del row[c]
+    while row:
+        col = min(row)
+        pivot = pivots.get(col)
+        if pivot is None:
+            content = math.gcd(*row.values())
+            lead = row.pop(col) // content
+            pivots[col] = (lead, [(c, v // content) for c, v in row.items()])
+            return col
+        lead, tail = pivot
+        factor = row.pop(col)
+        g = math.gcd(lead, factor)
+        # row := (lead * row - factor * pivot) / g, leading entry dropped
+        lead, factor = lead // g, factor // g
+        if lead != 1:
+            for c in row:
+                row[c] *= lead
+        for c, v in tail:
+            if c in row:
+                value = row[c] - factor * v
+                if value:
+                    row[c] = value
                 else:
-                    row[c] = -factor * v
+                    del row[c]
+            else:
+                row[c] = -factor * v
+    return None
+
+
+def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Exact rank of sparse integer rows ``{column: coefficient}``: each row,
+    copied, is reduced by :func:`_reduce` against the pivots of the rows
+    before it; the rank is the number of pivots.  Input rows are not
+    modified."""
+    pivots: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+    for row in rows:
+        _reduce(dict(row), pivots)
     return len(pivots)
 
 
@@ -236,7 +267,8 @@ def _monomial_codes(radix: Radix, max_degree: int) -> list[list[int]]:
 
 
 def graded_dimensions_from_presentation(presentation: GradedPresentation) -> HilbertSeries:
-    """Dimension of each graded piece of the quotient ring up to the cutoff;
+    """Dimension of each graded piece of the quotient ring up to the cutoff,
+    ranking the Macaulay rows the syzygy criterion keeps;
     :class:`~cherednik_centre.errors.OracleTruncated` unless both slack
     degrees vanish, a check that can miss an infinite quotient (see module
     docstring).  Positive generator degrees, each its symbol's degree, and
@@ -266,15 +298,22 @@ def graded_dimensions_from_presentation(presentation: GradedPresentation) -> Hil
         (primitive_part(radix.encode_poly(r)).items(), s)
         for r, s in zip(relations, relation_degrees) if s <= max_degree
     ]
+    # every pivot column so far, each a monomial of its own degree, and the
+    # index of the relation whose row opened it (the syzygy criterion)
+    opened: dict[int, int] = {}
     dims = []
     for d in range(max_degree + 1):
-        rows = (
-            {shift + code: c for code, c in terms}
-            for terms, s in packed
-            if s <= d
-            for shift in monomials[d - s]
-        )
-        dims.append(len(monomials[d]) - _sparse_rank(rows))
+        pivots: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+        for j, (terms, s) in enumerate(packed):
+            if s > d:
+                continue
+            for shift in monomials[d - s]:
+                if opened.get(shift, j) < j:
+                    continue
+                col = _reduce({shift + code: c for code, c in terms}, pivots)
+                if col is not None:
+                    opened[col] = j
+        dims.append(len(monomials[d]) - len(pivots))
     if any(dims[-2:]):
         raise OracleTruncated(tuple(dims))
     return make_series(dims)

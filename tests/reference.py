@@ -12,11 +12,13 @@ by pair over the whole padded beta-set, the JSON terms of a packed relation
 as one dict per term and a presentation's JSON document as dicts around them
 (the package writes the text at its depth), and the closed Hilbert series
 as one dense product of every factor followed by one long division (the
-package multiplies and divides by each two-term factor in place), and the
-integer ``simplify`` that scans the relations from the first one again after
-every elimination and substitutes into every relation at once (the package
-makes one pass, substituting into each relation when it reaches it).  The
-package itself uses none of them.
+package multiplies and divides by each two-term factor in place), the rank
+oracle that builds and ranks every Macaulay row on exponent vectors (the
+package skips the rows the syzygy criterion shows to be redundant, on
+packed codes), and the integer ``simplify`` that scans the relations from
+the first one again after every elimination and substitutes into every
+relation at once (the package makes one pass, substituting into each
+relation when it reaches it).  The package itself uses none of them.
 
 Also here: the wreath labels the tests sweep, and each one's presentation
 and oracle series, built once per label for every test that reads them; and
@@ -28,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -37,6 +40,7 @@ from cherednik_centre import (
     HilbertSeries,
     InexactDivision,
     NegativeDegreeGenerator,
+    OracleTruncated,
     beta_set,
     cells,
     direct_presentation,
@@ -49,6 +53,7 @@ from cherednik_centre import (
     weighted_degree,
     wreath_presentation,
 )
+from cherednik_centre.hilbert import _sparse_rank
 from cherednik_centre.polyring import (
     GenSym,
     Monomial,
@@ -325,6 +330,54 @@ def series_by_long_division(label, ell: int = 1) -> HilbertSeries:
         for i, j in cells(lam):
             den = poly_mul_dense(den, one_minus_q_to(ell * hook_by_counting(lam, i, j)))
     return make_series(poly_div_exact(num, den))
+
+
+def exponent_vectors(degrees: list[int], total: int):
+    """Every exponent vector over generators of the given degrees whose
+    weighted degree is ``total``."""
+    if not degrees:
+        if total == 0:
+            yield ()
+        return
+    head, rest = degrees[0], degrees[1:]
+    for e in range(total // head + 1):
+        for tail in exponent_vectors(rest, total - e * head):
+            yield (e, *tail)
+
+
+def series_by_every_macaulay_row(presentation: GradedPresentation) -> HilbertSeries:
+    """The rank oracle with no syzygy criterion: in each degree ``d`` up to
+    the oracle's cutoff, every row ``m * r`` (``r`` a non-zero relation of
+    degree ``s <= d``, ``m`` a monomial of degree ``d - s``) is built on
+    exponent vectors, its coefficients scaled by the lcm of their
+    denominators, and all are ranked by ``_sparse_rank``.  Raises
+    :class:`OracleTruncated` with the dimensions unless both slack degrees
+    vanish.  Expects positive generator degrees and relations in the
+    generators alone."""
+    symbols = [g for g, _ in presentation.generators]
+    degrees = [g.degree for g in symbols]
+    relations = []
+    for r in filter(None, presentation.relations):
+        lcm = math.lcm(*(c.denominator for c in r.values()))
+        terms = [
+            (tuple(dict(gens).get(g, 0) for g in symbols), int(c * lcm))
+            for (_, gens), c in r.items()
+        ]
+        relations.append((terms, weighted_degree(r)))
+    cutoff = max(0, sum(s for _, s in relations) - sum(degrees)) + 2
+    dims = []
+    for d in range(cutoff + 1):
+        columns = {m: i for i, m in enumerate(exponent_vectors(degrees, d))}
+        rows = [
+            {columns[tuple(a + b for a, b in zip(m, vector))]: c for vector, c in terms}
+            for terms, s in relations
+            if s <= d
+            for m in exponent_vectors(degrees, d - s)
+        ]
+        dims.append(len(columns) - _sparse_rank(rows))
+    if any(dims[-2:]):
+        raise OracleTruncated(tuple(dims))
+    return make_series(dims)
 
 
 def wreath_cases(total_max: int):

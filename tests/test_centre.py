@@ -115,12 +115,12 @@ def test_centre_runs_the_oracle_once_per_label(monkeypatch, n, ell):
         seen.append(q)
         return build(q, ell)
 
-    def forbidden(rows):
+    def forbidden(row, pivots):
         raise AssertionError("centre_presentation ran the rank oracle")
 
     monkeypatch.setattr(presentation, "wreath_presentation", counting)
-    # every oracle call ranks its rows here, however the oracle was imported
-    monkeypatch.setattr(hilbert, "_sparse_rank", forbidden)
+    # every oracle call reduces its rows here, however the oracle was imported
+    monkeypatch.setattr(hilbert, "_reduce", forbidden)
     cp = centre_presentation(n, ell)
     assert sorted(seen) == sorted(multipartitions_of(n, ell))
     monkeypatch.undo()

@@ -385,10 +385,10 @@ _SUITES = (
 _DEEP_SUITES = (
     "direct/wronskian relation agreement (n <= 11)",
     "abacus roundtrip and quotient bijection (n <= 5, ell <= 4)",
-    "hilbert formula/oracle/hook-dimension agreement (n <= 3)",
+    "hilbert formula/oracle/hook-dimension agreement (n <= 7)",
     "recursive-wronskian determinant cross-check (n <= 9)",
     "wreath degrees, series formula/oracle agreement, support and simplify "
-    "invariance (n*ell <= 8)",
+    "invariance (n*ell <= 10)",
 )
 
 

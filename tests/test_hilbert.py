@@ -40,8 +40,13 @@ from cherednik_centre.hilbert import (
 
 from conftest import NON_PARTITIONS, partitions_up_to
 from reference import (
+    exponent_vectors,
+    gen,
+    monomial,
+    mul,
     one_minus_q_to,
     poly_mul_dense,
+    series_by_every_macaulay_row,
     series_by_long_division,
     wreath_block,
     wreath_cases,
@@ -94,7 +99,7 @@ def test_transpose_has_the_same_series(n):
 # --- the rank oracle ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", range(0, 8))
+@pytest.mark.parametrize("n", range(0, 9))
 def test_oracle_agrees_with_the_formula(n):
     for lam in partitions_of(n):
         p = direct_presentation(lam)
@@ -240,14 +245,119 @@ def test_oracle_rejects_an_infinite_quotient_past_the_slack_degrees():
         graded_dimensions_from_presentation(_presentation([(x, 1), (y, 5)], relations))
 
 
+def _outcome(oracle, presentation):
+    """The series, or the payload of the ``OracleTruncated`` it raised."""
+    try:
+        return oracle(presentation)
+    except OracleTruncated as raised:
+        return raised.args
+
+
+@st.composite
+def _small_presentations(draw):
+    """1-3 generators of degree 1-3 and 1-3 homogeneous relations, each of
+    degree 0-4 with small rational coefficients (a degree no monomial has
+    gives the zero relation), an earlier relation again, or an earlier
+    relation times a generator; any order of degrees, regular or not."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    symbols = [GenSym(row, d) for row, d in enumerate(degrees, start=1)]
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["new", "again", "times"] if relations else ["new"]))
+        if kind == "again":
+            relations.append(draw(st.sampled_from(relations)))
+        elif kind == "times":
+            earlier, g = draw(st.sampled_from(relations)), draw(st.sampled_from(symbols))
+            relations.append(mul(earlier, gen(g)))
+        else:
+            vectors = list(exponent_vectors(degrees, draw(st.integers(0, 4))))
+            chosen = draw(st.lists(st.sampled_from(vectors), unique=True)) if vectors else []
+            relations.append({
+                m: c
+                for vector in chosen
+                for m, c in monomial(0, dict(zip(symbols, vector)), draw(coefficient)).items()
+            })
+    return _presentation([(g, g.degree) for g in symbols], relations)
+
+
+@given(_small_presentations())
+def test_oracle_equals_the_reference_that_builds_every_row(presentation):
+    """The syzygy criterion skips only rows in the span of the rows kept,
+    for any order of the relations and any regularity: the series, or the
+    ``OracleTruncated`` payload, is the one every Macaulay row gives."""
+    assert _outcome(graded_dimensions_from_presentation, presentation) == _outcome(
+        series_by_every_macaulay_row, presentation
+    )
+
+
+_X, _Y, _Z = GenSym(1, 1), GenSym(2, 1), GenSym(3, 5)
+
+
+def _poly(*terms) -> dict:
+    """``sum c * prod g^e`` from ``(c, {g: e})`` pairs."""
+    return {m: v for c, factors in terms for m, v in monomial(0, factors, c).items()}
+
+
+@pytest.mark.parametrize(
+    "generators, relations, expected",
+    [
+        # a constant after x: x * 3 is skipped, in the degree being built
+        ([_X], [_poly((1, {_X: 1})), _poly((3, {}))], (0,)),
+        # a constant first: its pivot in degree 0 skips 1 * x^2
+        ([_X], [_poly((2, {})), _poly((1, {_X: 2}))], (0,)),
+        # a repeated relation: the criterion skips only some of its rows, and
+        # the rows it builds reduce to zero
+        ([_X, _Y], [_poly((1, {_X: 2})), _poly((1, {_Y: 2})), _poly((1, {_X: 2}))],
+         (1, 2, 1)),
+        # out of degree order: y^3 opens y^3 in degree 3, so y^3 * x^2 is skipped
+        ([_X, _Y], [_poly((1, {_Y: 3})), _poly((1, {_X: 2}), (-1, {_X: 1, _Y: 1}))],
+         (1, 2, 2, 1)),
+        # not regular, x^5 in (x): C[x, z] / (x, x^5) with deg z = 5 is C[z],
+        # which the slack degrees miss (see the strict xfail above)
+        ([_X, _Z], [_poly((1, {_X: 1})), _poly((1, {_X: 5}))], (1,)),
+    ],
+    ids=["constant-after", "constant-first", "repeated", "out-of-order", "x-and-x5"],
+)
+def test_oracle_equals_the_reference_on_edge_presentations(generators, relations, expected):
+    presentation = _presentation([(g, g.degree) for g in generators], relations)
+    series = graded_dimensions_from_presentation(presentation)
+    assert series == series_by_every_macaulay_row(presentation)
+    assert series.coefficients == expected
+
+
+def test_the_oracle_builds_no_row_that_reduces_to_zero(monkeypatch):
+    """A block's relations form a regular sequence, so every Macaulay row
+    that reduces to zero is a Koszul syzygy, which the criterion skips: no
+    row the oracle reduces ends at zero, on every partition of n <= 6 and
+    every wreath label with n * ell <= 8.  Without the criterion, most
+    blocks build such rows."""
+    from cherednik_centre import hilbert
+
+    reduce = hilbert._reduce
+    ends: list[int | None] = []
+
+    def counting(row, pivots):
+        ends.append(reduce(row, pivots))
+        return ends[-1]
+
+    monkeypatch.setattr(hilbert, "_reduce", counting)
+    blocks = [(lam, 1, direct_presentation(lam)) for n in range(7) for lam in partitions_of(n)]
+    blocks += [(q, ell, wreath_presentation(q, ell)) for q, ell in wreath_cases(8)]
+    zero_rows = {}
+    for label, ell, built in blocks:
+        start = len(ends)
+        graded_dimensions_from_presentation(built)
+        zero_rows[label, ell] = ends[start:].count(None)
+    assert len(ends) > len(blocks)
+    assert {key: count for key, count in zero_rows.items() if count} == {}
+
+
 def test_oracle_rejects_inhomogeneous_relations():
     x = GenSym(1, 1)
     relation = {(0, ((x, 1),)): Fraction(1), (0, ((x, 2),)): Fraction(1)}  # x + x^2
     with pytest.raises(InhomogeneousRelation):
         graded_dimensions_from_presentation(_presentation([(x, 1)], [relation]))
-
-
-_X, _Y = GenSym(1, 1), GenSym(2, 1)
 
 
 @pytest.mark.parametrize(
@@ -389,6 +499,17 @@ def test_oracle_agrees_on_simplified_wreath_presentations():
         assert hilbert_series_formula(q, ell) == series, (q, ell)
         assert graded_dimensions_from_presentation(simplified) == series, (q, ell)
     assert fractional > 0
+
+
+def test_oracle_agrees_with_the_formula_on_2_1_2_1():
+    """The ell = 2, n = 6 label ``2,1|2,1``, past ``n * ell <= 10``: raw and
+    simplified, the oracle series is the closed formula."""
+    q = ((2, 1), (2, 1))
+    raw = wreath_presentation(q, 2)
+    series = hilbert_series_formula(q, 2)
+    assert graded_dimensions_from_presentation(raw) == series
+    assert graded_dimensions_from_presentation(simplify(raw)) == series
+    assert series.dimension() == dimension_hook_formula(q, 2)
 
 
 def test_wreath_dimension_survey_is_recorded_not_asserted(capsys):
