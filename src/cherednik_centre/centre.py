@@ -16,13 +16,13 @@ The deformation parameter never appears: the presentations are valid for
 generic parameter (smooth Calogero–Moser space) and carry no dependence on
 it, which the CLI documents as an explicit assumption string.
 
-Plus-part generators render with prefix ``f`` and minus parts with ``g`` so
-a flattened tensor block has collision-free generator names.
+Generator names follow the orientation, prefix ``f`` on a plus part and ``g``
+on a minus part, so a flattened tensor block has collision-free names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .abacus import MultiPartition, star_involution
@@ -72,16 +72,11 @@ def _multipartitions_of(n: int, ell: int) -> Iterator[MultiPartition]:
                 yield (head,) + tail
 
 
-def _reprefix(presentation: GradedPresentation, prefix: str) -> GradedPresentation:
-    return replace(presentation, meta=replace(presentation.meta, prefix=prefix))
-
-
 def _plus_part(
     label: Label, ell: int, simplified: bool, parts: dict[Label, GradedPresentation]
 ) -> GradedPresentation:
-    """The plus part of ``label``, built once per ``parts``: a label is
-    needed as a plus part and again as the minus part of its star partner's
-    block (its own block when the label is its own star)."""
+    """The plus part of ``label``, built once per ``parts``: it is also the
+    minus part, negated, of its star partner's block (its own if self-star)."""
     found = parts.get(label)
     if found is None:
         found = parts[label] = _block_part(label, ell, simplified)
@@ -94,20 +89,15 @@ def _labels(n: int, ell: int) -> list[Label]:
     return [q[0] if ell == 1 else q for q in multipartitions_of(n, ell)]
 
 
-def _star(label: Label, ell: int) -> Label:
-    return label if ell == 1 else star_involution(label)  # type: ignore[arg-type]
-
-
 def _block(
     label: Label, ell: int, simplified: bool, parts: dict[Label, GradedPresentation]
 ) -> Block:
     # the dimension comes first: it rejects a label that does not fit ``ell``
     dim = dimension_hook_formula(label, ell)
-    star = _star(label, ell)
+    star = None if ell == 1 else star_involution(label)  # type: ignore[arg-type]
     plus = _plus_part(label, ell, simplified, parts)
-    minus = _reprefix(negate_grading(_plus_part(star, ell, simplified, parts)), "g")
-    star_label = None if ell == 1 else star
-    return Block(label, plus, minus, dim * dim, star_label)  # type: ignore[arg-type]
+    minus = negate_grading(_plus_part(star or label, ell, simplified, parts))
+    return Block(label, plus, minus, dim * dim, star)
 
 
 def block(label: Label, ell: int, simplified: bool = False) -> Block:

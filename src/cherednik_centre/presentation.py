@@ -99,11 +99,21 @@ def format_label(label: Label) -> str:
 
 @dataclass(frozen=True)
 class PresentationMeta:
+    """Provenance: ``source`` label, ``ell``, ``orientation`` and ``simplified``
+    flag.  Names follow the orientation: ``prefix`` is ``f`` at +1, ``g`` at -1.
+
+    >>> PresentationMeta((2,), 1, -1).prefix
+    'g'
+    """
+
     source: Label
     ell: int
     orientation: int
     simplified: bool = False
-    prefix: str = "f"
+
+    @property
+    def prefix(self) -> str:
+        return "f" if self.orientation > 0 else "g"
 
 
 @dataclass(frozen=True)
@@ -394,10 +404,10 @@ def _block_part(label: Label, ell: int, simplified: bool) -> GradedPresentation:
 
 
 def negate_grading(presentation: GradedPresentation) -> GradedPresentation:
-    """Flip every generator degree and the orientation flag."""
+    """Flip every degree and the orientation, so a plus part's ``f`` names become ``g``."""
     flipped = tuple((g, -d) for g, d in presentation.generators)
     meta = replace(presentation.meta, orientation=-presentation.meta.orientation)
-    return replace(presentation, generators=flipped, meta=meta)
+    return GradedPresentation(flipped, presentation.relations, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from cherednik_centre import (
     dimension_hook_formula,
     graded_dimensions_from_presentation,
     multipartitions_of,
+    negate_grading,
     partitions_of,
     quotient_ring_text,
     simplify,
@@ -189,6 +190,18 @@ def test_star_pairing_gives_equal_dimensions():
             for label, dim in by_label.items():
                 assert by_label[star(label)] == dim, (label, ell)
                 assert dim == dimension_hook_formula(label, ell) ** 2, (label, ell)
+
+
+@pytest.mark.parametrize("simplified", [False, True])
+def test_minus_part_is_the_star_partners_plus_part_negated(simplified):
+    """Every block with ell <= 3 and n*ell <= 6: the minus part is
+    ``negate_grading`` of the star partner's plus part, ``g`` names included."""
+    for ell in range(1, 4):
+        for n in range(6 // ell + 1):
+            for b in centre_presentation(n, ell, simplified).blocks:
+                star = b.label if ell == 1 else b.star_label
+                assert b.minus_part == negate_grading(block(star, ell, simplified).plus_part)
+                assert b.minus_part.meta.prefix == "g"
 
 
 def test_simplified_centre_blocks_are_marked():

@@ -597,6 +597,9 @@ _LARGE_OUTPUT_PINS = {
         "ced827870252df0f0cae7a46987d2a03746260f6e39badde0b2dab892475f0f2",
     "centre --ell 2 --simplified --format json -- 5":
         "ff839e02d13d443a2c24bfba7bec6b9e4e444b625c269d80cdf5e0191cdad2df",
+    # minus parts from the star partner, a different label at ell = 3
+    "centre --ell 3 --simplified --format text -- 5":
+        "4181381d11f93028fe59e10b10a1abf0d7e5a2494cc833d5fcf71ffba138b564",
     # raw relations, rendered from the codes they are built on
     "centre --format json -- 5":
         "054a4738d0b459bc0b42d605315c5bbb1dce14040ce6e497958f2fd8a58663f2",
