@@ -107,8 +107,7 @@ def ell_quotient(lam: Partition, ell: int) -> MultiPartition:
     lam = make_partition(lam)
     n_beads = len(lam)
     if _ell_core(lam, ell) == ():
-        while n_beads % ell != (ell - 1) % ell:
-            n_beads += 1
+        n_beads += (ell - 1 - n_beads) % ell
     beads = _beta_set(lam, n_beads)
     return tuple(_partition_from_positions([p // ell for p in beads if p % ell == c])
                  for c in range(ell))

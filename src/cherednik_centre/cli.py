@@ -155,7 +155,7 @@ def _cmd_partition_info(args) -> _Output:
     lam = parse_partition(args.partition)
     n = sum(lam)
     hooks = _row_hooks(lam)
-    beta = list(beta_set(lam, n)) if n else []
+    beta = list(beta_set(lam, n))
 
     def text() -> str:
         return "\n".join([

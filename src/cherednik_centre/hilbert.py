@@ -57,11 +57,17 @@ combination of rows of relations ``r_i``, ``i < j``, whose lowest
 ``c_m * m * r_j = g * r_j - sum c_m' * m' * r_j`` over the other monomials
 ``m'`` of ``g``, each of larger code.  By induction over the relations and,
 within ``r_j``, down the codes, every skipped row is in the span of the rows
-kept, so every rank is the one all rows give.  A constant relation's skip
-set is the degree being built, whose pivots from earlier relations are
-final by then.  The block relations form a regular sequence, so every row
-that would reduce to zero is a Koszul syzygy and is skipped: no row the
-oracle reduces on the blocks the tests sweep ends at zero.
+kept, so every rank is the one all rows give.  The argument is about spans
+alone, so it also covers any order of the shifts: the monomial table lists
+each degree unsorted (``table[d] += table[d - deg x]`` shifted by ``x``, per
+generator ``x``: unbounded knapsack).  ``_reduce`` pivots at ``min(row)``, so
+the pivot columns of a span are its lowest codes in any row order, and
+``opened``, the rows skipped, every rank, series and ``OracleTruncated``
+payload are those of ascending shifts.  A constant relation's skip set is
+the degree being built, whose pivots from earlier relations are final by
+then.  The block relations form a regular sequence, so every row that
+would reduce to zero is a Koszul syzygy and is skipped: no row the oracle
+reduces on the blocks the tests sweep ends at zero.
 
 The oracle's one degree cutoff is the complete-intersection bound
 ``sum(relation degrees) - sum(generator degrees)`` plus two slack degrees;
@@ -244,25 +250,15 @@ def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
 
 
 def _monomial_codes(radix: Radix, max_degree: int) -> list[list[int]]:
-    """For each ``d <= max_degree``, the ascending codes of the monomials of
-    degree ``d`` in the symbols of ``radix``, a :meth:`Radix.by_degree
-    <cherednik_centre.polyring.Radix.by_degree>` codec up to ``max_degree``,
-    so multiplying two monomials whose degrees sum to at most ``max_degree``
-    is adding their codes."""
-    steps = [(s.degree, place) for s, place in zip(radix.symbols, radix.places[1:])]
-    table: list[list[int]] = [[] for _ in range(max_degree + 1)]
-
-    def grow(k: int, degree: int, code: int) -> None:
-        if k == len(steps):
-            table[degree].append(code)
-            return
-        step, place = steps[k]
-        while degree <= max_degree:
-            grow(k + 1, degree, code)
-            degree += step
-            code += place
-
-    grow(0, 0, 0)
+    """Per ``d <= max_degree``, each degree-``d`` monomial code on ``radix`` once (unbounded
+    knapsack), unsorted: ``_reduce`` pivots at ``min(row)``, so row order moves no pivot column.
+    >>> from cherednik_centre.polyring import GenSym
+    >>> [len(c) for c in _monomial_codes(Radix.by_degree([GenSym(1, 1), GenSym(1, 2)], 4), 4)]
+    [1, 1, 2, 2, 3]"""
+    table = [[0]] + [[] for _ in range(max_degree)]
+    for s, place in radix.place_of.items():
+        for d in range(s.degree, max_degree + 1):
+            table[d] += [code + place for code in table[d - s.degree]]
     return table
 
 

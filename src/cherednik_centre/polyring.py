@@ -401,22 +401,25 @@ class PackedPolys:
         return " ".join(pieces)
 
     def json_text(self, index: int, prefix: str = "f", pad: str = "\n") -> str:
-        """Polynomial ``index`` as ``json.dumps(..., indent=2,
-        sort_keys=True)`` writes it, its list of ``{"coefficient": "-3/5",
-        "monomial": [names repeated by exponent]}`` per term (``u`` is not
-        named), on a line whose newline and indent are ``pad``: the closing
+        """Polynomial ``index`` as ``json.dumps(..., indent=2, sort_keys=True)``
+        writes it, its list of ``{"coefficient": "-3/5", "monomial": [names
+        repeated by exponent, then "u" per power of u, as text has f1,1*u]}``
+        per term, on a line whose newline and indent are ``pad``: the closing
         bracket follows ``pad``, the default being the top level."""
         p, rows, lead, sign = self._terms(index, prefix, False, pad)
         term = "{" + pad + '    "coefficient": "'
+        sep = "," + pad + "      "
         names_head = '",' + pad + '    "monomial": [' + pad + "      "
         names_end = pad + "    ]" + pad + "  }"
         no_names = '",' + pad + '    "monomial": []' + pad + "  }"
         gcd, terms = math.gcd, []
-        for _key, code, _ue, names in rows:
+        for _key, code, ue, names in rows:
             c = p[code]
             g = gcd(c, lead) * sign
             den = lead // g
             coefficient = str(c // g) if den == 1 else f"{c // g}/{den}"
+            if ue:
+                names = (names + ue * (sep + '"u"')).removeprefix(sep)
             tail = names_head + names + names_end if names else no_names
             terms.append(term + coefficient + tail)
         inner = pad + "  "

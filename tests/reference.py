@@ -237,16 +237,18 @@ def vandermonde_coefficient(lam, m) -> Fraction:
 
 def json_terms(packed: PackedPolys, index: int, prefix: str = "f") -> list[dict]:
     """Polynomial ``index`` as ``{"coefficient": "-3/5", "monomial": [names
-    repeated by exponent]}`` per term (``u`` is not named), in the order of
-    the package's sorted rows, each coefficient a ``Fraction`` over the lead
-    and each monomial decoded from its code."""
+    repeated by exponent]}`` per term, ``"u"`` repeated by its exponent after
+    the generator names, in the order of the package's sorted rows, each
+    coefficient a ``Fraction`` over the lead and each monomial decoded from
+    its code."""
     p, rows, lead, _sign = packed._terms(index, prefix, False)
     terms = []
     for _key, code, *_ in rows:
-        _ue, gens = packed.radix.decode(code)
+        ue, gens = packed.radix.decode(code)
         terms.append({
             "coefficient": str(Fraction(p[code], lead)),
-            "monomial": [generator_name(s, prefix) for s, e in gens for _ in range(e)],
+            "monomial": [generator_name(s, prefix) for s, e in gens for _ in range(e)]
+            + ["u"] * ue,
         })
     return terms
 

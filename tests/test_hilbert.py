@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cherednik_centre import (
     GenSym,
@@ -34,9 +34,11 @@ from cherednik_centre import (
 from cherednik_centre.hilbert import (
     HilbertSeries,
     _divide_by_one_minus_q_to,
+    _monomial_codes,
     _sparse_rank,
     _times_one_minus_q_to,
 )
+from cherednik_centre.polyring import Radix, monomial_degree
 
 from conftest import NON_PARTITIONS, partitions_up_to
 from reference import (
@@ -351,6 +353,41 @@ def test_the_oracle_builds_no_row_that_reduces_to_zero(monkeypatch):
         zero_rows[label, ell] = ends[start:].count(None)
     assert len(ends) > len(blocks)
     assert {key: count for key, count in zero_rows.items() if count} == {}
+
+
+def _check_monomial_table(symbols, max_degree):
+    """Per degree, the codes of the oracle's monomial table, decoded on its
+    codec, are the exponent vectors of the reference enumeration, each once."""
+    radix = Radix.by_degree(symbols, max_degree)
+    table = _monomial_codes(radix, max_degree)
+    assert len(table) == max_degree + 1
+    for d, codes in enumerate(table):
+        assert len(set(codes)) == len(codes), (symbols, d)
+        decoded = [radix.decode(code) for code in codes]
+        assert all(ue == 0 for ue, _ in decoded), (symbols, d)
+        vectors = [tuple(dict(gens).get(s, 0) for s in symbols) for _, gens in decoded]
+        assert sorted(vectors) == sorted(exponent_vectors([s.degree for s in symbols], d)), (
+            symbols, d,
+        )
+
+
+@given(st.lists(st.integers(1, 4), max_size=4), st.integers(0, 9))
+@example([], 3)  # only the constant monomial
+@example([2, 1, 2, 4], 9)  # a repeated degree, out of order
+@example([1, 1, 1, 1], 9)
+def test_monomial_table_is_every_monomial_once(degrees, max_degree):
+    _check_monomial_table([GenSym(row, d) for row, d in enumerate(degrees, 1)], max_degree)
+
+
+def test_monomial_table_on_the_oracle_codec_of_every_raw_presentation():
+    """The codec and cutoff the oracle builds for every partition of n <= 6."""
+    for n in range(7):
+        for lam in partitions_of(n):
+            p = direct_presentation(lam)
+            symbols = [g for g, _ in p.generators]
+            relation_degrees = [monomial_degree(next(iter(r))) for r in p.relations if r]
+            cutoff = max(0, sum(relation_degrees) - sum(s.degree for s in symbols)) + 2
+            _check_monomial_table(symbols, cutoff)
 
 
 def test_oracle_rejects_inhomogeneous_relations():

@@ -462,7 +462,7 @@ def _reference_monic(p, lead=None):
 
 def _reference_json_terms(p, prefix):
     return [
-        {"coefficient": str(p[mono]), "monomial": names}
+        {"coefficient": str(p[mono]), "monomial": names + ["u"] * mono[0]}
         for mono, names in _reference_named_terms(p, prefix)
     ]
 

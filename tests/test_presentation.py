@@ -40,6 +40,7 @@ from cherednik_centre.presentation import (
     PresentationMeta,
     _eliminate,
     _presentation_json,
+    presentation_text,
 )
 
 from conftest import NON_PARTITIONS, partitions_up_to
@@ -803,12 +804,22 @@ def test_presentation_document_multipartition_label():
     assert isinstance(first_term["coefficient"], str)
 
 
-def _documented_presentations(built):
-    """``built``, simplified, and both with negated grading, named ``g``
-    (a centre's minus part)."""
-    for p in (built, simplify(built)):
-        yield p
-        yield negate_grading(p)
+# ``u^2 + 3*f1,1^2``: a relation with a pure power of ``u``, which JSON names
+# ``"u"`` once per power, as the text form writes it
+_U_PRESENTATION = GradedPresentation(
+    ((GenSym(1, 1), 1),), [{(2, ()): 1, (0, ((GenSym(1, 1), 2),)): 3}], PresentationMeta((), 1, 1)
+)
+
+
+def _documented_presentations():
+    """Each small label's presentation, simplified, and both with negated
+    grading, named ``g`` (a centre's minus part), after the label and ell;
+    then the presentation with a ``u`` term."""
+    for label, ell, built in _small_labels():
+        for p in (built, simplify(built)):
+            yield (label, ell), p
+            yield (label, ell), negate_grading(p)
+    yield "u relation", _U_PRESENTATION
 
 
 def _small_labels():
@@ -823,17 +834,29 @@ def _small_labels():
         yield label, ell, built
 
 
+def test_presentation_json_names_u_once_per_power():
+    """The document states the relation the text form prints: ``u^2`` is
+    two ``"u"`` names, and ``u`` follows the generators, as in ``f1,1*u``."""
+    assert presentation_text(_U_PRESENTATION).endswith("r_2 = u^2 + 3*f1,1^2")
+    terms = presentation_document(_U_PRESENTATION)["relations"][0]
+    assert [t["monomial"] for t in terms] == [["u", "u"], ["f1,1", "f1,1"]]
+    x = GenSym(1, 1)
+    mixed = {(2, ()): 1, (1, ((x, 1),)): -2, (0, ((x, 2),)): 3}
+    p = GradedPresentation(((x, 1),), [mixed], PresentationMeta((), 1, 1))
+    assert presentation_text(p).endswith("r_2 = u^2 - 2*f1,1*u + 3*f1,1^2")
+    terms = presentation_document(p)["relations"][0]
+    assert [t["monomial"] for t in terms] == [["u", "u"], ["f1,1", "u"], ["f1,1", "f1,1"]]
+
+
 def test_presentation_document_equals_the_reference_for_small_labels():
-    for label, ell, built in _small_labels():
-        for p in _documented_presentations(built):
-            assert presentation_document(p) == reference_document(p), (label, ell)
+    for where, p in _documented_presentations():
+        assert presentation_document(p) == reference_document(p), where
 
 
 def test_presentation_json_equals_json_dumps_of_the_reference_at_depth():
     """The writer's text, byte for byte, top level and three lists deep."""
-    for label, ell, built in _small_labels():
-        for p in _documented_presentations(built):
-            reference = reference_document(p)
-            for depth in (0, 3):
-                pad = "\n" + "  " * depth
-                assert _presentation_json(p, pad) == dumps_at_depth(reference, depth), (label, ell)
+    for where, p in _documented_presentations():
+        reference = reference_document(p)
+        for depth in (0, 3):
+            pad = "\n" + "  " * depth
+            assert _presentation_json(p, pad) == dumps_at_depth(reference, depth), where
