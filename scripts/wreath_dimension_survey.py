@@ -16,13 +16,12 @@ import argparse
 import sys
 
 from cherednik_centre import (
-    OracleTruncated,
     format_multipartition,
-    graded_dimensions_from_presentation,
     hilbert_series_formula,
     multipartitions_of,
     wreath_presentation,
 )
+from cherednik_centre.checks import oracle_series
 
 
 def main() -> int:
@@ -37,11 +36,7 @@ def main() -> int:
     for ell in range(2, args.budget + 1):
         for n in range(1, args.budget // ell + 1):
             for q in multipartitions_of(n, ell):
-                built = wreath_presentation(q, ell)
-                try:
-                    oracle = graded_dimensions_from_presentation(built)
-                except OracleTruncated:
-                    oracle = None
+                oracle = oracle_series(wreath_presentation(q, ell))
                 formula = hilbert_series_formula(q, ell)
                 disagreements += oracle != formula
                 print(

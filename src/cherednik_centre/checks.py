@@ -18,13 +18,14 @@ from .abacus import (
 from .centre import multipartitions_of
 from .errors import OracleTruncated
 from .hilbert import (
+    HilbertSeries,
     dimension_hook_formula,
     graded_dimensions_from_presentation,
     hilbert_series_formula,
 )
 from .partitions import beta_set, partitions_of, weight
 from .polyring import weighted_degree
-from .presentation import direct_presentation, simplify, wreath_presentation
+from .presentation import GradedPresentation, direct_presentation, simplify, wreath_presentation
 from .wronski import SchubertBasis, wronski_relations, wronskian, wronskian_recursive
 
 
@@ -64,8 +65,9 @@ def abacus_bijection(n_max: int) -> str | None:
     return None
 
 
-def _oracle(presentation):
-    """The oracle's series, or ``None`` (equal to no series) if it raises."""
+def oracle_series(presentation: GradedPresentation) -> HilbertSeries | None:
+    """The rank oracle's series of ``presentation``, or ``None`` (equal to
+    no series) if the oracle raises ``OracleTruncated``."""
     try:
         return graded_dimensions_from_presentation(presentation)
     except OracleTruncated:
@@ -77,7 +79,7 @@ def hilbert_formula_equals_oracle(n_max: int) -> str | None:
     for n in range(0, n_max + 1):
         for lam in partitions_of(n):
             series = hilbert_series_formula(lam)
-            oracle = _oracle(direct_presentation(lam))
+            oracle = oracle_series(direct_presentation(lam))
             if series != oracle:
                 return f"series mismatch at {lam}"
             if series.dimension() != dimension_hook_formula(lam):
@@ -114,12 +116,12 @@ def wreath_support(total_max: int) -> str | None:
                 for k, rel in enumerate(built.relations, start=1):
                     if rel and weighted_degree(rel) != k * ell:
                         return f"relation {k} not of degree {k * ell} at {q}"
-                series = _oracle(built)
+                series = oracle_series(built)
                 if hilbert_series_formula(q, ell) != series:
                     return f"series formula mismatch at {q}"
                 for d, c in enumerate(series.coefficients):
                     if c and d % ell:
                         return f"support violation at {q}, degree {d}"
-                if _oracle(simplify(built)) != series:
+                if oracle_series(simplify(built)) != series:
                     return f"simplify changed dimensions at {q}"
     return None

@@ -84,7 +84,6 @@ the largest generator degree to vanish.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .abacus import _make_multipartition
@@ -236,17 +235,6 @@ def _reduce(
             else:
                 row[c] = -factor * v
     return None
-
-
-def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
-    """Exact rank of sparse integer rows ``{column: coefficient}``: each row,
-    copied, is reduced by :func:`_reduce` against the pivots of the rows
-    before it; the rank is the number of pivots.  Input rows are not
-    modified."""
-    pivots: dict[int, tuple[int, list[tuple[int, int]]]] = {}
-    for row in rows:
-        _reduce(dict(row), pivots)
-    return len(pivots)
 
 
 def _monomial_codes(radix: Radix, max_degree: int) -> list[list[int]]:

@@ -37,7 +37,9 @@ sorts monomials by ``(-degree, -u exponent, factors)``.  :class:`PackedPolys`
 renders in that order, as text or canonical JSON: it reads each term's sort
 key and names in one pass over its non-zero digits (:meth:`Radix.ordered`),
 each factor's names joined once per codec, sorts the terms by that int key,
-and writes each coefficient ``c / lead`` reduced by one ``math.gcd``.
+and writes each coefficient ``c / lead`` reduced by one ``math.gcd``.  The
+key reads each symbol digit of the code as present or absent, which orders
+the factors because every symbol weighs at least 1.
 """
 
 from __future__ import annotations
@@ -173,66 +175,59 @@ class Radix:
         """What :meth:`ordered` reads, for names under ``prefix`` in text
         (``f1,2^3``) or JSON (``"f1,2"`` e times) form, pre-joined; built once
         per ``(prefix, text, pad)``.  JSON names are joined by ``","``, ``pad``
-        and six spaces, for a relation closing after ``pad`` (:meth:`PackedPolys.json_text`)."""
+        and six spaces, for a relation closing after ``pad`` (:meth:`PackedPolys.json_text`).
+        ``e * place`` for every symbol digit and ``e > 0`` ascend together, so
+        one bisection finds a code's leading factor, whose cell holds its gain
+        in the key, its names bare and its names behind a separator."""
         found = self._tables.get((prefix, text, pad))
         if found is None:
             sep = "*" if text else "," + pad + "      "
-            bases = self.bases[:0:-1]
-            span = math.prod(b + 1 for b in bases)
-            key_place, tail, thresholds, cells = 1, 0, [], []
-            for s, base, place in zip(self.symbols[::-1], bases, self.places[:0:-1]):
+            per_degree = -self.bases[0] * self.places[0]
+            thresholds, cells = [], []
+            for s, base, place in zip(self.symbols[::-1], self.bases[:0:-1], self.places[:0:-1]):
                 name = generator_name(s, prefix)
                 if not text:
                     name = _quote(name)
-                step = key_place - s.degree * self.bases[0] * span
-                # exponent e's cell: gain e * step - base * key_place, names e times
-                gain, names, joined = step - base * key_place, name, sep + name
+                step = s.degree * per_degree
+                # exponent e's cell: gain e * step - base * place, names e times
+                gain, names, joined = step - base * place, name, sep + name
                 for e in range(1, base):
                     thresholds.append(e * place)
-                    cells.append((gain, names, sep + names, tail))
+                    cells.append((gain, names, sep + names))
                     gain += step
                     names = f"{name}^{e + 1}" if text else names + joined
-                tail -= base * key_place
-                key_place *= base + 1
-            u_step = -(self.bases[0] + 1) * span
-            found = self._tables[prefix, text, pad] = (thresholds, cells, tail, u_step)
+            u_step = per_degree - self.places[0]
+            found = self._tables[prefix, text, pad] = (thresholds, cells, u_step)
         return found
 
     def ordered(self, codes, table: tuple) -> list[tuple[int, int, int, str]]:
         """``(key, code, u exponent, joined names)`` per code, ascending in
-        the canonical order of the monomials.
+        the canonical order of the monomials; the codec's symbols are sorted
+        and weigh at least 1 (:meth:`by_degree`).
 
-        The key is ``-(degree * bases[0] + ue) * K + T`` with ``T`` in
-        ``(-K, 0]``, a number in the radix ``b + 1`` per symbol digit of base
-        ``b`` (``K`` its range) whose digit is ``e - b`` for an exponent
-        ``e > 0``, ``0`` for a zero before the last factor and ``-b`` for one
-        after it: where two monomials first differ, the smaller exponent
-        comes first, an absent factor last and an ended factor tuple first.
-        The factors come most significant first: ``e * place`` for every
-        digit and exponent ``e > 0`` ascend together, so one bisection finds
-        the digit and its exponent; a cell holds the factor's part of the key,
-        its names bare and behind a separator, and the part of the zeros after it.
+        The key is ``-(degree * bases[0] + ue) * places[0] + T``: ``T`` reads
+        the code's own symbol digits, ``e - b`` for an exponent ``e > 0`` in a
+        digit of base ``b`` and ``0`` for an absent factor, so it lies in
+        ``(-places[0], 0]``.  Two states suffice: at equal degree and ``u``
+        exponent neither factor tuple is a proper prefix of the other, as the
+        longer would carry an extra factor of positive weight; where two first
+        differ, the smaller exponent comes first and an absent factor last.
+        Summed per factor, it is ``ue * u_step + rest`` (``rest`` the code below
+        ``u``) plus each factor's gain ``-e * degree * bases[0] * places[0] - b * place``.
         """
-        thresholds, cells, empty_tail, u_step = table
+        thresholds, cells, u_step = table
         u_place = self.places[0]
         rows = []
         for code in codes:
             ue, rest = divmod(code, u_place)
-            key = ue * u_step
-            if rest:
+            key, names = ue * u_step + rest, ""
+            while rest:
                 i = bisect_right(thresholds, rest) - 1
                 rest -= thresholds[i]
-                gain, names, _joined, tail = cells[i]
+                gain, bare, joined = cells[i]
                 key += gain
-                while rest:
-                    i = bisect_right(thresholds, rest) - 1
-                    rest -= thresholds[i]
-                    gain, _names, joined, tail = cells[i]
-                    key += gain
-                    names += joined
-                rows.append((key + tail, code, ue, names))
-            else:
-                rows.append((key + empty_tail, code, ue, ""))
+                names = names + joined if names else bare
+            rows.append((key, code, ue, names))
         rows.sort()
         return rows
 
@@ -463,5 +458,14 @@ def named_terms(p: MPoly, prefix: str = "f") -> Iterator[tuple[Monomial, list[st
 
 
 def format_poly(p: MPoly, prefix: str = "f") -> str:
-    """Canonical text rendering, e.g. ``u^2 - 2*f2,1*u + 3/5*f1,2``."""
+    """Canonical text rendering, e.g. ``u^2 - 2*f2,1*u + 3/5*f1,2``.
+
+    Terms come by falling degree, then falling ``u`` exponent, then factor
+    tuple, a smaller exponent first and an absent factor last:
+
+    >>> a, b = GenSym(1, 1), GenSym(2, 1)
+    >>> format_poly({(0, ((a, 2),)): 1, (0, ((b, 2),)): 1, (0, ((a, 1), (b, 1))): 1,
+    ...              (1, ((b, 1),)): 1, (1, ((a, 1),)): 1, (2, ()): 1, (0, ((a, 1),)): 3})
+    'u^2 + f1,1*u + f2,1*u + f1,1*f2,1 + f1,1^2 + f2,1^2 + 3*f1,1'
+    """
     return PackedPolys.from_polys((p,)).text(0, prefix)

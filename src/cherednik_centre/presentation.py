@@ -162,9 +162,15 @@ def _hook_rows(lam: Partition, ell: int) -> tuple[HookRows, Radix]:
 def _transversals(
     lam: Partition, hook_rows: HookRows, radix: Radix
 ) -> Iterator[tuple[int, int, int]]:
-    """Every transversal of degree <= weight(lam) of the cells in ``hook_rows``
-    (of ``lam``), the empty one included, in depth-first order over the rows
-    (row skipped first, then its cells left to right).
+    """Every transversal of the cells in ``hook_rows`` (of ``lam``), the
+    empty one included, in depth-first order over the rows (row skipped
+    first, then its cells left to right).
+
+    Each has degree at most ``n = weight(lam)`` and a non-zero product: cell
+    ``(i, j)`` moves bead ``d_i`` to the gap ``d_i - h(i, j) = n - 1 + j -
+    lam'_j``, one gap per column, so a transversal moves distinct beads to
+    distinct gaps.  Its exponents are then the beta-set of a partition of
+    weight ``n - degree``, and their Vandermonde product is not 0.
 
     Yields ``(code, degree, product)``: the sum of the chosen cells' places on
     ``radix``, and the Vandermonde product of the module docstring as a Python
@@ -225,7 +231,7 @@ def _transversals(
         else:
             choices = [(k + 1, used, degree, product, code, picked)]
         for bit, h, place, e, after in options:
-            if used & bit or degree + h > n:
+            if used & bit:
                 continue
             num, den = after, before
             for d_j, e_j in picked:
@@ -243,9 +249,10 @@ def _transversals(
 
 
 def transversal_monomials(lam: Partition) -> Iterator[TransversalMonomial]:
-    """All transversal monomials of degree <= weight(lam), empty one included;
-    ``lam`` goes through ``make_partition``.  Each generator ``f_{row, hook}``
-    names one cell, since hooks within a row are distinct."""
+    """Every transversal monomial, the empty one included; ``lam`` goes
+    through ``make_partition``.  Each generator ``f_{row, hook}`` names one
+    cell, since hooks within a row are distinct.  Each has degree at most
+    ``weight(lam)``, as its cells move distinct beads to distinct gaps."""
     lam = make_partition(lam)
     hook_rows, radix = _hook_rows(lam, 1)
     cell_of = {sym: (sym.row, j) for row in hook_rows for j, _h, sym in row}
@@ -262,7 +269,7 @@ def _presentation(lam: Partition, ell: int, source: Label) -> GradedPresentation
     by_degree: dict[int, PackedPoly] = {s: {} for s in range(ell, n + 1, ell)}
     hook_rows, radix = _hook_rows(lam, ell)
     for code, degree, product in _transversals(lam, hook_rows, radix):
-        if degree and product:
+        if degree:
             by_degree[degree][code] = orientation_sign * product
     generators = tuple((sym, h) for row in hook_rows for _j, h, sym in row)
     relations = PackedPolys(radix, by_degree.values(), (1,) * len(by_degree))
@@ -415,16 +422,14 @@ def negate_grading(presentation: GradedPresentation) -> GradedPresentation:
 
 
 def quotient_ring_text(presentation: GradedPresentation) -> str:
-    """One-line quotient-ring form, e.g. ``C[f1,1] / (f1,1^5)``."""
+    """One-line quotient-ring form, e.g. ``C[f1,1] / (f1,1^5)``; with no
+    generators the ring is ``C``, so the zero ring reads ``C / (1)``."""
     prefix = presentation.meta.prefix
     names = ", ".join(generator_name(g, prefix) for g, _ in presentation.generators)
     packed = presentation.relations
     rels = ", ".join(packed.text(k, prefix) for k, p in enumerate(packed.polys) if p)
-    if not names:
-        return "C"
-    if not rels:
-        return f"C[{names}]"
-    return f"C[{names}] / ({rels})"
+    ring = f"C[{names}]" if names else "C"
+    return f"{ring} / ({rels})" if rels else ring
 
 
 def presentation_text(presentation: GradedPresentation) -> str:

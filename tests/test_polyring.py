@@ -446,10 +446,11 @@ def test_rendering_equals_the_reference_on_signs_and_constants():
 # The packed renderer against a reference route: decode every code to a
 # canonical monomial, divide by the coefficient of the first term in
 # canonical order (``_reference_monic``), then render the ``Fraction``
-# polynomial with the reference renderers above.  A weight-0 symbol makes
-# monomials whose factor tuples are prefixes of others tie on degree.
+# polynomial with the reference renderers above.  Every symbol weighs at
+# least 1, as on every codec the package builds, so a factor tuple that is a
+# prefix of another's ties with it on degree only at a larger u exponent.
 
-_PACKED_SYMBOLS = sorted([F11, F12, F21, F22, GenSym(3, 1), GenSym(3, 4), GenSym(4, 0)])
+_PACKED_SYMBOLS = sorted([F11, F12, F21, F22, GenSym(3, 1), GenSym(3, 4), GenSym(4, 1)])
 _PACKED_RADIX = Radix(_PACKED_SYMBOLS, [4] * (len(_PACKED_SYMBOLS) + 1))
 
 
@@ -477,7 +478,7 @@ def _packed_polys(draw):
 
 _U_F11 = _PACKED_RADIX.places[0] + _PACKED_RADIX.places[1]  # u * f1,1
 _F11_F21 = _PACKED_RADIX.places[1] + _PACKED_RADIX.places[3]  # f1,1 * f2,1
-_F11_F40 = _PACKED_RADIX.places[1] + _PACKED_RADIX.places[7]  # f1,1 * f4,0
+_F11_F41 = _PACKED_RADIX.places[1] + _PACKED_RADIX.places[7]  # f1,1 * f4,1
 
 
 @given(_packed_polys(), st.sampled_from([None, 1, -1, 2, -3, 6]), st.sampled_from(["f", "g"]))
@@ -485,7 +486,7 @@ _F11_F40 = _PACKED_RADIX.places[1] + _PACKED_RADIX.places[7]  # f1,1 * f4,0
 @example({_U_F11: 4, _F11_F21: -6, 1: 8}, None, "g")  # positive lead 4: divides 8, not -6
 @example({_U_F11: -6, _F11_F21: 3, 1: -12}, None, "f")  # negative lead -6
 @example({_U_F11: 12, _F11_F21: -9, 1: 2}, -3, "g")  # lead -3 divides 12, -9, not 2
-@example({_F11_F40: 5, _PACKED_RADIX.places[1]: 2, 1: 7, 0: -1}, None, "f")  # ties on degree
+@example({_F11_F41: 5, _U_F11: 2, 1: 7, 0: -1}, None, "f")  # a factor prefix: u decides
 def test_packed_rendering_equals_decode_monic_and_render(p, lead, prefix):
     packed = PackedPolys(_PACKED_RADIX, [p], None if lead is None else [lead])
     reference = _reference_monic(p, lead)

@@ -776,6 +776,9 @@ def test_quotient_ring_text_shapes():
         ((GenSym(1, 2), -2),), (), PresentationMeta((2,), 1, -1)
     )
     assert quotient_ring_text(gprefix) == "C[g1,2]"
+    # no generators, but a relation: the zero ring, not C
+    zero = GradedPresentation((), [{(0, ()): 1}], PresentationMeta((), 1, 1))
+    assert quotient_ring_text(zero) == "C / (1)"
 
 
 def test_presentation_document_schema():
