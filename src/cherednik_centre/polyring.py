@@ -22,8 +22,10 @@ significant, then one digit per symbol in the caller's order, so codes
 ascend in lexicographic order of the exponent vectors; each digit's base
 exceeds every exponent it will hold, so multiplying monomials is adding
 codes.  :class:`PackedPolys` sizes the digits by weighted degree
-(:meth:`Radix.by_degree`), ``determinant`` and the Wronskian by exponents
-summed over rows or columns (:meth:`Radix.summed`).  :func:`format_poly` and
+(:meth:`Radix.by_degree`), ``determinant`` and
+:func:`~.wronski.wronskian` by exponents summed over rows or columns
+(:meth:`Radix.summed`); :func:`~.wronski.wronski_relations` sets the bases
+``summed`` would give straight from the beta-set.  :func:`format_poly` and
 :func:`named_terms` pack an ``MPoly`` first.
 
 Grading: ``deg u = 1`` and ``deg f_{i,j} = j``; a polynomial all of whose
@@ -286,10 +288,12 @@ def _laplace(rows, n: int) -> PackedPoly:
     list of ``(1 << column, [(code, int coefficient), ...])`` of its
     non-zero entries; no sum of codes may carry (:meth:`Radix.summed`).
 
-    Laplace expansion from the bottom row up.  Level ``k`` maps the column
-    bitmask of each non-zero minor on the last ``k`` rows to that minor, and
-    level ``k + 1`` is built from it by expanding along the new top row; zero
-    minors are never stored.  The work is one term product per pair of terms
+    Laplace expansion along the rows it is given, last first; the Wronskian
+    passes ``M^T``, its lowest-degree column last.  Level ``k`` maps the
+    column bitmask of each non-zero minor on the last ``k`` rows to that
+    minor, and level ``k + 1`` is built from it by expanding along the new
+    top row; a minor is filtered only where one of its sums cancelled to
+    zero, and zero minors are never stored.  The work is one term product per pair of terms
     in a stored minor and a non-zero entry of the new row outside its
     columns: a dense matrix still needs ``2^(n-1) * n`` polynomial products,
     but a sparse one such as a Schubert-cell Wronskian needs far fewer,
@@ -299,22 +303,27 @@ def _laplace(rows, n: int) -> PackedPoly:
     for packed in reversed(rows):
         expanded: dict[int, dict[int, int]] = {}
         for used, minor in level.items():
+            minor_terms = minor.items()
             for bit, terms in packed:
                 if used & bit:
                     continue
                 target = expanded.setdefault(used | bit, {})
+                get = target.get
                 odd = (used & (bit - 1)).bit_count() & 1
                 for code, coeff in terms:
                     if odd:
                         coeff = -coeff
-                    for m, c in minor.items():
+                    for m, c in minor_terms:
                         key = code + m
-                        target[key] = target.get(key, 0) + coeff * c
+                        target[key] = get(key, 0) + coeff * c
         level = {}
         for used, minor in expanded.items():
-            minor = {code: c for code, c in minor.items() if c}
-            if minor:
-                level[used] = minor
+            # only a sum that cancelled leaves a zero
+            if 0 in minor.values():
+                minor = {code: c for code, c in minor.items() if c}
+                if not minor:
+                    continue
+            level[used] = minor
     return level.get((1 << n) - 1, {})
 
 

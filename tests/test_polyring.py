@@ -300,6 +300,9 @@ def test_determinant_edge_cases():
     assert determinant([[const(0), u_power(1)], [u_power(1), const(0)]]) == scale(
         u_power(2), -1
     )
+    # two equal rows: every term of the last minor cancels
+    row = [add(u_power(1), gen(F11)), const(3)]
+    assert determinant([row, list(row)]) == {}
     with pytest.raises(NonSquare):
         determinant([[const(1), const(2)]])
 

@@ -307,14 +307,27 @@ def _basis_polys(draw):
 # Two symbols in one column and a constant term.
 @example([add(monomial(3, {F11: 1, F21: 2}), monomial(1, {F21: 1}, 5)),
           monomial(2, {F11: 3}, Fraction(7, 4)), add(u_power(1), const(Fraction(1, 3)))])
+# A repeated two-term column: every term of the last minor cancels, so the
+# Wronskian is {} only if the sweep drops that minor.
+@example([add(u_power(2), mul(gen(F11), u_power(1)))] * 2)
 def test_packed_wronskian_equals_the_determinant_of_derivative_rows(polys):
     assert wronskian(SchubertBasis((), tuple(polys))) == _reference_wronskian(polys)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_packed_wronskian_of_schubert_bases_equals_the_reference(n):
+    """Both packers, ``wronskian`` on the basis and ``wronski_relations``
+    straight from the beta-set, against the reference: the leading
+    coefficient is that of ``u^n`` and relation ``s`` that of ``u^(n-s)``."""
     for lam in partitions_of(n):
         basis = schubert_basis(lam)
+        reference = _reference_wronskian(basis.polys)
         packed = wronskian(basis)
-        assert packed == _reference_wronskian(basis.polys), lam
+        assert packed == reference, lam
         assert all(type(c) is int for c in packed.values()), lam
+        split = [{} for _ in range(n + 1)]
+        for (ue, gens), c in reference.items():
+            split[n - ue][(0, gens)] = c
+        result = wronski_relations(lam)
+        assert result.leading == split[0].pop((0, ()), 0) and not split[0], lam
+        assert result.relations == tuple(split[1:]), lam
