@@ -30,12 +30,13 @@ from .wronski import SchubertBasis, wronski_relations, wronskian, wronskian_recu
 
 
 def direct_equals_wronskian(n_max: int) -> str | None:
-    """The direct relations equal the Wronskian's, term by term, for n <= n_max."""
+    """The direct relations equal the Wronskian's, code for code on their
+    shared codec, for n <= n_max."""
     for n in range(0, n_max + 1):
         for lam in partitions_of(n):
             oracle = wronski_relations(lam)
             built = direct_presentation(lam)
-            if tuple(oracle.relations) != tuple(built.relations):
+            if oracle.relations != built.relations:
                 return f"relation mismatch at {lam}"
     return None
 

@@ -24,8 +24,11 @@ exceeds every exponent it will hold, so multiplying monomials is adding
 codes.  :class:`PackedPolys` sizes the digits by weighted degree
 (:meth:`Radix.by_degree`), ``determinant`` and
 :func:`~.wronski.wronskian` by exponents summed over rows or columns
-(:meth:`Radix.summed`); :func:`~.wronski.wronski_relations` sets the bases
-``summed`` would give straight from the beta-set.  :func:`format_poly` and
+(:meth:`Radix.summed`); :func:`~.wronski.wronski_relations` sweeps on the
+direct route's ``by_degree`` codec, whose most significant digit, ``u``,
+takes the sweep's larger exponents with no carry, so its relations land on
+that codec's codes.  Two :class:`PackedPolys` on equal codecs with equal
+explicit leads compare code for code.  :func:`format_poly` and
 :func:`named_terms` pack an ``MPoly`` first.
 
 Grading: ``deg u = 1`` and ``deg f_{i,j} = j``; a polynomial all of whose
@@ -446,6 +449,16 @@ class PackedPolys:
         return len(self.polys)
 
     def __eq__(self, other) -> bool:
+        """Code for code on equal codecs (``symbols`` and ``bases``) and equal
+        explicit ``leads``; otherwise, and against a tuple, decoded."""
+        if (
+            isinstance(other, PackedPolys)
+            and self.leads is not None
+            and self.leads == other.leads
+            and self.radix.symbols == other.radix.symbols
+            and self.radix.bases == other.radix.bases
+        ):
+            return self.polys == other.polys
         if isinstance(other, (tuple, PackedPolys)):
             return self._values() == tuple(other)
         return NotImplemented

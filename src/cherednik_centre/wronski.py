@@ -15,8 +15,8 @@ is homogeneous of weighted degree ``n``; writing it as
 ``c*u^n + r_1 u^{n-1} + ... + r_n`` gives the graded relations ``r_s`` (the
 coefficients are kept exactly as the determinant produces them — nothing is
 rescaled).  This module is the oracle route; the combinatorial construction
-in :mod:`cherednik_centre.presentation` must reproduce it coefficient by
-coefficient.
+in :mod:`cherednik_centre.presentation` must reproduce it code for code, the
+two routes' relations being packed on one codec.
 
 The determinant is taken along the columns, since ``det M = det M^T``: each
 column of the matrix is one basis polynomial followed by its derivatives, so
@@ -32,11 +32,13 @@ the sum over the columns of its largest exponent there: a determinant term
 takes one entry per column and differentiating never raises an exponent, so
 no digit carries.  :func:`wronski_relations` packs a Schubert basis straight
 from the beta-set: column ``i`` is ``u^{d_i}`` plus one term per gap, every
-coefficient 1, and every symbol digit has base 2.  :func:`wronskian` packs an
-arbitrary basis by :meth:`~.polyring.Radix.summed` and
-:meth:`~.polyring.Radix.pack`, each column scaled to int coefficients, and
-divides the product of the scales out.  The relations are split off the
-result by its ``u`` digit, with int coefficients.
+coefficient 1, on the direct route's :meth:`~.polyring.Radix.by_degree`
+codec, where no product carries either.  It splits the relations off the
+result by its ``u`` digit, each the determinant's int coefficients on the
+direct route's codes, as a :class:`~.polyring.PackedPolys` with lead 1.
+:func:`wronskian` packs an arbitrary basis by :meth:`~.polyring.Radix.summed`
+and :meth:`~.polyring.Radix.pack`, each column scaled to int coefficients,
+and divides the product of the scales out.
 
 ``wronskian_recursive`` is a second, independent evaluation route for bases
 of single-term polynomials, via the identity
@@ -63,7 +65,7 @@ from typing import Collection, Sequence
 
 from .errors import EmptyPartition, InexactDivision
 from .partitions import Partition, beta_set, make_partition
-from .polyring import GenSym, MPoly, PackedPoly, Radix, _laplace
+from .polyring import GenSym, MPoly, PackedPoly, PackedPolys, Radix, _laplace
 
 
 @dataclass(frozen=True)
@@ -76,10 +78,12 @@ class SchubertBasis:
 
 @dataclass(frozen=True)
 class WronskiRelations:
-    """Leading ``u^n`` coefficient plus the relations ``r_1 ... r_n``."""
+    """Leading ``u^n`` coefficient plus the relations ``r_1 ... r_n``, packed
+    on the codec of :func:`~.presentation.direct_presentation` with lead 1
+    each, so the two routes' relations compare code for code."""
 
     leading: Fraction
-    relations: tuple[MPoly, ...]
+    relations: PackedPolys
 
 
 def schubert_basis(lam: Partition) -> SchubertBasis:
@@ -140,30 +144,38 @@ def wronskian(basis: SchubertBasis) -> MPoly:
 
 def wronski_relations(lam: Partition) -> WronskiRelations:
     """The leading coefficient and ``r_1 ... r_n`` for ``lam``, split off the
-    packed Wronskian by ``u`` digit; leading 1 and no relations for ``()``,
-    and the errors of :func:`schubert_basis` on a non-partition.
+    packed Wronskian by ``u`` digit; leading 1 (the empty determinant) and an
+    empty :class:`PackedPolys` for ``()``, and the errors of
+    :func:`schubert_basis` on a non-partition.
 
-    The basis is packed straight from the beta-set, one base-2 digit per
-    gap symbol in sorted order and ``u`` base ``1 + sum(d_i)``: the codec
-    :meth:`Radix.summed` gives for it, with no ``MPoly`` built."""
+    The basis is packed straight from the beta-set, with no ``MPoly`` built,
+    on the codec of :func:`~.presentation.direct_presentation`:
+    :meth:`Radix.by_degree` over the sorted gap symbols (the cells, named by
+    row and hook, that are the direct route's generators) up to ``n``.  A
+    column holds only its own row's symbols, each term at most one, and
+    gives one term to each product, so every symbol digit of a determinant
+    term is 0 or 1, below its base of at least 2.  The sweep's ``u``
+    exponents reach ``sum(d_i)``, past the codec's ``u`` base ``n + 1``, but
+    ``u`` is the most significant digit, whose base sets no place value: the
+    places are those of a ``u`` digit of base ``1 + sum(d_i)`` above the same
+    symbol digits.  The code below ``u`` is then the direct route's code,
+    and each relation is kept on it with lead 1."""
     lam = make_partition(lam)
     n = sum(lam)
-    if n == 0:
-        return WronskiRelations(Fraction(1), ())
     beta = beta_set(lam, n)
     symbols = _gap_symbols(beta)
-    radix = Radix(symbols, [1 + sum(beta)] + [2] * len(symbols))
-    u_place, decode = radix.places[0], radix.decode
+    codec = Radix.by_degree(symbols, n)
+    u_place = codec.places[0]
     columns = [[(d_i * u_place, 1)] for d_i in beta]
-    for s, place in zip(symbols, radix.places[1:]):
+    for s, place in zip(symbols, codec.places[1:]):
         columns[s.row - 1].append(((beta[s.row - 1] - s.degree) * u_place + place, 1))
     det = _column_sweep(columns, u_place)
-    relations: list[MPoly] = [{} for _ in range(n)]
+    relations: list[PackedPoly] = [{} for _ in range(n)]
     leading = Fraction(det.pop(n * u_place, 0))
     for code, c in det.items():
         ue, rest = divmod(code, u_place)
-        relations[n - 1 - ue][decode(rest)] = c
-    return WronskiRelations(leading, tuple(relations))
+        relations[n - 1 - ue][rest] = c
+    return WronskiRelations(leading, PackedPolys(codec, relations, (1,) * n))
 
 
 def wronskian_recursive(polys: Sequence[MPoly]) -> MPoly:

@@ -30,6 +30,7 @@ from cherednik_centre import (
     weight,
 )
 from cherednik_centre.cli import render_json, run
+from cherednik_centre.polyring import PackedPolys
 from cherednik_centre.presentation import label_document
 
 from reference import reference_document
@@ -407,9 +408,26 @@ def test_selftest_deep_passes(capsys):
 
 
 def _drop_last_relation(real):
+    """A tuple of one relation fewer: compared decoded."""
     def broken(lam):
         result = real(lam)
         return dataclasses.replace(result, relations=result.relations[:-1])
+
+    return broken
+
+
+def _bump_first_coefficient(real):
+    """One coefficient one larger, on the same codec and leads: compared
+    code for code."""
+    def broken(lam):
+        result = real(lam)
+        packed = result.relations
+        polys = list(packed.polys)
+        if polys:
+            code = next(iter(polys[0]))
+            polys[0] = {**polys[0], code: polys[0][code] + 1}
+        relations = PackedPolys(packed.radix, polys, packed.leads)
+        return dataclasses.replace(result, relations=relations)
 
     return broken
 
@@ -434,6 +452,7 @@ def _drop_relations(real):
     "suite, route, breaker, detail",
     [
         (0, "wronski_relations", _drop_last_relation, "relation mismatch at (1,)"),
+        (0, "wronski_relations", _bump_first_coefficient, "relation mismatch at (1,)"),
         (1, "ell_quotient", _reverse_components,
          "quotient inverse broken at ((1,), ()), ell=2"),
         (2, "graded_dimensions_from_presentation", _append_coefficient,
@@ -445,8 +464,8 @@ def _drop_relations(real):
         # no relations leave an infinite quotient, which the oracle raises on
         (2, "direct_presentation", _drop_relations, "series mismatch at (1,)"),
     ],
-    ids=["direct", "abacus", "hilbert", "recursive", "wreath", "wreath-formula",
-         "infinite-quotient"],
+    ids=["direct", "direct-code", "abacus", "hilbert", "recursive", "wreath",
+         "wreath-formula", "infinite-quotient"],
 )
 def test_selftest_reports_a_broken_second_route(
     capsys, monkeypatch, suite, route, breaker, detail

@@ -520,3 +520,40 @@ def test_json_text_equals_json_dumps_of_the_reference_terms(p, lead, prefix, dep
     pad = "\n" + "  " * depth
     expected = dumps_at_depth(json_terms(packed, 0, prefix), depth)
     assert packed.json_text(0, prefix, pad) == expected
+
+
+# --- equality: code for code on one codec, decoded otherwise ------------------
+
+
+def test_packed_equality_on_equal_codecs_compares_codes():
+    """Equal ``symbols`` and ``bases`` and equal explicit leads compare by the
+    code dicts, with nothing decoded; a codec built twice is equal."""
+    twin = Radix(_PACKED_SYMBOLS, _PACKED_RADIX.bases)
+    a = PackedPolys(_PACKED_RADIX, [{_U_F11: 2, 1: -3}, {}], (1, 1))
+    b = PackedPolys(twin, [{1: -3, _U_F11: 2}, {}], (1, 1))
+    c = PackedPolys(twin, [{_U_F11: 2, 1: -4}, {}], (1, 1))
+    assert a == b and b == a
+    assert a != c and c != a
+    assert a._decoded is b._decoded is c._decoded is None
+
+
+def test_packed_equality_falls_back_to_the_decoded_polynomials():
+    """Different codecs, a plain tuple, ``leads=None`` or unequal leads are
+    compared decoded, so a pair whose codes or leads differ can be equal."""
+    p = {(1, ((F11, 1),)): Fraction(2), (0, ((F11, 1), (F21, 1))): Fraction(-3)}
+    tight = PackedPolys.from_polys([p])
+    wide_radix = Radix.by_degree(tight.radix.symbols, 5)
+    wide = PackedPolys(wide_radix, wide_radix.pack([p])[0], (1,))
+    assert tight.polys != wide.polys
+    assert tight == wide and wide == tight
+    assert tight == (p,) and (p,) == tight
+    assert tight != (p, {})
+    # the same codes on other symbols are other polynomials
+    other = PackedPolys(Radix([F12, F22], tight.radix.bases), tight.polys, tight.leads)
+    assert tight.polys == other.polys and tight != other
+    # a monic view, and an explicit lead of 2, against lead 1 on one codec
+    doubled = {code: 2 * c for code, c in tight.polys[0].items()}
+    assert PackedPolys(tight.radix, [doubled], (2,)) == tight
+    monic = {code: -c for code, c in tight.polys[0].items()}
+    assert PackedPolys(tight.radix, [monic]) == PackedPolys(tight.radix, [doubled])
+    assert PackedPolys(tight.radix, [doubled]) != tight

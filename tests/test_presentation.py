@@ -35,6 +35,7 @@ from cherednik_centre import (
     wreath_presentation,
     wronski_relations,
 )
+from cherednik_centre.polyring import PackedPolys
 from cherednik_centre.presentation import (
     GradedPresentation,
     PresentationMeta,
@@ -161,6 +162,20 @@ def test_direct_equals_wronskian_route(n):
         assert len(direct.relations) == len(oracle.relations) == n
         for ours, theirs in zip(direct.relations, oracle.relations):
             assert ours == theirs, lam
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_both_routes_pack_relations_on_one_codec(n):
+    """The Wronskian's relations and the direct ones are one form: packed on
+    equal codecs with equal leads, and equal code for code."""
+    for lam in partitions_of(n):
+        direct = direct_presentation(lam).relations
+        oracle = wronski_relations(lam).relations
+        assert isinstance(direct, PackedPolys) and isinstance(oracle, PackedPolys)
+        assert oracle.radix.symbols == direct.radix.symbols, lam
+        assert oracle.radix.bases == direct.radix.bases, lam
+        assert oracle.leads == direct.leads == (1,) * n, lam
+        assert oracle.polys == direct.polys, lam
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -20,6 +20,7 @@ from cherednik_centre import (
     wronskian,
     wronskian_recursive,
 )
+from cherednik_centre.polyring import PackedPolys
 from cherednik_centre.wronski import SchubertBasis
 
 from conftest import NON_PARTITIONS
@@ -86,6 +87,7 @@ def test_empty_partition():
         wronskian(SchubertBasis((), ()))
     relations = wronski_relations(())
     assert relations.leading == 1
+    assert isinstance(relations.relations, PackedPolys)
     assert relations.relations == ()
 
 
