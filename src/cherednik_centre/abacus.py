@@ -122,15 +122,21 @@ def from_quotient(quotient: MultiPartition, ell: int) -> Partition:
     the trivial-core configurations, and minimality makes the map inverse to
     :func:`ell_quotient`.  Each component goes through ``make_partition``.
     """
-    quotient = _make_multipartition(quotient, ell)
+    return _partition_from_positions(_staircase_beads(_make_multipartition(quotient, ell), ell))
+
+
+def _staircase_beads(quotient: MultiPartition, ell: int) -> list[int]:
+    """The bead positions of :func:`from_quotient`, decreasing, for a
+    validated ``quotient``: component ``c`` as a beta-set of length ``m_c``
+    on column ``c``, ``(m_0, ..., m_{ell-1})`` the minimal staircase."""
     lengths = [len(component) for component in quotient]
     q = max([0] + [b - 1 for b in lengths[: ell - 1]] + [lengths[ell - 1]])
     counts = [q + 1] * (ell - 1) + [q]
-    positions: set[int] = set()
-    for c, component in enumerate(quotient):
-        for row in _beta_set(component, counts[c]):
-            positions.add(row * ell + c)
-    return _partition_from_positions(positions)
+    return sorted(
+        (row * ell + c for c, component in enumerate(quotient)
+         for row in _beta_set(component, counts[c])),
+        reverse=True,
+    )
 
 
 def _make_multipartition(quotient, ell: int) -> MultiPartition:

@@ -355,7 +355,7 @@ class PackedPolys:
     ):
         self.radix = radix
         self.polys = tuple(polys)
-        self.leads = leads
+        self.leads = None if leads is None else tuple(leads)
         self._decoded: tuple[MPoly, ...] | None = None
 
     @classmethod

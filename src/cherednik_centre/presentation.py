@@ -18,21 +18,25 @@ A global orientation factor ``(-1)^{n(n-1)/2}`` on every relation aligns the
 coefficients with the Wronskian determinant's row/column convention, so the
 oracle comparison in the test-suite is exact equality, term by term.
 
-The wreath variant for an ``ell``-multipartition ``q`` works on
-``lam = from_quotient(q, ell)``: its generators are the cells whose hook is
-divisible by ``ell``, and its relations, of degree ``ell, 2*ell, ...``, sum
-over the transversals made of those cells only.  The enumeration walks just
-those cells; it never builds the full presentation of ``lam``.  Both
-variants share one enumerator, which yields each transversal as its
-monomial's code (the sum of its cells' places on the relations' codec),
-its degree and its coefficient, the one payload every caller reads.  The
-walk starts from the empty transversal's product
-``V(d) = prod_{a < b} (d_a - d_b)`` and, for each cell it chooses,
-multiplies in the ratio of the factors that hold the cell's row, after and
-before, against only the rows chosen earlier on the path: a row left out
-keeps ``e_i = d_i`` and changes nothing, so the rows without an eligible
-cell drop out of the walk.  Each step is one exact integer division, whose
-quotient is a Vandermonde product of integers.
+Both variants read their cells off the beta-set, with no hook table: the
+cells of row ``i`` whose hook ``ell`` divides are the gaps ``g < d_i`` on
+``d_i``'s runner of the ``ell``-abacus (``ell | d_i - g``), the cell of
+hook ``d_i - g`` in the column of ``g``, one column per gap.  The wreath
+variant for an ``ell``-multipartition ``q`` reads the beta-set of ``lam =
+from_quotient(q, ell)`` straight off the beads of ``q``'s staircase and
+never builds ``lam``: its generators are the cells whose hook is divisible
+by ``ell``, and its relations, of degree ``ell, 2*ell, ...``, sum over the
+transversals made of those cells only.  Both variants share one
+enumerator, which gives each transversal as its monomial's code (the sum
+of its cells' places on the relations' codec), its degree and its signed
+coefficient, the one payload every caller reads.  It walks the rows in
+level order from the empty transversal's product ``V(d) = prod_{a < b}
+(d_a - d_b)``, and for each cell it chooses multiplies in the ratio of the
+factors that hold the cell's row, after and before, against only the rows
+chosen before it: a row left out keeps ``e_i = d_i`` and changes nothing,
+so the rows without an eligible cell drop out of the walk.  Each step is
+one exact integer division, whose quotient is a Vandermonde product of
+integers.
 
 Relations have one form, a :class:`~cherednik_centre.polyring.PackedPolys`:
 a monomial is one packed int (see :mod:`~cherednik_centre.polyring`) and a
@@ -56,12 +60,12 @@ from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, Union
 
-from .abacus import MultiPartition, format_multipartition, from_quotient
+from .abacus import MultiPartition, _make_multipartition, _staircase_beads, format_multipartition
 from .partitions import (
+    BetaSet,
     Cell,
     Partition,
     _beta_set,
-    _row_hooks,
     format_partition,
     make_partition,
 )
@@ -147,38 +151,64 @@ class TransversalMonomial:
     degree: int
 
 
-def _hook_rows(lam: Partition, ell: int) -> tuple[HookRows, Radix]:
-    """Per row of a validated ``lam``, the ``(column, hook, generator)`` of
-    each cell whose hook ``ell`` divides, left to right; and the relations'
-    codec, :meth:`Radix.by_degree` over the sorted generators up to ``weight(lam)``."""
-    rows = [
-        [(j, h, GenSym(i, h)) for j, h in enumerate(hooks, start=1) if h % ell == 0]
-        for i, hooks in enumerate(_row_hooks(lam), start=1)
+def _hook_rows(beta: BetaSet, ell: int) -> tuple[HookRows, Radix]:
+    """Per row of a non-zero part of the padded beta-set ``beta``, the
+    ``(gap, hook, generator)`` of each cell whose hook ``ell`` divides, left
+    to right; and the relations' codec, :meth:`Radix.by_degree` over the
+    sorted generators up to the weight ``len(beta)``.
+
+    Row ``i``'s cells are the gaps ``g < d_i`` with ``ell | d_i - g``: each
+    is the cell of hook ``d_i - g`` in the column of ``g``, the ``j``-th gap
+    from 0 lying in column ``j``, so gaps ascending give the cells left to
+    right.  The zero parts' beads are ``0 .. padding - 1``, below every gap:
+    those rows hold no cell and are left out.  No hook table is built."""
+    n = rows = len(beta)
+    while rows and beta[rows - 1] == n - rows:
+        rows -= 1
+    padding = n - rows
+    beads = set(beta[:rows])
+    cells = [
+        [(g, d - g, GenSym(i, d - g))
+         for g in range(padding + (d - padding) % ell, d, ell) if g not in beads]
+        for i, d in enumerate(beta[:rows], start=1)
     ]
     # hooks fall left to right, so each row reversed is in symbol order
-    return rows, Radix.by_degree([c[2] for row in rows for c in reversed(row)], sum(lam))
+    return cells, Radix.by_degree([c[2] for row in cells for c in reversed(row)], n)
 
 
-def _transversals(
-    lam: Partition, hook_rows: HookRows, radix: Radix
-) -> Iterator[tuple[int, int, int]]:
-    """Every transversal of the cells in ``hook_rows`` (of ``lam``), the
-    empty one included, in depth-first order over the rows (row skipped
-    first, then its cells left to right).
+def _quotient_beta_set(q: MultiPartition, ell: int) -> BetaSet:
+    """The beta-set of ``from_quotient(q, ell)`` padded to its weight ``n``,
+    read off the staircase of ``q`` with no partition built: its ``k``
+    beads shift by ``n - k``.  Below them ``n - k`` padding beads are added,
+    or, if ``k > n``, the lowest ``k - n`` beads, which are ``0 .. k - n -
+    1`` since the partition has at most ``n`` parts, shift below 0 and drop."""
+    q = _make_multipartition(q, ell)
+    beads = _staircase_beads(q, ell)
+    n = ell * sum(map(sum, q))
+    shift = n - len(beads)
+    return tuple(p + shift for p in beads[:n]) + tuple(range(shift - 1, -1, -1))
 
-    Each has degree at most ``n = weight(lam)`` and a non-zero product: cell
-    ``(i, j)`` moves bead ``d_i`` to the gap ``d_i - h(i, j) = n - 1 + j -
-    lam'_j``, one gap per column, so a transversal moves distinct beads to
-    distinct gaps.  Its exponents are then the beta-set of a partition of
-    weight ``n - degree``, and their Vandermonde product is not 0.
 
-    Yields ``(code, degree, product)``: the sum of the chosen cells' places on
-    ``radix``, and the Vandermonde product of the module docstring as a Python
-    int.  One walk over a stack, through the rows that hold an eligible cell
-    only: a skipped row keeps ``e_r = d_r`` and leaves the product as it is.
-    The walk starts from ``V(d)``, the empty transversal's product, and
-    choosing the cell of hook ``h`` in row ``r`` sets ``e = d_r - h`` and
-    multiplies the product by ``num / den``, ``M`` the rows chosen before it:
+def _transversals(beta: BetaSet, hook_rows: HookRows, radix: Radix) -> list[tuple]:
+    """Every transversal of the cells in ``hook_rows``, read off the padded
+    beta-set ``beta``, the empty one first, in level order: the walk keeps
+    one list and, row by row, appends to it each transversal extended by
+    each cell of the row whose column it leaves free.
+
+    A cell is a bead ``d_r`` moved to the gap ``e = d_r - h`` and each gap
+    is one column, so the used columns are a mask over gaps and a
+    transversal moves distinct beads to distinct gaps.  Its exponents are
+    then the beta-set of a partition of weight ``n - degree``, ``n =
+    len(beta)``, so its degree is at most ``n`` and its product is not 0.
+
+    Returns ``(code, degree, product, used, picked)`` per transversal: the
+    sum of the chosen cells' places on ``radix``, the Vandermonde product
+    of the module docstring times the orientation sign ``(-1)^{n(n-1)/2}``,
+    and the walk's state, the gap mask and the ``(d_j, e_j)`` of the rows
+    chosen.  A transversal that skips a row keeps ``e_r = d_r`` and its
+    product.  The empty transversal's product is the signed ``V(d)``, and
+    choosing the cell of hook ``h`` in row ``r`` multiplies a product by
+    ``num / den``, ``M`` the rows chosen before it:
 
         num = A_r(e) * prod_{j in M} (e - e_j) (d_r - d_j)
         den = B_r    * prod_{j in M} (e - d_j) (d_r - e_j)
@@ -186,66 +216,49 @@ def _transversals(
     where ``A_r(e) = prod_{j != r} (e - d_j)`` (once per cell) and
     ``B_r = prod_{j != r} (d_r - d_j)`` (once per row): the factors of
     ``V`` that hold row ``r``, after and before, with the rows of ``M`` at
-    their chosen exponents.  So a node costs O(|M|), not O(rows).  No factor
-    of ``den`` is zero, since a rim hook ends on a gap of the beta-set, so
-    ``e`` and every ``e_j`` are gaps and ``d_r``, ``d_j`` are beads; and
-    ``product * num // den`` is exact, the quotient being a Vandermonde
-    product of integers.
+    their chosen exponents.  So a step costs O(|M|), not O(rows).  No factor
+    of ``den`` is zero, since ``e`` and every ``e_j`` are gaps and ``d_r``,
+    ``d_j`` are beads; and ``product * num // den`` is exact, the quotient
+    being a Vandermonde product of integers.
     """
-    n = sum(lam)
-    heads = _beta_set(lam, n)[: len(lam)]
+    n = len(beta)
+    heads = beta[: len(hook_rows)]
     # the padding exponents are 0 .. padding - 1, below every gap and every
     # row's exponent: a product against all of them is a falling factorial
-    padding = n - len(lam)
+    padding = n - len(heads)
     product = (
-        math.prod(a - b for a, b in itertools.combinations(heads, 2))
+        (-1 if (n * (n - 1) // 2) % 2 else 1)
+        * math.prod(a - b for a, b in itertools.combinations(heads, 2))
         * math.prod(math.perm(d, padding) for d in heads)
         * math.prod(math.factorial(k) for k in range(padding))
     )
-    # per row holding an eligible cell: its exponent, B_r, and per cell
-    # (column bit, hook, generator place, e, A_r(e))
     place_of = radix.place_of
-    rows = []
-    for i, row in enumerate(hook_rows, start=1):
+    level = [(0, 0, product, 0, ())]
+    for r, row in enumerate(hook_rows):
         if not row:
             continue
-        d = heads[i - 1]
-        others = heads[: i - 1] + heads[i:]
+        d = heads[r]
+        others = heads[:r] + heads[r + 1:]
+        before = math.perm(d, padding) * math.prod(d - b for b in others)
+        # per cell: (gap bit, hook, generator place, e, A_r(e), (d_r, e) as a 1-tuple)
         options = [
-            (1 << j, h, place_of[sym], d - h,
-             math.perm(d - h, padding) * math.prod(d - h - b for b in others))
-            for j, h, sym in row
+            (1 << e, h, place_of[sym], e,
+             math.perm(e, padding) * math.prod(e - b for b in others), ((d, e),))
+            for e, h, sym in row
         ]
-        rows.append((d, math.perm(d, padding) * math.prod(d - b for b in others), options))
-    last = len(rows) - 1
-    if last < 0:
-        yield 0, 0, product
-        return
-    # (row, used columns, degree, product, code, (d_j, e_j) of M)
-    stack = [(0, 0, 0, product, 0, ())]
-    while stack:
-        k, used, degree, product, code, picked = stack.pop()
-        d, before, options = rows[k]
-        if k == last:
-            yield code, degree, product
-        else:
-            choices = [(k + 1, used, degree, product, code, picked)]
-        for bit, h, place, e, after in options:
-            if used & bit:
-                continue
-            num, den = after, before
-            for d_j, e_j in picked:
-                num *= (e - e_j) * (d - d_j)
-                den *= (e - d_j) * (d - e_j)
-            if k == last:
-                yield code + place, degree + h, product * num // den
-            else:
-                choices.append((
-                    k + 1, used | bit, degree + h, product * num // den,
-                    code + place, picked + ((d, e),),
-                ))
-        if k != last:
-            stack += reversed(choices)
+        grown = []
+        extend = grown.append
+        for code, degree, product, used, picked in level:
+            for bit, h, place, e, after, pick in options:
+                if used & bit:
+                    continue
+                num, den = after, before
+                for d_j, e_j in picked:
+                    num *= (e - e_j) * (d - d_j)
+                    den *= (e - d_j) * (d - e_j)
+                extend((code + place, degree + h, product * num // den, used | bit, picked + pick))
+        level += grown
+    return level
 
 
 def transversal_monomials(lam: Partition) -> Iterator[TransversalMonomial]:
@@ -254,24 +267,26 @@ def transversal_monomials(lam: Partition) -> Iterator[TransversalMonomial]:
     cell, since hooks within a row are distinct.  Each has degree at most
     ``weight(lam)``, as its cells move distinct beads to distinct gaps."""
     lam = make_partition(lam)
-    hook_rows, radix = _hook_rows(lam, 1)
-    cell_of = {sym: (sym.row, j) for row in hook_rows for j, _h, sym in row}
-    for code, degree, _product in _transversals(lam, hook_rows, radix):
+    beta = _beta_set(lam, sum(lam))
+    hook_rows, radix = _hook_rows(beta, 1)
+    # at ell = 1 a row holds every cell, so its j-th from the left is in column j
+    cell_of = {
+        sym: (sym.row, j) for row in hook_rows for j, (_g, _h, sym) in enumerate(row, start=1)
+    }
+    for code, degree, _product, _used, _picked in _transversals(beta, hook_rows, radix):
         yield TransversalMonomial(tuple(cell_of[s] for s, _ in radix.decode(code)[1]), degree)
 
 
-def _presentation(lam: Partition, ell: int, source: Label) -> GradedPresentation:
-    """Generators: the cells whose hook ``ell`` divides; relations: degrees
-    ``ell, 2*ell, ..., weight(lam)``, each term stored once as it is found,
-    with lead 1."""
-    n = sum(lam)
-    orientation_sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    by_degree: dict[int, PackedPoly] = {s: {} for s in range(ell, n + 1, ell)}
-    hook_rows, radix = _hook_rows(lam, ell)
-    for code, degree, product in _transversals(lam, hook_rows, radix):
+def _presentation(beta: BetaSet, ell: int, source: Label) -> GradedPresentation:
+    """Generators: the cells whose hook ``ell`` divides, off the padded
+    beta-set ``beta``; relations: degrees ``ell, 2*ell, ..., len(beta)``,
+    each term stored once as it is found, with lead 1."""
+    by_degree: dict[int, PackedPoly] = {s: {} for s in range(ell, len(beta) + 1, ell)}
+    hook_rows, radix = _hook_rows(beta, ell)
+    for code, degree, product, _used, _picked in _transversals(beta, hook_rows, radix):
         if degree:
-            by_degree[degree][code] = orientation_sign * product
-    generators = tuple((sym, h) for row in hook_rows for _j, h, sym in row)
+            by_degree[degree][code] = product
+    generators = tuple((sym, h) for row in hook_rows for _g, h, sym in row)
     relations = PackedPolys(radix, by_degree.values(), (1,) * len(by_degree))
     return GradedPresentation(generators, relations, PresentationMeta(source, ell, 1))
 
@@ -280,12 +295,13 @@ def direct_presentation(lam: Partition) -> GradedPresentation:
     """The combinatorial presentation of A(lam)+ (relations r_1 ... r_n);
     ``lam`` goes through ``make_partition``."""
     lam = make_partition(lam)
-    return _presentation(lam, 1, lam)
+    return _presentation(_beta_set(lam, sum(lam)), 1, lam)
 
 
 def wreath_presentation(q: MultiPartition, ell: int) -> GradedPresentation:
-    """Presentation of A(q)+ for the wreath product, via the quotient label."""
-    return _presentation(from_quotient(q, ell), ell, q)
+    """Presentation of A(q)+ for the wreath product, off the beads of the
+    quotient label's staircase."""
+    return _presentation(_quotient_beta_set(q, ell), ell, q)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ operations on ``MPoly`` dicts (constructors, sums, products, scaling and the
 terms), determinants by permutations and by memoized Laplace expansion on
 those operations (the package packs its rows into integer codes), the value
 of a constant polynomial, the hook of a cell by counting the cells right of
-it and below it (the package reads a table built off the conjugate), the
+it and below it (the package reads a table built off the conjugate), a
+presentation's generators filtered from that hook table (the package
+reads its cells off the beta-set's gaps), the
 canonical term order as a tuple key, one Vandermonde coefficient taken pair
 by pair over the whole padded beta-set, the JSON terms of a packed relation
 as one dict per term and a presentation's JSON document as dicts around them
@@ -55,6 +57,7 @@ from cherednik_centre import (
     wreath_presentation,
 )
 from cherednik_centre.hilbert import _reduce
+from cherednik_centre.partitions import _row_hooks
 from cherednik_centre.polyring import (
     GenSym,
     Monomial,
@@ -218,6 +221,19 @@ def hook_by_counting(lam, i: int, j: int) -> int:
     cells right of it in its row, the cells below it in its column, and
     itself.  No conjugate is formed."""
     return (lam[i - 1] - j) + sum(1 for p in lam[i:] if p >= j) + 1
+
+
+def hook_table_generators(lam, ell: int = 1) -> tuple[tuple[GenSym, int], ...]:
+    """The generators of the presentation of the partition ``lam`` at
+    ``ell``, filtered from the hook table: the cells whose hook ``ell``
+    divides, row-major and left to right, each ``f_{row, hook}`` of degree
+    its hook."""
+    return tuple(
+        (GenSym(i, h), h)
+        for i, row in enumerate(_row_hooks(lam), start=1)
+        for h in row
+        if h % ell == 0
+    )
 
 
 def vandermonde_coefficient(lam, m) -> Fraction:

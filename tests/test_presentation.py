@@ -35,12 +35,16 @@ from cherednik_centre import (
     wreath_presentation,
     wronski_relations,
 )
+from cherednik_centre import abacus, partitions
+from cherednik_centre.abacus import _staircase_beads
+from cherednik_centre.partitions import _beta_set
 from cherednik_centre.polyring import PackedPolys
 from cherednik_centre.presentation import (
     GradedPresentation,
     PresentationMeta,
     _eliminate,
     _presentation_json,
+    _quotient_beta_set,
     presentation_text,
 )
 
@@ -50,6 +54,7 @@ from reference import (
     blocks,
     dumps_at_depth,
     eliminate_scaled,
+    hook_table_generators,
     mul,
     scale,
     simplify_by_restart,
@@ -148,6 +153,48 @@ def test_generators_follow_the_diagram():
     assert not p.meta.simplified
 
 
+def test_generators_equal_the_hook_table():
+    """The cells read off the beta-set's gaps are the hook table's cells
+    whose hook ell divides, in the same order, each generator of degree its
+    hook: every partition of n <= 9 and every wreath label with n*ell <= 12."""
+    labels = [lam for n in range(10) for lam in partitions_of(n)]
+    assert len(labels) == 97
+    for lam in labels:
+        assert direct_presentation(lam).generators == hook_table_generators(lam), lam
+    cases = list(wreath_cases(12))
+    assert len(cases) == 396
+    for q, ell in cases:
+        expected = hook_table_generators(from_quotient(q, ell), ell)
+        assert wreath_presentation(q, ell).generators == expected, (q, ell)
+        assert all(g.degree == d for g, d in expected)
+
+
+def test_presentations_build_no_hook_table_and_no_partition(monkeypatch):
+    """Both routes read their cells off a beta-set: with the conjugate,
+    which the hook table is built from, and the read-back of a bead diagram
+    to a partition made to fail, they still build the same presentations."""
+    labels = [((3, 2), 1), ((4, 4, 2, 1), 1), (((1, 1), (), (1,)), 3), (((2, 1), (2,)), 2)]
+
+    def build(label, ell):
+        return direct_presentation(label) if ell == 1 else wreath_presentation(label, ell)
+
+    expected = [build(label, ell) for label, ell in labels]
+
+    def fail(*_args):
+        raise AssertionError("not on the beta-set route")
+
+    monkeypatch.setattr(partitions, "_transpose", fail)
+    monkeypatch.setattr(abacus, "_partition_from_positions", fail)
+    with pytest.raises(AssertionError):
+        hook_length((3, 2), (1, 1))
+    with pytest.raises(AssertionError):
+        from_quotient(((1,), ()), 2)
+    for (label, ell), reference in zip(labels, expected):
+        ours = build(label, ell)
+        assert ours.generators == reference.generators
+        assert ours.relations.polys == reference.relations.polys
+
+
 @pytest.mark.parametrize(("lam", "error"), NON_PARTITIONS)
 def test_direct_presentation_rejects_non_partitions(lam, error):
     with pytest.raises(error):
@@ -176,6 +223,19 @@ def test_both_routes_pack_relations_on_one_codec(n):
         assert oracle.radix.bases == direct.radix.bases, lam
         assert oracle.leads == direct.leads == (1,) * n, lam
         assert oracle.polys == direct.polys, lam
+
+
+def test_packed_relations_from_polys_compare_code_for_code():
+    """``from_polys`` keeps its leads as a tuple, as the builders do, so the
+    direct relations of ``3,2`` packed again from their polynomials compare
+    equal to the built ones on the same codec, with neither side decoded."""
+    built = direct_presentation((3, 2)).relations
+    packed = PackedPolys.from_polys(tuple(direct_presentation((3, 2)).relations))
+    assert packed.radix.symbols == built.radix.symbols
+    assert packed.radix.bases == built.radix.bases
+    assert packed.leads == built.leads == (1,) * 5
+    assert packed == built and built == packed
+    assert packed._decoded is None and built._decoded is None
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -309,6 +369,27 @@ def test_wreath_equals_the_stripped_direct_presentation():
         assert ours.generators == reference.generators, (q, ell)
         assert ours.relations == reference.relations, (q, ell)
         assert ours.meta == reference.meta
+
+
+def test_wreath_beta_set_is_read_off_the_staircase():
+    """The wreath route's beta-set, the quotient's staircase beads shifted,
+    is that of ``from_quotient(q, ell)`` padded to its weight: every wreath
+    label with n*ell <= 12, the empty labels, and staircases with more beads
+    than the weight, whose lowest beads drop."""
+    more = [
+        (((), (), (1,)), 3), (((), (1,)), 2), (((), (), (), (1, 1)), 4), (((), (), (), (1,)), 4),
+    ]
+    empty = [(((),) * ell, ell) for ell in (1, 2, 3)]
+    cases = list(wreath_cases(12)) + empty + more
+    for q, ell in more:
+        assert len(_staircase_beads(q, ell)) > ell * sum(map(sum, q)), q
+    outnumbered = 0
+    for q, ell in cases:
+        n = ell * sum(map(sum, q))
+        outnumbered += len(_staircase_beads(q, ell)) > n
+        assert _quotient_beta_set(q, ell) == _beta_set(from_quotient(q, ell), n), (q, ell)
+    assert _quotient_beta_set(((), ()), 2) == ()
+    assert outnumbered > len(more)
 
 
 @pytest.mark.parametrize("q,ell", list(wreath_cases(8)))
