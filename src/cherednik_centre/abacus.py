@@ -55,10 +55,6 @@ class BeadDiagram:
     columns: int
     beads: frozenset[int]
 
-    def column_rows(self, c: int) -> tuple[int, ...]:
-        """Rows of the beads in column ``c``, increasing."""
-        return tuple(sorted(p // self.columns for p in self.beads if p % self.columns == c))
-
 
 def abacus_from_partition(lam: Partition, ell: int) -> BeadDiagram:
     """Display ``lam`` on ``ell`` columns: beads at the first-column hooks;

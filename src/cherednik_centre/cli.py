@@ -13,7 +13,9 @@ documents from dicts, escaping strings with ``json.dumps``'s C escaper.  The
 ``presentation`` and ``centre`` documents, nearly all of whose bytes are
 relations, are written straight to text with no document tree: each
 presentation by ``presentation._presentation_json`` at its depth, its
-relations from packed codes.
+relations from packed codes.  ``wronskian`` renders, whole, the packed
+determinant that ``wronski_relations`` splits into relations.  Renderers run
+with CPython's cap on the digits of an int written as ``str`` lifted.
 
 Partition arguments are comma-separated parts (``3,2``), the empty partition
 is ``-``, and multipartitions join components with ``|`` (``3,2|1,1|2``).  A
@@ -44,7 +46,7 @@ from .abacus import (
     parse_multipartition,
 )
 from .centre import CentrePresentation, centre_presentation
-from .errors import DomainError, EllOutOfRange
+from .errors import DomainError, EllOutOfRange, EmptyPartition
 from .hilbert import format_series, hilbert_series_formula
 from .partitions import (
     _row_hooks,
@@ -54,7 +56,7 @@ from .partitions import (
     parse_partition,
     transpose,
 )
-from .polyring import format_poly, named_terms
+from .polyring import PackedPolys, generator_name
 from .presentation import (
     _block_part,
     _json_list,
@@ -65,7 +67,7 @@ from .presentation import (
     presentation_text,
     quotient_ring_text,
 )
-from .wronski import schubert_basis, wronskian
+from .wronski import _packed_wronskian
 
 ASSUMPTION = "generic c / smooth Calogero-Moser"
 
@@ -219,16 +221,20 @@ def _cmd_presentation(args) -> _Output:
 
 def _cmd_wronskian(args) -> _Output:
     lam = parse_partition(args.partition)
-    wr = wronskian(schubert_basis(lam))
+    if not lam:
+        raise EmptyPartition("the Wronskian needs at least one polynomial")
+    codec, det = _packed_wronskian(lam)
 
     def document() -> dict:
-        terms = [
-            {"coefficient": str(wr[mono]), "monomial": names, "u_power": mono[0]}
-            for mono, names in named_terms(wr)
-        ]
+        terms = []
+        for _key, code, ue, _names in codec.ordered(det, codec.table("f", True)):
+            names = [generator_name(s) for s, e in codec.decode(code)[1] for _ in range(e)]
+            terms.append({"coefficient": str(det[code]), "monomial": names, "u_power": ue})
         return {"partition": list(lam), "wronskian": terms}
 
-    return _Output(lambda: format_poly(wr), lambda: render_json(document()))
+    return _Output(
+        lambda: PackedPolys(codec, [det], (1,)).text(0), lambda: render_json(document())
+    )
 
 
 def _cmd_hilbert(args) -> _Output:
@@ -457,6 +463,23 @@ _HANDLERS = {
 }
 
 
+def _render(result: _Output, fmt: str) -> str:
+    """``result`` in ``fmt``, with CPython's cap on the digits of an int
+    written as ``str`` lifted while it renders, and put back after: raw
+    coefficients pass it (one in ``presentation 82`` has 4,324 digits).  The
+    handlers parse their labels under the cap, so a label of thousands of
+    digits still fails fast.  Python 3.10.6 and older have no cap."""
+    render = result.json if fmt == "json" else lambda: result.text() + "\n"
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return render()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return render()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run(argv: list[str]) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -465,7 +488,7 @@ def run(argv: list[str]) -> int:
         return int(code) if code else 0
     try:
         result = _HANDLERS[args.command](args)
-        output = result.json() if args.format == "json" else result.text() + "\n"
+        output = _render(result, args.format)
     except DomainError as err:
         print(type(err).__name__, file=sys.stderr)
         return 1

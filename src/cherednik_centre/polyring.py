@@ -26,10 +26,10 @@ codes.  :class:`PackedPolys` sizes the digits by weighted degree
 :func:`~.wronski.wronskian` by exponents summed over rows or columns
 (:meth:`Radix.summed`); :func:`~.wronski.wronski_relations` sweeps on the
 direct route's ``by_degree`` codec, whose most significant digit, ``u``,
-takes the sweep's larger exponents with no carry, so its relations land on
-that codec's codes.  Two :class:`PackedPolys` on equal codecs with equal
-explicit leads compare code for code.  :func:`format_poly` and
-:func:`named_terms` pack an ``MPoly`` first.
+takes the sweep's larger exponents with no carry, so its relations, and
+the terms the ``wronskian`` command prints, land on that codec's codes.
+Two :class:`PackedPolys` on equal codecs with equal explicit leads compare
+code for code.  :func:`format_poly` packs an ``MPoly`` first.
 
 Grading: ``deg u = 1`` and ``deg f_{i,j} = j``; a polynomial all of whose
 monomials share the same weighted degree is homogeneous.
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
@@ -467,16 +467,6 @@ class PackedPolys:
 
     def __repr__(self) -> str:
         return f"PackedPolys({self._values()!r})"
-
-
-def named_terms(p: MPoly, prefix: str = "f") -> Iterator[tuple[Monomial, list[str]]]:
-    """The monomials of ``p`` in canonical order, each with the names of its
-    generators repeated by exponent."""
-    packed = PackedPolys.from_polys((p,))
-    monomial_of = dict(zip(packed.polys[0], p))
-    for _key, code, *_ in packed.radix.ordered(monomial_of, packed.radix.table(prefix, True)):
-        mono = monomial_of[code]
-        yield mono, [generator_name(s, prefix) for s, e in mono[1] for _ in range(e)]
 
 
 def format_poly(p: MPoly, prefix: str = "f") -> str:

@@ -30,15 +30,17 @@ partitions of 9 to 11 it makes about 0.6 times the term products of the
 sweep over the derivative rows.  Each digit's base is one more than
 the sum over the columns of its largest exponent there: a determinant term
 takes one entry per column and differentiating never raises an exponent, so
-no digit carries.  :func:`wronski_relations` packs a Schubert basis straight
+no digit carries.  :func:`_packed_wronskian` packs a Schubert basis straight
 from the beta-set: column ``i`` is ``u^{d_i}`` plus one term per gap, every
 coefficient 1, on the direct route's :meth:`~.polyring.Radix.by_degree`
-codec, where no product carries either.  It splits the relations off the
-result by its ``u`` digit, each the determinant's int coefficients on the
-direct route's codes, as a :class:`~.polyring.PackedPolys` with lead 1.
-:func:`wronskian` packs an arbitrary basis by :meth:`~.polyring.Radix.summed`
-and :meth:`~.polyring.Radix.pack`, each column scaled to int coefficients,
-and divides the product of the scales out.
+codec, where no product carries either.  :func:`wronski_relations` splits
+the relations off that determinant by its ``u`` digit, each the
+determinant's int coefficients on the direct route's codes, as a
+:class:`~.polyring.PackedPolys` with lead 1; the ``wronskian`` command
+renders it whole.  :func:`wronskian` packs an arbitrary basis by
+:meth:`~.polyring.Radix.summed` and :meth:`~.polyring.Radix.pack`, each
+column scaled to int coefficients, and divides the product of the scales
+out; it is the checkers' route.
 
 ``wronskian_recursive`` is a second, independent evaluation route for bases
 of single-term polynomials, via the identity
@@ -82,7 +84,7 @@ class WronskiRelations:
     on the codec of :func:`~.presentation.direct_presentation` with lead 1
     each, so the two routes' relations compare code for code."""
 
-    leading: Fraction
+    leading: int
     relations: PackedPolys
 
 
@@ -142,14 +144,12 @@ def wronskian(basis: SchubertBasis) -> MPoly:
     return {radix.decode(code): c for code, c in det.items()}
 
 
-def wronski_relations(lam: Partition) -> WronskiRelations:
-    """The leading coefficient and ``r_1 ... r_n`` for ``lam``, split off the
-    packed Wronskian by ``u`` digit; leading 1 (the empty determinant) and an
-    empty :class:`PackedPolys` for ``()``, and the errors of
-    :func:`schubert_basis` on a non-partition.
+def _packed_wronskian(lam: Partition) -> tuple[Radix, PackedPoly]:
+    """The codec and the Wronskian of ``lam``'s basis, packed straight from
+    the beta-set with no ``MPoly`` built: ``{0: 1}`` for ``()``, and the
+    errors of :func:`schubert_basis` on a non-partition.
 
-    The basis is packed straight from the beta-set, with no ``MPoly`` built,
-    on the codec of :func:`~.presentation.direct_presentation`:
+    The codec is that of :func:`~.presentation.direct_presentation`:
     :meth:`Radix.by_degree` over the sorted gap symbols (the cells, named by
     row and hook, that are the direct route's generators) up to ``n``.  A
     column holds only its own row's symbols, each term at most one, and
@@ -158,8 +158,8 @@ def wronski_relations(lam: Partition) -> WronskiRelations:
     exponents reach ``sum(d_i)``, past the codec's ``u`` base ``n + 1``, but
     ``u`` is the most significant digit, whose base sets no place value: the
     places are those of a ``u`` digit of base ``1 + sum(d_i)`` above the same
-    symbol digits.  The code below ``u`` is then the direct route's code,
-    and each relation is kept on it with lead 1."""
+    symbol digits.  The determinant, homogeneous of weight ``n``, has ``u``
+    exponents up to ``n`` only, so its codes are the codec's own."""
     lam = make_partition(lam)
     n = sum(lam)
     beta = beta_set(lam, n)
@@ -169,9 +169,19 @@ def wronski_relations(lam: Partition) -> WronskiRelations:
     columns = [[(d_i * u_place, 1)] for d_i in beta]
     for s, place in zip(symbols, codec.places[1:]):
         columns[s.row - 1].append(((beta[s.row - 1] - s.degree) * u_place + place, 1))
-    det = _column_sweep(columns, u_place)
+    return codec, _column_sweep(columns, u_place)
+
+
+def wronski_relations(lam: Partition) -> WronskiRelations:
+    """The leading coefficient and ``r_1 ... r_n`` for ``lam``, split off
+    :func:`_packed_wronskian` by ``u`` digit: each relation is kept on the
+    code below ``u``, the direct route's code, with lead 1.  Leading 1 (the
+    empty determinant) and an empty :class:`PackedPolys` for ``()``."""
+    codec, det = _packed_wronskian(lam)
+    n = codec.bases[0] - 1
+    u_place = codec.places[0]
     relations: list[PackedPoly] = [{} for _ in range(n)]
-    leading = Fraction(det.pop(n * u_place, 0))
+    leading = det.pop(n * u_place, 0)
     for code, c in det.items():
         ue, rest = divmod(code, u_place)
         relations[n - 1 - ue][rest] = c

@@ -35,13 +35,6 @@ def test_bead_positions_are_first_column_hooks():
     assert abacus_from_partition((), 2).beads == frozenset()
 
 
-def test_column_rows():
-    diagram = BeadDiagram(columns=3, beads=frozenset({6, 4, 2, 1}))
-    assert diagram.column_rows(0) == (2,)
-    assert diagram.column_rows(1) == (0, 1)
-    assert diagram.column_rows(2) == (0,)
-
-
 def test_reading_is_padding_invariant():
     lam = (4, 2, 2)
     for pad in range(len(lam), len(lam) + 6):

@@ -30,10 +30,11 @@ from cherednik_centre import (
     weight,
 )
 from cherednik_centre.cli import render_json, run
-from cherednik_centre.polyring import PackedPolys
+from cherednik_centre.polyring import PackedPolys, format_poly, generator_name
 from cherednik_centre.presentation import label_document
+from cherednik_centre.wronski import schubert_basis, wronskian
 
-from reference import reference_document
+from reference import reference_document, term_sort_key
 
 GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
 WRONSKIAN_PINS = Path(__file__).resolve().parent / "wronskian_pins.json"
@@ -125,6 +126,36 @@ def test_wronskian_outputs_are_pinned(capsys):
         status, out, err = _run(capsys, *argv.split(" "))
         assert (status, err) == (0, ""), argv
         assert hashlib.sha256(out.encode()).hexdigest() == pins[argv], argv
+
+
+def test_wronskian_outputs_equal_the_generic_route(capsys):
+    """``wronskian`` stdout, read off the packed determinant of
+    ``wronski_relations``, against the generic route for every partition of
+    n <= 8: ``wronskian`` on the basis's polynomials, printed by
+    ``format_poly`` as text and as ``json.dumps`` of its terms in
+    ``term_sort_key`` order."""
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            label = format_partition(lam)
+            wr = wronskian(schubert_basis(lam))
+            terms = [
+                {
+                    "coefficient": str(wr[mono]),
+                    "monomial": [generator_name(s) for s, e in mono[1] for _ in range(e)],
+                    "u_power": mono[0],
+                }
+                for mono in sorted(wr, key=term_sort_key)
+            ]
+            document = {"partition": list(lam), "wronskian": terms}
+            assert _run(capsys, "wronskian", label) == (0, format_poly(wr) + "\n", ""), lam
+            assert _run(capsys, "wronskian", "--format", "json", label) == (
+                0, json.dumps(document, indent=2, sort_keys=True) + "\n", ""
+            ), lam
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_wronskian_of_the_empty_partition_is_a_domain_error(capsys, fmt):
+    assert _run(capsys, "wronskian", "--format", fmt, "-") == (1, "", "EmptyPartition\n")
 
 
 def test_hilbert_pin(capsys):
@@ -632,6 +663,15 @@ _LARGE_OUTPUT_PINS = {
         "3bcdd7dec706d820b4ced0945ebd1cab0da78f62485085b927bdc3eaee67c2da",
     "wronskian --format json -- 6,5,4,3,2,1":
         "bb0a0f8d1c53db232752c837e4fea79d8aec54c35b845bcb4eac0a0278664154",
+    # coefficients past CPython's default cap of 4300 digits on int to str
+    "presentation --format text -- 82":
+        "189661d3c01e8671ffb527b1099d094c30c9e1b1c247d9148d341d8a666bcc1a",
+    "presentation --format json -- 82":
+        "e02c83f0b562c979c7ef59f81774159b28d2c3ef07bc40a60827834313774b26",
+    "wronskian --format text -- 82":
+        "87b6da5a069c044ab0cb9cb211016baa310038bb063bf37c1cbcca44743f5161",
+    "wronskian --format json -- 82":
+        "fc602b9562315a3ed00ecbd5abeb5a954056076202eb7946eb8115d9d9a08a9d",
 }
 
 
@@ -640,6 +680,26 @@ def test_large_outputs_are_pinned(capsys, argv):
     status, out, err = _run(capsys, *argv.split(" "))
     assert (status, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _LARGE_OUTPUT_PINS[argv]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit cap before 3.10.7"
+)
+def test_run_leaves_the_int_digit_cap_as_it_found_it(capsys):
+    """``run`` lifts the cap only while it renders: ``presentation 82``
+    prints a coefficient past the cap, a label of 5000 digits still fails to
+    parse, and the cap, the default or another, is the same after either."""
+    found = sys.get_int_max_str_digits()
+    try:
+        for cap in (4300, 640):
+            sys.set_int_max_str_digits(cap)
+            status, out, err = _run(capsys, "presentation", "--", "82")
+            assert (status, err) == (0, "") and len(out) > 4300
+            assert sys.get_int_max_str_digits() == cap
+            assert _run(capsys, "presentation", "--", "9" * 5000) == (1, "", "UnparsableLabel\n")
+            assert sys.get_int_max_str_digits() == cap
+    finally:
+        sys.set_int_max_str_digits(found)
 
 
 # --- one parser per process ---------------------------------------------------

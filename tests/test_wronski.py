@@ -142,7 +142,7 @@ def test_linear_terms_sit_exactly_in_their_own_degree(n):
 
 def test_example_leading_coefficient_and_low_relations():
     result = wronski_relations((3, 2))
-    assert result.leading == Fraction(50400)
+    assert result.leading == 50400 and type(result.leading) is int
     r1 = result.relations[0]
     assert r1[(0, ((GenSym(1, 1), 1),))] == 14400
     assert r1[(0, ((GenSym(2, 1), 1),))] == 30240
