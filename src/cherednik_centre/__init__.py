@@ -34,7 +34,7 @@ from .errors import (
     CellOutOfDiagram, DomainError, EllOutOfRange, EmptyPartition, InexactDivision,
     InhomogeneousRelation, LengthMismatch, MalformedPresentation, NegativeDegreeGenerator,
     NegativePart, NegativeWeight, NonIntegral, NonSquare, NotWeaklyDecreasing,
-    OracleTruncated, PadTooShort, RowOutOfRange, UnparsableLabel, ZeroPolynomial,
+    OracleTruncated, PadTooShort, RowOutOfRange, TooLarge, UnparsableLabel, ZeroPolynomial,
 )
 from .hilbert import (
     HilbertSeries, dimension_hook_formula, format_series,
@@ -69,8 +69,8 @@ __all__ = [
     "InexactDivision", "InhomogeneousRelation", "LengthMismatch",
     "MalformedPresentation", "NegativeDegreeGenerator",
     "NegativePart", "NegativeWeight", "NonIntegral", "NonSquare", "NotWeaklyDecreasing",
-    "OracleTruncated", "PadTooShort", "RowOutOfRange", "UnparsableLabel",
-    "ZeroPolynomial",
+    "OracleTruncated", "PadTooShort", "RowOutOfRange", "TooLarge",
+    "UnparsableLabel", "ZeroPolynomial",
     # hilbert
     "HilbertSeries", "dimension_hook_formula", "format_series",
     "graded_dimensions_from_presentation", "hilbert_series_formula",

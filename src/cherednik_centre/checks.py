@@ -24,19 +24,34 @@ from .hilbert import (
     hilbert_series_formula,
 )
 from .partitions import beta_set, partitions_of, weight
-from .polyring import weighted_degree
+from .polyring import PackedPolys
 from .presentation import GradedPresentation, direct_presentation, simplify, wreath_presentation
 from .wronski import SchubertBasis, wronski_relations, wronskian, wronskian_recursive
 
 
+def _packed_form(relations, n: int) -> tuple | None:
+    """The codec's ``(symbols, bases)`` if ``relations`` are ``n`` packed
+    polynomials of lead 1 each, else ``None``."""
+    packed = isinstance(relations, PackedPolys) and len(relations.polys) == n
+    if packed and relations.leads == (1,) * n:
+        return relations.radix.symbols, relations.radix.bases
+    return None
+
+
 def direct_equals_wronskian(n_max: int) -> str | None:
-    """The direct relations equal the Wronskian's, code for code on their
-    shared codec, for n <= n_max."""
+    """For n <= n_max, both routes give n relations packed on one codec
+    (equal ``symbols`` and ``bases``) with lead 1 each, and the direct
+    relations equal the Wronskian's code for code."""
     for n in range(0, n_max + 1):
         for lam in partitions_of(n):
-            oracle = wronski_relations(lam)
-            built = direct_presentation(lam)
-            if oracle.relations != built.relations:
+            oracle = wronski_relations(lam).relations
+            built = direct_presentation(lam).relations
+            forms = {_packed_form(oracle, n), _packed_form(built, n)}
+            if None in forms:
+                return f"relation mismatch at {lam}: not {n} packed relations of lead 1"
+            if len(forms) > 1:
+                return f"relation mismatch at {lam}: the codecs differ"
+            if oracle.polys != built.polys:
                 return f"relation mismatch at {lam}"
     return None
 
@@ -104,9 +119,10 @@ def recursive_wronskian(n_max: int) -> str | None:
 
 def wreath_support(total_max: int) -> str | None:
     """For every label with 2 <= ell and n*ell <= total_max: generator
-    degrees divisible by ell, the k-th relation of degree k*ell, the closed
-    series formula equal to the oracle series, series supported in degrees
-    divisible by ell, and ``simplify`` leaving the oracle series unchanged."""
+    degrees divisible by ell, n relations, the k-th of degree k*ell in the
+    generators alone (read off its packed codes), the closed series formula
+    equal to the oracle series, series supported in degrees divisible by
+    ell, and ``simplify`` leaving the oracle series unchanged."""
     for ell in range(2, total_max + 1):
         for n in range(0, total_max // ell + 1):
             for q in multipartitions_of(n, ell):
@@ -114,9 +130,17 @@ def wreath_support(total_max: int) -> str | None:
                 for _, degree in built.generators:
                     if degree % ell:
                         return f"generator degree not divisible at {q}"
-                for k, rel in enumerate(built.relations, start=1):
-                    if rel and weighted_degree(rel) != k * ell:
-                        return f"relation {k} not of degree {k * ell} at {q}"
+                relations = built.relations
+                if len(relations.polys) != n:
+                    return f"{len(relations.polys)} relations, not {n}, at {q}"
+                generators = {g for g, _ in built.generators}
+                decode = relations.radix.decode
+                for k, rel in enumerate(relations.polys, start=1):
+                    for ue, gens in map(decode, rel):
+                        if ue or any(s not in generators for s, _ in gens):
+                            return f"relation {k} holds a non-generator at {q}"
+                        if sum(s.degree * e for s, e in gens) != k * ell:
+                            return f"relation {k} not of degree {k * ell} at {q}"
                 series = oracle_series(built)
                 if hilbert_series_formula(q, ell) != series:
                     return f"series formula mismatch at {q}"

@@ -165,7 +165,7 @@ def _cmd_partition_info(args) -> _Output:
             f"weight: {n}",
             f"length: {len(lam)}",
             f"transpose: {format_partition(transpose(lam))}",
-            "hooks: " + ("; ".join(" ".join(str(h) for h in row) for row in hooks) or "-"),
+            "hooks: " + ("; ".join(" ".join(map(str, row)) for row in hooks) or "-"),
             f"first column hooks: {','.join(str(d) for d in first_column_hooks(lam)) or '-'}",
             f"beta-set (n={n}): {','.join(str(d) for d in beta) or '-'}",
         ])
@@ -216,7 +216,10 @@ def _cmd_abacus(args) -> _Output:
 
 def _cmd_presentation(args) -> _Output:
     built = _block_part(_parse_label(args.label, args.ell), args.ell, args.simplified)
-    return _Output(lambda: presentation_text(built), lambda: _presentation_json(built) + "\n")
+    return _Output(
+        lambda: presentation_text(built),
+        lambda: _presentation_json(built) + "\n",
+    )
 
 
 def _cmd_wronskian(args) -> _Output:
@@ -233,7 +236,8 @@ def _cmd_wronskian(args) -> _Output:
         return {"partition": list(lam), "wronskian": terms}
 
     return _Output(
-        lambda: PackedPolys(codec, [det], (1,)).text(0), lambda: render_json(document())
+        lambda: PackedPolys(codec, [det], (1,)).text(0),
+        lambda: render_json(document()),
     )
 
 
@@ -292,7 +296,8 @@ def _centre_json(result: CentrePresentation) -> str:
 def _cmd_centre(args) -> _Output:
     result = centre_presentation(args.n, args.ell, args.simplified)
     return _Output(
-        lambda: _centre_text(result, args.simplified), lambda: _centre_json(result)
+        lambda: _centre_text(result, args.simplified),
+        lambda: _centre_json(result),
     )
 
 

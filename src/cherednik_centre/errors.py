@@ -88,3 +88,8 @@ class EllOutOfRange(DomainError):
 
 class NegativeWeight(DomainError):
     """The weight being partitioned must be non-negative."""
+
+
+class TooLarge(DomainError):
+    """A label too large to compute with: its beta-set would be padded to
+    more entries than a tuple can index (``sys.maxsize``)."""

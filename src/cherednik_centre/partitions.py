@@ -12,19 +12,24 @@ Conventions used throughout the package:
 
   where ``L_j`` is the *full* length of column ``j`` (arm + leg + 1 with the
   leg measured down the whole column), the ``j``-th part of the conjugate.
-  It is computed in one place, the hook table :func:`_row_hooks`, which
-  every reader of hooks in the package uses.
+  Off the conjugate it is computed in one place, the hook table
+  :func:`_row_hooks`, which :func:`hook_length`, the series formula and the
+  ``partition info`` command read.
 
 * The beta-set of ``lam`` padded to ``n`` parts is ``d_i = lam_i + n - i``
   for ``i = 1..n`` — strictly decreasing, pairwise distinct.  With
-  ``n = len(lam)`` these are exactly the first-column hook lengths.
-  :func:`row_hook_set` and :func:`first_column_hooks` read hooks off it with
-  no conjugate: the independent route the tests hold the table to.
+  ``n = len(lam)`` these are exactly the first-column hook lengths.  The
+  hooks of row ``i`` are the ``d_i - g`` for the gaps ``g < d_i`` (the
+  integers below ``d_i`` not in the beta-set), one gap per column.
+  :func:`row_hook_set`, :func:`first_column_hooks`, the presentations'
+  cells and the Schubert basis read hooks off the beta-set so, with no
+  conjugate; the tests and CI hold this route and the table equal.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from typing import Iterator
 
 from .errors import (
@@ -33,6 +38,7 @@ from .errors import (
     NotWeaklyDecreasing,
     PadTooShort,
     RowOutOfRange,
+    TooLarge,
     UnparsableLabel,
 )
 
@@ -86,7 +92,12 @@ def transpose(lam: Partition) -> Partition:
 
 def _transpose(lam: Partition) -> Partition:
     """:func:`transpose` of a validated ``lam``."""
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1)) if lam else ()
+    if not lam:
+        return ()
+    return tuple(
+        sum(1 for p in lam if p >= j)
+        for j in range(1, lam[0] + 1)
+    )
 
 
 def cells(lam: Partition) -> Iterator[Cell]:
@@ -149,7 +160,11 @@ def beta_set(lam: Partition, n: int) -> BetaSet:
 
 
 def _beta_set(lam: Partition, n: int) -> BetaSet:
-    """:func:`beta_set` of a validated ``lam`` and ``n >= len(lam)``."""
+    """:func:`beta_set` of a validated ``lam`` and ``n >= len(lam)``;
+    :class:`~cherednik_centre.errors.TooLarge` if ``n`` exceeds what a tuple
+    can index."""
+    if n > sys.maxsize:
+        raise TooLarge(n)
     padded = lam + (0,) * (n - len(lam))
     return tuple(p + n - i for i, p in enumerate(padded, start=1))
 

@@ -56,11 +56,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, Union
 
 from .abacus import MultiPartition, _make_multipartition, _staircase_beads, format_multipartition
+from .errors import TooLarge
 from .partitions import (
     BetaSet,
     Cell,
@@ -181,10 +183,14 @@ def _quotient_beta_set(q: MultiPartition, ell: int) -> BetaSet:
     read off the staircase of ``q`` with no partition built: its ``k``
     beads shift by ``n - k``.  Below them ``n - k`` padding beads are added,
     or, if ``k > n``, the lowest ``k - n`` beads, which are ``0 .. k - n -
-    1`` since the partition has at most ``n`` parts, shift below 0 and drop."""
+    1`` since the partition has at most ``n`` parts, shift below 0 and drop.
+    :class:`~cherednik_centre.errors.TooLarge` if ``n`` exceeds what a tuple
+    can index."""
     q = _make_multipartition(q, ell)
-    beads = _staircase_beads(q, ell)
     n = ell * sum(map(sum, q))
+    if n > sys.maxsize:
+        raise TooLarge(n)
+    beads = _staircase_beads(q, ell)
     shift = n - len(beads)
     return tuple(p + shift for p in beads[:n]) + tuple(range(shift - 1, -1, -1))
 

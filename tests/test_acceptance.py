@@ -201,6 +201,7 @@ def test_criterion_7_property_suites():
                     }
                     assert linear == {g for g in symbols if g.degree == s}
 
-        # wreath degrees and support for all labels with n*ell <= 8
-        # (2 <= ell <= 8), and simplify invariance
+        # wreath degrees, n relations in the generators alone, series
+        # support and simplify invariance for all labels with n*ell <= 8
+        # (2 <= ell <= 8)
         assert checks.wreath_support(8) is None

@@ -30,7 +30,7 @@ from cherednik_centre import (
     weight,
 )
 from cherednik_centre.cli import render_json, run
-from cherednik_centre.polyring import PackedPolys, format_poly, generator_name
+from cherednik_centre.polyring import GenSym, PackedPolys, Radix, format_poly, generator_name
 from cherednik_centre.presentation import label_document
 from cherednik_centre.wronski import schubert_basis, wronskian
 
@@ -355,6 +355,20 @@ def test_unparsable_label_is_a_domain_error(capsys):
     assert err.strip() == "UnparsableLabel"
 
 
+def test_a_label_past_a_tuple_index_is_too_large(capsys):
+    """A weight above ``sys.maxsize`` cannot pad a beta-set: both routes
+    that pad one exit 1 with the class name and no traceback, while the
+    abacus, which pads to the number of parts, still reads the label."""
+    huge = "99999999999999999999"
+    for argv in (
+        ("presentation", huge),
+        ("wronskian", huge),
+        ("presentation", "--ell", "2", "--", huge + "|-"),
+    ):
+        assert _run(capsys, *argv) == (1, "", "TooLarge\n"), argv
+    assert _run(capsys, "abacus", "core", huge, "--ell", "3") == (0, "core: -\n", "")
+
+
 def test_nonpositive_column_count_is_a_domain_error(capsys):
     for ell in ("0", "-2"):
         status, _, err = _run(capsys, "abacus", "quotient", "3,2", "--ell", ell)
@@ -439,10 +453,12 @@ def test_selftest_deep_passes(capsys):
 
 
 def _drop_last_relation(real):
-    """A tuple of one relation fewer: compared decoded."""
-    def broken(lam):
-        result = real(lam)
-        return dataclasses.replace(result, relations=result.relations[:-1])
+    """One relation fewer, on the same codec."""
+    def broken(*label):
+        result = real(*label)
+        packed = result.relations
+        relations = PackedPolys(packed.radix, packed.polys[:-1], packed.leads[:-1])
+        return dataclasses.replace(result, relations=relations)
 
     return broken
 
@@ -459,6 +475,32 @@ def _bump_first_coefficient(real):
             polys[0] = {**polys[0], code: polys[0][code] + 1}
         relations = PackedPolys(packed.radix, polys, packed.leads)
         return dataclasses.replace(result, relations=relations)
+
+    return broken
+
+
+def _repack_with_one_more_symbol(real):
+    """The same relations, each term on the same monomial, packed on a
+    codec with one more symbol: equal once decoded, but not code for code."""
+    def broken(lam):
+        result = real(lam)
+        packed = result.relations
+        old = packed.radix
+        radix = Radix.by_degree((GenSym(0, 1),) + old.symbols, old.bases[0] - 1)
+        polys = [
+            radix.encode_poly({old.decode(code): c for code, c in p.items()})
+            for p in packed.polys
+        ]
+        return dataclasses.replace(result, relations=PackedPolys(radix, polys, packed.leads))
+
+    return broken
+
+
+def _drop_last_generator(real):
+    """One generator fewer; the relations still hold it."""
+    def broken(q, ell):
+        built = real(q, ell)
+        return dataclasses.replace(built, generators=built.generators[:-1])
 
     return broken
 
@@ -484,6 +526,8 @@ def _drop_relations(real):
     [
         (0, "wronski_relations", _drop_last_relation, "relation mismatch at (1,)"),
         (0, "wronski_relations", _bump_first_coefficient, "relation mismatch at (1,)"),
+        (0, "wronski_relations", _repack_with_one_more_symbol,
+         "relation mismatch at (): the codecs differ"),
         (1, "ell_quotient", _reverse_components,
          "quotient inverse broken at ((1,), ()), ell=2"),
         (2, "graded_dimensions_from_presentation", _append_coefficient,
@@ -492,11 +536,14 @@ def _drop_relations(real):
         (4, "simplify", _drop_relations, "simplify changed dimensions at "),
         (4, "hilbert_series_formula", _append_coefficient,
          "series formula mismatch at ((), ())"),
+        (4, "wreath_presentation", _drop_last_relation, "0 relations, not 1, at ((1,), ())"),
+        (4, "wreath_presentation", _drop_last_generator,
+         "relation 1 holds a non-generator at ((1,), ())"),
         # no relations leave an infinite quotient, which the oracle raises on
         (2, "direct_presentation", _drop_relations, "series mismatch at (1,)"),
     ],
-    ids=["direct", "direct-code", "abacus", "hilbert", "recursive", "wreath",
-         "wreath-formula", "infinite-quotient"],
+    ids=["direct", "direct-code", "direct-codec", "abacus", "hilbert", "recursive", "wreath",
+         "wreath-formula", "wreath-relations", "wreath-generators", "infinite-quotient"],
 )
 def test_selftest_reports_a_broken_second_route(
     capsys, monkeypatch, suite, route, breaker, detail

@@ -129,3 +129,21 @@ def test_every_private_helper_is_referenced():
         if everywhere[name] == _references(node)[name]
     ]
     assert orphans == []
+
+
+def test_no_two_code_objects_share_a_line_and_a_name():
+    """cProfile keys each code object by (file, first line, name): two
+    lambdas or generator expressions on one line of a module in ``src/``
+    would share one entry in a profile, and which of them it counts would
+    follow hash order, changing from run to run."""
+    root = Path(__file__).resolve().parents[1] / "src" / "cherednik_centre"
+    shared = []
+    for path in sorted(root.glob("*.py")):
+        seen: Counter = Counter()
+        pending = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        while pending:
+            code = pending.pop()
+            seen[code.co_firstlineno, code.co_name] += 1
+            pending += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        shared += [f"{path.name}:{line} {name}" for (line, name), k in seen.items() if k > 1]
+    assert shared == []
