@@ -22,12 +22,14 @@ the first one again after every elimination and substitutes into every
 relation at once (the package makes one pass, substituting into each
 relation when it reaches it).  The package itself uses none of them.
 
-Also here: the wreath labels the tests sweep, and ``json.dumps`` of a value
-cut at a nesting depth.
+Also here: the wreath labels the tests sweep, and each one's presentation
+and oracle series, built once per label for every test that reads them; and
+``json.dumps`` of a value cut at a nesting depth.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -45,6 +47,7 @@ from cherednik_centre import (
     beta_set,
     cells,
     direct_presentation,
+    graded_dimensions_from_presentation,
     make_series,
     multipartitions_of,
     partitions_of,
@@ -414,6 +417,14 @@ def wreath_cases(total_max: int):
         for n in range(1, total_max // ell + 1):
             for q in multipartitions_of(n, ell):
                 yield q, ell
+
+
+@functools.lru_cache(maxsize=None)
+def wreath_block(q, ell: int) -> tuple[GradedPresentation, HilbertSeries]:
+    """The wreath presentation of ``q`` and its oracle series with the
+    default cutoff, built once per label however many tests read them."""
+    built = wreath_presentation(q, ell)
+    return built, graded_dimensions_from_presentation(built)
 
 
 def _occurs_only_linearly(p: PackedPoly, place: int, base: int) -> bool:

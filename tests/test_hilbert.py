@@ -50,6 +50,7 @@ from reference import (
     series_by_every_macaulay_row,
     series_by_long_division,
     sparse_rank,
+    wreath_block,
     wreath_cases,
 )
 
@@ -467,6 +468,14 @@ def test_series_formula_equals_the_long_division_reference():
 # --- wreath series ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("q,ell", list(wreath_cases(8)))
+def test_wreath_series_support_is_divisible_by_ell(q, ell):
+    _built, series = wreath_block(q, ell)
+    for d, c in enumerate(series.coefficients):
+        if c:
+            assert d % ell == 0, (q, ell, series)
+
+
 @pytest.mark.parametrize("label", ["2,1|2", "2,1|1,1", "2|2,1", "1,1|2,1"])
 def test_dimension_20_wreath_labels(label):
     """The four largest ell = 2, n = 5 blocks: each of the two parts has
@@ -513,16 +522,20 @@ def test_dimension_hook_formula_rejects_non_partitions(lam, error):
         dimension_hook_formula(((1,), lam), 2)
 
 
-def test_simplified_wreath_relations_carry_non_integer_coefficients():
-    """Some simplified wreath relation with n*ell <= 10 has a coefficient
-    that is not an integer, so the oracle runs of ``checks.wreath_support``
-    on simplified presentations scale rows to integers."""
-    assert any(
-        c.denominator != 1
-        for q, ell in wreath_cases(10)
-        for rel in simplify(wreath_presentation(q, ell)).relations
-        for c in rel.values()
-    )
+def test_oracle_agrees_on_simplified_wreath_presentations():
+    """Simplified relations carry non-integer Fractions, which the oracle
+    scales to integer rows; raw and simplified give the same series, and it
+    is the closed formula read off the multipartition."""
+    fractional = 0
+    for q, ell in wreath_cases(10):
+        raw, series = wreath_block(q, ell)
+        simplified = simplify(raw)
+        fractional += any(
+            c.denominator != 1 for rel in simplified.relations for c in rel.values()
+        )
+        assert hilbert_series_formula(q, ell) == series, (q, ell)
+        assert graded_dimensions_from_presentation(simplified) == series, (q, ell)
+    assert fractional > 0
 
 
 def test_oracle_agrees_with_the_formula_on_2_1_2_1():
@@ -548,7 +561,7 @@ def test_wreath_dimension_survey_is_recorded_not_asserted(capsys):
     cases = list(wreath_cases(8))
     assert len(cases) == 93
     for q, ell in cases:
-        dim = presentation_dimension(wreath_presentation(q, ell))
+        dim = wreath_block(q, ell)[1].dimension()
         assert dim == dimension_hook_formula(q, ell), (q, ell)
         hook_product = math.prod(dimension_hook_formula(component) for component in q)
         print(f"ell={ell} q={q}: oracle={dim} component-hook-product={hook_product}")

@@ -33,6 +33,7 @@ from cherednik_centre import (
     weight,
     weighted_degree,
     wreath_presentation,
+    wronski_relations,
 )
 from cherednik_centre import abacus, partitions
 from cherednik_centre.abacus import _staircase_beads
@@ -61,6 +62,7 @@ from reference import (
     reference_document,
     term_sort_key,
     vandermonde_coefficient,
+    wreath_block,
     wreath_cases,
 )
 
@@ -199,6 +201,30 @@ def test_direct_presentation_rejects_non_partitions(lam, error):
         direct_presentation(lam)
 
 
+@pytest.mark.parametrize("n", range(0, 10))
+def test_direct_equals_wronskian_route(n):
+    for lam in partitions_of(n):
+        direct = direct_presentation(lam)
+        oracle = wronski_relations(lam)
+        assert len(direct.relations) == len(oracle.relations) == n
+        for ours, theirs in zip(direct.relations, oracle.relations):
+            assert ours == theirs, lam
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_both_routes_pack_relations_on_one_codec(n):
+    """The Wronskian's relations and the direct ones are one form: packed on
+    equal codecs with equal leads, and equal code for code."""
+    for lam in partitions_of(n):
+        direct = direct_presentation(lam).relations
+        oracle = wronski_relations(lam).relations
+        assert isinstance(direct, PackedPolys) and isinstance(oracle, PackedPolys)
+        assert oracle.radix.symbols == direct.radix.symbols, lam
+        assert oracle.radix.bases == direct.radix.bases, lam
+        assert oracle.leads == direct.leads == (1,) * n, lam
+        assert oracle.polys == direct.polys, lam
+
+
 def test_packed_relations_from_polys_compare_code_for_code():
     """``from_polys`` keeps its leads as a tuple, as the builders do, so the
     direct relations of ``3,2`` packed again from their polynomials compare
@@ -210,6 +236,25 @@ def test_packed_relations_from_polys_compare_code_for_code():
     assert packed.leads == built.leads == (1,) * 5
     assert packed == built and built == packed
     assert packed._decoded is None and built._decoded is None
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_relation_monomials_are_exactly_the_transversal_ones(n):
+    for lam in partitions_of(n):
+        p = direct_presentation(lam)
+        seen = {
+            s: {mono[1] for mono in rel}
+            for s, rel in enumerate(p.relations, start=1)
+        }
+        expected: dict[int, set] = {s: set() for s in range(1, n + 1)}
+        for m in transversal_monomials(lam):
+            if m.degree == 0:
+                continue
+            key = tuple(
+                sorted((GenSym(i, hook_length(lam, (i, j))), 1) for i, j in m.cells)
+            )
+            expected[m.degree].add(key)
+        assert seen == expected, lam
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -228,6 +273,15 @@ def test_every_term_is_the_vandermonde_coefficient(n):
             )
             expected = orientation * vandermonde_coefficient(lam, m)
             assert p.relations[m.degree - 1].get(key, 0) == expected, (lam, m)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_generator_has_a_linear_term_in_its_degree(n):
+    for lam in partitions_of(n):
+        p = direct_presentation(lam)
+        for g, d in p.generators:
+            rel = p.relations[d - 1]
+            assert rel.get((0, ((g, 1),)), 0) != 0, (lam, g)
 
 
 def test_single_row_and_single_column_of_weight_2():
@@ -338,6 +392,22 @@ def test_wreath_beta_set_is_read_off_the_staircase():
     assert outnumbered > len(more)
 
 
+@pytest.mark.parametrize("q,ell", list(wreath_cases(8)))
+def test_wreath_degrees_and_support(q, ell):
+    """Kept generators have hook degree divisible by ℓ; relations live in
+    degrees ℓ, 2ℓ, …, and only involve kept generators."""
+    p, _series = wreath_block(q, ell)
+    lam = from_quotient(q, ell)
+    kept = {g for g, _ in p.generators}
+    assert all(g.degree % ell == 0 for g in kept)
+    assert len(p.relations) == weight(lam) // ell
+    for k, rel in enumerate(p.relations, start=1):
+        if rel:
+            assert weighted_degree(rel) == k * ell
+        for _ue, gens in rel:
+            assert all(s in kept for s, _ in gens)
+
+
 # --- simplification -----------------------------------------------------------
 
 
@@ -369,6 +439,12 @@ def test_simplify_reaches_a_fixed_point_and_preserves_dimensions(lam):
     before = graded_dimensions_from_presentation(p)
     after = graded_dimensions_from_presentation(s)
     assert before == after, lam
+
+
+@pytest.mark.parametrize("q,ell", list(wreath_cases(8)))
+def test_simplify_preserves_wreath_dimensions(q, ell):
+    p, series = wreath_block(q, ell)
+    assert graded_dimensions_from_presentation(simplify(p)) == series
 
 
 def test_simplify_rejects_an_inhomogeneous_relation():
