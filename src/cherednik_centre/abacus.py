@@ -124,15 +124,18 @@ def from_quotient(quotient: MultiPartition, ell: int) -> Partition:
 def _staircase_beads(quotient: MultiPartition, ell: int) -> list[int]:
     """The bead positions of :func:`from_quotient`, decreasing, for a
     validated ``quotient``: component ``c`` as a beta-set of length ``m_c``
-    on column ``c``, ``(m_0, ..., m_{ell-1})`` the minimal staircase."""
+    on column ``c``, ``(m_0, ..., m_{ell-1})`` the minimal staircase: part
+    ``i`` in row ``p_i + m_c - i``, padding in the rows below."""
     lengths = [len(component) for component in quotient]
     q = max([0] + [b - 1 for b in lengths[: ell - 1]] + [lengths[ell - 1]])
-    counts = [q + 1] * (ell - 1) + [q]
-    return sorted(
-        (row * ell + c for c, component in enumerate(quotient)
-         for row in _beta_set(component, counts[c])),
-        reverse=True,
-    )
+    beads: list[int] = []
+    for c, component in enumerate(quotient):
+        m = q if c == ell - 1 else q + 1
+        if component:
+            beads += [(p + m - i) * ell + c for i, p in enumerate(component, start=1)]
+        beads += range(c, (m - len(component)) * ell, ell)
+    beads.sort(reverse=True)
+    return beads
 
 
 def _make_multipartition(quotient, ell: int) -> MultiPartition:

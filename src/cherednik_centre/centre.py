@@ -18,16 +18,22 @@ it, which the CLI documents as an explicit assumption string.
 
 Generator names follow the orientation, prefix ``f`` on a plus part and ``g``
 on a minus part, so a flattened tensor block has collision-free names.
+
+Labels are checked once, on entry: :func:`block` checks its label as
+``dimension_hook_formula`` does, and :func:`centre_presentation` checks ``n``,
+``ell`` and ``ell * n <= sys.maxsize``.  The labels it enumerates are
+canonical, so ``_block`` and the builders under it take them unchecked.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .abacus import MultiPartition, star_involution
-from .errors import EllOutOfRange, NegativeWeight
-from .hilbert import dimension_hook_formula
+from .errors import EllOutOfRange, NegativeWeight, TooLarge
+from .hilbert import _components, _hook_dimension
 from .partitions import partitions_of
 from .presentation import GradedPresentation, Label, _block_part, negate_grading
 
@@ -86,14 +92,16 @@ def _plus_part(
 def _labels(n: int, ell: int) -> list[Label]:
     """The block labels of the centre in label order (see module doc): for
     ``ell = 1`` the one component of each 1-multipartition, a partition."""
-    return [q[0] if ell == 1 else q for q in multipartitions_of(n, ell)]
+    labels = multipartitions_of(n, ell)
+    if ell * n > sys.maxsize:
+        raise TooLarge(ell * n)
+    return [q[0] if ell == 1 else q for q in labels]
 
 
 def _block(
     label: Label, ell: int, simplified: bool, parts: dict[Label, GradedPresentation]
 ) -> Block:
-    # the dimension comes first: it rejects a label that does not fit ``ell``
-    dim = dimension_hook_formula(label, ell)
+    dim = _hook_dimension((label,) if ell == 1 else label)  # type: ignore[arg-type]
     star = None if ell == 1 else star_involution(label)  # type: ignore[arg-type]
     plus = _plus_part(label, ell, simplified, parts)
     minus = negate_grading(_plus_part(star or label, ell, simplified, parts))
@@ -102,7 +110,8 @@ def _block(
 
 def block(label: Label, ell: int, simplified: bool = False) -> Block:
     """One block of the centre; ``label`` must fit the group (see module doc)."""
-    return _block(label, ell, simplified, {})
+    components = _components(label, ell)
+    return _block(components[0] if ell == 1 else components, ell, simplified, {})
 
 
 def centre_presentation(n: int, ell: int, simplified: bool = False) -> CentrePresentation:

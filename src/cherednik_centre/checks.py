@@ -118,7 +118,8 @@ def recursive_wronskian(n_max: int) -> str | None:
 
 
 def wreath_support(total_max: int) -> str | None:
-    """For every label with 2 <= ell and n*ell <= total_max: generator
+    """For every label with 2 <= ell and n*ell <= total_max: each generator
+    listed at its symbol's degree (the oracle reads no other), generator
     degrees divisible by ell, n relations, the k-th of degree k*ell in the
     generators alone (read off its packed codes), the closed series formula
     equal to the oracle series, series supported in degrees divisible by
@@ -127,7 +128,9 @@ def wreath_support(total_max: int) -> str | None:
         for n in range(0, total_max // ell + 1):
             for q in multipartitions_of(n, ell):
                 built = wreath_presentation(q, ell)
-                for _, degree in built.generators:
+                for g, degree in built.generators:
+                    if degree != g.degree:
+                        return f"generator listed at degree {degree}, not {g.degree}, at {q}"
                     if degree % ell:
                         return f"generator degree not divisible at {q}"
                 relations = built.relations

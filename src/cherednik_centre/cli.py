@@ -46,7 +46,7 @@ from .abacus import (
     parse_multipartition,
 )
 from .centre import CentrePresentation, centre_presentation
-from .errors import DomainError, EllOutOfRange, EmptyPartition
+from .errors import DomainError, EllOutOfRange, EmptyPartition, LengthMismatch
 from .hilbert import format_series, hilbert_series_formula
 from .partitions import (
     _row_hooks,
@@ -133,12 +133,17 @@ def _json_value(value, pad: str) -> str:
 
 
 def _parse_label(text: str, ell: int):
-    """The label in ``text``: a partition for ``ell = 1``, otherwise a
-    multipartition, whose length the library checks against ``ell``.
-    ``ell`` itself is checked first, before the text is parsed."""
+    """The label in ``text``, validated: a partition for ``ell = 1``,
+    otherwise an ``ell``-multipartition.  ``ell`` is checked first, the
+    number of components last, as the library checks them."""
     if ell < 1:
         raise EllOutOfRange(ell)
-    return parse_partition(text) if ell == 1 else parse_multipartition(text)
+    if ell == 1:
+        return parse_partition(text)
+    label = parse_multipartition(text)
+    if len(label) != ell:
+        raise LengthMismatch((label, ell))
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +161,9 @@ class _Output:
 def _cmd_partition_info(args) -> _Output:
     lam = parse_partition(args.partition)
     n = sum(lam)
-    hooks = _row_hooks(lam)
+    # first: TooLarge, before a hook table that would never finish
     beta = list(beta_set(lam, n))
+    hooks = _row_hooks(lam)
 
     def text() -> str:
         return "\n".join([
@@ -272,18 +278,20 @@ def _centre_text(result: CentrePresentation, simplified: bool) -> str:
 def _centre_json(result: CentrePresentation) -> str:
     """The centre's document as canonical JSON, in one loop over the blocks;
     each block's plus and minus parts are written by ``_presentation_json``
-    at their depth."""
+    at their depth.  Each label's JSON is written once: it is also its star
+    partner's ``star_label``."""
     field = "\n      "
+    labels = {blk.label: _label_json(blk.label, field) for blk in result.blocks}
     blocks = []
     for blk in result.blocks:
         fields = [
             f'"dimension": {blk.dimension}',
-            '"label": ' + _label_json(blk.label, field),
+            '"label": ' + labels[blk.label],
             '"minus": ' + _presentation_json(blk.minus_part, field),
             '"plus": ' + _presentation_json(blk.plus_part, field),
         ]
         if blk.star_label is not None:
-            fields.append('"star_label": ' + _label_json(blk.star_label, field))
+            fields.append('"star_label": ' + labels[blk.star_label])
         blocks.append("{" + field + ("," + field).join(fields) + "\n    }")
     return (
         '{\n  "assumption": ' + _json_value(ASSUMPTION, "")

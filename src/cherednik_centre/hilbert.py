@@ -84,6 +84,7 @@ the largest generator degree to vanish.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .abacus import _make_multipartition
@@ -93,6 +94,7 @@ from .errors import (
     NegativeDegreeGenerator,
     NonIntegral,
     OracleTruncated,
+    TooLarge,
 )
 from .partitions import Partition, _row_hooks, make_partition
 from .polyring import Radix, monomial_degree, primitive_part
@@ -156,10 +158,13 @@ def _divide_by_one_minus_q_to(c: list[int], k: int) -> None:
 
 def _components(label: Label, ell: int) -> tuple[Partition, ...]:
     """A block label as its components, each through ``make_partition``: a
-    partition is the one component of an ``ell = 1`` label."""
-    if ell == 1:
-        return (make_partition(label),)
-    return _make_multipartition(label, ell)
+    partition is the one component of an ``ell = 1`` label; ``TooLarge`` if
+    ``ell`` times its weight exceeds ``sys.maxsize``."""
+    components = (make_partition(label),) if ell == 1 else _make_multipartition(label, ell)
+    n = ell * sum(map(sum, components))
+    if n > sys.maxsize:
+        raise TooLarge(n)
+    return components
 
 
 def _hooks(components: tuple[Partition, ...]) -> list[int]:
@@ -183,11 +188,20 @@ def hilbert_series_formula(label: Label, ell: int = 1) -> HilbertSeries:
 def dimension_hook_formula(label: Label, ell: int = 1) -> int:
     """``n! / prod hooks`` over the cells of every component, with
     integrality enforced: the series formula at q = 1."""
-    components = _components(label, ell)
-    product = math.prod(_hooks(components))
-    factorial = math.factorial(sum(map(sum, components)))
+    return _hook_dimension(_components(label, ell))
+
+
+def _hook_dimension(components: tuple[Partition, ...]) -> int:
+    """:func:`dimension_hook_formula` of validated components, empty ones skipped."""
+    n, product = 0, 1
+    for lam in components:
+        if lam:
+            n += sum(lam)
+            for row in _row_hooks(lam):
+                product *= math.prod(row)
+    factorial = math.factorial(n)
     if factorial % product:
-        raise NonIntegral((label, factorial, product))
+        raise NonIntegral((components, factorial, product))
     return factorial // product
 
 

@@ -49,6 +49,10 @@ monic relations with no leads.  A ``Fraction`` appears only when
 One writer, :func:`_presentation_json`, writes a presentation's JSON
 document as text at the depth it is nested to; the CLI prints it, and
 :func:`presentation_document` parses it.
+
+The public builders check their labels once; ``_block_part`` and
+``_quotient_beta_set`` take validated ones and check only the weight
+(``TooLarge``).
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, Union
 
@@ -184,9 +188,8 @@ def _quotient_beta_set(q: MultiPartition, ell: int) -> BetaSet:
     beads shift by ``n - k``.  Below them ``n - k`` padding beads are added,
     or, if ``k > n``, the lowest ``k - n`` beads, which are ``0 .. k - n -
     1`` since the partition has at most ``n`` parts, shift below 0 and drop.
-    :class:`~cherednik_centre.errors.TooLarge` if ``n`` exceeds what a tuple
-    can index."""
-    q = _make_multipartition(q, ell)
+    ``q`` is validated; :class:`~cherednik_centre.errors.TooLarge` if ``n``
+    exceeds what a tuple can index."""
     n = ell * sum(map(sum, q))
     if n > sys.maxsize:
         raise TooLarge(n)
@@ -306,7 +309,8 @@ def direct_presentation(lam: Partition) -> GradedPresentation:
 
 def wreath_presentation(q: MultiPartition, ell: int) -> GradedPresentation:
     """Presentation of A(q)+ for the wreath product, off the beads of the
-    quotient label's staircase."""
+    quotient label's staircase; ``q`` goes through ``_make_multipartition``."""
+    q = _make_multipartition(q, ell)
     return _presentation(_quotient_beta_set(q, ell), ell, q)
 
 
@@ -421,21 +425,24 @@ def simplify(presentation: GradedPresentation) -> GradedPresentation:
         rest = {code: c for code, c in p.items() if code != place}
         substitutions.append((place, base, p[place], rest))
     generators = tuple(gd for gd in presentation.generators if gd[0] not in eliminated)
-    meta = replace(presentation.meta, simplified=True)
+    meta = presentation.meta
+    meta = PresentationMeta(meta.source, meta.ell, meta.orientation, True)
     return GradedPresentation(generators, PackedPolys(radix, kept), meta)
 
 
 def _block_part(label: Label, ell: int, simplified: bool) -> GradedPresentation:
-    """The plus part of the block of ``label``: the direct presentation for
-    ``ell = 1``, the wreath one otherwise, then simplified if asked."""
-    built = direct_presentation(label) if ell == 1 else wreath_presentation(label, ell)
+    """The plus part of the block of a validated ``label`` (a partition for
+    ``ell = 1``), simplified if asked."""
+    beta = _beta_set(label, sum(label)) if ell == 1 else _quotient_beta_set(label, ell)
+    built = _presentation(beta, ell, label)
     return simplify(built) if simplified else built
 
 
 def negate_grading(presentation: GradedPresentation) -> GradedPresentation:
     """Flip every degree and the orientation, so a plus part's ``f`` names become ``g``."""
     flipped = tuple((g, -d) for g, d in presentation.generators)
-    meta = replace(presentation.meta, orientation=-presentation.meta.orientation)
+    meta = presentation.meta
+    meta = PresentationMeta(meta.source, meta.ell, -meta.orientation, meta.simplified)
     return GradedPresentation(flipped, presentation.relations, meta)
 
 

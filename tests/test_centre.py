@@ -8,10 +8,15 @@ import pytest
 
 from cherednik_centre import (
     EllOutOfRange,
+    LengthMismatch,
+    NegativePart,
     NegativeWeight,
+    NotWeaklyDecreasing,
     block,
     centre_presentation,
+    checks,
     dimension_hook_formula,
+    from_quotient,
     graded_dimensions_from_presentation,
     multipartitions_of,
     negate_grading,
@@ -19,6 +24,7 @@ from cherednik_centre import (
     quotient_ring_text,
     simplify,
     star_involution,
+    wreath_presentation,
 )
 
 from conftest import NON_PARTITIONS
@@ -105,25 +111,39 @@ def test_wreath_centre_of_weight_five():
 @pytest.mark.parametrize("n,ell", [(3, 2), (2, 3)])
 def test_centre_runs_the_oracle_once_per_label(monkeypatch, n, ell):
     """Each label is needed as a plus part and as the minus part of its star
-    partner's block; one centre builds it once.  Dimensions come from the
-    hook formula, so assembling the centre never runs the rank oracle."""
-    from cherednik_centre import hilbert, presentation
+    partner's block; one centre builds it once, reading its beta-set off the
+    staircase once.  Dimensions come from the hook formula, so assembling
+    the centre never runs the rank oracle.  The labels are canonical as
+    enumerated, so no label goes through ``make_partition`` again."""
+    import cherednik_centre
+    from cherednik_centre import hilbert, partitions, presentation
 
     seen = []
-    build = presentation.wreath_presentation
+    read = presentation._quotient_beta_set
 
     def counting(q, ell):
         seen.append(q)
-        return build(q, ell)
+        return read(q, ell)
 
     def forbidden(row, pivots):
         raise AssertionError("centre_presentation ran the rank oracle")
 
-    monkeypatch.setattr(presentation, "wreath_presentation", counting)
+    validated = []
+    make = partitions.make_partition
+
+    def validating(parts):
+        validated.append(parts)
+        return make(parts)
+
+    monkeypatch.setattr(presentation, "_quotient_beta_set", counting)
     # every oracle call reduces its rows here, however the oracle was imported
     monkeypatch.setattr(hilbert, "_reduce", forbidden)
+    for module in vars(cherednik_centre).values():
+        if getattr(module, "make_partition", None) is make:
+            monkeypatch.setattr(module, "make_partition", validating)
     cp = centre_presentation(n, ell)
     assert sorted(seen) == sorted(multipartitions_of(n, ell))
+    assert validated == []
     monkeypatch.undo()
     for b in cp.blocks:
         assert b == block(b.label, ell)
@@ -192,6 +212,19 @@ def test_star_pairing_gives_equal_dimensions():
                 assert dim == dimension_hook_formula(label, ell) ** 2, (label, ell)
 
 
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_block_dimension_is_the_rank_oracles(ell):
+    """A second route for every block dimension, with n <= 7 at ell = 1 and
+    n*ell <= 8 otherwise: the hook formula's ``d(label) * d(star)`` equals
+    the product of the rank oracle's dimensions of the plus part and of the
+    minus part, whose grading is negated back for the oracle."""
+    for n in range(7 + 1 if ell == 1 else 8 // ell + 1):
+        for b in centre_presentation(n, ell).blocks:
+            plus = checks.oracle_series(b.plus_part)
+            minus = checks.oracle_series(negate_grading(b.minus_part))
+            assert b.dimension == plus.dimension() * minus.dimension(), (b.label, ell)
+
+
 @pytest.mark.parametrize("simplified", [False, True])
 def test_minus_part_is_the_star_partners_plus_part_negated(simplified):
     """Every block with ell <= 3 and n*ell <= 6: the minus part is
@@ -225,6 +258,34 @@ def test_block_rejects_non_partitions(lam, error):
         block(lam, 1)
     with pytest.raises(error):
         block((lam, (1,)), 2)
+
+
+# Wreath labels that do not fit ``ell``, each with the error every public
+# entry point taking one raises: ``ell`` is checked first, then the number
+# of components, then each component in turn.
+MISFITS = [
+    (((1,), (1,)), 3, LengthMismatch),
+    (((1,), (1, 2)), 2, NotWeaklyDecreasing),
+    (((1,), (-1,)), 2, NegativePart),
+    (((1,),), 0, EllOutOfRange),
+    (((1,),), -1, EllOutOfRange),
+    (((1, 2),), 0, EllOutOfRange),
+    (((1, 2), (1,)), 3, LengthMismatch),
+    (((1, 2), (-1,)), 2, NotWeaklyDecreasing),
+]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [block, wreath_presentation, dimension_hook_formula, from_quotient],
+    ids=["block", "wreath_presentation", "dimension_hook_formula", "from_quotient"],
+)
+@pytest.mark.parametrize(("label", "ell", "error"), MISFITS)
+def test_every_entry_point_checks_its_wreath_label(entry, label, ell, error):
+    """The centre's builders trust their labels; the public entry points
+    still check theirs, in the same order."""
+    with pytest.raises(error):
+        entry(label, ell)
 
 
 def test_weight_and_column_count_are_validated():

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -369,6 +370,26 @@ def test_a_label_past_a_tuple_index_is_too_large(capsys):
     assert _run(capsys, "abacus", "core", huge, "--ell", "3") == (0, "core: -\n", "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hilbert", "--", "99999999999999999999"),
+        ("hilbert", "--ell", "2", "--", "99999999999999999999|-"),
+        ("partition", "info", "--", "99999999999999999999"),
+        ("centre", "--", "99999999999999999999"),
+        ("centre", "--ell", "2", "--", "99999999999999999999"),
+    ],
+    ids=["hilbert", "hilbert-ell", "partition-info", "centre", "centre-ell"],
+)
+def test_a_weight_past_a_tuple_index_fails_fast(capsys, argv):
+    """Each command checks the weight once, on entry: past ``sys.maxsize``
+    it exits 1 with the class name alone, before any series, hook table or
+    block is begun: unchecked, each of them would run until memory ran out."""
+    start = time.perf_counter()
+    assert _run(capsys, *argv) == (1, "", "TooLarge\n")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_nonpositive_column_count_is_a_domain_error(capsys):
     for ell in ("0", "-2"):
         status, _, err = _run(capsys, "abacus", "quotient", "3,2", "--ell", ell)
@@ -505,6 +526,17 @@ def _drop_last_generator(real):
     return broken
 
 
+def _double_degrees(real):
+    """Each generator listed at twice its symbol's degree: still a multiple
+    of ell, but not a degree the oracle can read."""
+    def broken(q, ell):
+        built = real(q, ell)
+        doubled = tuple((g, 2 * d) for g, d in built.generators)
+        return dataclasses.replace(built, generators=doubled)
+
+    return broken
+
+
 def _reverse_components(real):
     return lambda lam, ell: real(lam, ell)[::-1]
 
@@ -539,11 +571,14 @@ def _drop_relations(real):
         (4, "wreath_presentation", _drop_last_relation, "0 relations, not 1, at ((1,), ())"),
         (4, "wreath_presentation", _drop_last_generator,
          "relation 1 holds a non-generator at ((1,), ())"),
+        (4, "wreath_presentation", _double_degrees,
+         "generator listed at degree 4, not 2, at ((1,), ())"),
         # no relations leave an infinite quotient, which the oracle raises on
         (2, "direct_presentation", _drop_relations, "series mismatch at (1,)"),
     ],
     ids=["direct", "direct-code", "direct-codec", "abacus", "hilbert", "recursive", "wreath",
-         "wreath-formula", "wreath-relations", "wreath-generators", "infinite-quotient"],
+         "wreath-formula", "wreath-relations", "wreath-generators", "wreath-degrees",
+         "infinite-quotient"],
 )
 def test_selftest_reports_a_broken_second_route(
     capsys, monkeypatch, suite, route, breaker, detail
