@@ -33,9 +33,10 @@ Core and quotient:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
-from .errors import EllOutOfRange, LengthMismatch
+from .errors import EllOutOfRange, LengthMismatch, TooLarge
 from .partitions import (
     Partition,
     _beta_set,
@@ -83,13 +84,13 @@ def ell_core(lam: Partition, ell: int) -> Partition:
 
 
 def _ell_core(lam: Partition, ell: int) -> Partition:
-    """:func:`ell_core` of a validated ``lam``."""
+    """:func:`ell_core` of a validated ``lam``, in O(beads) for any ell."""
     if ell < 1:
         raise EllOutOfRange(ell)
-    counts = [0] * ell
+    counts: dict[int, int] = {}
     for p in _beta_set(lam, len(lam)):
-        counts[p % ell] += 1
-    return _partition_from_positions(c + ell * r for c, k in enumerate(counts) for r in range(k))
+        counts[p % ell] = counts.get(p % ell, 0) + 1
+    return _partition_from_positions(c + ell * r for c, k in counts.items() for r in range(k))
 
 
 def has_trivial_core(lam: Partition, ell: int) -> bool:
@@ -99,14 +100,18 @@ def has_trivial_core(lam: Partition, ell: int) -> bool:
 
 def ell_quotient(lam: Partition, ell: int) -> MultiPartition:
     """The ell-tuple of column partitions (component ``c`` from column ``c``);
-    ``lam`` goes through ``make_partition``."""
+    ``lam`` goes through ``make_partition``; :class:`TooLarge` past what a
+    tuple can hold."""
     lam = make_partition(lam)
+    if ell > sys.maxsize:
+        raise TooLarge(ell)
     n_beads = len(lam)
     if _ell_core(lam, ell) == ():
         n_beads += (ell - 1 - n_beads) % ell
-    beads = _beta_set(lam, n_beads)
-    return tuple(_partition_from_positions([p // ell for p in beads if p % ell == c])
-                 for c in range(ell))
+    runners: dict[int, list[int]] = {}
+    for p in _beta_set(lam, n_beads):
+        runners.setdefault(p % ell, []).append(p // ell)
+    return tuple(_partition_from_positions(runners.get(c, ())) for c in range(ell))
 
 
 def from_quotient(quotient: MultiPartition, ell: int) -> Partition:

@@ -91,5 +91,5 @@ class NegativeWeight(DomainError):
 
 
 class TooLarge(DomainError):
-    """A label too large to compute with: its beta-set would be padded to
-    more entries than a tuple can index (``sys.maxsize``)."""
+    """A label too large to compute with: a beta-set padded, or an ell-quotient
+    of ell components, past what a tuple can index (``sys.maxsize``)."""

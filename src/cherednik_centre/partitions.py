@@ -21,9 +21,9 @@ Conventions used throughout the package:
   ``n = len(lam)`` these are exactly the first-column hook lengths.  The
   hooks of row ``i`` are the ``d_i - g`` for the gaps ``g < d_i`` (the
   integers below ``d_i`` not in the beta-set), one gap per column.
-  :func:`row_hook_set`, :func:`first_column_hooks`, the presentations'
-  cells and the Schubert basis read hooks off the beta-set so, with no
-  conjugate; the tests and CI hold this route and the table equal.
+  :func:`row_hook_set`, :func:`first_column_hooks` and the cell reader the
+  presentations and the Schubert basis share read hooks off the beta-set so,
+  with no conjugate; the tests and CI hold this route and the table equal.
 """
 
 from __future__ import annotations

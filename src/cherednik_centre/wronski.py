@@ -30,10 +30,12 @@ partitions of 9 to 11 it makes about 0.6 times the term products of the
 sweep over the derivative rows.  Each digit's base is one more than
 the sum over the columns of its largest exponent there: a determinant term
 takes one entry per column and differentiating never raises an exponent, so
-no digit carries.  :func:`_packed_wronskian` packs a Schubert basis straight
-from the beta-set: column ``i`` is ``u^{d_i}`` plus one term per gap, every
-coefficient 1, on the direct route's :meth:`~.polyring.Radix.by_degree`
-codec, where no product carries either.  :func:`wronski_relations` splits
+no digit carries.  :func:`_packed_columns` packs the Schubert basis on the
+cells and codec of the direct route's :func:`~.presentation._hook_rows`,
+where no product carries either; :func:`schubert_basis` decodes it and
+:func:`_packed_wronskian` sweeps it.  The cells are all the two routes
+share: the relations come from the determinant, never the transversals.
+:func:`wronski_relations` splits
 the relations off that determinant by its ``u`` digit, each the
 determinant's int coefficients on the direct route's codes, as a
 :class:`~.polyring.PackedPolys` with lead 1; the ``wronskian`` command
@@ -66,8 +68,9 @@ from fractions import Fraction
 from typing import Collection, Sequence
 
 from .errors import EmptyPartition, InexactDivision
-from .partitions import Partition, beta_set, make_partition
-from .polyring import GenSym, MPoly, PackedPoly, PackedPolys, Radix, _laplace
+from .partitions import Partition, _beta_set, make_partition
+from .polyring import MPoly, PackedPoly, PackedPolys, Radix, _laplace
+from .presentation import _hook_rows
 
 
 @dataclass(frozen=True)
@@ -92,23 +95,34 @@ def schubert_basis(lam: Partition) -> SchubertBasis:
     """The basis of the module docstring, every coefficient the int 1;
     :class:`NegativePart` or :class:`NotWeaklyDecreasing` on a non-partition."""
     lam = make_partition(lam)
-    n = sum(lam)
-    if n == 0:
-        return SchubertBasis((), ())
-    beta = beta_set(lam, n)
-    polys: list[MPoly] = [{(d_i, ()): 1} for d_i in beta]
-    for s in _gap_symbols(beta):
-        polys[s.row - 1][(beta[s.row - 1] - s.degree, ((s, 1),))] = 1
-    return SchubertBasis(lam + (0,) * (n - len(lam)), tuple(polys))
+    codec, columns = _packed_columns(lam)
+    polys = tuple({codec.decode(code): c for code, c in column} for column in columns)
+    return SchubertBasis(lam + (0,) * (len(columns) - len(lam)), polys)
 
 
-def _gap_symbols(beta: Sequence[int]) -> list[GenSym]:
-    """``f_{i,j}`` for each exponent ``d_i - j`` below ``d_i`` missing from
-    the beta-set, sorted: every row's hook set, as :func:`row_hook_set`
-    reads it off the one beta-set."""
-    occupied = set(beta)
-    return [GenSym(i, j) for i, d_i in enumerate(beta, start=1)
-            for j in range(1, d_i + 1) if d_i - j not in occupied]
+def _packed_columns(lam: Partition) -> tuple[Radix, list[list[tuple[int, int]]]]:
+    """The codec of :func:`~.presentation.direct_presentation` for a
+    validated ``lam`` and on it, per entry ``d_i`` of the beta-set padded to
+    ``n``, the column ``u^{d_i}`` plus ``u^g f_{i,h}`` for each cell ``(g,
+    h, f_{i,h})`` of row ``i``, each term ``(code, 1)``: the codec's symbols
+    are the rows' cells, each row reversed, so their places come in turn.
+
+    A column holds only its own row's symbols, each term at most one, and
+    gives one term to each product, so every symbol digit of a determinant
+    term is 0 or 1, below its base of at least 2.  The ``u`` exponents reach
+    ``sum(d_i)``, past the codec's ``u`` base ``n + 1``, but ``u`` is the
+    most significant digit, whose base sets no place value: the places are
+    those of a ``u`` digit of base ``1 + sum(d_i)`` above the same symbol
+    digits.  The determinant, homogeneous of weight ``n``, has ``u``
+    exponents up to ``n`` only, so its codes are the codec's own."""
+    beta = _beta_set(lam, sum(lam))
+    rows, codec = _hook_rows(beta, 1)
+    u_place = codec.places[0]
+    places = iter(codec.places[1:])
+    columns = [[(d * u_place, 1)] for d in beta]
+    for column, row in zip(columns, rows):
+        column += [(g * u_place + next(places), 1) for g, _h, _sym in reversed(row)]
+    return codec, columns
 
 
 def _column_sweep(columns: Sequence[Collection[tuple[int, int]]], u_place: int) -> PackedPoly:
@@ -145,31 +159,11 @@ def wronskian(basis: SchubertBasis) -> MPoly:
 
 
 def _packed_wronskian(lam: Partition) -> tuple[Radix, PackedPoly]:
-    """The codec and the Wronskian of ``lam``'s basis, packed straight from
-    the beta-set with no ``MPoly`` built: ``{0: 1}`` for ``()``, and the
-    errors of :func:`schubert_basis` on a non-partition.
-
-    The codec is that of :func:`~.presentation.direct_presentation`:
-    :meth:`Radix.by_degree` over the sorted gap symbols (the cells, named by
-    row and hook, that are the direct route's generators) up to ``n``.  A
-    column holds only its own row's symbols, each term at most one, and
-    gives one term to each product, so every symbol digit of a determinant
-    term is 0 or 1, below its base of at least 2.  The sweep's ``u``
-    exponents reach ``sum(d_i)``, past the codec's ``u`` base ``n + 1``, but
-    ``u`` is the most significant digit, whose base sets no place value: the
-    places are those of a ``u`` digit of base ``1 + sum(d_i)`` above the same
-    symbol digits.  The determinant, homogeneous of weight ``n``, has ``u``
-    exponents up to ``n`` only, so its codes are the codec's own."""
-    lam = make_partition(lam)
-    n = sum(lam)
-    beta = beta_set(lam, n)
-    symbols = _gap_symbols(beta)
-    codec = Radix.by_degree(symbols, n)
-    u_place = codec.places[0]
-    columns = [[(d_i * u_place, 1)] for d_i in beta]
-    for s, place in zip(symbols, codec.places[1:]):
-        columns[s.row - 1].append(((beta[s.row - 1] - s.degree) * u_place + place, 1))
-    return codec, _column_sweep(columns, u_place)
+    """The codec and the Wronskian of ``lam``'s basis, swept off
+    :func:`_packed_columns` with no ``MPoly`` built: ``{0: 1}`` for ``()``,
+    and the errors of :func:`schubert_basis` on a non-partition."""
+    codec, columns = _packed_columns(make_partition(lam))
+    return codec, _column_sweep(columns, codec.places[0])
 
 
 def wronski_relations(lam: Partition) -> WronskiRelations:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 
@@ -10,6 +12,7 @@ from cherednik_centre import (
     abacus,
     EllOutOfRange,
     LengthMismatch,
+    TooLarge,
     abacus_from_partition,
     beta_set,
     ell_core,
@@ -117,6 +120,19 @@ def test_column_count_must_be_positive():
         ell_quotient((3, 2), -2)
     with pytest.raises(EllOutOfRange):
         from_quotient(((1,),), 0)
+
+
+def test_any_column_count_past_a_tuple_index():
+    """The core counts beads per occupied column, so it reads any ell; the
+    quotient, a tuple of ell components, is TooLarge past ``sys.maxsize``,
+    on the empty partition (trivial core) and on any other."""
+    huge = sys.maxsize + 1
+    assert ell_core((3,), 10**20) == (3,)
+    assert ell_core((3, 1), huge) == (3, 1)
+    assert has_trivial_core((), huge)
+    for lam in ((), (3,)):
+        with pytest.raises(TooLarge):
+            ell_quotient(lam, huge)
 
 
 @given(partitions_up_to(12, n_min=1))

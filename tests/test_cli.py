@@ -31,6 +31,7 @@ from cherednik_centre import (
     weight,
 )
 from cherednik_centre.cli import render_json, run
+from cherednik_centre.errors import DomainError
 from cherednik_centre.polyring import GenSym, PackedPolys, Radix, format_poly, generator_name
 from cherednik_centre.presentation import label_document
 from cherednik_centre.wronski import schubert_basis, wronskian
@@ -368,6 +369,7 @@ def test_a_label_past_a_tuple_index_is_too_large(capsys):
     ):
         assert _run(capsys, *argv) == (1, "", "TooLarge\n"), argv
     assert _run(capsys, "abacus", "core", huge, "--ell", "3") == (0, "core: -\n", "")
+    assert _run(capsys, "abacus", "core", "3", "--ell", huge) == (0, "core: 3\n", "")
 
 
 @pytest.mark.parametrize(
@@ -387,6 +389,42 @@ def test_a_weight_past_a_tuple_index_fails_fast(capsys, argv):
     block is begun: unchecked, each of them would run until memory ran out."""
     start = time.perf_counter()
     assert _run(capsys, *argv) == (1, "", "TooLarge\n")
+    assert time.perf_counter() - start < 1.0
+
+
+_HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    ("argv", "error"),
+    [
+        (("partition", "info", "--", _HUGE), "TooLarge"),
+        (("presentation", "--", _HUGE), "TooLarge"),
+        (("wronskian", "--", _HUGE), "TooLarge"),
+        (("hilbert", "--", _HUGE), "TooLarge"),
+        (("centre", "--", _HUGE), "TooLarge"),
+        (("abacus", "quotient", "--ell", _HUGE, "--", "3"), "TooLarge"),
+        (("abacus", "compose", "--ell", _HUGE, "--", "3"), "LengthMismatch"),
+        (("presentation", "--ell", _HUGE, "--", "3"), "LengthMismatch"),
+        (("hilbert", "--ell", _HUGE, "--", "3"), "LengthMismatch"),
+        (("centre", "--ell", _HUGE, "--", "3"), "TooLarge"),
+        (("abacus", "core", "--ell", "0", "--", "3"), "EllOutOfRange"),
+        (("abacus", "compose", "--ell", "0", "--", "3"), "EllOutOfRange"),
+        (("hilbert", "--ell", "0", "--", "3"), "EllOutOfRange"),
+        (("centre", "--ell", "0", "--", "3"), "EllOutOfRange"),
+        (("presentation", "--", "3..2"), "UnparsableLabel"),
+        (("wronskian", "--", "2,3"), "NotWeaklyDecreasing"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else " ".join(w for w in v if w != "--"),
+)
+def test_no_command_prints_a_traceback(capsys, argv, error):
+    """An input that cannot be computed with exits 1 at once, with the name
+    of one ``DomainError`` subclass on stderr and nothing else: a weight or
+    an ell past ``sys.maxsize``, ell 0, an unparsable or a non-decreasing
+    label.  Unchecked, a huge ell overflowed a list of ell column counts."""
+    assert error in {cls.__name__ for cls in DomainError.__subclasses__()}
+    start = time.perf_counter()
+    assert _run(capsys, *argv) == (1, "", error + "\n")
     assert time.perf_counter() - start < 1.0
 
 

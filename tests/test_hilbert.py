@@ -28,7 +28,6 @@ from cherednik_centre import (
     partitions_of,
     presentation_dimension,
     simplify,
-    transpose,
     wreath_presentation,
 )
 from cherednik_centre.hilbert import (
@@ -83,19 +82,6 @@ def test_dimension_pins():
 @given(partitions_up_to(8))
 def test_series_at_one_is_the_hook_dimension(lam):
     assert hilbert_series_formula(lam).dimension() == dimension_hook_formula(lam)
-
-
-@pytest.mark.parametrize("n", range(0, 9))
-def test_dimension_squares_sum_to_factorial(n):
-    assert sum(dimension_hook_formula(lam) ** 2 for lam in partitions_of(n)) == (
-        math.factorial(n)
-    )
-
-
-@pytest.mark.parametrize("n", range(0, 9))
-def test_transpose_has_the_same_series(n):
-    for lam in partitions_of(n):
-        assert hilbert_series_formula(lam) == hilbert_series_formula(transpose(lam))
 
 
 # --- the rank oracle ----------------------------------------------------------

@@ -211,20 +211,6 @@ def test_direct_equals_wronskian_route(n):
             assert ours == theirs, lam
 
 
-@pytest.mark.parametrize("n", range(0, 10))
-def test_both_routes_pack_relations_on_one_codec(n):
-    """The Wronskian's relations and the direct ones are one form: packed on
-    equal codecs with equal leads, and equal code for code."""
-    for lam in partitions_of(n):
-        direct = direct_presentation(lam).relations
-        oracle = wronski_relations(lam).relations
-        assert isinstance(direct, PackedPolys) and isinstance(oracle, PackedPolys)
-        assert oracle.radix.symbols == direct.radix.symbols, lam
-        assert oracle.radix.bases == direct.radix.bases, lam
-        assert oracle.leads == direct.leads == (1,) * n, lam
-        assert oracle.polys == direct.polys, lam
-
-
 def test_packed_relations_from_polys_compare_code_for_code():
     """``from_polys`` keeps its leads as a tuple, as the builders do, so the
     direct relations of ``3,2`` packed again from their polynomials compare

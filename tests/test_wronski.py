@@ -319,7 +319,7 @@ def test_packed_wronskian_equals_the_determinant_of_derivative_rows(polys):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_packed_wronskian_of_schubert_bases_equals_the_reference(n):
     """Both packers, ``wronskian`` on the basis and ``wronski_relations``
-    straight from the beta-set, against the reference: the leading
+    on the packed columns the basis decodes, against the reference: the leading
     coefficient is that of ``u^n`` and relation ``s`` that of ``u^(n-s)``."""
     for lam in partitions_of(n):
         basis = schubert_basis(lam)
