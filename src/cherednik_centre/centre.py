@@ -12,6 +12,12 @@ formula of :mod:`~cherednik_centre.hilbert`: the star keeps ``q_1`` and
 reverses the other components, so it has the label's weight and multiset of
 hooks, and the dimension is ``d(label)^2``, with no presentation ranked.
 
+So each label's part is built once per centre, as its own plus part and its
+star partner's minus part, and the CLI writes it once, renaming ``f`` to
+``g`` for the minus side.  The labels and dimensions alone come from
+``_block_dimensions``, which :func:`centre_presentation` also reads: the
+plain text form of ``centre`` prints only these, and builds no presentation.
+
 The deformation parameter never appears: the presentations are valid for
 generic parameter (smooth Calogero–Moser space) and carry no dependence on
 it, which the CLI documents as an explicit assumption string.
@@ -98,24 +104,41 @@ def _labels(n: int, ell: int) -> list[Label]:
     return [q[0] if ell == 1 else q for q in labels]
 
 
+def _dimension(label: Label, ell: int) -> int:
+    """The block dimension ``d(label)^2`` (see module doc)."""
+    d = _hook_dimension((label,) if ell == 1 else label)  # type: ignore[arg-type]
+    return d * d
+
+
+def _block_dimensions(n: int, ell: int) -> list[tuple[Label, int]]:
+    """Each block's label and dimension, in label order, read off the labels
+    with no presentation built; ``n``, ``ell`` and the weight are checked
+    first, as :func:`centre_presentation` checks them."""
+    return [(label, _dimension(label, ell)) for label in _labels(n, ell)]
+
+
 def _block(
-    label: Label, ell: int, simplified: bool, parts: dict[Label, GradedPresentation]
+    label: Label, dimension: int, ell: int, simplified: bool,
+    parts: dict[Label, GradedPresentation],
 ) -> Block:
-    dim = _hook_dimension((label,) if ell == 1 else label)  # type: ignore[arg-type]
     star = None if ell == 1 else star_involution(label)  # type: ignore[arg-type]
     plus = _plus_part(label, ell, simplified, parts)
     minus = negate_grading(_plus_part(star or label, ell, simplified, parts))
-    return Block(label, plus, minus, dim * dim, star)
+    return Block(label, plus, minus, dimension, star)
 
 
 def block(label: Label, ell: int, simplified: bool = False) -> Block:
     """One block of the centre; ``label`` must fit the group (see module doc)."""
     components = _components(label, ell)
-    return _block(components[0] if ell == 1 else components, ell, simplified, {})
+    label = components[0] if ell == 1 else components
+    return _block(label, _dimension(label, ell), ell, simplified, {})
 
 
 def centre_presentation(n: int, ell: int, simplified: bool = False) -> CentrePresentation:
     """All blocks in label order plus the total dimension."""
     parts: dict[Label, GradedPresentation] = {}
-    blocks = tuple(_block(label, ell, simplified, parts) for label in _labels(n, ell))
+    blocks = tuple(
+        _block(label, dimension, ell, simplified, parts)
+        for label, dimension in _block_dimensions(n, ell)
+    )
     return CentrePresentation(n, ell, blocks, sum(b.dimension for b in blocks))

@@ -13,7 +13,12 @@ documents from dicts, escaping strings with ``json.dumps``'s C escaper.  The
 ``presentation`` and ``centre`` documents, nearly all of whose bytes are
 relations, are written straight to text with no document tree: each
 presentation by ``presentation._presentation_json`` at its depth, its
-relations from packed codes.  ``wronskian`` renders, whole, the packed
+relations from packed codes.  A centre writes each label's part once:
+its relations list and metadata label (JSON) or its quotient ring
+(``--simplified`` text), under ``f`` names, with ``f`` renamed to ``g``
+where it is its star partner's minus part.  The text form without
+``--simplified`` reads the labels and dimensions only, and builds no
+presentation.  ``wronskian`` renders, whole, the packed
 determinant that ``wronski_relations`` splits into relations.  Renderers run
 with CPython's cap on the digits of an int written as ``str`` lifted.
 
@@ -45,7 +50,7 @@ from .abacus import (
     from_quotient,
     parse_multipartition,
 )
-from .centre import CentrePresentation, centre_presentation
+from .centre import Block, CentrePresentation, _block_dimensions, centre_presentation
 from .errors import DomainError, EllOutOfRange, EmptyPartition, LengthMismatch
 from .hilbert import format_series, hilbert_series_formula
 from .partitions import (
@@ -58,12 +63,15 @@ from .partitions import (
 )
 from .polyring import PackedPolys, generator_name
 from .presentation import (
+    Label,
     _block_part,
     _json_list,
     _label_json,
     _presentation_json,
+    _relations_json,
     format_label,
     label_document,
+    negate_grading,
     presentation_text,
     quotient_ring_text,
 )
@@ -262,16 +270,41 @@ def _cmd_hilbert(args) -> _Output:
     )
 
 
-def _centre_text(result: CentrePresentation, simplified: bool) -> str:
-    lines = [
-        f"centre for n={result.n}, ell={result.ell} (assumption: {ASSUMPTION})"
-    ]
-    for blk in result.blocks:
-        lines.append(f"block {format_label(blk.label)}: dimension {blk.dimension}")
-        if simplified:
-            lines.append(f"  plus:  {quotient_ring_text(blk.plus_part)}")
-            lines.append(f"  minus: {quotient_ring_text(blk.minus_part)}")
-    lines.append(f"total dimension: {result.total_dimension}")
+def _once_each(cache: dict, key, make: Callable[[], str]) -> str:
+    """``make()`` for ``key``, made on the first of its two uses and dropped
+    from ``cache`` on the second: a centre asks for each label's part twice,
+    as its plus part and as its star partner's minus part."""
+    text = cache.pop(key, None)
+    if text is None:
+        text = cache[key] = make()
+    return text
+
+
+def _centre_text(
+    n: int, ell: int, dimensions: list[tuple[Label, int]], blocks: tuple[Block, ...] = ()
+) -> str:
+    """Each block's label and dimension, and, given the ``blocks``
+    (``--simplified``), its parts as quotient rings.  Each label's ring is
+    written once, with ``f`` names; the minus line swaps ``f`` for ``g``,
+    which is exact: the ring holds ``C``, brackets, digits, signs, ``*``,
+    ``^``, ``/`` and names."""
+    rings: dict[Label, str] = {}
+
+    def ring(part) -> str:
+        plus = part.meta.prefix == "f"
+        text = _once_each(
+            rings, part.meta.source,
+            lambda: quotient_ring_text(part if plus else negate_grading(part)),
+        )
+        return text if plus else text.replace("f", "g")
+
+    lines = [f"centre for n={n}, ell={ell} (assumption: {ASSUMPTION})"]
+    for k, (label, dimension) in enumerate(dimensions):
+        lines.append(f"block {format_label(label)}: dimension {dimension}")
+        if blocks:
+            lines.append(f"  plus:  {ring(blocks[k].plus_part)}")
+            lines.append(f"  minus: {ring(blocks[k].minus_part)}")
+    lines.append(f"total dimension: {sum(dimension for _label, dimension in dimensions)}")
     return "\n".join(lines)
 
 
@@ -279,16 +312,33 @@ def _centre_json(result: CentrePresentation) -> str:
     """The centre's document as canonical JSON, in one loop over the blocks;
     each block's plus and minus parts are written by ``_presentation_json``
     at their depth.  Each label's JSON is written once: it is also its star
-    partner's ``star_label``."""
+    partner's ``star_label``.  Each label's relations list and metadata
+    ``partition`` are written once too, the list with ``f`` names: the
+    minus side is the same text with ``"f`` replaced by ``"g``, which is
+    exact, since only the names in it start with ``f``."""
     field = "\n      "
     labels = {blk.label: _label_json(blk.label, field) for blk in result.blocks}
+    partitions: dict[Label, str] = {}
+    relation_lists: dict[Label, str] = {}
+
+    def part(presentation) -> str:
+        source = presentation.meta.source
+        partition = _once_each(partitions, source, lambda: _label_json(source, field + "    "))
+        relations = _once_each(
+            relation_lists, source,
+            lambda: _relations_json(presentation.relations, "f", field + "  "),
+        )
+        if presentation.meta.prefix == "g":
+            relations = relations.replace('"f', '"g')
+        return _presentation_json(presentation, field, partition, relations)
+
     blocks = []
     for blk in result.blocks:
         fields = [
             f'"dimension": {blk.dimension}',
             '"label": ' + labels[blk.label],
-            '"minus": ' + _presentation_json(blk.minus_part, field),
-            '"plus": ' + _presentation_json(blk.plus_part, field),
+            '"minus": ' + part(blk.minus_part),
+            '"plus": ' + part(blk.plus_part),
         ]
         if blk.star_label is not None:
             fields.append('"star_label": ' + labels[blk.star_label])
@@ -302,9 +352,18 @@ def _centre_json(result: CentrePresentation) -> str:
 
 
 def _cmd_centre(args) -> _Output:
-    result = centre_presentation(args.n, args.ell, args.simplified)
+    """JSON and ``--simplified`` build every part, once per label; plain
+    text prints the labels and dimensions alone and builds no presentation.
+    Either way ``n`` and ``ell`` are checked before any output."""
+    n, ell, simplified = args.n, args.ell, args.simplified
+    if args.format == "json" or simplified:
+        result = centre_presentation(n, ell, simplified)
+        dimensions = [(blk.label, blk.dimension) for blk in result.blocks]
+        shown = result.blocks if simplified else ()
+    else:
+        result, dimensions, shown = None, _block_dimensions(n, ell), ()
     return _Output(
-        lambda: _centre_text(result, args.simplified),
+        lambda: _centre_text(n, ell, dimensions, shown),
         lambda: _centre_json(result),
     )
 

@@ -484,10 +484,20 @@ def presentation_document(presentation: GradedPresentation) -> dict:
     return json.loads(_presentation_json(presentation))
 
 
-def _presentation_json(presentation: GradedPresentation, pad: str = "\n") -> str:
+def _presentation_json(
+    presentation: GradedPresentation,
+    pad: str = "\n",
+    partition: str | None = None,
+    relations: str | None = None,
+) -> str:
     """The document as ``json.dumps(..., indent=2, sort_keys=True)`` writes it
     on a line whose newline and indent are ``pad``: generators, metadata with
-    the label, and relations, each by :meth:`PackedPolys.json_text` at its depth."""
+    the label, and relations, each by :meth:`PackedPolys.json_text` at its depth.
+
+    A caller that already holds the metadata's ``partition`` (``_label_json``
+    of the source at ``pad`` plus four spaces) or the ``relations`` list
+    (:func:`_relations_json` at ``pad`` plus two, under the names' prefix)
+    passes it in, and it is not written again."""
     meta = presentation.meta
     inner = pad + "  "
     entry, field = inner + "  ", inner + "    "
@@ -496,15 +506,26 @@ def _presentation_json(presentation: GradedPresentation, pad: str = "\n") -> str
         f'{_quote(generator_name(g, meta.prefix))},{field}"row": {g.row}{entry}}}'
         for g, d in presentation.generators
     ]
-    packed = presentation.relations
-    relations = [packed.json_text(k, meta.prefix, entry) for k in range(len(packed.polys))]
+    if partition is None:
+        partition = _label_json(meta.source, entry)
+    if relations is None:
+        relations = _relations_json(presentation.relations, meta.prefix, inner)
     return (
         f'{{{inner}"generators": {_json_list(generators, inner)},{inner}"metadata": '
         f'{{{entry}"ell": {meta.ell},{entry}"orientation": {meta.orientation},'
-        f'{entry}"partition": {_label_json(meta.source, entry)},'
+        f'{entry}"partition": {partition},'
         f'{entry}"simplified": {"true" if meta.simplified else "false"}{inner}}},'
-        f'{inner}"relations": {_json_list(relations, inner)}{pad}}}'
+        f'{inner}"relations": {relations}{pad}}}'
     )
+
+
+def _relations_json(packed: PackedPolys, prefix: str, pad: str) -> str:
+    """The list of every relation's :meth:`PackedPolys.json_text`, closing
+    after ``pad``.  Its only strings that start with ``f`` (or ``g``) are
+    the names: the rest are coefficients, ``"u"`` and the keys
+    ``coefficient`` and ``monomial``."""
+    entry = pad + "  "
+    return _json_list([packed.json_text(k, prefix, entry) for k in range(len(packed.polys))], pad)
 
 
 def _label_json(label: Label, pad: str) -> str:

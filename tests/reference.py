@@ -20,7 +20,10 @@ package skips the rows the syzygy criterion shows to be redundant, on
 packed codes), and the integer ``simplify`` that scans the relations from
 the first one again after every elimination and substitutes into every
 relation at once (the package makes one pass, substituting into each
-relation when it reaches it).  The package itself uses none of them.
+relation when it reaches it), and a centre's JSON and text written part by
+part, each block's plus and minus parts in full (the CLI writes each
+label's part once and renames ``f`` to ``g`` for the minus side).  The
+package itself uses none of them.
 
 Also here: the wreath labels the tests sweep, and each one's presentation
 and oracle series, built once per label for every test that reads them; and
@@ -56,6 +59,8 @@ from cherednik_centre import (
     weighted_degree,
     wreath_presentation,
 )
+from cherednik_centre.centre import CentrePresentation
+from cherednik_centre.cli import ASSUMPTION, _json_value
 from cherednik_centre.hilbert import _reduce
 from cherednik_centre.partitions import _row_hooks
 from cherednik_centre.polyring import (
@@ -68,7 +73,14 @@ from cherednik_centre.polyring import (
     generator_name,
     primitive_part,
 )
-from cherednik_centre.presentation import label_document
+from cherednik_centre.presentation import (
+    _json_list,
+    _label_json,
+    _presentation_json,
+    format_label,
+    label_document,
+    quotient_ring_text,
+)
 
 ONE_MONO: Monomial = (0, ())
 
@@ -537,3 +549,41 @@ def simplify_equals_restart(total_max: int) -> str | None:
         if ours.relations.polys != reference.relations.polys:
             return f"relations differ at {label}, ell={ell}"
     return None
+
+
+def centre_json_per_part(result: CentrePresentation) -> str:
+    """The centre's canonical JSON with every block's plus and minus parts
+    written in full by ``_presentation_json``: each label's relations list
+    and metadata ``partition`` are written twice, under ``f`` and ``g``."""
+    field = "\n      "
+    labels = {blk.label: _label_json(blk.label, field) for blk in result.blocks}
+    blocks = []
+    for blk in result.blocks:
+        fields = [
+            f'"dimension": {blk.dimension}',
+            '"label": ' + labels[blk.label],
+            '"minus": ' + _presentation_json(blk.minus_part, field),
+            '"plus": ' + _presentation_json(blk.plus_part, field),
+        ]
+        if blk.star_label is not None:
+            fields.append('"star_label": ' + labels[blk.star_label])
+        blocks.append("{" + field + ("," + field).join(fields) + "\n    }")
+    return (
+        '{\n  "assumption": ' + _json_value(ASSUMPTION, "")
+        + ',\n  "blocks": ' + _json_list(blocks, "\n  ")
+        + ',\n  "group": ' + _json_value({"ell": result.ell, "n": result.n}, "\n  ")
+        + f',\n  "total_dimension": {result.total_dimension}\n}}\n'
+    )
+
+
+def centre_text_per_part(result: CentrePresentation, simplified: bool) -> str:
+    """The centre's text, read off the built blocks, with every part's
+    quotient ring written in full under its own prefix if ``simplified``."""
+    lines = [f"centre for n={result.n}, ell={result.ell} (assumption: {ASSUMPTION})"]
+    for blk in result.blocks:
+        lines.append(f"block {format_label(blk.label)}: dimension {blk.dimension}")
+        if simplified:
+            lines.append(f"  plus:  {quotient_ring_text(blk.plus_part)}")
+            lines.append(f"  minus: {quotient_ring_text(blk.minus_part)}")
+    lines.append(f"total dimension: {result.total_dimension}")
+    return "\n".join(lines)

@@ -36,7 +36,12 @@ from cherednik_centre.polyring import GenSym, PackedPolys, Radix, format_poly, g
 from cherednik_centre.presentation import label_document
 from cherednik_centre.wronski import schubert_basis, wronskian
 
-from reference import reference_document, term_sort_key
+from reference import (
+    centre_json_per_part,
+    centre_text_per_part,
+    reference_document,
+    term_sort_key,
+)
 
 GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
 WRONSKIAN_PINS = Path(__file__).resolve().parent / "wronskian_pins.json"
@@ -270,6 +275,63 @@ def test_centre_document_with_fragments_equals_json_dumps_of_dicts(capsys, n, el
         "total_dimension": result.total_dimension,
     }
     assert out == json.dumps(dicts, indent=2, sort_keys=True) + "\n"
+
+
+_CENTRE_GROUPS = [(n, 1) for n in range(8)] + [
+    (n, ell) for ell in range(2, 13) for n in range(12 // ell + 1)
+]
+
+
+@pytest.mark.parametrize(
+    ("n", "ell"), _CENTRE_GROUPS, ids=[f"n{n}-ell{ell}" for n, ell in _CENTRE_GROUPS]
+)
+def test_centre_writes_what_the_per_part_writers_write(capsys, n, ell):
+    """Each label's part, written once and renamed for the minus side, gives
+    the bytes of writing every part in full (``reference.centre_json_per_part``
+    and ``centre_text_per_part``): JSON and text, raw and simplified, on
+    every group with ell = 1 and n <= 7, and with 2 <= ell and n * ell <= 12."""
+    for simplified in (False, True):
+        result = centre_presentation(n, ell, simplified)
+        flags = ["--simplified"] if simplified else []
+        argv = ["centre", "--ell", str(ell), *flags]
+        json_out = _run(capsys, *argv, "--format", "json", "--", str(n))
+        assert json_out == (0, centre_json_per_part(result), "")
+        text = centre_text_per_part(result, simplified) + "\n"
+        assert _run(capsys, *argv, "--", str(n)) == (0, text, "")
+
+
+@pytest.mark.parametrize(
+    ("flags", "writer"),
+    [((), None), (("--simplified",), "quotient_ring_text"),
+     (("--format", "json"), "_relations_json"),
+     (("--simplified", "--format", "json"), "_relations_json")],
+    ids=["text", "simplified", "json", "simplified-json"],
+)
+@pytest.mark.parametrize(("n", "ell"), [(4, 1), (3, 2), (2, 3)])
+def test_centre_builds_and_writes_each_part_once(capsys, monkeypatch, n, ell, flags, writer):
+    """Plain text reads the labels only and builds no presentation; JSON and
+    ``--simplified`` build each label's part once, and write its relations
+    list (JSON) or its quotient ring (text) once."""
+    import cherednik_centre
+    from cherednik_centre import presentation
+
+    calls: dict[str, list] = {"_block_part": [], "_relations_json": [], "quotient_ring_text": []}
+    for name, seen in calls.items():
+        original = getattr(presentation, name)
+
+        def counting(*args, _original=original, _seen=seen):
+            _seen.append(args[0])
+            return _original(*args)
+
+        for module in vars(cherednik_centre).values():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    status, out, _ = _run(capsys, "centre", "--ell", str(ell), *flags, "--", str(n))
+    assert status == 0 and out
+    labels = [q[0] if ell == 1 else q for q in multipartitions_of(n, ell)]
+    assert sorted(calls.pop("_block_part")) == (sorted(labels) if writer else [])
+    for name, seen in calls.items():
+        assert len(seen) == (len(labels) if name == writer else 0), name
 
 
 @pytest.mark.parametrize(
